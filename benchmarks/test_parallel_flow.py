@@ -16,7 +16,7 @@ import pytest
 
 from repro.accelerators import get_design
 from repro.analysis import discover_features, record_jobs
-from repro.rtl import compile_module, synthesize
+from repro.rtl import synthesize
 from repro.workloads import workload_for
 
 #: Designs the parallel-speedup acceptance criterion is measured on.
@@ -32,7 +32,7 @@ def _record_setup(name, scale):
     feature_set = discover_features(module, synthesize(module))
     jobs = [design.encode_job(item).as_pair()
             for item in workload_for(name, scale=scale).train]
-    return compile_module(module), feature_set, jobs
+    return module, feature_set, jobs
 
 
 @pytest.mark.parametrize("name", SPEEDUP_DESIGNS)

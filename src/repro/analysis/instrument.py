@@ -116,36 +116,6 @@ class FeatureRecorder(Listener):
         """The job's feature vector accumulated so far."""
         return self._values.copy()
 
-    def absorb_batch_events(self, events, row: int) -> None:
-        """Fold one row of a batch run's event totals into the vector.
-
-        The ``batch`` backend replaces per-event listener callbacks
-        with aggregate event columns (:class:`BatchEvents`); absorbing
-        a row is numerically identical to having observed its events
-        one at a time, because every total is an integer below 2**53.
-        """
-        fs = self.feature_set
-        for key, counts in events.transition_counts.items():
-            idx = fs.stc_index.get(key)
-            if idx is not None:
-                self._values[idx] += float(counts[row])
-        for name, counts in events.load_counts.items():
-            idx = fs.ic_index.get(name)
-            if idx is not None:
-                self._values[idx] += float(counts[row])
-        for name, sums in events.load_value_sums.items():
-            idx = fs.aivs_index.get(name)
-            if idx is not None:
-                self._values[idx] += float(sums[row])
-        for name, counts in events.reset_counts.items():
-            idx = fs.ic_index.get(name)
-            if idx is not None:
-                self._values[idx] += float(counts[row])
-        for name, sums in events.reset_value_sums.items():
-            idx = fs.apvs_index.get(name)
-            if idx is not None:
-                self._values[idx] += float(sums[row])
-
 
 def _summarize_job_inputs(inputs: Dict[str, int],
                           memories: Dict[str, Sequence[int]]) -> str:
@@ -293,12 +263,14 @@ def record_jobs(
     are bit-identical to a serial run.
 
     ``backend`` picks the simulation kernel (``backend=None`` follows
-    the ambient ``--backend``/``REPRO_BACKEND`` setting); every backend
-    is cycle-exact, so the recorded matrix is backend-invariant.  The
-    backend is resolved here, once, so pool workers inherit the parent
-    process's choice rather than re-reading their own environment.
+    the ambient ``--backend`` setting); every backend is cycle-exact,
+    so the recorded matrix is backend-invariant.  Under ``batch`` the
+    jobs run as wide lockstep batches, one balanced chunk per worker.
+    The backend is resolved here, once, so pool workers inherit the
+    parent process's choice.
     """
     from ..parallel import pmap, resolve_jobs
+    from ..parallel.pool import balanced_chunks
 
     resolved_backend = resolve_backend(backend)
     indexed = list(enumerate(jobs))
@@ -308,9 +280,7 @@ def record_jobs(
         # Feature rows are integer aggregates, so the matrix is
         # bit-identical for any chunking (and to serial interp).
         if n_workers > 1:
-            size = -(-len(indexed) // n_workers)
-            chunks = [indexed[i:i + size]
-                      for i in range(0, len(indexed), size)]
+            chunks = balanced_chunks(indexed, n_workers)
             fn = functools.partial(_record_batch_chunk, module,
                                    feature_set, max_cycles,
                                    ignore_unknown_inputs)

@@ -19,7 +19,7 @@ Commands:
   (``--golden-dir tests/golden``, regenerate with ``--update-golden``);
 * ``conform --seeds N`` — sweep sampled accelerators from
   :mod:`repro.gen` through the differential conformance battery:
-  four-backend bit-for-bit agreement, offline-flow training, episode
+  three-backend bit-for-bit agreement, offline-flow training, episode
   invariants on ASIC and FPGA, and adversarial served streams;
 * ``serve --benchmark <name> --rate R --duration S`` — run the online
   serving runtime: seeded arrival streams over one or more
@@ -578,14 +578,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     duration, n_jobs = args.duration, args.n_jobs
     if duration is None and n_jobs is None:
         duration = 2.0
+    _apply_perf_opts(args)
     if args.fleet is not None:
         return _serve_fleet_cli(args, duration, n_jobs)
-    if args.cache_dir:
-        from .parallel import ArtifactCache, set_cache
-        set_cache(ArtifactCache(args.cache_dir))
-    if args.backend is not None:
-        from .rtl import set_default_backend
-        set_default_backend(args.backend)
     specs = []
     if args.slo:
         from .obs import parse_slo
@@ -625,7 +620,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 prediction_budget=(args.prediction_budget_ms * MS
                                    if args.prediction_budget_ms
                                    is not None else None),
-                engine=args.engine,
             )
             if args.arrival == "burst":
                 arrivals = burst_arrivals(
@@ -717,14 +711,10 @@ def _serve_fleet_cli(args: argparse.Namespace, duration, n_jobs) -> int:
         config = FleetConfig(policy=args.policy,
                              global_depth=args.global_depth,
                              elastic=args.elastic,
-                             engine=args.engine,
                              strict=False)  # checked explicitly below
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.cache_dir:
-        from .parallel import ArtifactCache, set_cache
-        set_cache(ArtifactCache(args.cache_dir))
     slo_specs = []
     if args.slo:
         from .obs import parse_slo
@@ -770,7 +760,6 @@ def _serve_fleet_cli(args: argparse.Namespace, duration, n_jobs) -> int:
                     t_switch=ctx.config.t_switch,
                     queue_depth=args.queue_depth,
                     batch_max=args.batch,
-                    engine=args.engine,
                 )))
         if args.arrival == "burst":
             arrivals = burst_arrivals(
@@ -841,8 +830,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
           f"{package.slice_cost.area_fraction * 100:.1f}%")
     f0 = design.nominal_frequency
     from .rtl import make_simulation
-    sim = make_simulation(package.simulation_module(),
-                          track_state_cycles=False)
+    sim = make_simulation(package.module, track_state_cycles=False)
     print(f"{'job':>4s} {'predicted':>10s} {'actual':>10s} {'err%':>7s}")
     for i, item in enumerate(workload.test[:args.show]):
         job = design.encode_job(item)
@@ -889,8 +877,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf_opts.add_argument(
         "--backend", choices=BACKENDS, default=None,
         help="simulation kernel, one of: "
-             f"{', '.join(BACKENDS)} (default: REPRO_BACKEND or "
-             f"{DEFAULT_BACKEND}); see docs/performance.md")
+             f"{', '.join(BACKENDS)} (default: {DEFAULT_BACKEND}); "
+             "see docs/performance.md")
 
     sub.add_parser("list", help="list benchmarks and experiments")
 
@@ -1006,13 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--virtual", action="store_true",
                    help="drive the virtual clock flat-out instead of "
                         "pacing arrivals against the wall clock")
-    p.add_argument("--engine", choices=("auto", "scalar", "vector"),
-                   default=None,
-                   help="decision-plane engine: auto (default; "
-                        "vectorized epochs where provably equivalent), "
-                        "scalar (per-job reference path), or vector "
-                        "(insist on the epoch driver). Falls back to "
-                        "REPRO_SERVE_ENGINE when omitted")
     p.add_argument("--fleet", type=int, default=None, metavar="N",
                    help="dispatch ONE mixed stream across a pool of N "
                         "accelerator instances (spread round-robin "

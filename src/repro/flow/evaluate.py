@@ -28,7 +28,7 @@ def build_job_records(design: AcceleratorDesign,
     """Ground-truth + prediction records for a workload's jobs."""
     module = package.module
     recorder = FeatureRecorder(package.feature_set)
-    sim = make_simulation(package.simulation_module(), listener=recorder,
+    sim = make_simulation(package.module, listener=recorder,
                           track_state_cycles=True)
     records: List[JobRecord] = []
     for index, item in enumerate(items):

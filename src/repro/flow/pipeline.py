@@ -45,11 +45,10 @@ from ..parallel import (
     jobs_fingerprint,
     stable_hash,
 )
-from ..rtl.backend import compiled_clone, make_simulation, resolve_backend
+from ..rtl.backend import make_simulation, resolve_backend
 from ..rtl.lint import errors_only, lint_module
 from ..rtl.module import Module
 from ..rtl.netlist import Netlist
-from ..rtl.simulator import Simulation
 from ..rtl.synth import synthesize
 from ..slicing import HardwareSlice, SliceCost, build_slice, compute_slice_cost
 
@@ -83,19 +82,6 @@ class GeneratedPredictor:
     slice_cost: SliceCost
     train_matrix: FeatureMatrix
     gamma: float
-    compiled_module: Optional[Module] = None  # fast simulation clone
-    compiled_slice: Optional[Module] = None
-
-    def simulation_module(self) -> Module:
-        """The module evaluation should simulate.
-
-        Backend-aware: the per-expression-compiled clone is only an
-        advantage under the ``compiled`` backend; ``interp`` wants the
-        raw trees and ``stepjit`` generates its own kernel from them.
-        """
-        if resolve_backend() == "compiled":
-            return self.compiled_module or self.module
-        return self.module
 
     @property
     def predictor(self) -> LinearPredictor:
@@ -117,14 +103,8 @@ class GeneratedPredictor:
         the online half of Fig 6.
         """
         recorder = FeatureRecorder(self.feature_set)
-        backend = resolve_backend()
-        if backend == "compiled" and self.compiled_slice is not None:
-            sim = Simulation(self.compiled_slice, listener=recorder,
-                             track_state_cycles=False)
-        else:
-            sim = make_simulation(self.hw_slice.module, backend=backend,
-                                  listener=recorder,
-                                  track_state_cycles=False)
+        sim = make_simulation(self.hw_slice.module, listener=recorder,
+                              track_state_cycles=False)
         sim.load(*job.as_pair(), ignore_unknown=True)
         result = sim.run(max_cycles=max_cycles)
         if not result.finished:
@@ -219,9 +199,6 @@ def generate_predictor(design: AcceleratorDesign,
                     f"wait or dynamic stage, or skip the flow and use "
                     f"a non-predictive controller)"
                 )
-            # Built for every backend so bundle contents (and the
-            # prewarmed bundle cache) stay backend-invariant.
-            compiled = compiled_clone(module)
         jobs = [design.encode_job(item).as_pair()
                 for item in train_items]
         matrix = _recorded_matrix(module, feature_set, jobs,
@@ -244,7 +221,6 @@ def generate_predictor(design: AcceleratorDesign,
             ]
             hw_slice = build_slice(module, selected_specs)
             cost = compute_slice_cost(netlist, hw_slice.netlist)
-            compiled_slice = compiled_clone(hw_slice.module)
 
     observer = get_observer()
     if observer is not None:
@@ -272,6 +248,4 @@ def generate_predictor(design: AcceleratorDesign,
         slice_cost=cost,
         train_matrix=matrix,
         gamma=gamma,
-        compiled_module=compiled,
-        compiled_slice=compiled_slice,
     )

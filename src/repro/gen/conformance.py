@@ -7,12 +7,12 @@ checks spanning every layer of the repository:
 1. ``lint`` — :func:`repro.rtl.lint_module` reports no errors;
 2. ``verilog`` — :func:`repro.rtl.to_verilog` emits a non-trivial
    netlist without crashing;
-3. ``backends`` — all four simulation backends (``interp``,
-   ``compiled``, ``stepjit``, ``batch``) agree bit-for-bit on cycle
-   count, final architectural state, per-state residency, final FSM
-   states and listener events (ordered events for the scalar backends,
-   aggregate event totals for the lockstep batch kernel), with
-   fast-forward both on and off;
+3. ``backends`` — :func:`compare_backends`: ``stepjit`` agrees with
+   the ``interp`` oracle bit-for-bit on cycle count, final
+   architectural state, per-state residency, final FSM states and
+   ordered listener events, and one wide ``batch`` run over the whole
+   job list agrees on cycles, residency and aggregate event totals,
+   with fast-forward both on and off;
 4. ``flow`` — the offline flow trains a predictor on a sampled
    workload and produces a prediction for every test job;
 5. ``episode:asic`` / ``episode:fpga`` — predictive DVFS episodes on
@@ -43,11 +43,10 @@ from ..experiments.runner import (
 )
 from ..flow import FlowConfig, build_job_records, generate_predictor
 from ..rtl import (
-    BatchScalarSimulation,
+    BatchSimulation,
     Listener,
     Simulation,
     StepSimulation,
-    compile_module,
     errors_only,
     lint_module,
     to_verilog,
@@ -144,19 +143,6 @@ class _EventRecorder(Listener):
         self.resets.append((counter, value))
 
 
-class _BatchEventSink:
-    """Batch-capable listener: keeps the raw per-row event columns."""
-
-    def __init__(self) -> None:
-        self.events = None
-        self.row = None
-
-    def absorb_batch_events(self, events, row) -> None:
-        """Stash the batch event columns and this job's row index."""
-        self.events = events
-        self.row = row
-
-
 def _agg_events(rec: _EventRecorder):
     # Order-free totals: the only view the batch kernel can express.
     load_counts: Counter = Counter(n for n, _v in rec.loads)
@@ -188,11 +174,25 @@ def _agg_from_batch(events, row):
             _nonzero(events.reset_value_sums))
 
 
-def _run_scalar(module, cls, job, fast_forward: bool,
+#: Job = (port inputs, memory contents), the pair ``record_jobs`` and
+#: ``BatchSimulation.run_jobs`` take.
+Job = Tuple[Dict[str, int], Dict[str, Sequence[int]]]
+
+#: Fields each backend must match ``interp`` on, per job.  The lockstep
+#: batch kernel has no per-job state surface and counts events as
+#: order-free totals, so it is held to cycles, residency and aggregates.
+COMPARED_FIELDS = {
+    "stepjit": ("cycles", "state", "state_cycles", "fsm_state", "events"),
+    "batch": ("cycles", "state_cycles", "events_agg"),
+}
+
+
+def _run_scalar(module, cls, job: Job, fast_forward: bool,
                 max_cycles: int) -> Dict[str, object]:
+    inputs, memories = job
     rec = _EventRecorder()
     sim = cls(module, listener=rec, fast_forward=fast_forward)
-    sim.load(inputs=job.inputs, memories=job.memories)
+    sim.load(inputs=inputs, memories=memories)
     result = sim.run(max_cycles=max_cycles)
     if not result.finished:
         raise RuntimeError(
@@ -208,62 +208,73 @@ def _run_scalar(module, cls, job, fast_forward: bool,
     }
 
 
-def _run_batch(module, job, fast_forward: bool,
-               max_cycles: int) -> Dict[str, object]:
-    sink = _BatchEventSink()
-    sim = BatchScalarSimulation(module, listener=sink,
-                                fast_forward=fast_forward)
-    sim.load(inputs=job.inputs, memories=job.memories)
-    result = sim.run(max_cycles=max_cycles)
-    if not result.finished:
+def _run_batch(module, jobs: List[Job], fast_forward: bool,
+               max_cycles: int) -> List[Dict[str, object]]:
+    sim = BatchSimulation(module, fast_forward=fast_forward,
+                          track_state_cycles=True)
+    result = sim.run_jobs(jobs, max_cycles=max_cycles)
+    if not result.finished.all():
         raise RuntimeError(
             f"{module.name}: batch backend did not terminate in "
             f"{max_cycles} cycles")
+    return [{
+        "cycles": int(result.cycles[row]),
+        "state_cycles": result.state_cycles_for(row),
+        "events_agg": _agg_from_batch(result.events, row),
+    } for row in range(result.rows)]
+
+
+def backend_runs(module, jobs: Sequence[Job], fast_forward: bool,
+                 max_cycles: int = 2_000_000
+                 ) -> Dict[str, List[Dict[str, object]]]:
+    """Every job on every backend: ``{backend: [per-job result]}``.
+
+    ``interp`` and ``stepjit`` run the jobs one at a time; ``batch``
+    runs the whole list as one wide lockstep batch.
+    """
+    jobs = list(jobs)
     return {
-        "cycles": result.cycles,
-        "state": dict(sim.state),
-        "state_cycles": dict(sim.state_cycles),
-        "fsm_state": dict(sim._fsm_state),
-        "events_agg": _agg_from_batch(sink.events, sink.row),
+        "interp": [_run_scalar(module, Simulation, job, fast_forward,
+                               max_cycles) for job in jobs],
+        "stepjit": [_run_scalar(module, StepSimulation, job,
+                                fast_forward, max_cycles)
+                    for job in jobs],
+        "batch": _run_batch(module, jobs, fast_forward, max_cycles),
     }
+
+
+def compare_backends(module, jobs: Sequence[Job],
+                     max_cycles: int = 2_000_000) -> None:
+    """Assert every backend agrees with ``interp`` on every job.
+
+    Runs with fast-forward on and off and raises
+    :class:`AssertionError` naming the first divergent (job, backend,
+    field); the fields compared per backend are :data:`COMPARED_FIELDS`.
+    """
+    for fast_forward in (True, False):
+        runs = backend_runs(module, jobs, fast_forward, max_cycles)
+        for backend, fields in COMPARED_FIELDS.items():
+            for j, (got, want) in enumerate(zip(runs[backend],
+                                                runs["interp"])):
+                for f in fields:
+                    if got[f] != want[f]:
+                        raise AssertionError(
+                            f"{module.name} job {j} ff={fast_forward}:"
+                            f" {backend} disagrees with interp on {f}")
 
 
 def check_backend_agreement(design: GeneratedDesign,
                             jobs: Sequence[List[int]],
                             max_cycles: int = 2_000_000) -> None:
-    """Assert all four backends agree bit-for-bit on every job.
+    """Assert all three backends agree bit-for-bit on every job.
 
-    Runs each encoded job through ``interp``, ``compiled``,
-    ``stepjit`` and the ``batch`` scalar adapter with fast-forward on
-    and off, and raises :class:`AssertionError` naming the first
-    divergent (backend, field) pair.  Scalar backends must match on
-    ordered events; the batch kernel on aggregate event totals.
+    Encodes each sampled job and hands the list to
+    :func:`compare_backends`.
     """
-    module = design.build()
-    compiled = compile_module(module)
-    for j, items in enumerate(jobs):
-        job = design.encode_job(items)
-        for fast_forward in (True, False):
-            runs = {
-                "interp": _run_scalar(module, Simulation, job,
-                                      fast_forward, max_cycles),
-                "compiled": _run_scalar(compiled, Simulation, job,
-                                        fast_forward, max_cycles),
-                "stepjit": _run_scalar(module, StepSimulation, job,
-                                       fast_forward, max_cycles),
-                "batch": _run_batch(module, job, fast_forward,
-                                    max_cycles),
-            }
-            for backend in ("compiled", "stepjit", "batch"):
-                fields = ("cycles", "state", "state_cycles",
-                          "fsm_state",
-                          "events_agg" if backend == "batch"
-                          else "events")
-                for f in fields:
-                    if runs[backend][f] != runs["interp"][f]:
-                        raise AssertionError(
-                            f"{design.name} job {j} ff={fast_forward}:"
-                            f" {backend} disagrees with interp on {f}")
+    compare_backends(design.build(),
+                     [design.encode_job(items).as_pair()
+                      for items in jobs],
+                     max_cycles)
 
 
 def build_generated_bundle(design: GeneratedDesign,

@@ -4,12 +4,15 @@ This package is the reproduction's stand-in for the paper's Verilog +
 Yosys + RTL-simulation toolchain.  Accelerator designs are written
 against :class:`Module` (FSMs, counters, wires, registers, scratchpads,
 datapath blocks); :func:`synthesize` lowers a design to a structural
-:class:`Netlist`; :class:`Simulation` executes jobs cycle-accurately.
+:class:`Netlist`; :func:`make_simulation` executes jobs
+cycle-accurately on one of three backends (:data:`BACKENDS`): the
+``interp`` oracle (:class:`Simulation`), the default ``stepjit`` step
+compiler (:class:`StepSimulation`), and the wide ``batch`` lockstep
+kernel (:class:`BatchSimulation`).
 """
 
 from .backend import (
     BACKENDS,
-    compiled_clone,
     make_simulation,
     resolve_backend,
     set_default_backend,
@@ -18,11 +21,9 @@ from .batchsim import (
     BatchEvents,
     BatchProgram,
     BatchRunResult,
-    BatchScalarSimulation,
     BatchSimulation,
     compile_batch_stepper,
 )
-from .compiled import CompiledExpr, compile_expr, compile_module
 from .counter import Counter, down_counter, up_counter
 from .dot import netlist_to_dot
 from .idioms import ItemLoop
@@ -54,8 +55,7 @@ from .wave import VcdWriter
 
 __all__ = [
     "BACKENDS", "BatchEvents", "BatchProgram", "BatchRunResult",
-    "BatchScalarSimulation", "BatchSimulation", "BinOp", "Cell",
-    "CompiledExpr", "Const", "Counter",
+    "BatchSimulation", "BinOp", "Cell", "Const", "Counter",
     "DatapathBlock",
     "ItemLoop", "LintFinding", "VcdWriter", "errors_only", "lint_module",
     "netlist_to_dot",
@@ -63,9 +63,7 @@ __all__ = [
     "Netlist", "Port", "Provenance", "Reg", "RunResult", "Sig",
     "Simulation", "StepProgram", "StepSimulation", "Transition", "UnOp",
     "Update", "Wire", "all_of",
-    "any_of", "compile_batch_stepper", "compile_expr", "compile_module",
-    "compile_stepper",
-    "compiled_clone", "derive_module",
+    "any_of", "compile_batch_stepper", "compile_stepper", "derive_module",
     "down_counter", "make_simulation", "maximum", "minimum",
     "resolve_backend", "set_default_backend", "synthesize", "to_verilog",
     "up_counter", "wrap",

@@ -1,24 +1,22 @@
-"""Simulation backend selection: interp | compiled | stepjit | batch.
+"""Simulation backend selection: interp | stepjit | batch.
 
 All backends are cycle-exact (the differential fuzz suite and the
 golden gate enforce this), so the choice is purely a speed knob:
 
-* ``interp``   — the tree-walking interpreter (:class:`Simulation` on a
-  raw module).  Baseline; useful for debugging generated code.
-* ``compiled`` — per-expression codegen (:func:`compile_module` +
-  :class:`Simulation`).  2–4× over ``interp``.
-* ``stepjit``  — the whole-module step compiler
+* ``interp``  — the tree-walking interpreter (:class:`Simulation` on a
+  raw module).  The oracle every differential test compares against;
+  useful for debugging generated code.
+* ``stepjit`` — the whole-module step compiler
   (:class:`StepSimulation`): one generated function per cycle.  The
-  default.
-* ``batch``    — the vectorized lockstep kernel
-  (:class:`BatchScalarSimulation` here; :class:`BatchSimulation` for
-  whole-job-list drivers such as ``record_jobs``): N jobs advance as
-  one numpy array program.  Fastest at batch widths ≫ 1; a listener
-  that needs per-cycle callbacks (``wants_cycles``) or lacks
-  ``absorb_batch_events`` silently falls back to ``stepjit``.
+  default scalar path.
+* ``batch``   — the vectorized lockstep kernel
+  (:class:`~repro.rtl.batchsim.BatchSimulation`): N jobs advance as one
+  numpy array program.  A wide driver only — ``record_jobs`` and
+  ``SlicePredictor.predict_batch`` run whole job lists through it;
+  callers that simulate one job at a time get ``stepjit``.
 
 Resolution priority: explicit argument > :func:`set_default_backend` >
-the ``REPRO_BACKEND`` environment variable > ``stepjit``.
+``stepjit``.
 
 Because outputs are cycle-exact, cache fingerprints (the recorded
 ``FeatureMatrix`` key, bundle keys) deliberately do NOT include the
@@ -28,25 +26,16 @@ any other.  Tests assert this invariance.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
-from weakref import WeakKeyDictionary
 
-from .batchsim import BatchScalarSimulation
-from .compiled import compile_module
 from .module import Module
 from .simulator import Simulation
 from .stepjit import StepSimulation
 
-BACKENDS = ("interp", "compiled", "stepjit", "batch")
+BACKENDS = ("interp", "stepjit", "batch")
 DEFAULT_BACKEND = "stepjit"
-BACKEND_ENV = "REPRO_BACKEND"
 
 _default_override: Optional[str] = None
-
-#: module -> compiled clone, so repeated compiled-backend simulations
-#: of the same module reuse one compile_module() pass.
-_COMPILED: "WeakKeyDictionary[Module, Module]" = WeakKeyDictionary()
 
 
 def _validate(name: str) -> str:
@@ -60,57 +49,31 @@ def _validate(name: str) -> str:
 def set_default_backend(name: Optional[str]) -> None:
     """Set (or with ``None``, clear) the process-wide backend override.
 
-    The CLI's ``--backend`` flag lands here; it outranks the
-    ``REPRO_BACKEND`` environment variable.
+    The CLI's ``--backend`` flag lands here.
     """
     global _default_override
     _default_override = _validate(name) if name is not None else None
 
 
 def resolve_backend(explicit: Optional[str] = None) -> str:
-    """The backend to use: explicit > override > env > default."""
+    """The backend to use: explicit > override > default."""
     if explicit is not None:
         return _validate(explicit)
     if _default_override is not None:
         return _default_override
-    env = os.environ.get(BACKEND_ENV)
-    if env:
-        return _validate(env)
     return DEFAULT_BACKEND
-
-
-def compiled_clone(module: Module) -> Module:
-    """A (cached) per-expression-compiled clone of ``module``."""
-    clone = _COMPILED.get(module)
-    if clone is None:
-        # compile_module returns a new Module; never re-compile one.
-        if getattr(module.done_expr, "original", None) is not None:
-            clone = module
-        else:
-            clone = compile_module(module)
-        _COMPILED[module] = clone
-    return clone
 
 
 def make_simulation(module: Module, *, backend: Optional[str] = None,
                     **kwargs) -> Simulation:
-    """Build a simulation of ``module`` on the resolved backend.
+    """Build a one-job-at-a-time simulation of ``module``.
 
     ``kwargs`` are forwarded to the :class:`Simulation` constructor
     (``listener``, ``fast_forward``, ``elide``, ``track_state_cycles``).
+    ``interp`` gets the interpreter; ``stepjit`` and ``batch`` get the
+    step compiler, since the batch kernel only pays off across many
+    jobs at once.
     """
-    name = resolve_backend(backend)
-    if name == "batch":
-        listener = kwargs.get("listener")
-        if listener is not None and (
-                getattr(listener, "wants_cycles", False)
-                or not hasattr(listener, "absorb_batch_events")):
-            # Event columns cannot express per-cycle callbacks or
-            # arbitrary listener protocols; stepjit is cycle-exact.
-            return StepSimulation(module, **kwargs)
-        return BatchScalarSimulation(module, **kwargs)
-    if name == "stepjit":
-        return StepSimulation(module, **kwargs)
-    if name == "compiled":
-        return Simulation(compiled_clone(module), **kwargs)
-    return Simulation(module, **kwargs)
+    if resolve_backend(backend) == "interp":
+        return Simulation(module, **kwargs)
+    return StepSimulation(module, **kwargs)

@@ -39,11 +39,9 @@ Programs are cached per module (weakly) and per variant (elide set,
 state-cycle tracking, fast-forward) and pickle as (module, options),
 recompiling on load — the same contract as :class:`StepProgram`.
 
-Two driver classes sit on the kernel: :class:`BatchSimulation` runs a
-whole job list through :meth:`run_jobs` (the ``record_jobs`` and
-``SlicePredictor`` hot path), and :class:`BatchScalarSimulation` is the
-drop-in :class:`Simulation` adapter used by ``make_simulation`` — a
-width-1 batch behind the ordinary ``reset``/``load``/``run`` surface.
+:class:`BatchSimulation` drives the kernel: it runs a whole job list
+through :meth:`run_jobs` (the ``record_jobs`` and ``SlicePredictor``
+hot path).  One-job-at-a-time callers get the step compiler instead.
 
 Bit-exactness against the interpreter is enforced by the differential
 fuzz suite and the golden gate (``repro check --backend batch``).
@@ -64,7 +62,7 @@ from ..obs import get_observer
 from .expr import _CMPOPS, _PYOPS, BinOp, Const, Expr, MemRead, Mux, Sig, UnOp
 from .fsm import Fsm
 from .module import Module
-from .simulator import RunResult, Simulation, _DepAnalysis, record_sim_run
+from .simulator import _DepAnalysis, record_sim_run
 
 _MEM_PREFIX = "__mem__"
 
@@ -292,9 +290,6 @@ class _BatchCompiler:
 
     def _is_boolish(self, expr: Expr) -> bool:
         """True when ``expr`` can only evaluate to 0 or 1."""
-        original = getattr(expr, "original", None)
-        if original is not None:
-            return self._is_boolish(original)
         if isinstance(expr, Const):
             return expr.value in (0, 1)
         if isinstance(expr, Sig):
@@ -325,9 +320,6 @@ class _BatchCompiler:
         arc-indicator wires then share their state-compare masks with
         arc selection instead of recomputing them in the int domain.
         """
-        original = getattr(expr, "original", None)
-        if original is not None:  # CompiledExpr wrapper: use the tree
-            return self.render(original)
         if isinstance(expr, Const):
             return repr(expr.value)
         if isinstance(expr, Sig):
@@ -377,9 +369,6 @@ class _BatchCompiler:
         """
         if expr is None:
             return "True"
-        original = getattr(expr, "original", None)
-        if original is not None:
-            return self.cond(original)
         if isinstance(expr, Const):
             return "True" if expr.value else "False"
         if isinstance(expr, Sig):
@@ -921,7 +910,6 @@ class BatchProgram:
         }
         self.mem_names = list(compiler.mem_names)
         self.fsm_names = [f.name for f in compiler.fsms]
-        self.fsm_state_signals = [f.state_signal for f in compiler.fsms]
         self.fsm_states = [
             [state for state, _code in sorted(f.states.items(),
                                               key=lambda kv: kv[1])]
@@ -1242,106 +1230,3 @@ class BatchSimulation:
             row_steps=row_steps,
             ff_jumps=ff_jumps,
         )
-
-
-class BatchScalarSimulation(Simulation):
-    """Drop-in :class:`Simulation` backed by a width-1 batch kernel.
-
-    Construction, ``reset``, ``load`` and all inspection surfaces
-    (``state``, ``cycle``, ``state_cycles``, ``_fsm_state``) behave
-    exactly like the interpreter's; ``run`` packs the current state
-    into one-row columns, drains the batch kernel, and unpacks the
-    (cycle-exact) result back.  A listener, when attached, must
-    implement ``absorb_batch_events`` (and not ``wants_cycles``) —
-    event columns replace the per-event callbacks; ``make_simulation``
-    falls back to :class:`StepSimulation` for incompatible listeners.
-    """
-
-    def _build_static(self) -> None:
-        # The kernel bakes arc tables and dependence analyses into
-        # generated code; skip the interpreter's per-instance tables.
-        self._fsms = list(self.module.fsms.values())
-
-    def program(self) -> BatchProgram:
-        """The compiled batch kernel for this simulation's options.
-
-        The event-accumulation variant is keyed off the listener: with
-        nobody observing, the kernel skips event columns entirely —
-        the batch analogue of the serial backends' None-listener path.
-        """
-        return compile_batch_stepper(
-            self.module, elide=self.elide,
-            track_state_cycles=self.track_state_cycles,
-            fast_forward=self.fast_forward,
-            events=self.listener is not None)
-
-    def run(self, max_cycles: int = 200_000_000) -> RunResult:
-        """Run until done (or ``max_cycles``) on the batch kernel."""
-        listener = self.listener
-        if listener is not None and (
-                getattr(listener, "wants_cycles", False)
-                or not hasattr(listener, "absorb_batch_events")):
-            raise TypeError(
-                "batch backend listeners must implement "
-                "absorb_batch_events (and not wants_cycles); use "
-                "make_simulation, which falls back to stepjit for "
-                "incompatible listeners")
-        program = self.program()
-        state = self.state
-        scalars = [np.array([state[name]], dtype=np.int64)
-                   for name in program.scalar_names]
-        mem_tables = []
-        mem_lengths = []
-        for name in program.mem_names:
-            words = state[f"{_MEM_PREFIX}{name}"]
-            table = np.zeros((1, len(words)), dtype=np.int64)
-            if words:
-                table[0, :] = words
-            mem_tables.append(table)
-            mem_lengths.append(np.array([len(words)], dtype=np.int64))
-        dyn = [np.array([self._dyn_stall[name]], dtype=np.int64)
-               for name in program.dyn_names]
-        if self.track_state_cycles:
-            sc = [
-                np.array([[self.state_cycles.get((name, s), 0)
-                           for s in states]], dtype=np.int64)
-                for name, states in zip(program.fsm_names,
-                                        program.fsm_states)
-            ]
-        else:
-            sc = None
-        events = [np.zeros(1, dtype=np.int64)
-                  for _ in program.event_layout]
-        cycles = np.array([self.cycle], dtype=np.int64)
-        fin = np.zeros(1, dtype=np.bool_)
-        start_cycle = self.cycle
-        start = perf_counter()
-        _iters, _lives, ff_jumps = program.fn(
-            scalars, mem_tables, mem_lengths, dyn, sc, events,
-            cycles, fin, max_cycles, 0)
-        wall = perf_counter() - start
-        for name, column in zip(program.scalar_names, scalars):
-            state[name] = int(column[0])
-        for name, column in zip(program.dyn_names, dyn):
-            self._dyn_stall[name] = int(column[0])
-        for name, signal, states in zip(program.fsm_names,
-                                        program.fsm_state_signals,
-                                        program.fsm_states):
-            self._fsm_state[name] = states[state[signal]]
-        self.cycle = int(cycles[0])
-        self.ff_jumps += ff_jumps
-        if self.track_state_cycles:
-            cells = self.state_cycles  # preserve dict identity: callers
-            cells.clear()              # hold and clear() this mapping
-            for name, states, counts in zip(program.fsm_names,
-                                            program.fsm_states, sc):
-                for s, count in zip(states, counts[0]):
-                    if count:
-                        cells[(name, s)] = int(count)
-        if listener is not None:
-            batch_events = BatchEvents.from_arrays(
-                program.event_layout, events)
-            listener.absorb_batch_events(batch_events, 0)
-        record_sim_run("batch", self.cycle - start_cycle, wall, ff_jumps)
-        return RunResult(self.cycle, bool(fin[0]),
-                         dict(self.state_cycles))

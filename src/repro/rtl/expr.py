@@ -347,52 +347,3 @@ def walk(expr: Expr) -> Iterable[Expr]:
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children()))
-
-
-def to_python(expr: Expr, env_name: str = "env") -> str:
-    """Render an expression as a Python source fragment.
-
-    Used by the compiled simulator backend to generate a flat step
-    function.  Signals become dict lookups on ``env_name``.
-    """
-    original = getattr(expr, "original", None)
-    if original is not None:  # a CompiledExpr wrapper: unwrap its tree
-        return to_python(original, env_name)
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, Sig):
-        return f"{env_name}[{expr.name!r}]"
-    if isinstance(expr, MemRead):
-        idx = to_python(expr.index, env_name)
-        return (
-            f"(lambda _d, _i: _d[_i] if 0 <= _i < len(_d) else 0)"
-            f"({env_name}['__mem__{expr.memory}'], {idx})"
-        )
-    if isinstance(expr, Mux):
-        sel = to_python(expr.sel, env_name)
-        a = to_python(expr.a, env_name)
-        b = to_python(expr.b, env_name)
-        return f"({a} if {sel} else {b})"
-    if isinstance(expr, UnOp):
-        a = to_python(expr.a, env_name)
-        if expr.op == "not":
-            return f"(0 if {a} else 1)"
-        if expr.op == "bool":
-            return f"(1 if {a} else 0)"
-        return f"(-({a}))"
-    if isinstance(expr, BinOp):
-        a = to_python(expr.a, env_name)
-        b = to_python(expr.b, env_name)
-        if expr.op in _PYOPS:
-            return f"({a} {_PYOPS[expr.op]} {b})"
-        if expr.op in _CMPOPS:
-            return f"(1 if {a} {_CMPOPS[expr.op]} {b} else 0)"
-        if expr.op == "div":
-            return f"(({a}) // ({b}) if ({b}) else 0)"
-        if expr.op == "mod":
-            return f"(({a}) % ({b}) if ({b}) else 0)"
-        if expr.op == "min":
-            return f"min({a}, {b})"
-        if expr.op == "max":
-            return f"max({a}, {b})"
-    raise TypeError(f"cannot compile expression node {expr!r}")

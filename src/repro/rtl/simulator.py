@@ -163,13 +163,6 @@ class _DepAnalysis:
         return self._visit(expr)
 
     def _visit(self, expr: Expr) -> DepPair:
-        original = getattr(expr, "original", None)
-        if original is not None:
-            # A CompiledExpr wrapper: classify the real tree, so the
-            # compiled backend fast-forwards exactly as often as the
-            # interpreter (a wrapped ``counter == 0`` is still a
-            # zero-compare, not an arbitrary reference).
-            expr = original
         zeroed = _zero_compared_signal(expr)
         if zeroed is not None:
             if zeroed in self._counters:
@@ -224,13 +217,6 @@ class Simulation:
         self.fast_forward = fast_forward
         self.elide = frozenset(elide or ())
         self.track_state_cycles = track_state_cycles
-        # Compiled modules carry CompiledExpr trees everywhere; the
-        # done expression is the cheapest reliable tell.
-        self._backend_name = (
-            "compiled"
-            if getattr(module.done_expr, "original", None) is not None
-            else "interp"
-        )
         self._build_static()
         self.reset()
 
@@ -361,7 +347,7 @@ class Simulation:
 
             self._step_once(env, fired)
 
-        record_sim_run(self._backend_name, self.cycle - start_cycle,
+        record_sim_run("interp", self.cycle - start_cycle,
                        perf_counter() - start,
                        self.ff_jumps - start_jumps)
         return RunResult(self.cycle, finished, dict(self.state_cycles))

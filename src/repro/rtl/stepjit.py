@@ -1,9 +1,8 @@
 """Whole-module step compiler: a generated-code simulation backend.
 
-Where :mod:`repro.rtl.compiled` compiles each *expression* to its own
-lambda (per-tree dispatch stays in the interpreter), this module
-compiles the entire two-phase cycle of a :class:`Module` into one
-specialized Python function:
+Where the interpreter walks each expression tree every cycle, this
+module compiles the entire two-phase cycle of a :class:`Module` into
+one specialized Python function:
 
 * architectural state lives in slot-indexed locals (no dict lookups on
   the hot path; the flat list is only touched on entry/exit);
@@ -20,9 +19,9 @@ specialized Python function:
 
 Programs are cached per module (weakly) and per variant (elide set,
 state-cycle tracking, listener presence, fast-forward), and are
-pickle-safe the same way :class:`CompiledExpr` is: ``__reduce__``
-pickles the source module plus the variant options and regenerates the
-code on load, so steppers cross process pools and the artifact cache.
+pickle-safe: ``__reduce__`` pickles the source module plus the variant
+options and regenerates the code on load, so steppers cross process
+pools and the artifact cache.
 
 The generated stepper is cycle-exact against the interpreter — the
 differential fuzz suite and the golden gate (``repro check
@@ -157,9 +156,6 @@ class _StepCompiler:
         raise KeyError(f"stepjit: unknown signal {name!r} in {self.m.name}")
 
     def render(self, expr: Expr) -> str:
-        original = getattr(expr, "original", None)
-        if original is not None:  # CompiledExpr wrapper: use the tree
-            return self.render(original)
         if isinstance(expr, Const):
             return repr(expr.value)
         if isinstance(expr, Sig):
@@ -205,9 +201,6 @@ class _StepCompiler:
         """Render for a boolean context (integer truthiness)."""
         if expr is None:
             return "1"
-        original = getattr(expr, "original", None)
-        if original is not None:
-            return self.cond(original)
         if isinstance(expr, BinOp) and expr.op in _CMPOPS:
             a = self.render(expr.a)
             b = self.render(expr.b)
@@ -725,7 +718,7 @@ class StepProgram:
     Holds the generated source (for inspection/tests) and the compiled
     function, plus the slot layout the :class:`StepSimulation` uses to
     pack and unpack architectural state.  Pickles as (module, options)
-    and regenerates its code on load, exactly like ``CompiledExpr``.
+    and regenerates its code on load.
     """
 
     def __init__(self, module: Module,
@@ -768,7 +761,7 @@ class StepProgram:
         # The generated function is unpicklable; it is a pure function
         # of (module, options), so regenerate on load — this is what
         # lets steppers ride through pool workers and the artifact
-        # cache the way CompiledExpr does.
+        # cache.
         return (StepProgram, (self.module, tuple(sorted(self.elide)),
                               self.track_state_cycles, self.has_listener,
                               self.fast_forward))

@@ -31,9 +31,6 @@ _BIN_VERILOG = {
 
 def _expr(expr: Expr) -> str:
     """Render an expression as Verilog."""
-    original = getattr(expr, "original", None)
-    if original is not None:  # compiled wrapper
-        return _expr(original)
     if isinstance(expr, Const):
         if expr.value < 0:
             return f"-{-expr.value}"

@@ -32,7 +32,6 @@ from .fleet import (
 from .loadgen import LoadReport, percentile, run_closed_loop, run_open_loop
 from .server import (
     COMPLETED,
-    ENGINE_ENV,
     ENGINES,
     FALLBACK,
     SHED,
@@ -43,7 +42,6 @@ from .server import (
     SlicePredictor,
     StreamOutcome,
     StreamResult,
-    resolve_engine,
     serve_stream,
     serve_streams,
 )
@@ -67,7 +65,7 @@ from .stream import (
 
 __all__ = [
     "ADVERSARIAL_MODES",
-    "COMPLETED", "DEADLINE", "ENERGY_AWARE", "ENGINES", "ENGINE_ENV",
+    "COMPLETED", "DEADLINE", "ENERGY_AWARE", "ENGINES",
     "FALLBACK",
     "LEAST_LOADED", "POLICIES", "ROUND_ROBIN", "SHED",
     "SHED_REASONS", "TERMINAL_STATES",
@@ -80,8 +78,7 @@ __all__ = [
     "build_stream_jobs",
     "burst_arrivals", "drive_stream_vectorized", "mixed_stream_jobs",
     "parse_tenants",
-    "percentile", "poisson_arrivals", "resolve_engine",
-    "run_closed_loop",
+    "percentile", "poisson_arrivals", "run_closed_loop",
     "run_open_loop", "serve_fleet", "serve_stream", "serve_streams",
     "split_by_deadline",
     "stream_from_records", "trace_replay", "vfr_arrivals",

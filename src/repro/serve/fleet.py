@@ -45,7 +45,6 @@ from ..obs import get_observer, span
 from ..parallel import pmap, resolve_jobs
 from ..runtime.episode import strict_checks_enabled
 from .server import (
-    ENGINE_ENV,
     ENGINES,
     AcceleratorStream,
     ServeConfig,
@@ -165,7 +164,7 @@ class FleetConfig:
     scale_down_backlog: float = 1.0
     min_active: int = 1
     strict: Optional[bool] = None  # None = follow REPRO_CHECK
-    engine: Optional[str] = None   # None = follow REPRO_SERVE_ENGINE
+    engine: str = "auto"           # one of ENGINES
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -179,20 +178,9 @@ class FleetConfig:
         if self.scale_down_backlog >= self.scale_up_backlog:
             raise ValueError("scale_down_backlog must sit below "
                              "scale_up_backlog")
-        if self.engine is not None and self.engine not in ENGINES:
+        if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}")
-
-
-def _fleet_engine(config: FleetConfig) -> str:
-    """The dispatcher's effective decision-plane engine."""
-    engine = config.engine
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "auto") or "auto"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV} must be one of {ENGINES}, got {engine!r}")
-    return engine
 
 
 def usable_cores() -> int:
@@ -603,7 +591,7 @@ class FleetDispatcher:
         """Route a whole (arrival-sorted) stream; returns per-instance
         sub-streams aligned with ``specs``.
 
-        Under the ``auto``/``vector`` engines the dispatcher first
+        Under the ``auto`` engine the dispatcher first
         tries one vectorized **routing epoch** (:meth:`_route_epoch`)
         over the whole stream; whatever prefix it can prove
         independent is committed in bulk and the scalar
@@ -614,7 +602,7 @@ class FleetDispatcher:
         if arrivals != sorted(arrivals):
             raise ValueError("fleet jobs must be sorted by arrival")
         start = 0
-        if _fleet_engine(self.config) != "scalar":
+        if self.config.engine != "scalar":
             start = self._route_epoch(jobs)
         for job in jobs[start:]:
             self.route(job)

@@ -11,8 +11,7 @@ Two classic load shapes:
 
 Both produce a :class:`LoadReport`: offered/achieved rates, exact
 decision-latency percentiles (p50/p99/max over the recorded per-job
-wall-clock decisions), and fallback/shed/miss rates — the fields
-``BENCH_serve.json`` publishes.
+wall-clock decisions), and fallback/shed/miss rates.
 """
 
 from __future__ import annotations

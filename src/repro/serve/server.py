@@ -32,7 +32,6 @@ paces arrivals against the wall clock through asyncio, which is what
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -58,15 +57,12 @@ FALLBACK = "fallback"
 SHED = "shed"
 TERMINAL_STATES = (COMPLETED, FALLBACK, SHED)
 
-#: Decision-plane engines.  ``auto`` (the default) runs the
-#: epoch-coalescing vectorized engine (:mod:`repro.serve.vector`)
-#: wherever its eligibility proof holds and the scalar state machine
-#: everywhere else; ``scalar`` forces the per-job path; ``vector``
-#: insists on the vectorized driver (which still defers to scalar
-#: job-by-job whenever state coupling binds).  Selected per stream by
-#: ``ServeConfig.engine`` or globally by ``REPRO_SERVE_ENGINE``.
-ENGINES = ("auto", "scalar", "vector")
-ENGINE_ENV = "REPRO_SERVE_ENGINE"
+#: Decision-plane engines, selected per stream by ``ServeConfig.engine``.
+#: ``auto`` (the default) runs the epoch-coalescing vectorized engine
+#: (:mod:`repro.serve.vector`) wherever its eligibility proof holds and
+#: the scalar state machine everywhere else; ``scalar`` forces the
+#: per-job reference path.
+ENGINES = ("auto", "scalar")
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ class ServeConfig:
     batch_max: int = 8             # micro-batch size cap
     prediction_budget: Optional[float] = None  # wall seconds / decision
     strict: Optional[bool] = None  # None = follow REPRO_CHECK
-    engine: Optional[str] = None   # None = follow REPRO_SERVE_ENGINE
+    engine: str = "auto"           # one of ENGINES
 
     def __post_init__(self) -> None:
         if self.deadline <= 0.0:
@@ -88,24 +84,9 @@ class ServeConfig:
             raise ValueError("queue_depth must be >= 1")
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
-        if self.engine is not None and self.engine not in ENGINES:
+        if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}")
-
-
-def resolve_engine(config: ServeConfig) -> str:
-    """The stream's effective decision-plane engine.
-
-    ``ServeConfig.engine`` wins; otherwise the ``REPRO_SERVE_ENGINE``
-    environment variable; otherwise ``auto``.
-    """
-    engine = config.engine
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "auto") or "auto"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV} must be one of {ENGINES}, got {engine!r}")
-    return engine
 
 
 class RecordPredictor:
@@ -656,11 +637,11 @@ def _serve_virtual(stream: AcceleratorStream,
                    jobs: Sequence[StreamJob]) -> StreamResult:
     """Drive one stream on the virtual clock, as fast as possible.
 
-    Under the ``auto``/``vector`` engines the epoch-coalescing driver
-    takes over — it vectorizes decision epochs where they decouple and
-    replays the exact scalar ``offer``/``drain`` machine everywhere
-    else.  Realtime mode always runs scalar: epochs would require
-    arrivals that have not happened yet on the wall clock.
+    Under the ``auto`` engine the epoch-coalescing driver takes over —
+    it vectorizes decision epochs where they decouple and replays the
+    exact scalar ``offer``/``drain`` machine everywhere else.  Realtime
+    mode always runs scalar: epochs would require arrivals that have
+    not happened yet on the wall clock.
 
     Deliberately synchronous: virtual serving never awaits, and
     ``asyncio.run`` is far from free here — installing its SIGINT
@@ -668,7 +649,7 @@ def _serve_virtual(stream: AcceleratorStream,
     queued job list (numpy feature arrays included) twice per run.
     """
     t0 = time.perf_counter()
-    if resolve_engine(stream.config) != "scalar":
+    if stream.config.engine != "scalar":
         from .vector import drive_stream_vectorized
         drive_stream_vectorized(stream, jobs)
     else:

@@ -189,6 +189,30 @@ def test_record_jobs_batch_parallel_bit_identical(toy, toy_features,
     assert np.array_equal(matrix.cycles, baseline.cycles)
 
 
+def test_record_jobs_batch_balances_chunks(toy, toy_features,
+                                           monkeypatch):
+    """9 jobs over 4 workers split 3/2/2/2, so no worker idles."""
+    import repro.parallel
+
+    module, _ = toy
+    jobs = _varied_jobs(9)
+    real_pmap = repro.parallel.pmap
+    sizes = []
+
+    def spy(fn, chunks, **kwargs):
+        sizes.append([len(chunk) for chunk in chunks])
+        return real_pmap(fn, chunks, **kwargs)
+
+    monkeypatch.setattr(repro.parallel, "pmap", spy)
+    matrix = record_jobs(module, toy_features, jobs,
+                         backend="batch", workers=4)
+    assert sizes == [[3, 2, 2, 2]]
+    serial = record_jobs(module, toy_features, jobs,
+                         backend="interp", workers=1)
+    assert np.array_equal(matrix.x, serial.x)
+    assert np.array_equal(matrix.cycles, serial.cycles)
+
+
 def test_record_jobs_batch_timeout_matches_serial_error(toy,
                                                         toy_features):
     module, _ = toy

@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gen import COMPLEXITIES, sample_design, sample_workload
 from repro.rtl import (
-    BatchScalarSimulation,
+    BatchSimulation,
     Simulation,
     compile_batch_stepper,
-    compile_module,
     compile_stepper,
     errors_only,
     lint_module,
@@ -50,9 +49,8 @@ def test_sampled_designs_export_verilog(seed, complexity):
 @settings(max_examples=25, deadline=None)
 @given(seed=seed_strategy, complexity=complexity_strategy)
 def test_sampled_designs_compile_on_every_backend(seed, complexity):
-    """compiled / stepjit / batch codegen all accept every sample."""
+    """stepjit / batch codegen both accept every sample."""
     module = sample_design(seed, complexity).build()
-    compile_module(module)
     compile_stepper(module)
     compile_batch_stepper(module)
 
@@ -81,14 +79,13 @@ def test_sampled_workloads_terminate(seed, complexity, wseed):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=seed_strategy, complexity=complexity_strategy)
-def test_batch_scalar_adapter_runs_samples(seed, complexity):
+def test_batch_backend_runs_samples(seed, complexity):
     design = sample_design(seed, complexity)
-    module = design.build()
-    items = sample_workload(design, 1, seed=5)[0]
-    job = design.encode_job(items)
-    sim = BatchScalarSimulation(module)
-    sim.load(inputs=job.inputs, memories=job.memories)
-    assert sim.run(max_cycles=2_000_000).finished
+    jobs = [design.encode_job(items).as_pair()
+            for items in sample_workload(design, 2, seed=5)]
+    result = BatchSimulation(design.build()).run_jobs(
+        jobs, max_cycles=2_000_000)
+    assert result.finished.all()
 
 
 @settings(max_examples=15, deadline=None)

@@ -8,7 +8,7 @@ generated design:
 
 * structural detection finds exactly the FSM and all counters;
 * fast-forward simulation is cycle-exact vs plain stepping;
-* the compiled backend is cycle-exact vs the interpreter;
+* the stepjit and batch backends are cycle-exact vs the interpreter;
 * the hardware slice computes identical features to the full design;
 * the Verilog exporter renders it.
 """
@@ -23,13 +23,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import detect_counters, detect_fsms, discover_features, record_jobs
+from repro.gen.conformance import compare_backends
 from repro.rtl import (
     Fsm,
     MemRead,
     Module,
     Sig,
     Simulation,
-    compile_module,
     down_counter,
     synthesize,
     to_verilog,
@@ -139,17 +139,12 @@ def test_fast_forward_exact_on_random_designs(design, items):
 
 @settings(max_examples=15, deadline=None)
 @given(design=design_strategy, items=items_strategy)
-def test_compiled_exact_on_random_designs(design, items):
+def test_backends_exact_on_random_designs(design, items):
     stages, with_up = design
     module = build_random_module(stages, with_up)
-    compiled = compile_module(module)
-    results = []
-    for mod in (module, compiled):
-        sim = Simulation(mod)
-        sim.load(inputs={"n_items": len(items)}, memories={"data": items})
-        results.append(sim.run(max_cycles=500_000))
-    assert results[0].cycles == results[1].cycles
-    assert results[0].state_cycles == results[1].state_cycles
+    compare_backends(module,
+                     [({"n_items": len(items)}, {"data": items})],
+                     max_cycles=500_000)
 
 
 @settings(max_examples=15, deadline=None)

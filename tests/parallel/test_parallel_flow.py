@@ -12,7 +12,7 @@ from repro.flow import FlowConfig, generate_predictor
 from repro.model import lasso_path
 from repro.obs import session
 from repro.parallel import ArtifactCache, set_cache
-from repro.rtl import compile_module, synthesize
+from repro.rtl import synthesize
 from repro.workloads import workload_for
 from tests.conftest import ToyDesign, build_toy, toy_workload
 
@@ -23,7 +23,7 @@ def _toy_record_setup():
     feature_set = discover_features(module, synthesize(module))
     jobs = [design.encode_job(items).as_pair()
             for items in toy_workload(24, seed=7)]
-    return compile_module(module), feature_set, jobs
+    return module, feature_set, jobs
 
 
 def _design_record_setup(name, scale):
@@ -32,7 +32,7 @@ def _design_record_setup(name, scale):
     feature_set = discover_features(module, synthesize(module))
     jobs = [design.encode_job(item).as_pair()
             for item in workload_for(name, scale=scale).train]
-    return compile_module(module), feature_set, jobs
+    return module, feature_set, jobs
 
 
 def _assert_matrices_equal(a, b):

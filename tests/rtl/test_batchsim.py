@@ -1,10 +1,10 @@
 """Batch (lockstep numpy) backend: drivers, edge cases and telemetry.
 
 Cross-backend bit-exactness lives in ``test_fuzz_backends.py``; this
-file covers the batch-specific surfaces — empty and width-1 batches,
-unfinished rows, elide variants, compaction under divergent job
-lengths, listener compatibility, program caching/pickling, the width
-guard, and the ``sim.batch.*`` observability counters.
+file covers the batch-specific surfaces — empty batches, unfinished
+rows, elide variants, compaction under divergent job lengths, the
+``make_simulation`` hand-off to stepjit, program caching/pickling, the
+width guard, and the ``sim.batch.*`` observability counters.
 """
 
 import pickle
@@ -14,7 +14,6 @@ import pytest
 
 from repro.obs import session
 from repro.rtl import (
-    BatchScalarSimulation,
     BatchSimulation,
     Module,
     Sig,
@@ -108,18 +107,9 @@ def test_program_pickle_roundtrip():
     assert clone.source == program.source
 
 
-def test_scalar_adapter_rejects_incompatible_listener():
-    class Ordered:
-        def on_transition(self, fsm, src, dst):
-            pass
-
-    sim = BatchScalarSimulation(build_toy(), listener=Ordered())
-    sim.load(inputs={"n_items": 1}, memories={"items": [pack_item(1, 0)]})
-    with pytest.raises(TypeError, match="absorb_batch_events"):
-        sim.run()
-
-
 def test_make_simulation_falls_back_for_incompatible_listener():
+    # The batch kernel only drives whole job lists; one-job-at-a-time
+    # callers under ``batch`` get the step compiler, listener or not.
     class Ordered:
         def on_transition(self, fsm, src, dst):
             pass
@@ -129,8 +119,7 @@ def test_make_simulation_falls_back_for_incompatible_listener():
         set_default_backend("batch")
         assert isinstance(make_simulation(module, listener=Ordered()),
                           StepSimulation)
-        assert isinstance(make_simulation(module),
-                          BatchScalarSimulation)
+        assert isinstance(make_simulation(module), StepSimulation)
     finally:
         set_default_backend(None)
 
@@ -155,21 +144,3 @@ def test_batch_obs_counters(tmp_path):
         assert counters["sim.batch.lockstep_cycles"] > 0
         gauge = obs.metrics.gauges["sim.batch.occupancy"]
         assert 0.0 < gauge <= 1.0
-
-
-def test_scalar_adapter_resumes_mid_run():
-    # Partial run, then resume: the adapter must round-trip cycle and
-    # architectural state through the columns exactly.
-    module = build_toy()
-    items = [pack_item(6, 1), pack_item(2, 0)]
-    ref = StepSimulation(module)
-    ref.load(inputs={"n_items": 2}, memories={"items": items})
-    total = ref.run().cycles
-
-    sim = BatchScalarSimulation(module)
-    sim.load(inputs={"n_items": 2}, memories={"items": items})
-    first = sim.run(max_cycles=total // 2)
-    assert not first.finished
-    second = sim.run()
-    assert second.finished
-    assert second.cycles == total

@@ -1,7 +1,6 @@
 """Unit tests for the expression AST."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.rtl.expr import (
     BinOp,
@@ -14,7 +13,6 @@ from repro.rtl.expr import (
     any_of,
     maximum,
     minimum,
-    to_python,
     walk,
     wrap,
 )
@@ -118,40 +116,3 @@ def test_walk_visits_every_node():
     assert kinds.count("BinOp") == 3
     assert kinds.count("Sig") == 2
     assert kinds.count("Const") == 2
-
-
-@given(
-    a=st.integers(min_value=0, max_value=1 << 16),
-    b=st.integers(min_value=0, max_value=1 << 16),
-    s=st.booleans(),
-)
-def test_to_python_matches_eval(a, b, s):
-    """The compiled rendering agrees with the interpreter on all ops."""
-    env = {"a": a, "b": b, "s": int(s), "__mem__m": [a, b]}
-    exprs = [
-        Sig("a") + Sig("b"),
-        Sig("a") - Sig("b"),
-        Sig("a") * Sig("b"),
-        BinOp("div", Sig("a"), Sig("b")),
-        BinOp("mod", Sig("a"), Sig("b")),
-        Sig("a") & Sig("b"),
-        Sig("a") | Sig("b"),
-        Sig("a") ^ Sig("b"),
-        Sig("a") >> 3,
-        Sig("a") << 2,
-        Sig("a") == Sig("b"),
-        Sig("a") != Sig("b"),
-        Sig("a") < Sig("b"),
-        Sig("a") <= Sig("b"),
-        Sig("a") > Sig("b"),
-        Sig("a") >= Sig("b"),
-        minimum(Sig("a"), Sig("b")),
-        maximum(Sig("a"), Sig("b")),
-        Mux(Sig("s"), Sig("a"), Sig("b")),
-        UnOp("not", Sig("s")),
-        UnOp("bool", Sig("a")),
-        MemRead("m", BinOp("mod", Sig("a"), Const(2))),
-    ]
-    for expr in exprs:
-        compiled = eval(to_python(expr), {}, {"env": env})
-        assert compiled == expr.eval(env), to_python(expr)

@@ -3,43 +3,40 @@
 Generates small random-but-terminating modules exercising the whole
 semantic surface — multi-FSM designs with wait counters, dynamic
 waits, up counters, arc actions, conditional update rules and
-memory-driven guards — and asserts cycle count, final architectural
-state, ``state_cycles`` and listener event sequences are identical
-across ``interp``, ``compiled`` and ``stepjit``, with fast-forward
-both on and off.
+memory-driven guards — and runs them through the shared differential
+harness :func:`repro.gen.conformance.compare_backends`: ``stepjit``
+must match the ``interp`` oracle on cycle count, final architectural
+state, ``state_cycles``, FSM states and ordered listener events, and
+one wide ``BatchSimulation`` over the job list must match on cycles,
+``state_cycles`` and aggregate events, with fast-forward both on and
+off.
 
 Termination by construction: every FSM is a forward chain of states
 (arcs only advance), wait counters are loaded from bounded memory
 words, and dynamic-wait durations are bounded expressions — so every
 run finishes in at most a few thousand cycles.
-
-The ``batch`` backend joins on the same modules: the width-1 scalar
-adapter must match interp on cycles, final state, ``state_cycles``
-and *aggregate* events (the lockstep kernel replaces the ordered
-listener callbacks with per-row event totals), and the wide
-``BatchSimulation`` path must match per-row against rows with
-divergent inputs.
 """
 
 import random
-from collections import Counter
 
 import pytest
 
+from repro.gen.conformance import (
+    COMPARED_FIELDS,
+    backend_runs,
+    compare_backends,
+)
 from repro.rtl import (
-    BatchScalarSimulation,
-    BatchSimulation,
     Fsm,
     MemRead,
     Module,
     Sig,
-    Simulation,
-    StepSimulation,
-    compile_module,
     down_counter,
     up_counter,
 )
-from tests.rtl.test_simulator import Recorder
+
+#: The fixed single job the per-seed agreement tests run.
+JOB = ({"n": 3}, {"data": [((7 * i) ^ 5) & 0xFF for i in range(16)]})
 
 
 def build_fuzz_module(seed: int) -> Module:
@@ -106,114 +103,22 @@ def build_fuzz_module(seed: int) -> Module:
     return m.finalize()
 
 
-def _agg_events(transitions, loads, resets):
-    # Order-free event totals: what the batch backend's event columns
-    # can express.  Zero entries never appear (Counter semantics).
-    load_counts = Counter(name for name, _value in loads)
-    load_sums = Counter()
-    for name, value in loads:
-        load_sums[name] += value
-    reset_counts = Counter(name for name, _value in resets)
-    reset_sums = Counter()
-    for name, value in resets:
-        reset_sums[name] += value
-    def _nonzero(counter):
-        return {key: value for key, value in counter.items() if value}
-    return (dict(Counter(transitions)), _nonzero(load_counts),
-            _nonzero(load_sums), _nonzero(reset_counts),
-            _nonzero(reset_sums))
-
-
-class _BatchEventSink:
-    """Minimal batch-capable listener: keeps the raw event columns."""
-
-    def __init__(self):
-        self.events = None
-        self.row = None
-
-    def absorb_batch_events(self, events, row):
-        self.events = events
-        self.row = row
-
-
-def _events_agg_from_batch(events, row):
-    def _nonzero(mapping):
-        return {key: int(column[row])
-                for key, column in mapping.items() if column[row]}
-    return (_nonzero(events.transition_counts),
-            _nonzero(events.load_counts),
-            _nonzero(events.load_value_sums),
-            _nonzero(events.reset_counts),
-            _nonzero(events.reset_value_sums))
-
-
-def _run_one(module, cls, fast_forward):
-    recorder = Recorder()
-    sim = cls(module, listener=recorder, fast_forward=fast_forward)
-    sim.load(inputs={"n": 3},
-             memories={"data": [((7 * i) ^ 5) & 0xFF for i in range(16)]})
-    result = sim.run(max_cycles=100_000)
-    assert result.finished, f"{module.name} did not terminate"
-    return {
-        "cycles": result.cycles,
-        "state": dict(sim.state),
-        "state_cycles": dict(sim.state_cycles),
-        "fsm_state": dict(sim._fsm_state),
-        "events": (recorder.transitions, recorder.loads, recorder.resets),
-        "events_agg": _agg_events(recorder.transitions, recorder.loads,
-                                  recorder.resets),
-    }
-
-
-def _run_batch_one(module, fast_forward):
-    sink = _BatchEventSink()
-    sim = BatchScalarSimulation(module, listener=sink,
-                                fast_forward=fast_forward)
-    sim.load(inputs={"n": 3},
-             memories={"data": [((7 * i) ^ 5) & 0xFF for i in range(16)]})
-    result = sim.run(max_cycles=100_000)
-    assert result.finished, f"{module.name} did not terminate (batch)"
-    return {
-        "cycles": result.cycles,
-        "state": dict(sim.state),
-        "state_cycles": dict(sim.state_cycles),
-        "fsm_state": dict(sim._fsm_state),
-        "events_agg": _events_agg_from_batch(sink.events, sink.row),
-    }
-
-
 @pytest.mark.parametrize("seed", range(25))
 def test_backends_agree_on_random_modules(seed):
-    module = build_fuzz_module(seed)
-    compiled = compile_module(module)
-    runs = {}
-    for fast_forward in (True, False):
-        runs["interp"] = _run_one(module, Simulation, fast_forward)
-        runs["compiled"] = _run_one(compiled, Simulation, fast_forward)
-        runs["stepjit"] = _run_one(module, StepSimulation, fast_forward)
-        runs["batch"] = _run_batch_one(module, fast_forward)
-        for backend in ("compiled", "stepjit", "batch"):
-            fields = ("cycles", "state", "state_cycles", "fsm_state",
-                      "events_agg" if backend == "batch" else "events")
-            for field in fields:
-                assert runs[backend][field] == runs["interp"][field], (
-                    f"seed {seed}, ff={fast_forward}: {backend} "
-                    f"disagrees with interp on {field}")
+    compare_backends(build_fuzz_module(seed), [JOB], max_cycles=100_000)
 
 
 @pytest.mark.parametrize("seed", range(0, 25, 5))
 def test_fast_forward_is_exact_per_backend(seed):
     """ff on/off must agree within each backend, not just across."""
     module = build_fuzz_module(seed)
-    for cls in (Simulation, StepSimulation):
-        on = _run_one(module, cls, True)
-        off = _run_one(module, cls, False)
-        for field in ("cycles", "state", "state_cycles", "events"):
-            assert on[field] == off[field], (seed, cls.__name__, field)
-    on = _run_batch_one(module, True)
-    off = _run_batch_one(module, False)
-    for field in ("cycles", "state", "state_cycles", "events_agg"):
-        assert on[field] == off[field], (seed, "batch", field)
+    on = backend_runs(module, [JOB], True, max_cycles=100_000)
+    off = backend_runs(module, [JOB], False, max_cycles=100_000)
+    fields = dict(COMPARED_FIELDS, interp=COMPARED_FIELDS["stepjit"])
+    for backend, names in fields.items():
+        for field in names:
+            assert on[backend][0][field] == off[backend][0][field], (
+                seed, backend, field)
 
 
 @pytest.mark.parametrize("seed", range(0, 25, 3))
@@ -225,19 +130,4 @@ def test_batch_wide_agrees_with_interp(seed):
     for _row in range(17):
         words = [rng.randrange(256) for _ in range(rng.randrange(1, 17))]
         jobs.append(({"n": rng.randrange(8)}, {"data": words}))
-    batch = BatchSimulation(module, track_state_cycles=True)
-    result = batch.run_jobs(jobs, max_cycles=100_000)
-    assert result.finished.all()
-    for row, (inputs, memories) in enumerate(jobs):
-        recorder = Recorder()
-        sim = Simulation(module, listener=recorder)
-        sim.load(inputs=inputs, memories=memories)
-        ref = sim.run(max_cycles=100_000)
-        assert ref.finished
-        assert int(result.cycles[row]) == ref.cycles, (seed, row)
-        assert result.state_cycles_for(row) == dict(sim.state_cycles), (
-            seed, row)
-        want = _agg_events(recorder.transitions, recorder.loads,
-                           recorder.resets)
-        got = _events_agg_from_batch(result.events, row)
-        assert got == want, (seed, row)
+    compare_backends(module, jobs, max_cycles=100_000)

@@ -161,20 +161,18 @@ def test_stepjit_benchmark_designs_cycle_exact(name):
         assert state_i == state_s
 
 
-def test_backend_resolution_precedence(monkeypatch):
+def test_backend_resolution_precedence():
     set_default_backend(None)
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert resolve_backend() == "stepjit"
-    monkeypatch.setenv("REPRO_BACKEND", "interp")
-    assert resolve_backend() == "interp"
-    set_default_backend("compiled")
+    set_default_backend("interp")
     try:
-        assert resolve_backend() == "compiled"
-        assert resolve_backend("interp") == "interp"
+        assert resolve_backend() == "interp"
+        assert resolve_backend("batch") == "batch"
     finally:
         set_default_backend(None)
-    with pytest.raises(ValueError, match="unknown simulation backend"):
-        resolve_backend("verilator")
+    for bad in ("verilator", "compiled"):
+        with pytest.raises(ValueError, match="unknown simulation backend"):
+            resolve_backend(bad)
 
 
 def test_make_simulation_picks_the_backend():
@@ -184,8 +182,6 @@ def test_make_simulation_picks_the_backend():
     sim = make_simulation(module, backend="interp")
     assert type(sim) is Simulation
     assert sim.module is module
-    sim = make_simulation(module, backend="compiled")
-    assert type(sim) is Simulation
-    assert sim.module is not module  # the compiled clone
-    # The clone is cached: a second compiled sim reuses it.
-    assert make_simulation(module, backend="compiled").module is sim.module
+    # batch drives whole job lists only; one job at a time is stepjit.
+    assert isinstance(make_simulation(module, backend="batch"),
+                      StepSimulation)

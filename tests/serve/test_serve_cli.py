@@ -128,6 +128,27 @@ def test_serve_fleet_counters_survive_workers(cjpeg, capsys):
     assert "dropped=0" in out
 
 
+def test_serve_fleet_applies_backend(tmp_path, capsys):
+    # Regression: the fleet path used to drop --backend, so the cold
+    # bundle build behind it always ran the default kernel.
+    from repro.experiments import clear_bundle_cache
+    from repro.rtl import set_default_backend
+
+    run_dir = tmp_path / "run"
+    clear_bundle_cache()
+    try:
+        assert main(["serve", "--fleet", "2", "--benchmark", "cjpeg",
+                     "--jobs", "10", "--rate", "400", "--virtual",
+                     "--backend", "interp",
+                     "--run-dir", str(run_dir)]) == 0
+    finally:
+        set_default_backend(None)  # --backend installs a global default
+        clear_bundle_cache()
+    capsys.readouterr()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["metrics"]["counters"].get("sim.interp.runs", 0) > 0
+
+
 def test_serve_fleet_too_small_exits_2(capsys):
     assert main(["serve", "--fleet", "1", "--benchmark", "cjpeg",
                  "aes", "--jobs", "5"]) == 2

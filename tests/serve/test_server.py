@@ -9,6 +9,7 @@ from repro.serve import (
     FALLBACK,
     SHED,
     AcceleratorStream,
+    LoadReport,
     ServeConfig,
     SlicePredictor,
     build_stream_jobs,
@@ -152,6 +153,8 @@ def test_realtime_smoke(make_stream, records):
         [o.status for o in virtual.outcomes]
     assert result.total_energy == pytest.approx(virtual.total_energy)
     assert violations_of(stream, result) == []
+    report = LoadReport.from_result(result, mode="open")
+    assert 0.0 < report.p50_decision_ms <= report.p99_decision_ms
 
 
 def test_serve_config_validation():

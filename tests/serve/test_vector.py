@@ -25,9 +25,9 @@ from repro.dvfs import (
 )
 from repro.serve import (
     AcceleratorStream,
+    FleetConfig,
     RecordPredictor,
     ServeConfig,
-    resolve_engine,
     serve_stream,
     virtual_outcomes,
 )
@@ -240,25 +240,22 @@ def test_epoch_decision_latency_amortized(asic_levels):
         assert latencies.pop() > 0.0
 
 
-def test_engine_env_var_selects_engine(asic_levels, records,
-                                       monkeypatch):
+def test_default_engine_is_auto(asic_levels, records):
     jobs = stream_from_records(
         records, poisson_arrivals(100.0, n_jobs=len(records), seed=1))
-    monkeypatch.setenv("REPRO_SERVE_ENGINE", "scalar")
-    stream, _ = run_engine(asic_levels, "predictive", None, jobs)
-    assert resolve_engine(stream.config) == "scalar"
+    assert ServeConfig().engine == FleetConfig().engine == "auto"
+    stream, _ = run_engine(asic_levels, "predictive", "scalar", jobs)
     assert stream.epoch_log == []
-    monkeypatch.setenv("REPRO_SERVE_ENGINE", "vector")
-    stream, _ = run_engine(asic_levels, "predictive", None, jobs)
+    stream, _ = run_engine(asic_levels, "predictive", "auto", jobs)
     assert stream.epoch_log
-    monkeypatch.setenv("REPRO_SERVE_ENGINE", "bogus")
-    with pytest.raises(ValueError):
-        run_engine(asic_levels, "predictive", None, jobs)
 
 
 def test_bad_engine_config_rejected():
-    with pytest.raises(ValueError):
-        ServeConfig(engine="simd")
+    for engine in ("simd", "vector"):
+        with pytest.raises(ValueError):
+            ServeConfig(engine=engine)
+        with pytest.raises(ValueError):
+            FleetConfig(engine=engine)
 
 
 def test_strict_mode_covers_vector_engine(asic_levels, monkeypatch):
