@@ -297,7 +297,11 @@ def check_stream(result: "StreamResult",
     * ``stream.shed`` — a shed job never touched the accelerator:
       zero time, zero energy, no miss, no operating point;
     * ``stream.fallback`` — a fallback job abandoned the prediction
-      path: no slice time, dispatched at least as fast as nominal.
+      path: no slice time, dispatched at least as fast as nominal;
+    * ``stream.prediction`` — a completed job under a slice-using
+      scheme was planned on a valid prediction
+      (:func:`~repro.serve.server.valid_prediction`): an invalid one
+      must have fallen back.
 
     Fallback jobs participate in the switch-point chain (dispatching
     at nominal *is* a level change when the previous job ran slower)
@@ -313,7 +317,8 @@ def check_stream(result: "StreamResult",
 
     # Imported here (not at module top) to keep repro.check importable
     # without the serve package and free of import cycles.
-    from ..serve.server import FALLBACK, SHED, TERMINAL_STATES
+    from ..serve.server import FALLBACK, SHED, TERMINAL_STATES, \
+        valid_prediction
 
     deadline = result.deadline
     violations: List[InvariantViolation] = []
@@ -410,7 +415,7 @@ def check_stream(result: "StreamResult",
                 "miss flag disagrees with the shared epsilon predicate",
                 expected=missed, actual=o.missed)
 
-        # -- fallback semantics ----------------------------------------
+        # -- fallback semantics, or a plan on a valid prediction -------
         if fallback:
             if o.t_slice != 0.0:
                 bad("stream.fallback", i,
@@ -421,6 +426,14 @@ def check_stream(result: "StreamResult",
                 bad("stream.fallback", i,
                     "fallback job dispatched below nominal frequency",
                     expected=nominal.frequency, actual=o.frequency)
+        elif uses_slice and not valid_prediction(o.job.predicted_cycles,
+                                                 o.job.slice_cycles):
+            bad("stream.prediction", i,
+                "completed job was planned on an invalid prediction "
+                "instead of falling back",
+                expected="finite predicted_cycles >= 0, "
+                         "slice_cycles >= 0",
+                actual=(o.job.predicted_cycles, o.job.slice_cycles))
 
         # -- switch charging -------------------------------------------
         changed = (prev_point is not None and point != prev_point)

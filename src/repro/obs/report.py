@@ -121,7 +121,11 @@ def summarize_perf(metrics: Dict) -> str:
         line = (f"  serve: {int(offered)} offered, "
                 f"{int(counters.get('serve.completed', 0))} completed, "
                 f"{int(counters.get('serve.fallback', 0))} fallback, "
-                f"{int(counters.get('serve.shed', 0))} shed")
+                f"{int(counters.get('serve.shed', 0))} shed; "
+                f"{int(counters.get('serve.predict_runs', 0))} "
+                "predictor run(s), "
+                f"{int(counters.get('serve.epochs', 0))} epoch(s) over "
+                f"{int(counters.get('serve.epoch_jobs', 0))} job(s)")
         decision = (metrics.get("histograms") or {}).get(
             "serve.decision_ms") or {}
         if decision.get("count"):

@@ -32,10 +32,11 @@ paces arrivals against the wall clock through asyncio, which is what
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..dvfs.controllers import Controller
 from ..dvfs.energy import EnergyModel, JobActivity
@@ -87,6 +88,20 @@ class ServeConfig:
         if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}")
+
+
+def valid_prediction(predicted_cycles: Optional[float],
+                     slice_cycles: int) -> bool:
+    """True when a predictor result may plan a job.
+
+    A missing, non-finite or negative cycle prediction, or negative
+    slice cycles, is a failed prediction: the job falls back instead
+    of being planned on it.  ``check_stream`` holds completed jobs to
+    the same rule (``stream.prediction``).
+    """
+    return (predicted_cycles is not None
+            and 0.0 <= predicted_cycles < math.inf
+            and slice_cycles >= 0)
 
 
 class RecordPredictor:
@@ -196,6 +211,16 @@ class SlicePredictor:
             out[i] = (max(float(predicted[j]), 0.0),
                       int(result.cycles[j]))
         return out
+
+
+def _effective(sjob: StreamJob, predicted: float,
+               slice_cycles: int) -> Optional[JobRecord]:
+    """The job's record as predicted, or ``None`` for an invalid
+    prediction (see :func:`valid_prediction`)."""
+    if not valid_prediction(predicted, slice_cycles):
+        return None
+    return replace(sjob.record, predicted_cycles=predicted,
+                   slice_cycles=slice_cycles)
 
 
 @dataclass(frozen=True)
@@ -333,6 +358,13 @@ class AcceleratorStream:
         self._in_flight = 0
         self.outcomes: List[StreamOutcome] = []
         self.n_offered = 0
+        #: Predictions kept for jobs that have not terminated, keyed by
+        #: job index: the effective record, or ``None`` for a failed
+        #: prediction.  Only the epoch engine's speculation fills it;
+        #: an entry goes when its job commits, executes or is shed.
+        #: Per stream, never per predictor: one predictor may serve
+        #: several streams, and job indices restart in each.
+        self._kept: Dict[int, Optional[JobRecord]] = {}
         #: Committed decision epochs as ``(first_index, n_jobs)``
         #: pairs — written only by the vectorized engine, audited by
         #: :func:`repro.check.check_epochs` in strict mode.
@@ -371,6 +403,8 @@ class AcceleratorStream:
         return len(self._queue) + self._in_flight
 
     def _shed(self, sjob: StreamJob) -> None:
+        if self._kept:
+            self._kept.pop(sjob.index, None)
         self.outcomes.append(StreamOutcome(
             index=sjob.index, status=SHED, job=sjob.record,
             arrival=sjob.arrival, release=sjob.arrival))
@@ -400,60 +434,100 @@ class AcceleratorStream:
 
     # -- execution -----------------------------------------------------
 
-    def _predict(self, sjob: StreamJob) -> Tuple[Optional[JobRecord], float]:
-        """Run the prediction path; ``None`` record means fall back."""
-        t0 = time.perf_counter()
-        if not self.controller.uses_slice:
-            return sjob.record, time.perf_counter() - t0
-        if self.predictor is None:
-            return None, time.perf_counter() - t0
-        try:
-            predicted, slice_cycles = self.predictor.predict(sjob)
-        except (ValueError, RuntimeError):
-            return None, time.perf_counter() - t0
-        record = replace(sjob.record, predicted_cycles=predicted,
-                         slice_cycles=slice_cycles)
-        decision_s = time.perf_counter() - t0
-        budget = self.config.prediction_budget
-        if budget is not None and decision_s > budget:
-            return None, decision_s
-        return record, decision_s
-
-    def _predict_all(self, batch: List[StreamJob]
+    def predict_jobs(self, sjobs: Sequence[StreamJob],
+                     speculative: bool = False
                      ) -> List[Tuple[Optional[JobRecord], float]]:
-        """The batch's prediction pass, one ``_predict``-shaped entry
-        per job.
+        """The prediction pass: one ``(effective record | None,
+        decision_s)`` entry per job, ``None`` meaning fall back.
+
+        Both decision engines predict through here, so each job's
+        prediction runs once however often its job is speculated.  A
+        job with a kept entry reuses it and charges only the lookup as
+        its ``decision_s``; the others run the predictor.  The epoch
+        engine passes ``speculative=True``: it may commit only a
+        prefix of ``sjobs``, so fresh entries are kept until their
+        jobs terminate.  The scalar path executes every job it
+        predicts, so it takes kept entries out and keeps nothing.
+        """
+        kept = self._kept
+        if not (kept or speculative):
+            return self._run_predictor(sjobs)
+        fresh = [sjob for sjob in sjobs if sjob.index not in kept]
+        computed = dict(zip([sjob.index for sjob in fresh],
+                            self._run_predictor(fresh)))
+        take = kept.get if speculative else kept.pop
+        entries: List[Tuple[Optional[JobRecord], float]] = []
+        for sjob in sjobs:
+            entry = computed.get(sjob.index)
+            if entry is None:
+                t0 = time.perf_counter()
+                record = take(sjob.index)
+                entry = (record, time.perf_counter() - t0)
+            elif speculative:
+                kept[sjob.index] = entry[0]
+            entries.append(entry)
+        return entries
+
+    def _run_predictor(self, sjobs: Sequence[StreamJob]
+                       ) -> List[Tuple[Optional[JobRecord], float]]:
+        """Fresh predictions, one :meth:`predict_jobs` entry per job.
 
         A batch-capable predictor (``SlicePredictor`` under the
-        ``batch`` backend) predicts the whole micro-batch in one
-        lockstep array step; the measured wall time is amortized
-        across the jobs as each entry's ``decision_s`` and judged
-        against the per-job prediction budget.  Any other predictor —
-        and any batch-level failure — degrades to the per-job path,
-        with its per-job fallback semantics.
+        ``batch`` backend) predicts all of ``sjobs`` in one lockstep
+        array step, its wall time amortized across the jobs as each
+        entry's ``decision_s``.  Any other predictor, and any
+        batch-level failure, runs per job with per-job fallback.
+        Results failing :func:`valid_prediction` fall back, as do
+        predictions whose ``decision_s`` overran the budget.
         """
-        if (not self.controller.uses_slice or self.predictor is None
-                or not getattr(self.predictor, "batch_capable", False)):
-            return [self._predict(sjob) for sjob in batch]
-        t0 = time.perf_counter()
-        try:
-            results = self.predictor.predict_batch(batch)
-        except (ValueError, RuntimeError):
-            return [self._predict(sjob) for sjob in batch]
-        decision_s = (time.perf_counter() - t0) / max(len(batch), 1)
+        uses_slice = self.controller.uses_slice
+        predictor = self.predictor
+        if not uses_slice or predictor is None:
+            # Nothing to run: a sliceless scheme plans on the record,
+            # a slice scheme without a predictor falls back.
+            entries = []
+            for sjob in sjobs:
+                t0 = time.perf_counter()
+                record = None if uses_slice else sjob.record
+                entries.append((record, time.perf_counter() - t0))
+            return entries
+        if not sjobs:
+            return []
+        entries = None
+        runs = 0
+        if getattr(predictor, "batch_capable", False):
+            runs += len(sjobs)
+            t0 = time.perf_counter()
+            try:
+                results = predictor.predict_batch(sjobs)
+            except (ValueError, RuntimeError):
+                results = None
+            if results is not None:
+                decision_s = (time.perf_counter() - t0) / len(sjobs)
+                entries = [
+                    (None if result is None
+                     else _effective(sjob, *result), decision_s)
+                    for sjob, result in zip(sjobs, results)]
+        if entries is None:
+            runs += len(sjobs)
+            entries = []
+            for sjob in sjobs:
+                t0 = time.perf_counter()
+                try:
+                    predicted, slice_cycles = predictor.predict(sjob)
+                except (ValueError, RuntimeError):
+                    record = None
+                else:
+                    record = _effective(sjob, predicted, slice_cycles)
+                entries.append((record, time.perf_counter() - t0))
+        observer = get_observer()
+        if observer is not None:
+            observer.metrics.inc("serve.predict_runs", runs)
         budget = self.config.prediction_budget
-        over_budget = budget is not None and decision_s > budget
-        planned: List[Tuple[Optional[JobRecord], float]] = []
-        for sjob, entry in zip(batch, results):
-            if entry is None or over_budget:
-                planned.append((None, decision_s))
-                continue
-            predicted, slice_cycles = entry
-            planned.append((replace(sjob.record,
-                                    predicted_cycles=predicted,
-                                    slice_cycles=slice_cycles),
-                            decision_s))
-        return planned
+        if budget is not None:
+            entries = [(None if decision_s > budget else record,
+                        decision_s) for record, decision_s in entries]
+        return entries
 
     def _execute(self, sjob: StreamJob, record: Optional[JobRecord],
                  decision_s: float, batch_size: int) -> StreamOutcome:
@@ -549,7 +623,7 @@ class AcceleratorStream:
             batch.append(self._queue.popleft())
         if not batch:
             return []
-        planned = self._predict_all(batch)
+        planned = self.predict_jobs(batch)
         executed = [
             self._execute(sjob, record, decision_s, len(batch))
             for sjob, (record, decision_s) in zip(batch, planned)

@@ -32,6 +32,12 @@ gathered by level index, and the linear-predictor kernel is einsum
 size).  Only ``decision_s`` differs by design — it is genuinely
 measured wall time, amortized per epoch (see docs/serving.md).
 
+Predictions come from the stream's one prediction path,
+:meth:`~repro.serve.server.AcceleratorStream.predict_jobs`, which keeps
+each speculated prediction on the stream until its job terminates: a
+job past the committed prefix is not predicted again by the scalar
+path or by the next epoch.
+
 The engine declines (``run_epoch`` returns 0, the driver uses the
 scalar path) whenever state coupling binds:
 
@@ -48,8 +54,7 @@ scalar path) whenever state coupling binds:
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +64,7 @@ from ..runtime.episode import switch_window_energy
 from ..runtime.jobs import JobRecord
 from ..units import TIME_EPS_REL
 from .server import COMPLETED, FALLBACK, AcceleratorStream, \
-    RecordPredictor, StreamOutcome
+    RecordPredictor, StreamOutcome, valid_prediction
 from .stream import StreamJob
 
 #: Adaptive epoch window bounds: start small so a coupled stream pays
@@ -172,59 +177,39 @@ class EpochEngine:
     # -- prediction ----------------------------------------------------
 
     def _predict_epoch(self, window: Sequence[StreamJob]
-                       ) -> Optional[Tuple[List[JobRecord], np.ndarray]]:
-        """The epoch's prediction pass, mirroring the scalar
-        ``_predict``/``_predict_all`` semantics entry by entry.
+                       ) -> Tuple[List[JobRecord], np.ndarray]:
+        """The epoch's effective records and fallback mask.
 
-        Returns ``(effective records, fallback mask)`` or ``None``
-        when the scalar path must replay the epoch (a batch-level
-        predictor failure keeps its scalar per-job fallback
-        diagnostics).
+        Two shortcuts run no predictor: a scheme without a slice (or a
+        slice scheme without a predictor) and the zero-copy replay of
+        a :class:`RecordPredictor`.  Everything else predicts through
+        :meth:`AcceleratorStream.predict_jobs`, speculatively, so the
+        jobs this epoch does not commit keep their predictions.
         """
-        controller = self.controller
         predictor = self.stream.predictor
         n = len(window)
-        if not controller.uses_slice:
+        if not self.controller.uses_slice:
             return [sj.record for sj in window], np.zeros(n, dtype=bool)
         if predictor is None:
             return [sj.record for sj in window], np.ones(n, dtype=bool)
         fallback = np.zeros(n, dtype=bool)
-        if getattr(predictor, "batch_capable", False):
-            try:
-                results = predictor.predict_batch(window)
-            except (ValueError, RuntimeError):
-                return None
-            records: List[JobRecord] = []
-            for k, (sjob, entry) in enumerate(zip(window, results)):
-                if entry is None:
-                    fallback[k] = True
-                    records.append(sjob.record)
-                    continue
-                predicted, slice_cycles = entry
-                records.append(replace(sjob.record,
-                                       predicted_cycles=predicted,
-                                       slice_cycles=slice_cycles))
-            return records, fallback
         if isinstance(predictor, RecordPredictor):
             # The scalar path replays the record's own values through
             # ``replace`` — value-identical to the original record, so
             # the original is reused as the effective record.
-            for k, sjob in enumerate(window):
-                if sjob.record.predicted_cycles is None:
+            records = [sj.record for sj in window]
+            for k, record in enumerate(records):
+                if not valid_prediction(record.predicted_cycles,
+                                        record.slice_cycles):
                     fallback[k] = True
-            return [sj.record for sj in window], fallback
-        # Unknown predictor: the scalar per-job protocol, verbatim.
+            return records, fallback
+        entries = self.stream.predict_jobs(window, speculative=True)
         records = []
-        for k, sjob in enumerate(window):
-            try:
-                predicted, slice_cycles = predictor.predict(sjob)
-            except (ValueError, RuntimeError):
+        for k, (sjob, (record, _)) in enumerate(zip(window, entries)):
+            if record is None:
                 fallback[k] = True
-                records.append(sjob.record)
-                continue
-            records.append(replace(sjob.record,
-                                   predicted_cycles=predicted,
-                                   slice_cycles=slice_cycles))
+                record = sjob.record
+            records.append(record)
         return records, fallback
 
     # -- energy --------------------------------------------------------
@@ -284,10 +269,7 @@ class EpochEngine:
         if n < 2:
             return 0
         t0 = time.perf_counter()
-        predicted = self._predict_epoch(window)
-        if predicted is None:
-            return 0
-        records, fallback = predicted
+        records, fallback = self._predict_epoch(window)
         arr = np.array([sj.arrival for sj in window], dtype=float)
         # The scalar budget is (release + deadline) - start with
         # start == release in this regime — elementwise, not constant.
@@ -379,6 +361,10 @@ class EpochEngine:
         stream._finishes.append(fin_l[-1])
         stream._in_flight += 1
         stream.epoch_log.append((window[0].index, m))
+        kept = stream._kept
+        if kept:
+            for sjob in window[:m]:
+                kept.pop(sjob.index, None)
         observer = get_observer()
         if observer is not None:
             self._emit(observer, window, m, fin_l, miss_l, en_l,

@@ -1,5 +1,6 @@
 """check_stream catches every class of tampering it claims to."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -13,7 +14,8 @@ from repro.check import (
 )
 from repro.dvfs import HistoryController
 from repro.runtime import run_episode
-from repro.serve import FALLBACK, SHED, StreamResult, serve_stream
+from repro.serve import COMPLETED, FALLBACK, SHED, StreamResult, \
+    serve_stream
 from repro.units import DVFS_SWITCH_TIME, MS
 from tests.conftest import TASK, FlatEnergyModel, job
 
@@ -114,6 +116,22 @@ def test_fallback_with_slice_time_caught(mixed):
              if o.status == FALLBACK)
     bad.outcomes[i] = replace(bad.outcomes[i], t_slice=1e-5)
     assert "stream.fallback" in codes(violations_of(stream, bad))
+
+
+@pytest.mark.parametrize("predicted, slice_cycles", [
+    (math.nan, 100), (math.inf, 100), (-5.0, 100), (None, 100),
+    (1000.0, -3)])
+def test_completed_on_invalid_prediction_caught(mixed, predicted,
+                                                slice_cycles):
+    stream, result = mixed
+    bad = tampered(result)
+    i = next(i for i, o in enumerate(bad.outcomes)
+             if o.status == COMPLETED)
+    job = replace(bad.outcomes[i].job, predicted_cycles=predicted)
+    # A record refuses negative slice cycles; a tampered one need not.
+    object.__setattr__(job, "slice_cycles", slice_cycles)
+    bad.outcomes[i] = replace(bad.outcomes[i], job=job)
+    assert "stream.prediction" in codes(violations_of(stream, bad))
 
 
 def test_timeline_gap_caught(mixed):

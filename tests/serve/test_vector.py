@@ -8,6 +8,8 @@ contract is that vectorization is an implementation detail invisible
 in the results.
 """
 
+import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -23,15 +25,27 @@ from repro.dvfs import (
     PredictiveController,
     TableBasedController,
 )
+from repro.experiments import make_controller, tech_context
+from repro.rtl import set_default_backend
 from repro.serve import (
+    COMPLETED,
+    FALLBACK,
+    SHED,
     AcceleratorStream,
     FleetConfig,
     RecordPredictor,
     ServeConfig,
+    SlicePredictor,
+    build_stream_jobs,
     serve_stream,
+    serve_streams,
     virtual_outcomes,
 )
-from repro.serve.stream import poisson_arrivals, stream_from_records
+from repro.serve.stream import (
+    burst_arrivals,
+    poisson_arrivals,
+    stream_from_records,
+)
 from repro.units import DVFS_SWITCH_TIME, MS
 from tests.conftest import FlatEnergyModel, job
 from tests.serve.conftest import DEADLINE, stream_records
@@ -269,3 +283,193 @@ def test_strict_mode_covers_vector_engine(asic_levels, monkeypatch):
                                 jobs)
     assert stream.epoch_log
     assert result.n_offered == 200
+
+
+# -- predictions: invalid results, and one run per job ------------------
+
+class InvalidEveryFifth:
+    """Replays each record's prediction, except that every fifth job
+    gets NaN, inf or -5 cycles, or -3 slice cycles, in turn."""
+
+    def predict(self, sjob):
+        predicted = sjob.record.predicted_cycles
+        slice_cycles = sjob.record.slice_cycles
+        if sjob.index % 5:
+            return predicted, slice_cycles
+        return [(math.nan, slice_cycles), (math.inf, slice_cycles),
+                (-5.0, slice_cycles), (predicted, -3)][sjob.index // 5 % 4]
+
+
+class CountingPredictor:
+    """Delegates to ``inner``, counting how often each job index
+    reaches it: once per ``predict`` call or ``predict_batch`` row."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batch_capable = getattr(inner, "batch_capable", False)
+        self.calls = Counter()
+
+    def predict(self, sjob):
+        self.calls[sjob.index] += 1
+        return self.inner.predict(sjob)
+
+    def predict_batch(self, sjobs):
+        self.calls.update(sjob.index for sjob in sjobs)
+        return self.inner.predict_batch(sjobs)
+
+
+def assert_every_fifth_falls_back(result):
+    for outcome in result.outcomes:
+        expected = FALLBACK if outcome.index % 5 == 0 else COMPLETED
+        assert outcome.status == expected, outcome.index
+
+
+def test_invalid_predictions_fall_back_in_both_engines(asic_levels):
+    """NaN, inf and negative predicted cycles, and negative slice
+    cycles, are failed predictions: the job falls back in both
+    engines instead of being planned on them, and strict mode is
+    clean."""
+    records = spiky_records(asic_levels, n=200, seed=2)
+    jobs = stream_from_records(
+        records, poisson_arrivals(100.0, n_jobs=200, seed=4))
+    stream, result = assert_engines_identical(
+        asic_levels, "predictive", jobs, predictor=InvalidEveryFifth(),
+        strict=True)
+    assert stream.epoch_log
+    assert_every_fifth_falls_back(result)
+
+
+def test_invalid_record_predictions_fall_back_in_both_engines(
+        asic_levels):
+    """The same rule on the record-replay path, whose epochs reuse the
+    records without running the predictor."""
+    records = spiky_records(asic_levels, n=200, seed=6)
+    records = [replace(r, predicted_cycles=(math.nan, math.inf, -5.0)[
+        i // 5 % 3]) if i % 5 == 0 else r for i, r in enumerate(records)]
+    jobs = stream_from_records(
+        records, poisson_arrivals(100.0, n_jobs=200, seed=8))
+    stream, result = assert_engines_identical(
+        asic_levels, "predictive", jobs, strict=True)
+    assert stream.epoch_log
+    assert_every_fifth_falls_back(result)
+
+
+class FailingBatch:
+    """Batch-capable, but every batch step fails; per job it replays
+    the record's prediction."""
+
+    batch_capable = True
+
+    def predict_batch(self, sjobs):
+        raise RuntimeError("batch step failed")
+
+    def predict(self, sjob):
+        return sjob.record.predicted_cycles, sjob.record.slice_cycles
+
+
+def test_failed_batch_degrades_per_job_in_both_engines(asic_levels):
+    """A failed batch step degrades to per-job prediction inside an
+    epoch too, instead of declining the epoch."""
+    records = spiky_records(asic_levels, n=150, seed=10)
+    jobs = stream_from_records(
+        records, poisson_arrivals(100.0, n_jobs=150, seed=12))
+    stream, result = assert_engines_identical(
+        asic_levels, "predictive", jobs, predictor=FailingBatch())
+    assert stream.epoch_log
+    assert result.n_completed == result.n_offered
+
+
+@pytest.fixture
+def cjpeg(shared_bundle):
+    """The cjpeg bundle at scale 0.05 and its ASIC context."""
+    bundle = shared_bundle("cjpeg", 0.05)
+    return bundle, tech_context(bundle, tech="asic")
+
+
+def slice_stream(cjpeg, engine, predictor, **config):
+    _, ctx = cjpeg
+    return AcceleratorStream(
+        "cjpeg", make_controller(ctx, "prediction"), ctx.energy_model,
+        ctx.slice_energy_model, predictor=predictor,
+        config=ServeConfig(deadline=ctx.config.deadline,
+                           t_switch=ctx.config.t_switch, engine=engine,
+                           **config))
+
+
+def serve_live(cjpeg, engine, jobs, **config):
+    """Serve ``jobs`` predicting with a counted live slice."""
+    predictor = CountingPredictor(SlicePredictor(cjpeg[0].package))
+    stream = slice_stream(cjpeg, engine, predictor, **config)
+    return stream, serve_stream(stream, jobs), predictor
+
+
+@pytest.fixture(params=["stepjit", "batch"])
+def slice_backend(request):
+    set_default_backend(request.param)
+    yield request.param
+    set_default_backend(None)
+
+
+def test_live_slice_epochs_predict_each_job_once(cjpeg, slice_backend):
+    """With the live slice, epochs break often at 60 jobs/s; the jobs
+    each epoch speculates past its committed prefix keep their
+    predictions, so every offered job reaches the predictor exactly
+    once, and the outcomes match the scalar engine bit for bit."""
+    jobs = build_stream_jobs(
+        cjpeg[0], poisson_arrivals(60.0, n_jobs=120, seed=3),
+        with_inputs=True)
+    _, scalar, _ = serve_live(cjpeg, "scalar", jobs)
+    stream, result, predictor = serve_live(cjpeg, "auto", jobs)
+    assert len(stream.epoch_log) > 1
+    assert sum(n for _, n in stream.epoch_log) < len(jobs)
+    assert virtual_outcomes(result) == virtual_outcomes(scalar)
+    assert predictor.calls == Counter(range(len(jobs)))
+    assert predictor.inner.batch_capable == (slice_backend == "batch")
+    assert stream._kept == {}
+
+
+def test_live_slice_speculation_into_shed_jobs(cjpeg):
+    """Bursts against a queue of two: epochs speculate into jobs that
+    are shed later, whose kept predictions go with them."""
+    jobs = build_stream_jobs(
+        cjpeg[0], burst_arrivals(60.0, duration=3.0, seed=5),
+        with_inputs=True)
+    _, scalar, _ = serve_live(cjpeg, "scalar", jobs, queue_depth=2)
+    stream, result, predictor = serve_live(cjpeg, "auto", jobs,
+                                           queue_depth=2)
+    assert virtual_outcomes(result) == virtual_outcomes(scalar)
+    shed = [o.index for o in result.outcomes if o.status == SHED]
+    assert any(predictor.calls[i] for i in shed)
+    assert max(predictor.calls.values()) == 1
+    assert stream._kept == {}
+
+
+def test_shared_slice_predictor_matches_fresh_per_stream(cjpeg):
+    """One SlicePredictor serving two streams whose job indices both
+    start at 0, over different records, gives each stream the
+    outcomes a predictor of its own would."""
+    bundle, _ = cjpeg
+    records = bundle.test_records
+    inputs = [bundle.design.encode_job(item)
+              for item in bundle.workload.test][:len(records)]
+    jobs_a = stream_from_records(
+        records, poisson_arrivals(60.0, n_jobs=80, seed=7), inputs)
+    jobs_b = stream_from_records(
+        records[3:] + records[:3],
+        poisson_arrivals(60.0, n_jobs=80, seed=9),
+        inputs[3:] + inputs[:3])
+
+    def serve_pair(shared):
+        one = SlicePredictor(bundle.package)
+        return serve_streams([
+            (slice_stream(cjpeg, "auto",
+                          one if shared else SlicePredictor(
+                              bundle.package)), jobs)
+            for jobs in (jobs_a, jobs_b)])
+
+    shared = serve_pair(True)
+    fresh = serve_pair(False)
+    assert shared[0].outcomes[0].job.predicted_cycles != \
+        shared[1].outcomes[0].job.predicted_cycles
+    assert [virtual_outcomes(r) for r in shared] == \
+        [virtual_outcomes(r) for r in fresh]
