@@ -17,7 +17,7 @@ slice, the linear model in raw feature space, and the static costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,6 +155,14 @@ def _recorded_matrix(module: Module,
     return matrix
 
 
+def _fit_counts(observer) -> Dict[str, int]:
+    # The flow.fit.* counters every training solve keeps, keyed by the
+    # flow event's field names; the event carries a design's deltas.
+    counters = observer.metrics.counters if observer is not None else {}
+    return {f"fit_{name}": int(counters.get(f"flow.fit.{name}", 0))
+            for name in ("solves", "iterations", "unconverged")}
+
+
 def generate_predictor(design: AcceleratorDesign,
                        train_items: Sequence,
                        config: FlowConfig = FlowConfig(),
@@ -204,6 +212,8 @@ def generate_predictor(design: AcceleratorDesign,
         matrix = _recorded_matrix(module, feature_set, jobs,
                                   design.name, workers)
 
+        observer = get_observer()
+        fit_before = _fit_counts(observer)
         with span("fit", design=design.name):
             if config.gamma is None:
                 gamma, _ = select_gamma(
@@ -213,6 +223,7 @@ def generate_predictor(design: AcceleratorDesign,
             else:
                 gamma = config.gamma
             model = fit_predictor(matrix, config.training_config(gamma))
+        fit_after = _fit_counts(observer)
 
         with span("slice", design=design.name):
             selected_specs = [
@@ -222,7 +233,6 @@ def generate_predictor(design: AcceleratorDesign,
             hw_slice = build_slice(module, selected_specs)
             cost = compute_slice_cost(netlist, hw_slice.netlist)
 
-    observer = get_observer()
     if observer is not None:
         observer.metrics.inc("flow.designs")
         observer.metrics.inc("flow.features.candidate", len(feature_set))
@@ -237,6 +247,8 @@ def generate_predictor(design: AcceleratorDesign,
             gamma=gamma,
             slice_area_fraction=cost.area_fraction,
             n_train_jobs=len(train_items),
+            **{field: fit_after[field] - fit_before[field]
+               for field in fit_after},
         )
     return GeneratedPredictor(
         design_name=design.name,

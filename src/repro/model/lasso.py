@@ -16,7 +16,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.features import FeatureMatrix
-from .training import TrainingConfig, fit_predictor
+from .training import (
+    TrainingConfig,
+    _lasso_fit,
+    _nonzero,
+    _refit,
+    _trained_model,
+)
 
 
 @dataclass(frozen=True)
@@ -48,23 +54,6 @@ def _split(matrix: FeatureMatrix, val_fraction: float,
     return train, matrix.x[val_idx], matrix.cycles[val_idx]
 
 
-def _fit_path_point(train: FeatureMatrix, x_val: np.ndarray,
-                    y_val: np.ndarray, alpha: float,
-                    gamma: float) -> PathPoint:
-    # One gamma point: fit on the train split, score on the held-out
-    # split.  Module-level so the path can fan out over pool workers.
-    config = TrainingConfig(alpha=alpha, gamma=gamma)
-    model = fit_predictor(train, config)
-    pred = model.predictor.predict(x_val)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pct = np.abs(pred - y_val) / np.maximum(y_val, 1e-12) * 100.0
-    return PathPoint(
-        gamma=gamma,
-        n_features=model.n_selected_features,
-        val_error=float(np.mean(pct)),
-    )
-
-
 def lasso_path(matrix: FeatureMatrix, alpha: float = 8.0,
                gammas: Sequence[float] = DEFAULT_GAMMAS,
                val_fraction: float = 0.25,
@@ -72,16 +61,41 @@ def lasso_path(matrix: FeatureMatrix, alpha: float = 8.0,
                workers: Optional[int] = None) -> List[PathPoint]:
     """Fit at every gamma; report sparsity and held-out error.
 
-    Gamma points are independent fits over the same split, so
-    ``workers > 1`` distributes them over a process pool
+    Each point is :func:`~repro.model.training.fit_predictor` on the
+    same train split, scored on the held-out split.  A point's refit
+    depends only on the features its Lasso solve selects, so the path
+    runs the gamma points' Lasso solves, then one refit per distinct
+    non-empty selection.  Both sets of solves are independent, so
+    ``workers > 1`` distributes each over a process pool
     (``workers=None`` follows the ambient ``--jobs``/``REPRO_JOBS``
     setting); the returned path is identical to a serial run.
     """
     from ..parallel import pmap
 
     train, x_val, y_val = _split(matrix, val_fraction, seed)
-    fn = functools.partial(_fit_path_point, train, x_val, y_val, alpha)
-    return pmap(fn, list(gammas), jobs=workers, label="lasso_path.pmap")
+    configs = [TrainingConfig(alpha=alpha, gamma=gamma) for gamma in gammas]
+    fits = pmap(functools.partial(_lasso_fit, train), configs,
+                jobs=workers, label="lasso_path.pmap")
+    selections = [tuple(_nonzero(fit.beta)) for fit in fits]
+    distinct = list(dict.fromkeys(s for s in selections if s))
+    refit = functools.partial(_refit, train,
+                              TrainingConfig(alpha=alpha, gamma=0.0))
+    refits = dict(zip(distinct, pmap(
+        refit, [list(s) for s in distinct], jobs=workers,
+        label="lasso_path.refit.pmap")))
+    points = []
+    for config, fit, selected in zip(configs, fits, selections):
+        # An empty selection keeps the Lasso fit, as fit_predictor does.
+        model = _trained_model(train, config, refits.get(selected, fit))
+        pred = model.predictor.predict(x_val)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pct = np.abs(pred - y_val) / np.maximum(y_val, 1e-12) * 100.0
+        points.append(PathPoint(
+            gamma=config.gamma,
+            n_features=model.n_selected_features,
+            val_error=float(np.mean(pct)),
+        ))
+    return points
 
 
 def select_gamma(matrix: FeatureMatrix, alpha: float = 8.0,

@@ -17,7 +17,7 @@ loss; the L1 term is handled by the proximal step of the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -60,21 +60,36 @@ class AsymmetricLassoObjective:
         """1 for over-predictions, alpha for under-predictions."""
         return np.where(residuals >= 0.0, 1.0, self.alpha)
 
+    def weighted_residual(self, beta: np.ndarray
+                          ) -> Tuple[np.ndarray, float]:
+        """``(w * r, loss)`` at ``beta``, from one product with ``x``.
+
+        ``r = x @ beta - y`` and ``w = residual_weights(r)``; the loss
+        is :meth:`smooth_value`, and :meth:`grad_of` turns ``w * r``
+        into :meth:`smooth_grad`.
+        """
+        r = self.x @ beta - self.y
+        # alpha >= 1, so the minimum is r where r >= 0 and alpha * r
+        # below: exactly residual_weights(r) * r.
+        wr = np.minimum(r, self.alpha * r)
+        return wr, float(np.add.reduce(wr * r))
+
+    def grad_of(self, wr: np.ndarray) -> np.ndarray:
+        """The smooth loss's gradient from a :meth:`weighted_residual`."""
+        return 2.0 * (self.x.T @ wr)
+
     def smooth_value(self, beta: np.ndarray) -> float:
         """The asymmetric squared loss (without the L1 term)."""
-        r = self.x @ beta - self.y
-        w = self.residual_weights(r)
-        return float(np.sum(w * r * r))
+        return self.weighted_residual(beta)[1]
 
     def smooth_grad(self, beta: np.ndarray) -> np.ndarray:
         """Gradient of the asymmetric squared loss."""
-        r = self.x @ beta - self.y
-        w = self.residual_weights(r)
-        return 2.0 * (self.x.T @ (w * r))
+        return self.grad_of(self.weighted_residual(beta)[0])
 
     def l1_value(self, beta: np.ndarray) -> float:
         """The gamma-weighted L1 penalty of the coefficients."""
-        return float(self.gamma * np.sum(np.abs(beta[self.penalize])))
+        return float(self.gamma
+                     * np.add.reduce(np.abs(beta[self.penalize])))
 
     def value(self, beta: np.ndarray) -> float:
         """The full objective: smooth loss plus L1 penalty."""

@@ -9,6 +9,7 @@ asymmetric loss plus the non-smooth L1 term exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +35,12 @@ def solve(objective: AsymmetricLassoObjective,
     """Minimize the objective; returns coefficients and diagnostics.
 
     Convergence is declared when the relative objective decrease over
-    an iteration falls below ``tol``.
+    an iteration falls below ``tol``.  Each point an iteration visits
+    (the momentum and every backtracking candidate) is evaluated once:
+    the momentum's loss and gradient share one
+    :meth:`~AsymmetricLassoObjective.weighted_residual`, and the
+    accepted candidate's loss from the backtracking test becomes its
+    objective value.
     """
     n = objective.n_coeffs
     beta = np.zeros(n) if beta0 is None else np.asarray(beta0, float).copy()
@@ -44,22 +50,25 @@ def solve(objective: AsymmetricLassoObjective,
 
     value = objective.value(beta)
     for iteration in range(1, max_iter + 1):
-        grad = objective.smooth_grad(momentum)
+        wr, smooth_mom = objective.weighted_residual(momentum)
+        grad = objective.grad_of(wr)
         candidate = objective.prox(momentum - step * grad, step)
 
         # Backtracking: the quadratic upper bound at `momentum` must
         # majorize the smooth loss at the candidate.
-        smooth_mom = objective.smooth_value(momentum)
         for _ in range(60):
             diff = candidate - momentum
             bound = (smooth_mom + float(grad @ diff)
                      + float(diff @ diff) / (2.0 * step))
-            if objective.smooth_value(candidate) <= bound + 1e-12:
+            smooth_new = objective.smooth_value(candidate)
+            if smooth_new <= bound + 1e-12:
                 break
             step *= 0.5
             candidate = objective.prox(momentum - step * grad, step)
+        else:  # every halving failed: the last candidate is unseen
+            smooth_new = objective.smooth_value(candidate)
 
-        new_value = objective.value(candidate)
+        new_value = smooth_new + objective.l1_value(candidate)
         if new_value > value:  # adaptive restart: drop momentum
             momentum = beta.copy()
             t = 1.0
@@ -67,7 +76,7 @@ def solve(objective: AsymmetricLassoObjective,
             candidate = objective.prox(momentum - step * grad, step)
             new_value = objective.value(candidate)
 
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         momentum = candidate + ((t - 1.0) / t_next) * (candidate - beta)
         improvement = value - new_value
         beta = candidate

@@ -13,11 +13,12 @@ The pipeline mirrors Sec. 3.4 end to end:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..analysis.features import FeatureMatrix
+from ..obs import get_observer
 from .linear import LinearPredictor
 from .objective import make_objective
 from .solver import SolveResult, solve
@@ -87,33 +88,60 @@ def fit_predictor(matrix: FeatureMatrix,
     """Train the execution-time predictor on a feature matrix."""
     if matrix.n_jobs < 2:
         raise ValueError("need at least two training jobs")
-    gamma = config.gamma if config.gamma is not None else 0.0
-    beta_std, intercept_std, std, y_scale, info = _solve_standardized(
-        matrix.x, matrix.cycles, config.alpha,
-        gamma * matrix.n_jobs, config.max_iter, config.tol,
-    )
-
+    fit = _lasso_fit(matrix, config)
     if config.refit:
-        selected = _nonzero(beta_std)
+        selected = _nonzero(fit.beta)
         if selected:
-            refit_x = matrix.x[:, selected]
-            rb, rb0, rstd, ry, rinfo = _solve_standardized(
-                refit_x, matrix.cycles, config.alpha, 0.0,
-                config.max_iter, config.tol,
-            )
-            beta_std = np.zeros_like(beta_std)
-            beta_std[selected] = rb
-            # Rebuild a full-width standardizer view for the mapping.
-            full_mean = np.zeros(matrix.n_features)
-            full_scale = np.ones(matrix.n_features)
-            full_mean[selected] = rstd.mean
-            full_scale[selected] = rstd.scale
-            std = Standardizer(full_mean, full_scale)
-            intercept_std, y_scale, info = rb0, ry, rinfo
+            fit = _refit(matrix, config, selected)
+    return _trained_model(matrix, config, fit)
 
-    coeffs = beta_std / std.scale * y_scale
-    intercept = (intercept_std - float(beta_std @ (std.mean / std.scale))
-                 ) * y_scale
+
+@dataclass
+class _Fit:
+    """One standardized-space solve, as wide as the feature matrix."""
+
+    beta: np.ndarray
+    intercept: float
+    std: Standardizer
+    y_scale: float
+    info: SolveResult
+
+
+def _lasso_fit(matrix: FeatureMatrix, config: TrainingConfig) -> _Fit:
+    # The L1-penalized selection solve over every candidate feature.
+    gamma = config.gamma if config.gamma is not None else 0.0
+    return _solve_standardized(matrix.x, matrix.cycles, config.alpha,
+                               gamma * matrix.n_jobs, config.max_iter,
+                               config.tol)
+
+
+def _refit(matrix: FeatureMatrix, config: TrainingConfig,
+           selected: List[int]) -> _Fit:
+    # The unpenalized solve on the selected columns, widened back to
+    # every candidate feature.  It depends on the selection and the
+    # matrix, not on gamma, so gamma points that select the same
+    # features can share one.
+    fit = _solve_standardized(matrix.x[:, selected], matrix.cycles,
+                              config.alpha, 0.0, config.max_iter,
+                              config.tol)
+    beta = np.zeros(matrix.n_features)
+    beta[selected] = fit.beta
+    # Rebuild a full-width standardizer view for the mapping.
+    full_mean = np.zeros(matrix.n_features)
+    full_scale = np.ones(matrix.n_features)
+    full_mean[selected] = fit.std.mean
+    full_scale[selected] = fit.std.scale
+    return _Fit(beta, fit.intercept, Standardizer(full_mean, full_scale),
+                fit.y_scale, fit.info)
+
+
+def _trained_model(matrix: FeatureMatrix, config: TrainingConfig,
+                   fit: _Fit) -> TrainedModel:
+    # Map a standardized-space fit back to raw feature space.
+    std = fit.std
+    coeffs = fit.beta / std.scale * fit.y_scale
+    intercept = (fit.intercept - float(fit.beta @ (std.mean / std.scale))
+                 ) * fit.y_scale
     predictor = LinearPredictor(
         feature_names=tuple(matrix.feature_set.names()),
         coeffs=coeffs,
@@ -121,18 +149,20 @@ def fit_predictor(matrix: FeatureMatrix,
     )
     return TrainedModel(
         predictor=predictor,
-        gamma=gamma,
+        gamma=config.gamma if config.gamma is not None else 0.0,
         alpha=config.alpha,
-        solve_info=info,
+        solve_info=fit.info,
         n_candidate_features=matrix.n_features,
     )
 
 
 def _solve_standardized(x: np.ndarray, y: np.ndarray, alpha: float,
-                        gamma: float, max_iter: int, tol: float
-                        ) -> Tuple[np.ndarray, float, Standardizer, float,
-                                   SolveResult]:
-    """Solve in standardized space; returns (beta, intercept, ...)."""
+                        gamma: float, max_iter: int, tol: float) -> _Fit:
+    """Solve in standardized space.
+
+    Every training solve passes here, so this is where the
+    ``flow.fit.*`` work counters are kept.
+    """
     std = Standardizer.fit(x)
     xs = std.transform(x)
     y_scale = float(np.mean(np.abs(y)))
@@ -143,9 +173,12 @@ def _solve_standardized(x: np.ndarray, y: np.ndarray, alpha: float,
     objective = make_objective(design, ys, alpha=alpha, gamma=gamma,
                                intercept_col=design.shape[1] - 1)
     info = solve(objective, max_iter=max_iter, tol=tol)
-    beta = info.beta[:-1]
-    intercept = float(info.beta[-1])
-    return beta, intercept, std, y_scale, info
+    observer = get_observer()
+    if observer is not None:
+        observer.metrics.inc("flow.fit.solves")
+        observer.metrics.inc("flow.fit.iterations", info.iterations)
+        observer.metrics.inc("flow.fit.unconverged", int(not info.converged))
+    return _Fit(info.beta[:-1], float(info.beta[-1]), std, y_scale, info)
 
 
 def _nonzero(beta: np.ndarray, rel_tol: float = 1e-6) -> List[int]:

@@ -116,6 +116,13 @@ def summarize_perf(metrics: Dict) -> str:
             if occupancy is not None:
                 line += f", {occupancy * 100.0:.0f}% occupancy"
         lines.append(line)
+    solves = counters.get("flow.fit.solves", 0)
+    if solves:
+        lines.append(
+            f"  fit: {int(solves)} solve(s), "
+            f"{int(counters.get('flow.fit.iterations', 0))} FISTA "
+            f"iteration(s), "
+            f"{int(counters.get('flow.fit.unconverged', 0))} unconverged")
     offered = counters.get("serve.offered", 0)
     if offered:
         line = (f"  serve: {int(offered)} offered, "

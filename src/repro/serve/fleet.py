@@ -51,6 +51,7 @@ from .server import (
     StreamResult,
     _check_result,
     _emit_stream_summary,
+    valid_prediction,
 )
 from .stream import FleetJob
 
@@ -449,8 +450,10 @@ class FleetDispatcher:
         model on the job's *predicted* cycles (margin/boost/overheads
         read off the instance's controller), so the ledger sees the
         service time the instance is about to plan — without touching
-        controller state.  A job with no prediction projects a full
-        deadline at the fastest point: the conservative bound.
+        controller state.  A job with no valid prediction (see
+        :func:`~repro.serve.server.valid_prediction`: the shard falls
+        back on it) projects a full deadline at the fastest point: the
+        conservative bound.
         """
         spec = self.specs[pool_index]
         ledger = self._ledgers[pool_index]
@@ -461,7 +464,8 @@ class FleetDispatcher:
         start = max(ledger.clock, job.arrival)
         budget = job.arrival + deadline - start
         predicted = record.predicted_cycles
-        if predicted is None:
+        if not valid_prediction(predicted, record.slice_cycles):
+            predicted = None
             point = levels.fastest()
             exec_s = deadline
             feasible = budget >= deadline
@@ -651,10 +655,12 @@ class FleetDispatcher:
         predicted = [job.job.record.predicted_cycles
                      for job in sub_jobs]
         service = np.empty(len(sub_jobs))
-        have = np.array([p is not None for p in predicted])
+        have = np.array([valid_prediction(p, job.job.record.slice_cycles)
+                         for p, job in zip(predicted, sub_jobs)],
+                        dtype=bool)
         if not have.all():
-            # No prediction: a full deadline at the fastest point —
-            # the scalar path's conservative bound.
+            # No valid prediction: a full deadline at the fastest
+            # point — the scalar path's conservative bound.
             service[~have] = deadline
         if have.any():
             hp = np.flatnonzero(have)

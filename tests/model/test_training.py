@@ -15,6 +15,8 @@ from repro.model import (
     select_gamma,
     worst_case_error_pct,
 )
+from repro.model import lasso as lasso_mod
+from repro.model.lasso import DEFAULT_GAMMAS, PathPoint, _split
 
 
 def synthetic_matrix(seed=0, n=200, relevant=3, junk=5, noise=0.0):
@@ -101,6 +103,53 @@ def test_lasso_path_is_monotone_in_sparsity():
                         gammas=[1e-6, 1e-4, 1e-2])
     counts = [p.n_features for p in points]
     assert counts[0] >= counts[-1]
+
+
+def _path_by_definition(matrix, alpha=8.0, gammas=DEFAULT_GAMMAS):
+    """The Lasso path as defined: ``fit_predictor`` at every gamma on
+    the path's train split, scored on its held-out split."""
+    train, x_val, y_val = _split(matrix, 0.25, 0)
+    points = []
+    for gamma in gammas:
+        model = fit_predictor(train, TrainingConfig(alpha=alpha, gamma=gamma))
+        pred = model.predictor.predict(x_val)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pct = np.abs(pred - y_val) / np.maximum(y_val, 1e-12) * 100.0
+        points.append(PathPoint(gamma=gamma,
+                                n_features=model.n_selected_features,
+                                val_error=float(np.mean(pct))))
+    return points
+
+
+# djpeg's path selects 12 features, then 3, then 12 again; stencil's
+# walks through three selections: both share refits across gammas.
+@pytest.mark.parametrize("name", ["djpeg", "stencil"])
+def test_lasso_path_equals_fit_predictor_per_gamma(shared_bundle, name):
+    matrix = shared_bundle(name, 0.05).package.train_matrix
+    assert lasso_path(matrix, workers=1) == _path_by_definition(matrix)
+
+
+def test_lasso_path_refits_once_per_distinct_selection(shared_bundle,
+                                                       monkeypatch):
+    matrix = shared_bundle("djpeg", 0.05).package.train_matrix
+    refits = []
+    real_refit = lasso_mod._refit
+
+    def counting_refit(train, config, selected):
+        refits.append(tuple(selected))
+        return real_refit(train, config, selected)
+
+    monkeypatch.setattr(lasso_mod, "_refit", counting_refit)
+    points = lasso_path(matrix, workers=1)
+    assert points == _path_by_definition(matrix)
+    train = _split(matrix, 0.25, 0)[0]
+    selections = [
+        tuple(lasso_mod._nonzero(lasso_mod._lasso_fit(
+            train, TrainingConfig(gamma=gamma)).beta))
+        for gamma in DEFAULT_GAMMAS]
+    distinct = {s for s in selections if s}
+    assert len(distinct) < len(selections)  # selections repeat
+    assert sorted(refits) == sorted(distinct)  # one refit each
 
 
 def test_select_gamma_prefers_sparse_models():

@@ -47,3 +47,59 @@ def test_generate_predictor_unobserved_has_no_side_channel():
     assert get_observer() is None
     package = generate_predictor(design, workload.train)
     assert package.n_selected_features >= 1
+
+
+def test_flow_counts_training_solves_and_unconverged(tmp_path,
+                                                     monkeypatch):
+    """h264 at scale 0.05 stops some solves at ``max_iter``: the
+    ``flow.fit.*`` counters, the ``flow`` event and the report's
+    ``fit:`` line all show every solve the flow ran."""
+    from repro.model import training
+    from repro.obs.report import render_run
+
+    results = []
+    real_solve = training.solve
+
+    def recording_solve(objective, **kwargs):
+        results.append(real_solve(objective, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(training, "solve", recording_solve)
+    run_dir = tmp_path / "flow"
+    with session(run_dir=run_dir, command="fit counters") as obs:
+        generate_predictor(get_design("h264"),
+                           workload_for("h264", scale=0.05).train,
+                           workers=1)
+        counters = dict(obs.metrics.counters)
+
+    solves = len(results)
+    iterations = sum(r.iterations for r in results)
+    unconverged = sum(not r.converged for r in results)
+    assert unconverged > 0
+    assert counters["flow.fit.solves"] == solves
+    assert counters["flow.fit.iterations"] == iterations
+    assert counters["flow.fit.unconverged"] == unconverged
+    [event] = [e for e in read_events(run_dir / "events.jsonl")
+               if e["type"] == "flow"]
+    assert (event["fit_solves"], event["fit_iterations"],
+            event["fit_unconverged"]) == (solves, iterations, unconverged)
+    assert (f"  fit: {solves} solve(s), {iterations} FISTA iteration(s), "
+            f"{unconverged} unconverged") in render_run(run_dir)
+
+
+def test_fit_counters_survive_pool_workers():
+    """Lasso-path solves that run in pool workers ship their
+    ``flow.fit.*`` counts home: a two-worker flow counts the same
+    solves and iterations as a serial one."""
+    design = get_design("djpeg")
+    train = workload_for("djpeg", scale=0.05).train
+
+    def fit_counters(workers):
+        with session(command="fit counters") as obs:
+            generate_predictor(design, train, workers=workers)
+        return {name: value for name, value in obs.metrics.counters.items()
+                if name.startswith("flow.fit.")}
+
+    serial = fit_counters(1)
+    assert serial["flow.fit.solves"] > 0
+    assert fit_counters(2) == serial

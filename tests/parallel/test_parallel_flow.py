@@ -65,10 +65,14 @@ def test_record_jobs_error_names_job_and_inputs():
         record_jobs(module, feature_set, jobs, max_cycles=2)
 
 
-def test_lasso_path_parallel_matches_serial():
+def test_lasso_path_parallel_matches_serial(shared_bundle):
     module, feature_set, jobs = _toy_record_setup()
     matrix = record_jobs(module, feature_set, jobs)
     assert lasso_path(matrix, workers=1) == lasso_path(matrix, workers=3)
+    # A real matrix whose gamma points repeat selections, so the shared
+    # refits fan out over the pool as well.
+    real = shared_bundle("djpeg", 0.05).package.train_matrix
+    assert lasso_path(real, workers=1) == lasso_path(real, workers=2)
 
 
 def test_feature_matrix_cache_hit_is_identical(tmp_path):

@@ -7,7 +7,9 @@ decisions from shard outcomes.
 """
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -375,6 +377,78 @@ def test_serve_fleet_strict_raises_on_violation(asic_levels,
     assert violations
     with pytest.raises(InvariantError):
         raise InvariantError(violations)
+
+
+# -- predictions the shards refuse ------------------------------------
+
+
+#: Record predictions ``valid_prediction`` rejects: a shard falls back
+#: on each, so the ledger must project them like a missing prediction.
+REFUSED = {"nan": math.nan, "inf": math.inf, "negative": -5.0}
+
+
+def _every_fifth(jobs, predicted):
+    """The stream with every fifth job's record predicting ``predicted``."""
+    out = []
+    for k, fjob in enumerate(jobs):
+        if k % 5 == 0:
+            record = dataclasses.replace(fjob.job.record,
+                                         predicted_cycles=predicted)
+            fjob = dataclasses.replace(
+                fjob, job=dataclasses.replace(fjob.job, record=record))
+        out.append(fjob)
+    return out
+
+
+def _routed(asic_levels, jobs, policy):
+    dispatcher = FleetDispatcher(make_pool(asic_levels, per=4),
+                                 config=FleetConfig(policy=policy))
+    dispatcher.dispatch(jobs)
+    return dispatcher
+
+
+@pytest.mark.parametrize("refused", sorted(REFUSED))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_ledger_projects_refused_predictions_as_missing(asic_levels,
+                                                       policy, refused):
+    """A prediction the shard falls back on must not reach the ledger:
+    clocks stay finite and routing equals the stream whose same jobs
+    carry no prediction at all, which is what the shard executes."""
+    jobs = mixed_jobs(asic_levels, rate=2000.0, n_jobs=300)
+    bad = _routed(asic_levels, _every_fifth(jobs, REFUSED[refused]),
+                  policy)
+    missing = _routed(asic_levels, _every_fifth(jobs, None), policy)
+    assert all(math.isfinite(ledger.clock) for ledger in bad._ledgers)
+    assert bad.routing_log == missing.routing_log
+    assert [l.clock for l in bad._ledgers] == \
+        [l.clock for l in missing._ledgers]
+
+
+@pytest.mark.parametrize("refused", sorted(REFUSED))
+def test_batch_estimate_agrees_on_refused_predictions(asic_levels,
+                                                      refused):
+    jobs = [job for job in _every_fifth(
+        mixed_jobs(asic_levels, rate=2000.0, n_jobs=120),
+        REFUSED[refused]) if job.benchmark == "alpha"]
+    dispatcher = FleetDispatcher(make_pool(asic_levels))
+    arrivals = np.array([job.arrival for job in jobs])
+    batch = dispatcher._estimate_batch(0, jobs, arrivals)
+    scalar = [dispatcher._estimate(0, job).service_s for job in jobs]
+    assert batch.tolist() == scalar
+    deadline = dispatcher.specs[0].config.deadline
+    assert batch[0] == deadline  # job 0 carries the refused prediction
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_check_fleet_clean_with_refused_predictions(asic_levels, policy):
+    jobs = mixed_jobs(asic_levels, rate=2000.0, n_jobs=300)
+    for predicted in REFUSED.values():
+        result = serve_fleet(make_pool(asic_levels, per=4),
+                             _every_fifth(jobs, predicted),
+                             FleetConfig(policy=policy, strict=True),
+                             workers=1)
+        assert check_fleet(result) == []
+        assert result.n_fallback > 0
 
 
 # -- vectorized routing epochs and serial degrade --------------------
