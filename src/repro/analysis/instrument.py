@@ -148,36 +148,6 @@ def _simulate_job(sim: Simulation, recorder: FeatureRecorder,
     return recorder.vector(), result.cycles
 
 
-def _matrix_from_batch(feature_set: FeatureSet, events,
-                       n: int) -> np.ndarray:
-    # Whole-chunk feature rows from batch event columns: each keyed
-    # total lands in its feature column as one vectorized add.  All
-    # totals are integers < 2**53, so the float rows are bit-identical
-    # to the serial listener's incremental accumulation.
-    x = np.zeros((n, len(feature_set)), dtype=float)
-    for key, counts in events.transition_counts.items():
-        idx = feature_set.stc_index.get(key)
-        if idx is not None:
-            x[:, idx] += counts
-    for name, counts in events.load_counts.items():
-        idx = feature_set.ic_index.get(name)
-        if idx is not None:
-            x[:, idx] += counts
-    for name, sums in events.load_value_sums.items():
-        idx = feature_set.aivs_index.get(name)
-        if idx is not None:
-            x[:, idx] += sums
-    for name, counts in events.reset_counts.items():
-        idx = feature_set.ic_index.get(name)
-        if idx is not None:
-            x[:, idx] += counts
-    for name, sums in events.reset_value_sums.items():
-        idx = feature_set.apvs_index.get(name)
-        if idx is not None:
-            x[:, idx] += sums
-    return x
-
-
 #: Per-process (module, feature_set, backend) -> (Simulation,
 #: FeatureRecorder), so a pool worker builds its instrumented
 #: simulation once, not once per job.  Keyed by object identity:
@@ -204,43 +174,6 @@ def _record_worker(module: Module, feature_set: FeatureSet,
                          max_cycles, ignore_unknown)
 
 
-#: Per-process (module, feature_set) -> BatchSimulation for the batch
-#: backend's chunk workers; same identity-keyed single-entry policy as
-#: _WORKER_SIMS.
-_WORKER_BATCH: Dict[Tuple[int, int], object] = {}
-
-
-def _record_batch_chunk(module: Module, feature_set: FeatureSet,
-                        max_cycles: int, ignore_unknown: bool,
-                        chunk) -> Tuple[np.ndarray, List[int]]:
-    # One pre-chunked [(index, (inputs, memories)), ...] slice becomes
-    # a single lockstep batch run.  Used by the serial batch path and
-    # as the pmap worker; both raise the same per-job error the serial
-    # interpreter path would on an unfinished job.
-    from ..rtl.batchsim import BatchSimulation
-
-    if not chunk:
-        return np.zeros((0, len(feature_set))), []
-    key = (id(module), id(feature_set))
-    sim = _WORKER_BATCH.get(key)
-    if sim is None:
-        _WORKER_BATCH.clear()  # only ever one live design per worker
-        sim = _WORKER_BATCH[key] = BatchSimulation(module)
-    result = sim.run_jobs([job for _index, job in chunk],
-                          max_cycles=max_cycles,
-                          ignore_unknown=ignore_unknown)
-    if not result.finished.all():
-        bad = int(np.argmax(np.logical_not(result.finished)))
-        index, (inputs, memories) = chunk[bad]
-        raise RuntimeError(
-            f"job {index} did not finish within {max_cycles} cycles on "
-            f"{module.name} "
-            f"(inputs: {_summarize_job_inputs(inputs, memories)})"
-        )
-    x = _matrix_from_batch(feature_set, result.events, len(chunk))
-    return x, [int(c) for c in result.cycles]
-
-
 def record_jobs(
     module: Module,
     feature_set: FeatureSet,
@@ -264,38 +197,15 @@ def record_jobs(
 
     ``backend`` picks the simulation kernel (``backend=None`` follows
     the ambient ``--backend`` setting); every backend is cycle-exact,
-    so the recorded matrix is backend-invariant.  Under ``batch`` the
-    jobs run as wide lockstep batches, one balanced chunk per worker.
-    The backend is resolved here, once, so pool workers inherit the
-    parent process's choice.
+    so the recorded matrix is backend-invariant.  The backend is
+    resolved here, once, so pool workers inherit the parent process's
+    choice.
     """
     from ..parallel import pmap, resolve_jobs
-    from ..parallel.pool import balanced_chunks
 
     resolved_backend = resolve_backend(backend)
     indexed = list(enumerate(jobs))
     n_workers = min(resolve_jobs(workers), max(len(indexed), 1))
-    if resolved_backend == "batch":
-        # Whole chunks run in lockstep: one worker chunk = one batch.
-        # Feature rows are integer aggregates, so the matrix is
-        # bit-identical for any chunking (and to serial interp).
-        if n_workers > 1:
-            chunks = balanced_chunks(indexed, n_workers)
-            fn = functools.partial(_record_batch_chunk, module,
-                                   feature_set, max_cycles,
-                                   ignore_unknown_inputs)
-            parts = pmap(fn, chunks, jobs=n_workers, chunk_size=1,
-                         label="record.pmap")
-        else:
-            parts = [_record_batch_chunk(module, feature_set,
-                                         max_cycles,
-                                         ignore_unknown_inputs, indexed)]
-        xs = [x for x, _ in parts]
-        cycles = [c for _, chunk_cycles in parts for c in chunk_cycles]
-        x = (np.vstack(xs) if indexed
-             else np.zeros((0, len(feature_set))))
-        return FeatureMatrix(feature_set, x,
-                             np.asarray(cycles, dtype=float))
     if n_workers > 1:
         fn = functools.partial(_record_worker, module, feature_set,
                                max_cycles, ignore_unknown_inputs,

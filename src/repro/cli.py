@@ -610,17 +610,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             predictor = (SlicePredictor(bundle.package)
                          if args.predictor == "slice"
                          else RecordPredictor())
-            config = ServeConfig(
-                deadline=(args.deadline_ms * MS
-                          if args.deadline_ms is not None
-                          else ctx.config.deadline),
-                t_switch=ctx.config.t_switch,
-                queue_depth=args.queue_depth,
-                batch_max=args.batch,
-                prediction_budget=(args.prediction_budget_ms * MS
-                                   if args.prediction_budget_ms
-                                   is not None else None),
-            )
+            try:
+                config = ServeConfig(
+                    deadline=(args.deadline_ms * MS
+                              if args.deadline_ms is not None
+                              else ctx.config.deadline),
+                    t_switch=ctx.config.t_switch,
+                    queue_depth=args.queue_depth,
+                    batch_max=args.batch,
+                    prediction_budget=(args.prediction_budget_ms * MS
+                                       if args.prediction_budget_ms
+                                       is not None else None),
+                )
+            except ValueError as exc:
+                print(str(exc), file=sys.stderr)
+                return 2
             if args.arrival == "burst":
                 arrivals = burst_arrivals(
                     args.rate, duration if duration is not None
@@ -747,20 +751,25 @@ def _serve_fleet_cli(args: argparse.Namespace, duration, n_jobs) -> int:
         for i in range(args.fleet):
             bench = benchmarks[i % len(benchmarks)]
             ctx = contexts[bench]
-            specs.append(ShardSpec(
-                name=f"{bench}#{i}", benchmark=bench,
-                controller=make_controller(ctx, args.scheme),
-                energy_model=ctx.energy_model,
-                slice_energy_model=ctx.slice_energy_model,
-                predictor=RecordPredictor(),
-                config=ServeConfig(
+            try:
+                shard_config = ServeConfig(
                     deadline=(args.deadline_ms * MS
                               if args.deadline_ms is not None
                               else ctx.config.deadline),
                     t_switch=ctx.config.t_switch,
                     queue_depth=args.queue_depth,
                     batch_max=args.batch,
-                )))
+                )
+            except ValueError as exc:
+                print(str(exc), file=sys.stderr)
+                return 2
+            specs.append(ShardSpec(
+                name=f"{bench}#{i}", benchmark=bench,
+                controller=make_controller(ctx, args.scheme),
+                energy_model=ctx.energy_model,
+                slice_energy_model=ctx.slice_energy_model,
+                predictor=RecordPredictor(),
+                config=shard_config))
         if args.arrival == "burst":
             arrivals = burst_arrivals(
                 args.rate, duration if duration is not None

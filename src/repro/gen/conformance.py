@@ -10,9 +10,7 @@ checks spanning every layer of the repository:
 3. ``backends`` — :func:`compare_backends`: ``stepjit`` agrees with
    the ``interp`` oracle bit-for-bit on cycle count, final
    architectural state, per-state residency, final FSM states and
-   ordered listener events, and one wide ``batch`` run over the whole
-   job list agrees on cycles, residency and aggregate event totals,
-   with fast-forward both on and off;
+   ordered listener events, with fast-forward both on and off;
 4. ``flow`` — the offline flow trains a predictor on a sampled
    workload and produces a prediction for every test job;
 5. ``episode:asic`` / ``episode:fpga`` — predictive DVFS episodes on
@@ -29,7 +27,6 @@ story for a bad seed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +40,6 @@ from ..experiments.runner import (
 )
 from ..flow import FlowConfig, build_job_records, generate_predictor
 from ..rtl import (
-    BatchSimulation,
     Listener,
     Simulation,
     StepSimulation,
@@ -143,47 +139,12 @@ class _EventRecorder(Listener):
         self.resets.append((counter, value))
 
 
-def _agg_events(rec: _EventRecorder):
-    # Order-free totals: the only view the batch kernel can express.
-    load_counts: Counter = Counter(n for n, _v in rec.loads)
-    load_sums: Counter = Counter()
-    for name, value in rec.loads:
-        load_sums[name] += value
-    reset_counts: Counter = Counter(n for n, _v in rec.resets)
-    reset_sums: Counter = Counter()
-    for name, value in rec.resets:
-        reset_sums[name] += value
-
-    def _nonzero(counter):
-        return {k: v for k, v in counter.items() if v}
-
-    return (dict(Counter(rec.transitions)), _nonzero(load_counts),
-            _nonzero(load_sums), _nonzero(reset_counts),
-            _nonzero(reset_sums))
-
-
-def _agg_from_batch(events, row):
-    def _nonzero(mapping):
-        return {key: int(col[row])
-                for key, col in mapping.items() if col[row]}
-
-    return (_nonzero(events.transition_counts),
-            _nonzero(events.load_counts),
-            _nonzero(events.load_value_sums),
-            _nonzero(events.reset_counts),
-            _nonzero(events.reset_value_sums))
-
-
-#: Job = (port inputs, memory contents), the pair ``record_jobs`` and
-#: ``BatchSimulation.run_jobs`` take.
+#: Job = (port inputs, memory contents), the pair ``record_jobs`` takes.
 Job = Tuple[Dict[str, int], Dict[str, Sequence[int]]]
 
-#: Fields each backend must match ``interp`` on, per job.  The lockstep
-#: batch kernel has no per-job state surface and counts events as
-#: order-free totals, so it is held to cycles, residency and aggregates.
+#: Fields each backend must match ``interp`` on, per job.
 COMPARED_FIELDS = {
     "stepjit": ("cycles", "state", "state_cycles", "fsm_state", "events"),
-    "batch": ("cycles", "state_cycles", "events_agg"),
 }
 
 
@@ -204,34 +165,14 @@ def _run_scalar(module, cls, job: Job, fast_forward: bool,
         "state_cycles": dict(sim.state_cycles),
         "fsm_state": dict(sim._fsm_state),
         "events": (rec.transitions, rec.loads, rec.resets),
-        "events_agg": _agg_events(rec),
     }
-
-
-def _run_batch(module, jobs: List[Job], fast_forward: bool,
-               max_cycles: int) -> List[Dict[str, object]]:
-    sim = BatchSimulation(module, fast_forward=fast_forward,
-                          track_state_cycles=True)
-    result = sim.run_jobs(jobs, max_cycles=max_cycles)
-    if not result.finished.all():
-        raise RuntimeError(
-            f"{module.name}: batch backend did not terminate in "
-            f"{max_cycles} cycles")
-    return [{
-        "cycles": int(result.cycles[row]),
-        "state_cycles": result.state_cycles_for(row),
-        "events_agg": _agg_from_batch(result.events, row),
-    } for row in range(result.rows)]
 
 
 def backend_runs(module, jobs: Sequence[Job], fast_forward: bool,
                  max_cycles: int = 2_000_000
                  ) -> Dict[str, List[Dict[str, object]]]:
-    """Every job on every backend: ``{backend: [per-job result]}``.
-
-    ``interp`` and ``stepjit`` run the jobs one at a time; ``batch``
-    runs the whole list as one wide lockstep batch.
-    """
+    """Every job on every backend: ``{backend: [per-job result]}``,
+    each job on a fresh simulation."""
     jobs = list(jobs)
     return {
         "interp": [_run_scalar(module, Simulation, job, fast_forward,
@@ -239,7 +180,6 @@ def backend_runs(module, jobs: Sequence[Job], fast_forward: bool,
         "stepjit": [_run_scalar(module, StepSimulation, job,
                                 fast_forward, max_cycles)
                     for job in jobs],
-        "batch": _run_batch(module, jobs, fast_forward, max_cycles),
     }
 
 
@@ -266,7 +206,7 @@ def compare_backends(module, jobs: Sequence[Job],
 def check_backend_agreement(design: GeneratedDesign,
                             jobs: Sequence[List[int]],
                             max_cycles: int = 2_000_000) -> None:
-    """Assert all three backends agree bit-for-bit on every job.
+    """Assert both backends agree bit-for-bit on every job.
 
     Encodes each sampled job and hands the list to
     :func:`compare_backends`.

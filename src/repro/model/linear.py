@@ -74,26 +74,3 @@ class LinearPredictor:
         idx = self.selected_indices
         coeffs[idx] = self.coeffs[idx]
         return LinearPredictor(self.feature_names, coeffs, self.intercept)
-
-
-def predict_cycles_batch(predictor: LinearPredictor,
-                         x: np.ndarray) -> np.ndarray:
-    """One batched evaluation of the linear model over a feature matrix.
-
-    The serving tier predicts whole micro-batches (and, in the
-    vectorized engine, whole epochs) with a single kernel call instead
-    of one dot product per job.  The kernel is ``np.einsum`` rather
-    than BLAS ``@`` deliberately: einsum reduces each row with the
-    same scalar accumulation regardless of how many rows the matrix
-    has, so a job's prediction is bit-identical whether it is batched
-    alone or with 10 000 neighbours — the property the engine
-    equivalence tests gate on.  (BLAS GEMV may change row results with
-    the batch shape; ``predict_one``'s dot product is a third
-    summation order again, which is why both serving engines must
-    route through the *same* kernel.)
-    """
-    matrix = np.asarray(x, dtype=float)
-    if matrix.ndim == 1:
-        matrix = matrix[np.newaxis, :]
-    return (np.einsum("ij,j->i", matrix, predictor.coeffs)
-            + predictor.intercept)

@@ -5,10 +5,9 @@ Yosys + RTL-simulation toolchain.  Accelerator designs are written
 against :class:`Module` (FSMs, counters, wires, registers, scratchpads,
 datapath blocks); :func:`synthesize` lowers a design to a structural
 :class:`Netlist`; :func:`make_simulation` executes jobs
-cycle-accurately on one of three backends (:data:`BACKENDS`): the
-``interp`` oracle (:class:`Simulation`), the default ``stepjit`` step
-compiler (:class:`StepSimulation`), and the wide ``batch`` lockstep
-kernel (:class:`BatchSimulation`).
+cycle-accurately on one of two backends (:data:`BACKENDS`): the
+``interp`` oracle (:class:`Simulation`) and the default ``stepjit``
+step compiler (:class:`StepSimulation`).
 """
 
 from .backend import (
@@ -16,13 +15,6 @@ from .backend import (
     make_simulation,
     resolve_backend,
     set_default_backend,
-)
-from .batchsim import (
-    BatchEvents,
-    BatchProgram,
-    BatchRunResult,
-    BatchSimulation,
-    compile_batch_stepper,
 )
 from .counter import Counter, down_counter, up_counter
 from .dot import netlist_to_dot
@@ -54,8 +46,7 @@ from .verilog import to_verilog
 from .wave import VcdWriter
 
 __all__ = [
-    "BACKENDS", "BatchEvents", "BatchProgram", "BatchRunResult",
-    "BatchSimulation", "BinOp", "Cell", "Const", "Counter",
+    "BACKENDS", "BinOp", "Cell", "Const", "Counter",
     "DatapathBlock",
     "ItemLoop", "LintFinding", "VcdWriter", "errors_only", "lint_module",
     "netlist_to_dot",
@@ -63,7 +54,7 @@ __all__ = [
     "Netlist", "Port", "Provenance", "Reg", "RunResult", "Sig",
     "Simulation", "StepProgram", "StepSimulation", "Transition", "UnOp",
     "Update", "Wire", "all_of",
-    "any_of", "compile_batch_stepper", "compile_stepper", "derive_module",
+    "any_of", "compile_stepper", "derive_module",
     "down_counter", "make_simulation", "maximum", "minimum",
     "resolve_backend", "set_default_backend", "synthesize", "to_verilog",
     "up_counter", "wrap",

@@ -1,6 +1,6 @@
-"""Simulation backend selection: interp | stepjit | batch.
+"""Simulation backend selection: interp | stepjit.
 
-All backends are cycle-exact (the differential fuzz suite and the
+Both backends are cycle-exact (the differential fuzz suite and the
 golden gate enforce this), so the choice is purely a speed knob:
 
 * ``interp``  — the tree-walking interpreter (:class:`Simulation` on a
@@ -8,12 +8,7 @@ golden gate enforce this), so the choice is purely a speed knob:
   useful for debugging generated code.
 * ``stepjit`` — the whole-module step compiler
   (:class:`StepSimulation`): one generated function per cycle.  The
-  default scalar path.
-* ``batch``   — the vectorized lockstep kernel
-  (:class:`~repro.rtl.batchsim.BatchSimulation`): N jobs advance as one
-  numpy array program.  A wide driver only — ``record_jobs`` and
-  ``SlicePredictor.predict_batch`` run whole job lists through it;
-  callers that simulate one job at a time get ``stepjit``.
+  default.
 
 Resolution priority: explicit argument > :func:`set_default_backend` >
 ``stepjit``.
@@ -32,7 +27,7 @@ from .module import Module
 from .simulator import Simulation
 from .stepjit import StepSimulation
 
-BACKENDS = ("interp", "stepjit", "batch")
+BACKENDS = ("interp", "stepjit")
 DEFAULT_BACKEND = "stepjit"
 
 _default_override: Optional[str] = None
@@ -70,9 +65,8 @@ def make_simulation(module: Module, *, backend: Optional[str] = None,
 
     ``kwargs`` are forwarded to the :class:`Simulation` constructor
     (``listener``, ``fast_forward``, ``elide``, ``track_state_cycles``).
-    ``interp`` gets the interpreter; ``stepjit`` and ``batch`` get the
-    step compiler, since the batch kernel only pays off across many
-    jobs at once.
+    ``interp`` gets the interpreter; ``stepjit`` gets the step
+    compiler.
     """
     if resolve_backend(backend) == "interp":
         return Simulation(module, **kwargs)

@@ -32,7 +32,6 @@ from .fleet import (
 from .loadgen import LoadReport, percentile, run_closed_loop, run_open_loop
 from .server import (
     COMPLETED,
-    ENGINES,
     FALLBACK,
     SHED,
     TERMINAL_STATES,
@@ -65,8 +64,7 @@ from .stream import (
 
 __all__ = [
     "ADVERSARIAL_MODES",
-    "COMPLETED", "DEADLINE", "ENERGY_AWARE", "ENGINES",
-    "FALLBACK",
+    "COMPLETED", "DEADLINE", "ENERGY_AWARE", "FALLBACK",
     "LEAST_LOADED", "POLICIES", "ROUND_ROBIN", "SHED",
     "SHED_REASONS", "TERMINAL_STATES",
     "AcceleratorStream", "DeadlineClass", "EpochEngine", "FleetConfig",

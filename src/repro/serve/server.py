@@ -10,8 +10,8 @@ queue over one accelerator:
   (admitted jobs not yet finished on the simulated clock) has reached
   ``queue_depth`` is **shed**: counted, never executed;
 * **micro-batching** — when the server frees up it takes up to
-  ``batch_max`` queued jobs at once and runs their slice predictions
-  together, amortizing per-decision overhead;
+  ``batch_max`` queued jobs at once, predicts each of them, then
+  executes them in FIFO order;
 * **graceful degradation** — if a prediction fails or overruns its
   wall-clock ``prediction_budget``, the job **falls back** to
   max-frequency (nominal) execution with no slice charge: the event
@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..dvfs.controllers import Controller
 from ..dvfs.energy import EnergyModel, JobActivity
-from ..model.linear import predict_cycles_batch
 from ..obs import get_observer, span
 from ..runtime.episode import strict_checks_enabled, switch_window_energy
 from ..runtime.jobs import JobRecord
@@ -58,13 +57,6 @@ FALLBACK = "fallback"
 SHED = "shed"
 TERMINAL_STATES = (COMPLETED, FALLBACK, SHED)
 
-#: Decision-plane engines, selected per stream by ``ServeConfig.engine``.
-#: ``auto`` (the default) runs the epoch-coalescing vectorized engine
-#: (:mod:`repro.serve.vector`) wherever its eligibility proof holds and
-#: the scalar state machine everywhere else; ``scalar`` forces the
-#: per-job reference path.
-ENGINES = ("auto", "scalar")
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -76,18 +68,26 @@ class ServeConfig:
     batch_max: int = 8             # micro-batch size cap
     prediction_budget: Optional[float] = None  # wall seconds / decision
     strict: Optional[bool] = None  # None = follow REPRO_CHECK
-    engine: str = "auto"           # one of ENGINES
 
     def __post_init__(self) -> None:
-        if self.deadline <= 0.0:
-            raise ValueError("deadline must be positive")
+        # isfinite, because NaN passes a bare `<= 0` test: a NaN
+        # deadline would report no misses, a NaN budget no fallbacks.
+        if not (math.isfinite(self.deadline) and self.deadline > 0.0):
+            raise ValueError(
+                f"deadline must be finite and > 0, got {self.deadline!r}")
+        if not (math.isfinite(self.t_switch) and self.t_switch >= 0.0):
+            raise ValueError(
+                f"t_switch must be finite and >= 0, got {self.t_switch!r}")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
-        if self.engine not in ENGINES:
+        budget = self.prediction_budget
+        if budget is not None and not (math.isfinite(budget)
+                                       and budget >= 0.0):
             raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}")
+                "prediction_budget must be None or finite and >= 0, "
+                f"got {budget!r}")
 
 
 def valid_prediction(predicted_cycles: Optional[float],
@@ -136,7 +136,7 @@ class SlicePredictor:
     def __init__(self, package: "GeneratedPredictor",
                  max_cycles: int = 50_000_000):
         from ..analysis.instrument import FeatureRecorder
-        from ..rtl.backend import make_simulation, resolve_backend
+        from ..rtl.backend import make_simulation
 
         self._package = package
         self._recorder = FeatureRecorder(package.feature_set)
@@ -144,11 +144,6 @@ class SlicePredictor:
                                     listener=self._recorder,
                                     track_state_cycles=False)
         self._max_cycles = max_cycles
-        #: Under the ``batch`` backend a serving micro-batch is
-        #: predicted in one lockstep array step (``predict_batch``);
-        #: other backends keep the per-job path.
-        self.batch_capable = resolve_backend() == "batch"
-        self._batch_sim = None
 
     def predict(self, sjob: StreamJob) -> Tuple[float, int]:
         """Run the hardware slice on the job's input, live."""
@@ -167,50 +162,6 @@ class SlicePredictor:
         predicted = self._package.predictor.predict_one(
             self._recorder.vector())
         return max(predicted, 0.0), result.cycles
-
-    def predict_batch(self, sjobs: Sequence[StreamJob]
-                      ) -> List[Optional[Tuple[float, int]]]:
-        """Predict a whole micro-batch in one lockstep array step.
-
-        One entry per job, aligned with ``sjobs``: ``(predicted,
-        slice_cycles)`` on success, ``None`` where that job cannot be
-        predicted (no encoded input, or its slice run did not finish)
-        — per-job fallback semantics identical to calling
-        :meth:`predict` once per job.  Only meaningful when
-        ``batch_capable`` (the ``batch`` backend is active).
-        """
-        from ..analysis.instrument import _matrix_from_batch
-        from ..rtl.batchsim import BatchSimulation
-
-        if self._batch_sim is None:
-            self._batch_sim = BatchSimulation(
-                self._package.hw_slice.module)
-        out: List[Optional[Tuple[float, int]]] = [None] * len(sjobs)
-        jobs = []
-        rows = []
-        for i, sjob in enumerate(sjobs):
-            if sjob.job_input is None:
-                continue
-            jobs.append(sjob.job_input.as_pair())
-            rows.append(i)
-        if not jobs:
-            return out
-        result = self._batch_sim.run_jobs(
-            jobs, max_cycles=self._max_cycles, ignore_unknown=True)
-        x = _matrix_from_batch(self._package.feature_set,
-                               result.events, len(jobs))
-        # One einsum over the whole feature matrix; the kernel is
-        # row-stable, so every job's prediction is independent of how
-        # many neighbours share its batch — which is what lets the
-        # scalar and vectorized engines (different batch shapes, same
-        # kernel) stay bit-identical.
-        predicted = predict_cycles_batch(self._package.predictor, x)
-        for j, i in enumerate(rows):
-            if not result.finished[j]:
-                continue
-            out[i] = (max(float(predicted[j]), 0.0),
-                      int(result.cycles[j]))
-        return out
 
 
 def _effective(sjob: StreamJob, predicted: float,
@@ -472,13 +423,10 @@ class AcceleratorStream:
                        ) -> List[Tuple[Optional[JobRecord], float]]:
         """Fresh predictions, one :meth:`predict_jobs` entry per job.
 
-        A batch-capable predictor (``SlicePredictor`` under the
-        ``batch`` backend) predicts all of ``sjobs`` in one lockstep
-        array step, its wall time amortized across the jobs as each
-        entry's ``decision_s``.  Any other predictor, and any
-        batch-level failure, runs per job with per-job fallback.
-        Results failing :func:`valid_prediction` fall back, as do
-        predictions whose ``decision_s`` overran the budget.
+        The predictor runs once per job, and each entry's
+        ``decision_s`` is that call's wall time.  A call that raises,
+        a result failing :func:`valid_prediction`, and a prediction
+        whose ``decision_s`` overran the budget all fall back.
         """
         uses_slice = self.controller.uses_slice
         predictor = self.predictor
@@ -493,36 +441,19 @@ class AcceleratorStream:
             return entries
         if not sjobs:
             return []
-        entries = None
-        runs = 0
-        if getattr(predictor, "batch_capable", False):
-            runs += len(sjobs)
+        entries = []
+        for sjob in sjobs:
             t0 = time.perf_counter()
             try:
-                results = predictor.predict_batch(sjobs)
+                predicted, slice_cycles = predictor.predict(sjob)
             except (ValueError, RuntimeError):
-                results = None
-            if results is not None:
-                decision_s = (time.perf_counter() - t0) / len(sjobs)
-                entries = [
-                    (None if result is None
-                     else _effective(sjob, *result), decision_s)
-                    for sjob, result in zip(sjobs, results)]
-        if entries is None:
-            runs += len(sjobs)
-            entries = []
-            for sjob in sjobs:
-                t0 = time.perf_counter()
-                try:
-                    predicted, slice_cycles = predictor.predict(sjob)
-                except (ValueError, RuntimeError):
-                    record = None
-                else:
-                    record = _effective(sjob, predicted, slice_cycles)
-                entries.append((record, time.perf_counter() - t0))
+                record = None
+            else:
+                record = _effective(sjob, predicted, slice_cycles)
+            entries.append((record, time.perf_counter() - t0))
         observer = get_observer()
         if observer is not None:
-            observer.metrics.inc("serve.predict_runs", runs)
+            observer.metrics.inc("serve.predict_runs", len(sjobs))
         budget = self.config.prediction_budget
         if budget is not None:
             entries = [(None if decision_s > budget else record,
@@ -614,9 +545,8 @@ class AcceleratorStream:
     def run_batch(self) -> List[StreamOutcome]:
         """Pop and execute one micro-batch from the admission queue.
 
-        Predictions for the whole batch run first (the amortized
-        slice pass), then each job advances the virtual clock in FIFO
-        order.  Returns the executed outcomes (empty = queue empty).
+        Predictions for the whole batch run first, then each job
+        advances the virtual clock in FIFO order.  Returns the executed outcomes (empty = queue empty).
         """
         batch: List[StreamJob] = []
         while self._queue and len(batch) < self.config.batch_max:
@@ -711,10 +641,11 @@ def _serve_virtual(stream: AcceleratorStream,
                    jobs: Sequence[StreamJob]) -> StreamResult:
     """Drive one stream on the virtual clock, as fast as possible.
 
-    Under the ``auto`` engine the epoch-coalescing driver takes over —
-    it vectorizes decision epochs where they decouple and replays the
-    exact scalar ``offer``/``drain`` machine everywhere else.  Realtime
-    mode always runs scalar: epochs would require arrivals that have
+    The epoch-coalescing driver
+    (:func:`~repro.serve.vector.drive_stream_vectorized`) decides
+    whole epochs where they decouple and runs the scalar
+    ``offer``/``drain`` machine everywhere else.  Realtime mode runs
+    the scalar machine only: epochs would require arrivals that have
     not happened yet on the wall clock.
 
     Deliberately synchronous: virtual serving never awaits, and
@@ -722,14 +653,10 @@ def _serve_virtual(stream: AcceleratorStream,
     handler reprs the pending main task, which stringifies the whole
     queued job list (numpy feature arrays included) twice per run.
     """
+    from .vector import drive_stream_vectorized  # imports this module
+
     t0 = time.perf_counter()
-    if stream.config.engine != "scalar":
-        from .vector import drive_stream_vectorized
-        drive_stream_vectorized(stream, jobs)
-    else:
-        for sjob in jobs:
-            stream.offer(sjob)
-        stream.drain()
+    drive_stream_vectorized(stream, jobs)
     return stream.result(wall_s=time.perf_counter() - t0)
 
 

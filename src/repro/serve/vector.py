@@ -25,12 +25,11 @@ path until the coupling clears (the arrival after a long job sees
 
 Every committed outcome is **bit-identical** to the scalar engine's
 (:func:`repro.serve.virtual_outcomes` canonical form): the kernels
-replicate the scalar evaluation order operation by operation, energy
-per-level constants are computed by the scalar model code and
-gathered by level index, and the linear-predictor kernel is einsum
-(row-stable, so a job's prediction does not depend on its epoch's
-size).  Only ``decision_s`` differs by design — it is genuinely
-measured wall time, amortized per epoch (see docs/serving.md).
+replicate the scalar evaluation order operation by operation, and
+energy per-level constants are computed by the scalar model code and
+gathered by level index.  Only ``decision_s`` differs by design — it
+is genuinely measured wall time, amortized per epoch (see
+docs/serving.md).
 
 Predictions come from the stream's one prediction path,
 :meth:`~repro.serve.server.AcceleratorStream.predict_jobs`, which keeps

@@ -155,69 +155,3 @@ def test_features_identical_between_full_and_elided_run(toy, toy_features):
     full = run(None)
     elided = run({("ctrl", "COMP_A"), ("ctrl", "COMP_B")})
     np.testing.assert_array_equal(full, elided)
-
-
-def _varied_jobs(n):
-    specs = [[((3 * i + j) % 11 + 1, (i + j) % 2)
-              for j in range(i % 4 + 1)] for i in range(n)]
-    jobs = []
-    for spec in specs:
-        items = [pack_item(w, m) for w, m in spec]
-        jobs.append(({"n_items": len(items)}, {"items": items}))
-    return jobs
-
-
-@pytest.mark.parametrize("n_jobs,workers", [
-    (13, 3),   # uneven: 3 does not divide 13
-    (13, 5),   # last chunk shorter still
-    (2, 4),    # more workers than jobs (empty worker slots)
-    (1, 4),    # degenerate width-1 batch
-    (0, 3),    # no jobs at all
-])
-def test_record_jobs_batch_parallel_bit_identical(toy, toy_features,
-                                                  n_jobs, workers):
-    """Satellite gate: batch x parallel recording must be bit-identical
-    to serial interp for every chunking, including uneven and empty
-    chunks and width-1 batches."""
-    module, _ = toy
-    jobs = _varied_jobs(n_jobs)
-    baseline = record_jobs(module, toy_features, jobs,
-                           backend="interp", workers=1)
-    matrix = record_jobs(module, toy_features, jobs,
-                         backend="batch", workers=workers)
-    assert np.array_equal(matrix.x, baseline.x)
-    assert np.array_equal(matrix.cycles, baseline.cycles)
-
-
-def test_record_jobs_batch_balances_chunks(toy, toy_features,
-                                           monkeypatch):
-    """9 jobs over 4 workers split 3/2/2/2, so no worker idles."""
-    import repro.parallel
-
-    module, _ = toy
-    jobs = _varied_jobs(9)
-    real_pmap = repro.parallel.pmap
-    sizes = []
-
-    def spy(fn, chunks, **kwargs):
-        sizes.append([len(chunk) for chunk in chunks])
-        return real_pmap(fn, chunks, **kwargs)
-
-    monkeypatch.setattr(repro.parallel, "pmap", spy)
-    matrix = record_jobs(module, toy_features, jobs,
-                         backend="batch", workers=4)
-    assert sizes == [[3, 2, 2, 2]]
-    serial = record_jobs(module, toy_features, jobs,
-                         backend="interp", workers=1)
-    assert np.array_equal(matrix.x, serial.x)
-    assert np.array_equal(matrix.cycles, serial.cycles)
-
-
-def test_record_jobs_batch_timeout_matches_serial_error(toy,
-                                                        toy_features):
-    module, _ = toy
-    jobs = _varied_jobs(2) + [({"n_items": 0}, {"items": []})]
-    with pytest.raises(RuntimeError,
-                       match="job 2 did not finish within 100 cycles"):
-        record_jobs(module, toy_features, jobs, max_cycles=100,
-                    backend="batch")

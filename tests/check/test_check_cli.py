@@ -133,7 +133,7 @@ def test_committed_goldens_match_a_fresh_run(capsys):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_committed_goldens_match_under_every_backend(backend, capsys):
     """Backend-equivalence gate: the committed goldens predate the
-    stepjit and batch backends, so a golden match under each
+    stepjit backend, so a golden match under each
     ``--backend`` proves episodes, energy and misses are
     backend-invariant end to end."""
     from repro.rtl import set_default_backend

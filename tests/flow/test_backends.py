@@ -45,12 +45,12 @@ def test_flow_outputs_identical_across_backends():
     design = ToyDesign()
     items = toy_workload(25, seed=4)
     packages = {}
-    for backend in ("interp", "stepjit", "batch"):
+    for backend in BACKENDS:
         set_default_backend(backend)
         packages[backend] = generate_predictor(
             design, items, FlowConfig(gamma=1e-4))
     a = packages["interp"]
-    for backend in ("stepjit", "batch"):
+    for backend in BACKENDS:
         b = packages[backend]
         assert np.array_equal(a.train_matrix.cycles,
                               b.train_matrix.cycles)
@@ -64,12 +64,12 @@ def test_job_records_identical_across_backends():
     design = ToyDesign()
     items = toy_workload(25, seed=4)
     per_backend = {}
-    for backend in ("interp", "stepjit", "batch"):
+    for backend in BACKENDS:
         set_default_backend(backend)
         package = generate_predictor(design, items, FlowConfig(gamma=1e-4))
         per_backend[backend] = build_job_records(
             design, package, toy_workload(8, seed=5))
-    for backend in ("stepjit", "batch"):
+    for backend in BACKENDS:
         for rec_i, rec_s in zip(per_backend["interp"],
                                 per_backend[backend]):
             assert rec_i.actual_cycles == rec_s.actual_cycles
@@ -91,10 +91,9 @@ def test_feature_matrix_cache_key_is_backend_invariant(tmp_path):
         generate_predictor(design, items, FlowConfig(gamma=1e-4))
         cold_puts = cache.stats.puts
         assert cold_puts >= 1
-        for backend in ("stepjit", "batch"):
-            set_default_backend(backend)
-            generate_predictor(design, items, FlowConfig(gamma=1e-4))
-            assert cache.stats.hits >= 1
-            assert cache.stats.puts == cold_puts  # nothing re-recorded
+        set_default_backend("stepjit")
+        generate_predictor(design, items, FlowConfig(gamma=1e-4))
+        assert cache.stats.hits >= 1
+        assert cache.stats.puts == cold_puts  # nothing re-recorded
     finally:
         set_cache(None)

@@ -8,7 +8,7 @@ generated design:
 
 * structural detection finds exactly the FSM and all counters;
 * fast-forward simulation is cycle-exact vs plain stepping;
-* the stepjit and batch backends are cycle-exact vs the interpreter;
+* the stepjit backend is cycle-exact vs the interpreter;
 * the hardware slice computes identical features to the full design;
 * the Verilog exporter renders it.
 """

@@ -54,7 +54,7 @@ def test_quantized_predictor_matches_float_when_exact():
     assert q.coefficient_error(predictor) == 0.0
 
 
-def test_predict_batch_shapes():
+def test_predict_matrix_shapes():
     q = quantize_predictor(make_predictor())
     x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     out = q.predict(x)

@@ -1,4 +1,4 @@
-"""Differential fuzzing: all simulation backends must agree exactly.
+"""Differential fuzzing: both simulation backends must agree exactly.
 
 Generates small random-but-terminating modules exercising the whole
 semantic surface — multi-FSM designs with wait counters, dynamic
@@ -6,10 +6,8 @@ waits, up counters, arc actions, conditional update rules and
 memory-driven guards — and runs them through the shared differential
 harness :func:`repro.gen.conformance.compare_backends`: ``stepjit``
 must match the ``interp`` oracle on cycle count, final architectural
-state, ``state_cycles``, FSM states and ordered listener events, and
-one wide ``BatchSimulation`` over the job list must match on cycles,
-``state_cycles`` and aggregate events, with fast-forward both on and
-off.
+state, ``state_cycles``, FSM states and ordered listener events, with
+fast-forward both on and off.
 
 Termination by construction: every FSM is a forward chain of states
 (arcs only advance), wait counters are loaded from bounded memory
@@ -123,7 +121,8 @@ def test_fast_forward_is_exact_per_backend(seed):
 
 @pytest.mark.parametrize("seed", range(0, 25, 3))
 def test_batch_wide_agrees_with_interp(seed):
-    """Rows with divergent inputs: each must match its own interp run."""
+    """A wide batch of jobs with divergent inputs: each job's stepjit
+    run must match its own interp run."""
     module = build_fuzz_module(seed)
     rng = random.Random(1000 + seed)
     jobs = []

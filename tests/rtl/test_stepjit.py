@@ -167,10 +167,10 @@ def test_backend_resolution_precedence():
     set_default_backend("interp")
     try:
         assert resolve_backend() == "interp"
-        assert resolve_backend("batch") == "batch"
+        assert resolve_backend("stepjit") == "stepjit"
     finally:
         set_default_backend(None)
-    for bad in ("verilator", "compiled"):
+    for bad in ("verilator", "compiled", "batch"):
         with pytest.raises(ValueError, match="unknown simulation backend"):
             resolve_backend(bad)
 
@@ -182,6 +182,3 @@ def test_make_simulation_picks_the_backend():
     sim = make_simulation(module, backend="interp")
     assert type(sim) is Simulation
     assert sim.module is module
-    # batch drives whole job lists only; one job at a time is stepjit.
-    assert isinstance(make_simulation(module, backend="batch"),
-                      StepSimulation)

@@ -9,7 +9,6 @@ decisions from shard outcomes.
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +91,16 @@ def test_tenant_spec_parses_cli_atoms():
         TenantSpec.parse("a:speed=9")
     with pytest.raises(ValueError, match="burst"):
         TenantSpec("a", rate=5.0, burst=0.5)
+
+
+@pytest.mark.parametrize("atom", ["rate=nan", "rate=inf", "burst=nan",
+                                  "burst=inf"])
+def test_parse_tenants_rejects_non_finite_limits(atom):
+    """A NaN rate used to lift the limit and a NaN burst to shed every
+    job; both must fail at the spec, naming the field."""
+    key = atom.partition("=")[0]
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        parse_tenants(f"free,a:{atom}")
 
 
 def test_parse_tenants_rejects_empty_and_duplicates():
@@ -424,21 +433,6 @@ def test_ledger_projects_refused_predictions_as_missing(asic_levels,
         [l.clock for l in missing._ledgers]
 
 
-@pytest.mark.parametrize("refused", sorted(REFUSED))
-def test_batch_estimate_agrees_on_refused_predictions(asic_levels,
-                                                      refused):
-    jobs = [job for job in _every_fifth(
-        mixed_jobs(asic_levels, rate=2000.0, n_jobs=120),
-        REFUSED[refused]) if job.benchmark == "alpha"]
-    dispatcher = FleetDispatcher(make_pool(asic_levels))
-    arrivals = np.array([job.arrival for job in jobs])
-    batch = dispatcher._estimate_batch(0, jobs, arrivals)
-    scalar = [dispatcher._estimate(0, job).service_s for job in jobs]
-    assert batch.tolist() == scalar
-    deadline = dispatcher.specs[0].config.deadline
-    assert batch[0] == deadline  # job 0 carries the refused prediction
-
-
 @pytest.mark.parametrize("policy", POLICIES)
 def test_check_fleet_clean_with_refused_predictions(asic_levels, policy):
     jobs = mixed_jobs(asic_levels, rate=2000.0, n_jobs=300)
@@ -451,106 +445,7 @@ def test_check_fleet_clean_with_refused_predictions(asic_levels, policy):
         assert result.n_fallback > 0
 
 
-# -- vectorized routing epochs and serial degrade --------------------
-
-
-def _dispatch_pair(asic_levels, jobs, **config_kw):
-    """Dispatch the same jobs through scalar and auto dispatchers."""
-    logs = {}
-    for engine in ("scalar", "auto"):
-        pool = make_pool(asic_levels)
-        dispatcher = FleetDispatcher(
-            pool, config=FleetConfig(engine=engine, **config_kw))
-        dispatcher.dispatch(jobs)
-        logs[engine] = dispatcher
-    return logs["scalar"], logs["auto"]
-
-
-def test_round_robin_epoch_matches_scalar_routing(asic_levels):
-    """The vectorized routing epoch reproduces the scalar dispatcher's
-    full audit trail — candidates, backlogs, choices — exactly."""
-    from repro.obs import session
-
-    jobs = mixed_jobs(asic_levels, rate=1500.0, n_jobs=400)
-    with session(command="epoch routing") as obs:
-        scalar, fast = _dispatch_pair(asic_levels, jobs,
-                                      policy=ROUND_ROBIN)
-        assert obs.metrics.counters.get("serve.fleet.epoch_jobs", 0) > 0
-    assert fast.routing_log == scalar.routing_log
-    assert fast.assignments == scalar.assignments
-    assert fast.sheds == scalar.sheds
-    assert fast.n_offered == scalar.n_offered
-    assert fast._rr == scalar._rr
-    # Reconstructed ledgers must carry the same projected clocks.
-    for a, b in zip(scalar._ledgers, fast._ledgers):
-        assert a.clock == b.clock
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-def test_fleet_engines_bit_identical_for_every_policy(asic_levels,
-                                                      policy):
-    """serve_fleet under scalar vs auto engines: identical routing and
-    identical shard outcomes in canonical form, for all policies (only
-    round_robin vectorizes; the rest must pass through untouched)."""
-    jobs = mixed_jobs(asic_levels, rate=800.0, n_jobs=300)
-
-    def run(engine):
-        return serve_fleet(
-            make_pool(asic_levels), jobs,
-            config=FleetConfig(policy=policy, engine=engine,
-                               strict=False),
-            workers=1)
-
-    scalar, fast = run("scalar"), run("auto")
-    assert fast.assignments == scalar.assignments
-    assert fast.sheds == scalar.sheds
-    for a, b in zip(scalar.shards, fast.shards):
-        assert virtual_outcomes(a) == virtual_outcomes(b)
-    assert check_fleet(fast) == []
-
-
-def test_epoch_declines_on_rate_limits_elastic_and_depth(asic_levels):
-    """Any coupled admission feature keeps the scalar path — and the
-    results stay identical by construction."""
-    jobs = mixed_jobs(asic_levels, rate=1000.0, n_jobs=150,
-                      tenants=("limited",))
-    pool = make_pool(asic_levels)
-    # Rate-limited tenant: epoch ineligible.
-    dispatcher = FleetDispatcher(
-        pool, config=FleetConfig(policy=ROUND_ROBIN, engine="auto"),
-        tenants=[TenantSpec("limited", rate=100.0, burst=4.0)])
-    assert not dispatcher._epoch_eligible(jobs)
-    # Elastic scaling: epoch ineligible.
-    dispatcher = FleetDispatcher(
-        pool, config=FleetConfig(policy=ROUND_ROBIN, engine="auto",
-                                 elastic=True))
-    jobs_default = mixed_jobs(asic_levels, rate=1000.0, n_jobs=50)
-    assert not dispatcher._epoch_eligible(jobs_default)
-    # Pool at or above the global depth: epoch ineligible.
-    dispatcher = FleetDispatcher(
-        pool, config=FleetConfig(policy=ROUND_ROBIN, engine="auto",
-                                 global_depth=len(pool)))
-    assert not dispatcher._epoch_eligible(jobs_default)
-    # Non-round-robin policy: epoch ineligible.
-    dispatcher = FleetDispatcher(
-        pool, config=FleetConfig(policy=LEAST_LOADED, engine="auto"))
-    assert not dispatcher._epoch_eligible(jobs_default)
-
-
-def test_epoch_declines_unknown_benchmark_with_scalar_diagnostic(
-        asic_levels):
-    """A mid-stream job naming an unserved benchmark must raise the
-    scalar path's ValueError, with the offered count at the failing
-    job — not a vectorized IndexError."""
-    jobs = mixed_jobs(asic_levels, rate=500.0, n_jobs=60)
-    bad = dataclasses.replace(jobs[30], benchmark="gamma")
-    jobs = jobs[:30] + [bad] + jobs[31:]
-    dispatcher = FleetDispatcher(
-        make_pool(asic_levels),
-        config=FleetConfig(policy=ROUND_ROBIN, engine="auto"))
-    with pytest.raises(ValueError, match="gamma"):
-        dispatcher.dispatch(jobs)
-    assert dispatcher.n_offered == 31
+# -- serial degrade --------------------------------------------------
 
 
 def test_serial_degrade_on_low_core_hosts(asic_levels, monkeypatch):

@@ -167,6 +167,53 @@ def test_serve_fleet_bad_policy_exits_2(capsys):
               "--jobs", "5", "--policy", "warp"])
 
 
+@pytest.fixture
+def aes(shared_bundle):
+    """Prewarm the aes bundle the CLI will look up (scale 0.05)."""
+    return shared_bundle("aes", 0.05)
+
+
+AES_STREAM = ["serve", "--benchmark", "aes", "--jobs", "40", "--rate",
+              "60", "--virtual", "--predictor", "record", "--scale",
+              "0.05", "--seed", "1"]
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--prediction-budget-ms", "-1", "prediction_budget"),
+    ("--deadline-ms", "nan", "deadline"),
+])
+def test_serve_bad_config_value_exits_2(aes, capsys, flag, value, field):
+    """Values that used to corrupt a run silently (every job falling
+    back, or no misses reported) stop the run, naming the field."""
+    assert main(AES_STREAM + [flag, value]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
+def test_serve_fleet_bad_deadline_exits_2(aes, capsys):
+    assert main(["serve", "--fleet", "2", "--benchmark", "aes",
+                 "--jobs", "20", "--rate", "200", "--virtual",
+                 "--scale", "0.05", "--deadline-ms", "nan"]) == 2
+    assert "deadline must be" in capsys.readouterr().err
+
+
+def test_serve_fleet_non_finite_tenant_limit_exits_2(capsys):
+    """A NaN burst used to shed every job at the dispatcher and still
+    print ``serve: ok``."""
+    assert main(["serve", "--fleet", "2", "--benchmark", "aes",
+                 "--jobs", "100", "--rate", "200", "--virtual",
+                 "--scale", "0.05", "--seed", "1",
+                 "--tenants", "a:rate=10:burst=nan"]) == 2
+    assert "burst must be finite" in capsys.readouterr().err
+
+
+def test_serve_unknown_backend_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--benchmark", "cjpeg", "--jobs", "1",
+              "--backend", "batch"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'batch'" in capsys.readouterr().err
+
+
 def test_report_export_trace_requires_run_dir(capsys):
     assert main(["report", "--export-trace", "out.json"]) == 2
     assert "needs a captured run" in capsys.readouterr().err

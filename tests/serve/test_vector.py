@@ -1,11 +1,13 @@
 """Differential tests: the vectorized decision plane vs the scalar
-reference engine.
+reference machine.
 
-Every test here serves the *same* jobs through both engines and
-demands bit-identity on the :func:`repro.serve.virtual_outcomes`
-canonical form — not approximate equality.  The epoch engine's whole
-contract is that vectorization is an implementation detail invisible
-in the results.
+Every test here serves the *same* jobs twice — through
+:func:`repro.serve.serve_stream`, which decides epochs wherever they
+are eligible, and through the scalar state machine driven directly
+(``offer`` per job, then ``drain``) — and demands bit-identity on the
+:func:`repro.serve.virtual_outcomes` canonical form, not approximate
+equality.  The epoch engine's whole contract is that vectorization is
+an implementation detail invisible in the results.
 """
 
 import math
@@ -26,13 +28,12 @@ from repro.dvfs import (
     TableBasedController,
 )
 from repro.experiments import make_controller, tech_context
-from repro.rtl import set_default_backend
+from repro.rtl import BACKENDS, set_default_backend
 from repro.serve import (
     COMPLETED,
     FALLBACK,
     SHED,
     AcceleratorStream,
-    FleetConfig,
     RecordPredictor,
     ServeConfig,
     SlicePredictor,
@@ -41,6 +42,7 @@ from repro.serve import (
     serve_streams,
     virtual_outcomes,
 )
+from repro.serve.server import _check_result
 from repro.serve.stream import (
     burst_arrivals,
     poisson_arrivals,
@@ -80,8 +82,21 @@ def controller_for(kind, levels, boost=False):
     raise AssertionError(kind)
 
 
-def run_engine(levels, kind, engine, jobs, *, boost=False,
+def serve_scalar(stream, jobs):
+    """The reference: the scalar machine driven job by job, then held
+    to the same strict-mode checks as a served stream."""
+    for sjob in jobs:
+        stream.offer(sjob)
+    stream.drain()
+    result = stream.result()
+    _check_result(stream, result)
+    return result
+
+
+def run_stream(levels, kind, jobs, *, scalar=False, boost=False,
                energy_model=None, predictor="record", **config):
+    """Serve ``jobs`` (epochs where eligible), or with ``scalar`` run
+    the reference machine."""
     controller = controller_for(kind, levels, boost=boost)
     model = energy_model if energy_model is not None \
         else FlatEnergyModel()
@@ -90,16 +105,16 @@ def run_engine(levels, kind, engine, jobs, *, boost=False,
         "diff", controller, model, slice_energy_model=model,
         predictor=(RecordPredictor() if predictor == "record"
                    else predictor),
-        config=ServeConfig(engine=engine, **config))
-    result = serve_stream(stream, jobs)
+        config=ServeConfig(**config))
+    result = (serve_scalar(stream, jobs) if scalar
+              else serve_stream(stream, jobs))
     return stream, result
 
 
 def assert_engines_identical(levels, kind, jobs, **kwargs):
-    s_stream, s_result = run_engine(levels, kind, "scalar", jobs,
+    s_stream, s_result = run_stream(levels, kind, jobs, scalar=True,
                                     **kwargs)
-    v_stream, v_result = run_engine(levels, kind, "auto", jobs,
-                                    **kwargs)
+    v_stream, v_result = run_stream(levels, kind, jobs, **kwargs)
     assert s_stream.epoch_log == []
     assert virtual_outcomes(s_result) == virtual_outcomes(v_result)
     assert s_result.n_offered == v_result.n_offered
@@ -178,18 +193,18 @@ def test_reactive_controller_never_vectorizes(asic_levels):
     jobs = stream_from_records(
         records, poisson_arrivals(100.0, n_jobs=120, seed=9))
 
-    def run(engine):
+    def make():
         controller = PidController(asic_levels, DVFS_SWITCH_TIME,
                                    gains=PidGains(0.4, 0.1, 0.05))
         model = FlatEnergyModel()
-        stream = AcceleratorStream(
+        return AcceleratorStream(
             "pid", controller, model, slice_energy_model=model,
             predictor=RecordPredictor(),
-            config=ServeConfig(deadline=DEADLINE, engine=engine))
-        return stream, serve_stream(stream, jobs)
+            config=ServeConfig(deadline=DEADLINE))
 
-    s_stream, s_result = run("scalar")
-    v_stream, v_result = run("auto")
+    s_result = serve_scalar(make(), jobs)
+    v_stream = make()
+    v_result = serve_stream(v_stream, jobs)
     assert v_stream.epoch_log == []
     assert virtual_outcomes(s_result) == virtual_outcomes(v_result)
 
@@ -199,7 +214,7 @@ def test_prediction_budget_disables_epochs(asic_levels, records):
     replayed batch-equivalently: the engine must decline."""
     jobs = stream_from_records(
         records, poisson_arrivals(100.0, n_jobs=len(records), seed=3))
-    stream, _ = run_engine(asic_levels, "predictive", "auto", jobs,
+    stream, _ = run_stream(asic_levels, "predictive", jobs,
                            prediction_budget=10.0)
     assert stream.epoch_log == []
 
@@ -221,8 +236,7 @@ def test_epoch_log_conserves_and_checks_clean(asic_levels):
     records = spiky_records(asic_levels, n=500, seed=15)
     jobs = stream_from_records(
         records, poisson_arrivals(150.0, n_jobs=500, seed=16))
-    stream, result = run_engine(asic_levels, "predictive", "auto",
-                                jobs)
+    stream, result = run_stream(asic_levels, "predictive", jobs)
     assert stream.epoch_log
     assert check_epochs(result, stream.epoch_log) == []
     covered = sum(n for _, n in stream.epoch_log)
@@ -243,8 +257,7 @@ def test_epoch_decision_latency_amortized(asic_levels):
     records = spiky_records(asic_levels, n=200, seed=17)
     jobs = stream_from_records(
         records, poisson_arrivals(100.0, n_jobs=200, seed=18))
-    stream, result = run_engine(asic_levels, "predictive", "auto",
-                                jobs)
+    stream, result = run_stream(asic_levels, "predictive", jobs)
     assert stream.epoch_log
     by_index = {o.index: o for o in result.outcomes}
     for first, count in stream.epoch_log:
@@ -254,24 +267,6 @@ def test_epoch_decision_latency_amortized(asic_levels):
         assert latencies.pop() > 0.0
 
 
-def test_default_engine_is_auto(asic_levels, records):
-    jobs = stream_from_records(
-        records, poisson_arrivals(100.0, n_jobs=len(records), seed=1))
-    assert ServeConfig().engine == FleetConfig().engine == "auto"
-    stream, _ = run_engine(asic_levels, "predictive", "scalar", jobs)
-    assert stream.epoch_log == []
-    stream, _ = run_engine(asic_levels, "predictive", "auto", jobs)
-    assert stream.epoch_log
-
-
-def test_bad_engine_config_rejected():
-    for engine in ("simd", "vector"):
-        with pytest.raises(ValueError):
-            ServeConfig(engine=engine)
-        with pytest.raises(ValueError):
-            FleetConfig(engine=engine)
-
-
 def test_strict_mode_covers_vector_engine(asic_levels, monkeypatch):
     """REPRO_CHECK=strict replays vector-engine results through the
     stream checker *and* the epoch checker without violations."""
@@ -279,8 +274,7 @@ def test_strict_mode_covers_vector_engine(asic_levels, monkeypatch):
     records = stream_records(asic_levels, n=200)
     jobs = stream_from_records(
         records, poisson_arrivals(150.0, n_jobs=200, seed=21))
-    stream, result = run_engine(asic_levels, "predictive", "auto",
-                                jobs)
+    stream, result = run_stream(asic_levels, "predictive", jobs)
     assert stream.epoch_log
     assert result.n_offered == 200
 
@@ -302,20 +296,15 @@ class InvalidEveryFifth:
 
 class CountingPredictor:
     """Delegates to ``inner``, counting how often each job index
-    reaches it: once per ``predict`` call or ``predict_batch`` row."""
+    reaches it."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.batch_capable = getattr(inner, "batch_capable", False)
         self.calls = Counter()
 
     def predict(self, sjob):
         self.calls[sjob.index] += 1
         return self.inner.predict(sjob)
-
-    def predict_batch(self, sjobs):
-        self.calls.update(sjob.index for sjob in sjobs)
-        return self.inner.predict_batch(sjobs)
 
 
 def assert_every_fifth_falls_back(result):
@@ -354,31 +343,6 @@ def test_invalid_record_predictions_fall_back_in_both_engines(
     assert_every_fifth_falls_back(result)
 
 
-class FailingBatch:
-    """Batch-capable, but every batch step fails; per job it replays
-    the record's prediction."""
-
-    batch_capable = True
-
-    def predict_batch(self, sjobs):
-        raise RuntimeError("batch step failed")
-
-    def predict(self, sjob):
-        return sjob.record.predicted_cycles, sjob.record.slice_cycles
-
-
-def test_failed_batch_degrades_per_job_in_both_engines(asic_levels):
-    """A failed batch step degrades to per-job prediction inside an
-    epoch too, instead of declining the epoch."""
-    records = spiky_records(asic_levels, n=150, seed=10)
-    jobs = stream_from_records(
-        records, poisson_arrivals(100.0, n_jobs=150, seed=12))
-    stream, result = assert_engines_identical(
-        asic_levels, "predictive", jobs, predictor=FailingBatch())
-    assert stream.epoch_log
-    assert result.n_completed == result.n_offered
-
-
 @pytest.fixture
 def cjpeg(shared_bundle):
     """The cjpeg bundle at scale 0.05 and its ASIC context."""
@@ -386,24 +350,26 @@ def cjpeg(shared_bundle):
     return bundle, tech_context(bundle, tech="asic")
 
 
-def slice_stream(cjpeg, engine, predictor, **config):
+def slice_stream(cjpeg, predictor, **config):
     _, ctx = cjpeg
     return AcceleratorStream(
         "cjpeg", make_controller(ctx, "prediction"), ctx.energy_model,
         ctx.slice_energy_model, predictor=predictor,
         config=ServeConfig(deadline=ctx.config.deadline,
-                           t_switch=ctx.config.t_switch, engine=engine,
-                           **config))
+                           t_switch=ctx.config.t_switch, **config))
 
 
-def serve_live(cjpeg, engine, jobs, **config):
-    """Serve ``jobs`` predicting with a counted live slice."""
+def serve_live(cjpeg, jobs, scalar=False, **config):
+    """Serve ``jobs`` predicting with a counted live slice; ``scalar``
+    runs the reference machine."""
     predictor = CountingPredictor(SlicePredictor(cjpeg[0].package))
-    stream = slice_stream(cjpeg, engine, predictor, **config)
-    return stream, serve_stream(stream, jobs), predictor
+    stream = slice_stream(cjpeg, predictor, **config)
+    result = (serve_scalar(stream, jobs) if scalar
+              else serve_stream(stream, jobs))
+    return stream, result, predictor
 
 
-@pytest.fixture(params=["stepjit", "batch"])
+@pytest.fixture(params=BACKENDS)
 def slice_backend(request):
     set_default_backend(request.param)
     yield request.param
@@ -418,13 +384,12 @@ def test_live_slice_epochs_predict_each_job_once(cjpeg, slice_backend):
     jobs = build_stream_jobs(
         cjpeg[0], poisson_arrivals(60.0, n_jobs=120, seed=3),
         with_inputs=True)
-    _, scalar, _ = serve_live(cjpeg, "scalar", jobs)
-    stream, result, predictor = serve_live(cjpeg, "auto", jobs)
+    _, scalar, _ = serve_live(cjpeg, jobs, scalar=True)
+    stream, result, predictor = serve_live(cjpeg, jobs)
     assert len(stream.epoch_log) > 1
     assert sum(n for _, n in stream.epoch_log) < len(jobs)
     assert virtual_outcomes(result) == virtual_outcomes(scalar)
     assert predictor.calls == Counter(range(len(jobs)))
-    assert predictor.inner.batch_capable == (slice_backend == "batch")
     assert stream._kept == {}
 
 
@@ -434,9 +399,8 @@ def test_live_slice_speculation_into_shed_jobs(cjpeg):
     jobs = build_stream_jobs(
         cjpeg[0], burst_arrivals(60.0, duration=3.0, seed=5),
         with_inputs=True)
-    _, scalar, _ = serve_live(cjpeg, "scalar", jobs, queue_depth=2)
-    stream, result, predictor = serve_live(cjpeg, "auto", jobs,
-                                           queue_depth=2)
+    _, scalar, _ = serve_live(cjpeg, jobs, scalar=True, queue_depth=2)
+    stream, result, predictor = serve_live(cjpeg, jobs, queue_depth=2)
     assert virtual_outcomes(result) == virtual_outcomes(scalar)
     shed = [o.index for o in result.outcomes if o.status == SHED]
     assert any(predictor.calls[i] for i in shed)
@@ -462,7 +426,7 @@ def test_shared_slice_predictor_matches_fresh_per_stream(cjpeg):
     def serve_pair(shared):
         one = SlicePredictor(bundle.package)
         return serve_streams([
-            (slice_stream(cjpeg, "auto",
+            (slice_stream(cjpeg,
                           one if shared else SlicePredictor(
                               bundle.package)), jobs)
             for jobs in (jobs_a, jobs_b)])
