@@ -23,7 +23,7 @@ See ``examples/`` for runnable scenarios and ``repro.experiments`` for
 the paper's tables and figures.
 """
 
-from .accelerators import AcceleratorDesign, JobInput, all_designs, get_design
+from .accelerators import AcceleratorDesign, JobInput, get_design
 from .analysis import FeatureMatrix, FeatureSet, FeatureSpec, discover_features
 from .dvfs import (
     ConstantFrequencyController,
@@ -55,7 +55,7 @@ __all__ = [
     "FlowConfig", "Fsm", "GeneratedPredictor", "HardwareSlice", "JobInput",
     "LevelTable", "LinearPredictor", "Module", "OperatingPoint",
     "OracleController", "PidController", "PredictiveController",
-    "Simulation", "Task", "TrainingConfig", "all_designs",
+    "Simulation", "Task", "TrainingConfig",
     "build_job_records", "build_level_table", "build_slice",
     "discover_features", "fit_predictor", "generate_predictor",
     "get_design", "run_episode", "synthesize", "workload_for",

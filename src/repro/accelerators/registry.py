@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import Dict, Type
 
 from .aes import AesAccelerator
 from .base import AcceleratorDesign
@@ -30,8 +30,3 @@ def get_design(name: str) -> AcceleratorDesign:
         raise KeyError(
             f"unknown accelerator {name!r}; choose from {ALL_DESIGNS}"
         ) from None
-
-
-def all_designs() -> List[AcceleratorDesign]:
-    """Instantiate every benchmark accelerator."""
-    return [get_design(name) for name in ALL_DESIGNS]

@@ -30,7 +30,6 @@ from .golden import (
     FIELD_REL_TOL,
     GOLDEN_SCHEMA_VERSION,
     canonical_episode,
-    canonical_summaries,
     diff_against_golden,
     diff_canonical,
     golden_path,
@@ -66,7 +65,7 @@ __all__ = [
     "CANONICAL_SIG_DIGITS", "DEFAULT_REL_TOL", "FIELD_REL_TOL",
     "GOLDEN_SCHEMA_VERSION", "InvariantError", "InvariantViolation",
     "MUTATIONS", "SCHEME_CAPS", "STREAM_MUTATIONS", "SchemeCaps",
-    "apply_mutation", "canonical_episode", "canonical_summaries",
+    "apply_mutation", "canonical_episode",
     "capabilities_for", "check_episode", "check_epochs", "check_fleet",
     "check_run_dir", "check_stream", "diff_against_golden",
     "diff_canonical",

@@ -26,10 +26,9 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from ..runtime.episode import EpisodeResult
-from ..runtime.stats import SchemeSummary
 
 #: Bump when the canonical layout changes; a version mismatch is
 #: reported as a single explained diff instead of field-level noise.
@@ -88,21 +87,6 @@ def canonical_episode(result: EpisodeResult,
             for i, o in enumerate(result.outcomes)
         ],
     }
-
-
-def canonical_summaries(summaries: Sequence[SchemeSummary],
-                        digits: int = CANONICAL_SIG_DIGITS) -> List[Dict]:
-    """Render scheme-summary tables (flow output) canonically."""
-    return [
-        {
-            "benchmark": s.benchmark,
-            "scheme": s.scheme,
-            "normalized_energy_pct": round_sig(s.normalized_energy_pct,
-                                               digits),
-            "miss_rate_pct": round_sig(s.miss_rate_pct, digits),
-        }
-        for s in summaries
-    ]
 
 
 def _leaf_tolerance(field: str) -> float:

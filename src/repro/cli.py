@@ -19,7 +19,7 @@ Commands:
   (``--golden-dir tests/golden``, regenerate with ``--update-golden``);
 * ``conform --seeds N`` — sweep sampled accelerators from
   :mod:`repro.gen` through the differential conformance battery:
-  three-backend bit-for-bit agreement, offline-flow training, episode
+  backend bit-for-bit agreement, offline-flow training, episode
   invariants on ASIC and FPGA, and adversarial served streams;
 * ``serve --benchmark <name> --rate R --duration S`` — run the online
   serving runtime: seeded arrival streams over one or more
@@ -212,25 +212,27 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _run_experiment(exp_id: str, scale: Optional[float]):
+    """Run one registered experiment; return its result and text."""
     import importlib
 
+    module = importlib.import_module(
+        f"repro.experiments.{EXPERIMENTS[exp_id]}")
+    kwargs = {"tech": "fpga"} if exp_id == "fig17" else {}
+    result = module.run(scale=scale, **kwargs)
+    return result, module.to_text(result, **kwargs)
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
     exp_id = args.id
     if exp_id not in EXPERIMENTS:
         print(f"unknown experiment {exp_id!r}; valid ids: "
               f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    module = importlib.import_module(
-        f"repro.experiments.{EXPERIMENTS[exp_id]}")
-    kwargs = {"tech": "fpga"} if exp_id == "fig17" else {}
     _apply_perf_opts(args)
     with _maybe_observe(args, f"experiment {exp_id}") as obs:
         _maybe_prewarm(_EXPERIMENT_BENCHMARKS.get(exp_id), args.scale)
-        result = module.run(scale=args.scale, **kwargs)
-        if exp_id == "fig17":
-            print(module.to_text(result, tech="fpga"))
-        else:
-            print(module.to_text(result))
+        print(_run_experiment(exp_id, args.scale)[1])
         if obs is not None:
             _print_stage_timings(obs, args.run_dir)
     _print_cache_stats()
@@ -288,7 +290,6 @@ def _cmd_wave(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     """Render a captured run directory, or (without one) run every
     registered experiment and write one markdown report."""
-    import importlib
     import time
 
     if args.run:
@@ -325,12 +326,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 print(f"skipping unknown experiment {exp_id!r}",
                       file=sys.stderr)
                 continue
-            module = importlib.import_module(
-                f"repro.experiments.{EXPERIMENTS[exp_id]}")
-            kwargs = {"tech": "fpga"} if exp_id == "fig17" else {}
-            result = module.run(scale=args.scale, **kwargs)
-            text = (module.to_text(result, tech="fpga")
-                    if exp_id == "fig17" else module.to_text(result))
+            result, text = _run_experiment(exp_id, args.scale)
             if exp_id == "fig11":
                 from .experiments.charts import fig11_chart
                 text += "\n\n" + fig11_chart(result)
@@ -377,14 +373,10 @@ def _cmd_conform(args: argparse.Namespace) -> int:
     report one status line per design; exit 1 on any failing check."""
     from .gen import run_conformance
 
-    seeds = (args.seed_list if args.seed_list is not None
-             else args.seeds)
     _apply_perf_opts(args)
     failures = 0
     with _maybe_observe(args, "conform") as obs:
-        reports = run_conformance(seeds, complexity=args.complexity,
-                                  n_train=args.train_jobs,
-                                  n_test=args.test_jobs)
+        reports = run_conformance(args.seeds, complexity=args.complexity)
         if obs is not None:
             _print_stage_timings(obs, args.run_dir)
     for report in reports:
@@ -544,26 +536,9 @@ def _smoke_stream(ctx):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the online serving runtime over live job streams."""
-    from .check import check_stream
-    from .experiments.runner import (
-        ALL_SCHEMES,
-        bundle_for,
-        make_controller,
-        tech_context,
-    )
-    from .serve import (
-        AcceleratorStream,
-        LoadReport,
-        RecordPredictor,
-        ServeConfig,
-        SlicePredictor,
-        build_stream_jobs,
-        burst_arrivals,
-        poisson_arrivals,
-        serve_streams,
-    )
-    from .units import MS
+    """Run the online serving runtime: one independent stream per
+    benchmark, or (``--fleet N``) one mixed stream over a pool."""
+    from .experiments.runner import ALL_SCHEMES
     from .workloads import ALL_BENCHMARKS
 
     for name in args.benchmark:
@@ -575,71 +550,135 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"unknown scheme {args.scheme!r}; valid: "
               f"{', '.join(ALL_SCHEMES)}", file=sys.stderr)
         return 2
-    duration, n_jobs = args.duration, args.n_jobs
-    if duration is None and n_jobs is None:
-        duration = 2.0
-    _apply_perf_opts(args)
-    if args.fleet is not None:
-        return _serve_fleet_cli(args, duration, n_jobs)
-    specs = []
+    if args.fleet is not None and args.fleet < len(args.benchmark):
+        print(f"--fleet {args.fleet} cannot cover {len(args.benchmark)} "
+              "benchmarks (each needs at least one instance)",
+              file=sys.stderr)
+        return 2
+    slo_specs = []
     if args.slo:
         from .obs import parse_slo
         try:
-            specs = [parse_slo(text) for text in args.slo]
+            slo_specs = [parse_slo(text) for text in args.slo]
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-
-    failures = 0
+    _apply_perf_opts(args)
+    if args.fleet is None:
+        setup, command = _serve_streams, "serve "
+    else:
+        setup, command = _serve_fleet, "serve --fleet "
     slo_exhausted = False
-    with _maybe_observe(args, "serve " + " ".join(args.benchmark),
-                        force=bool(specs)) as obs:
+    with _maybe_observe(args, command + " ".join(args.benchmark),
+                        force=bool(slo_specs)) as obs:
         if obs is not None:
             if args.slo_window_ms is not None:
                 from .obs import TimeSeriesRegistry
                 obs.timeseries = TimeSeriesRegistry(
                     window_s=args.slo_window_ms * 1e-3)
-            if specs:
+            if slo_specs:
                 from .obs import SloTracker
-                obs.slo = SloTracker(specs)
-        streams = []
-        for i, bench in enumerate(args.benchmark):
-            bundle = bundle_for(bench, args.scale)
-            ctx = tech_context(bundle, tech=args.tech)
-            controller = make_controller(ctx, args.scheme)
-            predictor = (SlicePredictor(bundle.package)
-                         if args.predictor == "slice"
-                         else RecordPredictor())
-            try:
-                config = ServeConfig(
-                    deadline=(args.deadline_ms * MS
-                              if args.deadline_ms is not None
-                              else ctx.config.deadline),
-                    t_switch=ctx.config.t_switch,
-                    queue_depth=args.queue_depth,
-                    batch_max=args.batch,
-                    prediction_budget=(args.prediction_budget_ms * MS
-                                       if args.prediction_budget_ms
-                                       is not None else None),
-                )
-            except ValueError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-            if args.arrival == "burst":
-                arrivals = burst_arrivals(
-                    args.rate, duration if duration is not None
-                    else n_jobs / args.rate, seed=args.seed + i)
-            else:
-                arrivals = poisson_arrivals(
-                    args.rate, duration=duration, n_jobs=n_jobs,
-                    seed=args.seed + i)
-            jobs = build_stream_jobs(
-                bundle, arrivals,
-                with_inputs=(args.predictor == "slice"))
-            streams.append((AcceleratorStream(
-                bench, controller, ctx.energy_model,
-                ctx.slice_energy_model, predictor=predictor,
-                config=config), jobs))
+                obs.slo = SloTracker(slo_specs)
+        try:
+            serve = setup(args)
+        except ValueError as exc:  # a bad flag value, named
+            print(str(exc), file=sys.stderr)
+            return 2
+        failures = serve(obs)
+        if obs is not None and obs.slo is not None:
+            print("slo:")
+            print(obs.slo.describe())
+            slo_exhausted = obs.slo.exhausted
+        if obs is not None and (args.profile or args.run_dir):
+            _print_stage_timings(obs, args.run_dir)
+    _print_cache_stats()
+    print("serve: " + ("ok" if failures == 0
+                       else f"{failures} violation(s)")
+          + (", slo budget exhausted" if slo_exhausted else ""))
+    if failures:
+        return 1
+    return 3 if slo_exhausted else 0
+
+
+def _serve_config(args: argparse.Namespace, ctx, **extra):
+    """The ``ServeConfig`` the serve flags give one stream or shard.
+
+    Raises ``ValueError``, naming the field, on a bad value.
+    """
+    from .serve import ServeConfig
+    from .units import MS
+
+    return ServeConfig(
+        deadline=(args.deadline_ms * MS if args.deadline_ms is not None
+                  else ctx.config.deadline),
+        t_switch=ctx.config.t_switch,
+        queue_depth=args.queue_depth,
+        batch_max=args.batch,
+        **extra)
+
+
+def _arrivals(args: argparse.Namespace, seed: int) -> List[float]:
+    """The arrival instants of ``--arrival`` at ``--rate``, bounded by
+    ``--jobs`` or ``--duration`` (default 2 s).
+
+    Raises ``ValueError``, naming the argument, on a bad value.
+    """
+    from .serve import burst_arrivals, poisson_arrivals
+
+    duration, n_jobs = args.duration, args.n_jobs
+    if duration is None and n_jobs is None:
+        duration = 2.0
+    if args.arrival == "poisson":
+        return poisson_arrivals(args.rate, duration=duration,
+                                n_jobs=n_jobs, seed=seed)
+    if duration is None:  # burst_arrivals names a bad rate itself
+        duration = n_jobs / args.rate if args.rate > 0.0 else 0.0
+    return burst_arrivals(args.rate, duration, seed=seed)
+
+
+def _serve_streams(args: argparse.Namespace):
+    """Set up one independent stream per benchmark.
+
+    Returns the callable that serves them, prints each stream's
+    violations and report, and returns the violation count.
+    """
+    from .check import check_stream
+    from .experiments.runner import (
+        bundle_for,
+        make_controller,
+        tech_context,
+    )
+    from .serve import (
+        AcceleratorStream,
+        LoadReport,
+        RecordPredictor,
+        SlicePredictor,
+        build_stream_jobs,
+        serve_streams,
+    )
+    from .units import MS
+
+    budget = (args.prediction_budget_ms * MS
+              if args.prediction_budget_ms is not None else None)
+    streams = []
+    for i, bench in enumerate(args.benchmark):
+        bundle = bundle_for(bench, args.scale)
+        ctx = tech_context(bundle, tech=args.tech)
+        controller = make_controller(ctx, args.scheme)
+        predictor = (SlicePredictor(bundle.package)
+                     if args.predictor == "slice"
+                     else RecordPredictor())
+        config = _serve_config(args, ctx, prediction_budget=budget)
+        jobs = build_stream_jobs(
+            bundle, _arrivals(args, args.seed + i),
+            with_inputs=(args.predictor == "slice"))
+        streams.append((AcceleratorStream(
+            bench, controller, ctx.energy_model,
+            ctx.slice_energy_model, predictor=predictor,
+            config=config), jobs))
+
+    def serve(obs) -> int:
+        failures = 0
         results = serve_streams(streams, realtime=not args.virtual)
         for (stream, _), result in zip(streams, results):
             violations = check_stream(
@@ -658,31 +697,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             report = LoadReport.from_result(result, mode="open",
                                             offered_rate=args.rate)
             print(report.describe())
-        if obs is not None and obs.slo is not None:
-            print("slo:")
-            print(obs.slo.describe())
-            slo_exhausted = obs.slo.exhausted
-        if obs is not None and (args.profile or args.run_dir):
-            _print_stage_timings(obs, args.run_dir)
-    _print_cache_stats()
-    print("serve: " + ("ok" if failures == 0
-                       else f"{failures} violation(s)")
-          + (", slo budget exhausted" if slo_exhausted else ""))
-    if failures:
-        return 1
-    return 3 if slo_exhausted else 0
+        return failures
+
+    return serve
 
 
-def _serve_fleet_cli(args: argparse.Namespace, duration, n_jobs) -> int:
-    """The ``serve --fleet N`` path: one mixed stream over a pool.
+def _serve_fleet(args: argparse.Namespace):
+    """Set up the ``--fleet N`` pool and its one mixed stream.
 
-    Pool instances are spread round-robin across the listed
-    benchmarks (each instance serves exactly one benchmark — the pool
-    is heterogeneous), the dispatcher routes the interleaved stream by
-    ``--policy``, and shard execution fans out over ``--workers``
-    processes.  Fleet serving runs on the virtual clock and replays
-    precomputed predictions (a live slice simulation does not cross
-    the process boundary).
+    Instances spread round-robin over the listed benchmarks, one
+    benchmark each; the dispatcher routes by ``--policy`` and shards
+    fan out over ``--workers`` processes.  The fleet runs on the
+    virtual clock and replays precomputed predictions (a live slice
+    does not cross the process boundary).  Returns the callable that
+    serves the stream, prints its reports and returns the violation
+    count.
     """
     from .check import check_fleet
     from .experiments.runner import (
@@ -694,96 +723,42 @@ def _serve_fleet_cli(args: argparse.Namespace, duration, n_jobs) -> int:
         FleetConfig,
         LoadReport,
         RecordPredictor,
-        ServeConfig,
         ShardSpec,
         build_mixed_stream,
-        burst_arrivals,
         parse_tenants,
-        poisson_arrivals,
         serve_fleet,
     )
-    from .units import MS
 
     benchmarks = list(args.benchmark)
-    if args.fleet < len(benchmarks):
-        print(f"--fleet {args.fleet} cannot cover {len(benchmarks)} "
-              "benchmarks (each needs at least one instance)",
-              file=sys.stderr)
-        return 2
-    try:
-        tenants = parse_tenants(args.tenants)
-        config = FleetConfig(policy=args.policy,
-                             global_depth=args.global_depth,
-                             elastic=args.elastic,
-                             strict=False)  # checked explicitly below
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    slo_specs = []
-    if args.slo:
-        from .obs import parse_slo
-        try:
-            slo_specs = [parse_slo(text) for text in args.slo]
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+    tenants = parse_tenants(args.tenants)
+    config = FleetConfig(policy=args.policy,
+                         global_depth=args.global_depth,
+                         elastic=args.elastic,
+                         strict=False)  # checked explicitly below
+    bundles = {}
+    contexts = {}
+    for bench in benchmarks:
+        bundles[bench] = bundle_for(bench, args.scale)
+        contexts[bench] = tech_context(bundles[bench], tech=args.tech)
+    specs = []
+    for i in range(args.fleet):
+        bench = benchmarks[i % len(benchmarks)]
+        ctx = contexts[bench]
+        specs.append(ShardSpec(
+            name=f"{bench}#{i}", benchmark=bench,
+            controller=make_controller(ctx, args.scheme),
+            energy_model=ctx.energy_model,
+            slice_energy_model=ctx.slice_energy_model,
+            predictor=RecordPredictor(),
+            config=_serve_config(args, ctx)))
+    jobs = build_mixed_stream(
+        bundles, _arrivals(args, args.seed), seed=args.seed,
+        tenants=[t.name for t in tenants])
 
-    failures = 0
-    slo_exhausted = False
-    with _maybe_observe(args, "serve --fleet "
-                        + " ".join(benchmarks),
-                        force=bool(slo_specs)) as obs:
-        if obs is not None:
-            if args.slo_window_ms is not None:
-                from .obs import TimeSeriesRegistry
-                obs.timeseries = TimeSeriesRegistry(
-                    window_s=args.slo_window_ms * 1e-3)
-            if slo_specs:
-                from .obs import SloTracker
-                obs.slo = SloTracker(slo_specs)
-        bundles = {}
-        contexts = {}
-        for bench in benchmarks:
-            bundles[bench] = bundle_for(bench, args.scale)
-            contexts[bench] = tech_context(bundles[bench],
-                                           tech=args.tech)
-        specs = []
-        for i in range(args.fleet):
-            bench = benchmarks[i % len(benchmarks)]
-            ctx = contexts[bench]
-            try:
-                shard_config = ServeConfig(
-                    deadline=(args.deadline_ms * MS
-                              if args.deadline_ms is not None
-                              else ctx.config.deadline),
-                    t_switch=ctx.config.t_switch,
-                    queue_depth=args.queue_depth,
-                    batch_max=args.batch,
-                )
-            except ValueError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-            specs.append(ShardSpec(
-                name=f"{bench}#{i}", benchmark=bench,
-                controller=make_controller(ctx, args.scheme),
-                energy_model=ctx.energy_model,
-                slice_energy_model=ctx.slice_energy_model,
-                predictor=RecordPredictor(),
-                config=shard_config))
-        if args.arrival == "burst":
-            arrivals = burst_arrivals(
-                args.rate, duration if duration is not None
-                else n_jobs / args.rate, seed=args.seed)
-        else:
-            arrivals = poisson_arrivals(
-                args.rate, duration=duration, n_jobs=n_jobs,
-                seed=args.seed)
-        jobs = build_mixed_stream(
-            bundles, arrivals, seed=args.seed,
-            tenants=[t.name for t in tenants])
+    def serve(obs) -> int:
         result = serve_fleet(specs, jobs, config=config,
                              tenants=tenants, workers=args.workers)
-        for spec, shard in zip(result.specs, result.shards):
+        for shard in result.shards:
             print(LoadReport.from_result(shard, mode="open").describe())
         print(result.describe())
         for tenant, row in sorted(result.tenant_summary().items()):
@@ -793,7 +768,6 @@ def _serve_fleet_cli(args: argparse.Namespace, duration, n_jobs) -> int:
         violations = check_fleet(result)
         for violation in violations:
             print(f"VIOLATION: fleet/{result.policy} {violation}")
-        failures += len(violations)
         if obs is not None:
             # The per-shard serve counters reach this (parent) registry
             # through the pool's snapshot ship-back; printing them here
@@ -806,19 +780,9 @@ def _serve_fleet_cli(args: argparse.Namespace, duration, n_jobs) -> int:
                   f"shed={counters.get('serve.shed', 0):.0f} "
                   "dropped="
                   f"{counters.get('pool.dropped_observers', 0):.0f}")
-        if obs is not None and obs.slo is not None:
-            print("slo:")
-            print(obs.slo.describe())
-            slo_exhausted = obs.slo.exhausted
-        if obs is not None and (args.profile or args.run_dir):
-            _print_stage_timings(obs, args.run_dir)
-    _print_cache_stats()
-    print("serve: " + ("ok" if failures == 0
-                       else f"{failures} violation(s)")
-          + (", slo budget exhausted" if slo_exhausted else ""))
-    if failures:
-        return 1
-    return 3 if slo_exhausted else 0
+        return len(violations)
+
+    return serve
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -953,15 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=10, metavar="N",
                    help="number of sampler seeds to sweep, 0..N-1 "
                         "(default 10)")
-    p.add_argument("--seed-list", nargs="*", type=int, default=None,
-                   metavar="S", help="explicit seeds (overrides "
-                                     "--seeds)")
     p.add_argument("--complexity", choices=("small", "medium", "large"),
                    default="medium")
-    p.add_argument("--train-jobs", type=int, default=24,
-                   help="training workload size per design (default 24)")
-    p.add_argument("--test-jobs", type=int, default=12,
-                   help="test workload size per design (default 12)")
 
     p = sub.add_parser(
         "serve", parents=[obs_opts],

@@ -54,30 +54,3 @@ def build_job_records(design: AcceleratorDesign,
         ))
     return records
 
-
-def training_records(design: AcceleratorDesign,
-                     package: GeneratedPredictor,
-                     items: Sequence) -> List[JobRecord]:
-    """Records for the training set (used by table/PID tuning).
-
-    Training-time tools only need true cycles and coarse parameters, so
-    this reuses the recorded training matrix instead of re-simulating.
-    """
-    matrix = package.train_matrix
-    if matrix.n_jobs != len(items):
-        raise ValueError("training items do not match the recorded matrix")
-    records: List[JobRecord] = []
-    from ..dvfs.energy import JobActivity
-    for index, item in enumerate(items):
-        job = design.encode_job(item)
-        cycles = int(matrix.cycles[index])
-        records.append(JobRecord(
-            index=index,
-            actual_cycles=cycles,
-            activity=JobActivity(cycles=cycles),
-            features=matrix.x[index],
-            predicted_cycles=None,
-            slice_cycles=0,
-            coarse_param=job.coarse_param,
-        ))
-    return records

@@ -16,13 +16,32 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..runtime.trace import sparkline
 from .events import read_events
 from .runctx import EVENTS_NAME, MANIFEST_NAME
 from .slo import describe_slo_rows
 from .timeseries import TIMESERIES_NAME, TimeSeriesRegistry, WindowCell
 
 AggregateRows = Sequence[Tuple[str, Optional[str], int, int, float]]
+
+_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
+
+
+def sparkline(values: Sequence[float], width: int = 60) -> str:
+    """Render a numeric series as a unicode sparkline."""
+    data = list(values)
+    if not data:
+        return ""
+    if len(data) > width:  # downsample by striding
+        stride = len(data) / width
+        data = [data[int(i * stride)] for i in range(width)]
+    lo, hi = min(data), max(data)
+    if hi - lo < 1e-15:
+        return _SPARK_LEVELS[0] * len(data)
+    span = hi - lo
+    return "".join(
+        _SPARK_LEVELS[int((v - lo) / span * (len(_SPARK_LEVELS) - 1))]
+        for v in data
+    )
 
 
 def format_stage_table(rows: AggregateRows) -> str:

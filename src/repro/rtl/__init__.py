@@ -17,7 +17,6 @@ from .backend import (
     set_default_backend,
 )
 from .counter import Counter, down_counter, up_counter
-from .dot import netlist_to_dot
 from .idioms import ItemLoop
 from .lint import LintFinding, errors_only, lint_module
 from .expr import (
@@ -49,7 +48,6 @@ __all__ = [
     "BACKENDS", "BinOp", "Cell", "Const", "Counter",
     "DatapathBlock",
     "ItemLoop", "LintFinding", "VcdWriter", "errors_only", "lint_module",
-    "netlist_to_dot",
     "Expr", "Fsm", "Listener", "MemRead", "Memory", "Module", "Mux",
     "Netlist", "Port", "Provenance", "Reg", "RunResult", "Sig",
     "Simulation", "StepProgram", "StepSimulation", "Transition", "UnOp",

@@ -7,14 +7,10 @@ from .episode import (
     switch_window_energy,
 )
 from .jobs import JobOutcome, JobRecord, Task
-from .soc import AcceleratorStream, SocResult, run_soc
 from .stats import SchemeSummary, average_summaries, format_table, summarize
-from .trace import TracePoint, render_trace, sparkline, trace_episode
 
 __all__ = [
-    "AcceleratorStream", "EpisodeResult", "JobOutcome", "JobRecord",
-    "SchemeSummary", "SocResult", "Task", "TracePoint",
-    "average_summaries", "format_table", "render_trace", "run_episode",
-    "run_soc", "sparkline", "strict_checks_enabled", "summarize",
-    "switch_window_energy", "trace_episode",
+    "EpisodeResult", "JobOutcome", "JobRecord", "SchemeSummary", "Task",
+    "average_summaries", "format_table", "run_episode",
+    "strict_checks_enabled", "summarize", "switch_window_energy",
 ]

@@ -58,8 +58,8 @@ class JobOutcome:
     ``release`` and ``start`` pin the job to the wall clock as the
     episode runner computed it — carry-over from an overrunning
     predecessor makes ``start > release``.  Recording them here (once,
-    in ``run_episode``) is what lets ``trace_episode`` render the
-    timeline without re-deriving it.
+    in ``run_episode``) is what lets the invariant checker and the
+    golden traces read the timeline without re-deriving it.
     """
 
     job: JobRecord

@@ -5,9 +5,9 @@ runs it that way.  :mod:`~repro.serve.stream` turns the workload
 generators into seeded arrival processes, :mod:`~repro.serve.server`
 serves each accelerator stream through a bounded admission queue with
 micro-batched slice prediction and graceful fallback, and
-:mod:`~repro.serve.loadgen` measures it all open- or closed-loop.
-``repro serve`` fronts the package from the CLI; stream-level
-invariants live in :func:`repro.check.check_stream`.
+:mod:`~repro.serve.loadgen` reduces each served stream to a latency
+report.  ``repro serve`` fronts the package from the CLI;
+stream-level invariants live in :func:`repro.check.check_stream`.
 """
 
 from .fleet import (
@@ -29,7 +29,7 @@ from .fleet import (
     serve_fleet,
     virtual_outcomes,
 )
-from .loadgen import LoadReport, percentile, run_closed_loop, run_open_loop
+from .loadgen import LoadReport, percentile
 from .server import (
     COMPLETED,
     FALLBACK,
@@ -58,7 +58,6 @@ from .stream import (
     poisson_arrivals,
     split_by_deadline,
     stream_from_records,
-    trace_replay,
     vfr_arrivals,
 )
 
@@ -76,9 +75,9 @@ __all__ = [
     "build_stream_jobs",
     "burst_arrivals", "drive_stream_vectorized", "mixed_stream_jobs",
     "parse_tenants",
-    "percentile", "poisson_arrivals", "run_closed_loop",
-    "run_open_loop", "serve_fleet", "serve_stream", "serve_streams",
+    "percentile", "poisson_arrivals", "serve_fleet", "serve_stream",
+    "serve_streams",
     "split_by_deadline",
-    "stream_from_records", "trace_replay", "vfr_arrivals",
+    "stream_from_records", "vfr_arrivals",
     "virtual_outcomes",
 ]

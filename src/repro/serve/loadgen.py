@@ -1,29 +1,19 @@
-"""Load generation and latency reporting for the serving runtime.
+"""Latency reporting for the serving runtime.
 
-Two classic load shapes:
-
-* **open loop** — arrivals follow a fixed-rate process regardless of
-  how the server keeps up (clients do not wait for each other); this
-  is the shape that exposes queueing collapse and shedding;
-* **closed loop** — a fixed number of concurrent "clients" each submit
-  their next job the instant the previous one finishes (on the
-  virtual clock), so offered load self-adjusts to service capacity.
-
-Both produce a :class:`LoadReport`: offered/achieved rates, exact
-decision-latency percentiles (p50/p99/max over the recorded per-job
-wall-clock decisions), and fallback/shed/miss rates.
+A :class:`LoadReport` reduces one served stream to its headline
+numbers: offered/achieved rates, exact decision-latency percentiles
+(p50/p99/max over the recorded per-job wall-clock decisions), and
+fallback/shed/miss rates.  ``repro serve`` prints one per stream or
+fleet shard.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
-from ..runtime.jobs import JobRecord
-from .server import AcceleratorStream, StreamResult, serve_stream
-from .stream import StreamJob, poisson_arrivals, stream_from_records
+from .server import StreamResult
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -117,57 +107,3 @@ class LoadReport:
                 f"{self.p99_decision_ms:.3f} ms; "
                 f"{self.miss_rate * 100:.1f}% missed")
 
-
-def run_open_loop(stream: AcceleratorStream,
-                  records: Sequence[JobRecord],
-                  rate: float,
-                  duration: Optional[float] = None,
-                  n_jobs: Optional[int] = None,
-                  seed: int = 0,
-                  realtime: bool = False) -> LoadReport:
-    """Offer a Poisson stream at ``rate`` jobs/s and report."""
-    arrivals = poisson_arrivals(rate, duration=duration, n_jobs=n_jobs,
-                                seed=seed)
-    jobs = stream_from_records(records, arrivals)
-    result = serve_stream(stream, jobs, realtime=realtime)
-    return LoadReport.from_result(result, mode="open",
-                                  offered_rate=rate)
-
-
-def run_closed_loop(stream: AcceleratorStream,
-                    records: Sequence[JobRecord],
-                    n_jobs: int,
-                    concurrency: int = 1) -> LoadReport:
-    """Closed-loop generation: ``concurrency`` self-pacing clients.
-
-    Each client submits its next job the instant its previous one
-    finishes on the virtual clock, so arrivals adapt to service
-    capacity — offered rate converges to throughput and nothing
-    sheds unless ``concurrency`` exceeds the queue depth.  Runs on
-    the virtual clock only (a wall-paced closed loop would just
-    measure host speed).
-    """
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
-    # Client k's next submission instant, as a min-heap of
-    # (ready_time, client).  FIFO service keeps finishes monotone, so
-    # popping the earliest-ready client yields sorted arrivals.
-    ready = [(0.0, k) for k in range(concurrency)]
-    heapq.heapify(ready)
-    submitted = 0
-    while submitted < n_jobs:
-        arrival, client = heapq.heappop(ready)
-        record = replace(records[submitted % len(records)],
-                         index=submitted)
-        sjob = StreamJob(index=submitted, record=record,
-                         arrival=arrival)
-        stream.offer(sjob)
-        stream.drain()  # closed loop: the client waits for its finish
-        outcome = stream.outcomes[-1]
-        finish = outcome.finish if outcome.executed else arrival
-        heapq.heappush(ready, (max(finish, arrival), client))
-        submitted += 1
-    result = stream.result()
-    return LoadReport.from_result(result, mode="closed")

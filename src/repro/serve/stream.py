@@ -5,16 +5,17 @@ The offline flow evaluates controllers over a *batch* of
 period boundaries.  A serving runtime instead sees jobs *arrive*: the
 stream layer pins each record to an arrival instant drawn from a
 seeded arrival process — Poisson (open-loop steady traffic), bursty
-(on/off phases at the same average rate), a drifting variable frame
-rate, or the replay of a recorded trace — over the existing workload
-generators, so every stream is reproducible from ``(benchmark, scale,
-rate, seed)`` alone.  Orthogonal scenario knobs reorder job *sizes*
-adversarially (:func:`adversarial_order`) and split one record pool
-into mixed-deadline service classes (:func:`split_by_deadline`).
+(on/off phases at the same average rate) or a drifting variable
+frame rate — over the existing workload generators, so every stream
+is reproducible from ``(benchmark, scale, rate, seed)`` alone.
+Orthogonal scenario knobs reorder job *sizes* adversarially
+(:func:`adversarial_order`) and split one record pool into
+mixed-deadline service classes (:func:`split_by_deadline`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -49,8 +50,16 @@ class StreamJob:
     job_input: Optional["JobInput"] = None
 
     def __post_init__(self) -> None:
-        if self.arrival < 0.0:
-            raise ValueError("arrival time cannot be negative")
+        # Chained, so NaN fails too: a bare `< 0.0` test lets it by.
+        if not 0.0 <= self.arrival < math.inf:
+            raise ValueError("arrival time must be finite and "
+                             f"non-negative, got {self.arrival!r}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Reject a zero, negative, NaN or infinite ``value`` by name."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def poisson_arrivals(rate: float, duration: Optional[float] = None,
@@ -61,10 +70,13 @@ def poisson_arrivals(rate: float, duration: Optional[float] = None,
     Bounded by ``duration`` seconds or by ``n_jobs`` arrivals
     (exactly one must be given).  Deterministic in ``seed``.
     """
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
+    _require_positive("rate", rate)
     if (duration is None) == (n_jobs is None):
         raise ValueError("give exactly one of duration= or n_jobs=")
+    if duration is not None:
+        _require_positive("duration", duration)
+    elif n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs!r}")
     rng = np.random.default_rng(seed)
     times: List[float] = []
     now = 0.0
@@ -87,6 +99,8 @@ def burst_arrivals(rate: float, duration: float, seed: int = 0,
     ``rate``, but the instantaneous rate during a burst is
     ``1 / duty`` times higher — the admission-queue stress case.
     """
+    _require_positive("rate", rate)
+    _require_positive("duration", duration)
     if not 0.0 < duty <= 1.0:
         raise ValueError("duty must be in (0, 1]")
     if period <= 0.0:
@@ -123,8 +137,7 @@ def vfr_arrivals(rate: float, n_jobs: int, seed: int = 0,
     frame-deadline stress case Poisson smoothing never produces.
     Deterministic in ``seed``.
     """
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
+    _require_positive("rate", rate)
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
     if jitter < 0.0:
@@ -252,20 +265,6 @@ def split_by_deadline(records: Sequence[JobRecord],
             donor = max(names, key=lambda n: len(out[n]))
             out[name].append(out[donor].pop())
     return out
-
-
-def trace_replay(times: Sequence[float], speed: float = 1.0) -> List[float]:
-    """Replay a recorded arrival trace, optionally time-compressed.
-
-    ``speed > 1`` compresses the trace (arrivals come faster); the
-    result is sorted and validated so it can feed a stream directly.
-    """
-    if speed <= 0.0:
-        raise ValueError("speed must be positive")
-    replayed = sorted(float(t) / speed for t in times)
-    if replayed and replayed[0] < 0.0:
-        raise ValueError("trace contains negative arrival times")
-    return replayed
 
 
 def stream_from_records(records: Sequence[JobRecord],

@@ -57,40 +57,3 @@ def deadline_missed(finish: float, release: float, deadline: float,
     """
     return finish - (release + deadline) > rel_eps * deadline
 
-
-def cycles_to_time(cycles: int, frequency_hz: float) -> float:
-    """Convert a cycle count at ``frequency_hz`` into seconds."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return cycles / frequency_hz
-
-
-def time_to_cycles(seconds: float, frequency_hz: float) -> int:
-    """Convert seconds into whole cycles at ``frequency_hz`` (rounded up)."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    cycles = seconds * frequency_hz
-    whole = int(cycles)
-    return whole if whole == cycles else whole + 1
-
-
-def format_time(seconds: float) -> str:
-    """Render a time compactly for reports (e.g. ``7.56ms``)."""
-    if seconds >= 1.0:
-        return f"{seconds:.3g}s"
-    if seconds >= MS:
-        return f"{seconds / MS:.3g}ms"
-    if seconds >= US:
-        return f"{seconds / US:.3g}us"
-    return f"{seconds / NS:.3g}ns"
-
-
-def format_frequency(hz: float) -> str:
-    """Render a frequency compactly for reports (e.g. ``250MHz``)."""
-    if hz >= GHZ:
-        return f"{hz / GHZ:.3g}GHz"
-    if hz >= MHZ:
-        return f"{hz / MHZ:.3g}MHz"
-    if hz >= KHZ:
-        return f"{hz / KHZ:.3g}kHz"
-    return f"{hz:.3g}Hz"

@@ -30,10 +30,3 @@ def clipped_normal_int(rng: np.random.Generator, mean: float, sigma: float,
                        low: int, high: int) -> int:
     """A clipped normal draw rounded to int."""
     return int(round(clipped_normal(rng, mean, sigma, low, high)))
-
-
-def log_uniform_int(rng: np.random.Generator, low: int, high: int) -> int:
-    """Integer drawn log-uniformly in [low, high] (sizes vary in scale)."""
-    if low <= 0 or high < low:
-        raise ValueError("need 0 < low <= high")
-    return int(round(np.exp(rng.uniform(np.log(low), np.log(high)))))

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.flow import (
-    FlowConfig,
-    build_job_records,
-    generate_predictor,
-    training_records,
-)
+from repro.flow import FlowConfig, build_job_records, generate_predictor
 from repro.model import worst_case_error_pct
 from tests.conftest import toy_workload
 
@@ -69,16 +64,6 @@ def test_build_job_records(package):
         assert record.activity.cycles == record.actual_cycles
         # Datapath activity accounted per block.
         assert set(record.activity.block_cycles) == {"alu_a", "alu_b"}
-
-
-def test_training_records_reuse_matrix(package):
-    design, pkg = package
-    items = toy_workload(60, seed=1)
-    records = training_records(design, pkg, items)
-    assert len(records) == 60
-    assert records[0].predicted_cycles is None
-    with pytest.raises(ValueError, match="do not match"):
-        training_records(design, pkg, items[:5])
 
 
 def test_slice_prediction_matches_full_features(package):

@@ -1,4 +1,5 @@
-"""Salvaged event parsing and the windowed serve report section."""
+"""Salvaged event parsing, sparklines and the windowed serve report
+section."""
 
 import pytest
 
@@ -6,8 +7,21 @@ from repro.obs import SloTracker, TimeSeriesRegistry, parse_slo, session
 from repro.obs.report import (
     _salvage_events,
     render_run,
+    sparkline,
     summarize_serve_windows,
 )
+
+
+# -- sparkline ----------------------------------------------------------
+
+def test_sparkline_properties():
+    assert sparkline([]) == ""
+    assert sparkline([5.0, 5.0, 5.0]) == "▁▁▁"
+    line = sparkline([0, 1, 2, 3], width=4)
+    assert len(line) == 4
+    assert line[0] == "▁" and line[-1] == "█"
+    # Long series downsample to the requested width.
+    assert len(sparkline(list(range(500)), width=40)) == 40
 
 
 # -- _salvage_events ----------------------------------------------------

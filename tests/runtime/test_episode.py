@@ -5,6 +5,7 @@ import pytest
 from repro.dvfs import (
     ASIC_VOLTAGES,
     AsicVfModel,
+    ConstantFrequencyController,
     Controller,
     JobActivity,
     LevelTable,
@@ -172,7 +173,6 @@ def test_strict_mode_env_toggle(monkeypatch):
 
 
 def test_summaries_and_formatting(levels):
-    from repro.dvfs import ConstantFrequencyController
     jobs = [job(i, 100_000 + 50_000 * i) for i in range(6)]
     base = run_episode(ConstantFrequencyController(levels), jobs, TASK,
                        FlatEnergyModel())

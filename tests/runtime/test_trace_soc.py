@@ -1,4 +1,8 @@
-"""Trace reconstruction and SoC aggregation tests."""
+"""Episode timeline tests: periodic releases and overrun carry-over.
+
+The timeline is read off ``run_episode``'s outcomes (``release``,
+``start``, ``finish``), which record it once as the runner computes it.
+"""
 
 import pytest
 
@@ -10,16 +14,7 @@ from repro.dvfs import (
     OracleController,
     build_level_table,
 )
-from repro.runtime import (
-    AcceleratorStream,
-    JobRecord,
-    Task,
-    render_trace,
-    run_episode,
-    run_soc,
-    sparkline,
-    trace_episode,
-)
+from repro.runtime import JobRecord, Task, run_episode
 from repro.units import MHZ, MS
 
 
@@ -44,22 +39,16 @@ def job(index, cycles):
 TASK = Task("t", deadline=10 * MS)
 
 
-def make_episode(levels, cycles_list):
-    controller = OracleController(levels)
-    return run_episode(controller,
-                       [job(i, c) for i, c in enumerate(cycles_list)],
-                       TASK, FlatEnergyModel())
-
-
 def test_trace_reconstructs_periodic_releases(levels):
     small = int(levels.nominal.frequency * 1 * MS)
-    episode = make_episode(levels, [small] * 4)
-    points = trace_episode(episode)
-    for i, p in enumerate(points):
-        assert p.release == pytest.approx(i * TASK.deadline)
-        assert p.start == pytest.approx(p.release)
-        assert p.finish <= p.release + TASK.deadline + 1e-12
-        assert not p.missed
+    episode = run_episode(OracleController(levels),
+                          [job(i, small) for i in range(4)], TASK,
+                          FlatEnergyModel())
+    for i, o in enumerate(episode.outcomes):
+        assert o.release == pytest.approx(i * TASK.deadline)
+        assert o.start == pytest.approx(o.release)
+        assert o.finish <= o.release + TASK.deadline + 1e-12
+        assert not o.missed
 
 
 def test_trace_shows_carryover_on_overrun(levels):
@@ -68,108 +57,28 @@ def test_trace_shows_carryover_on_overrun(levels):
     episode = run_episode(ConstantFrequencyController(levels),
                           [job(0, over), job(1, small)], TASK,
                           FlatEnergyModel())
-    points = trace_episode(episode)
-    assert points[0].missed
-    assert points[1].start > points[1].release  # delayed by the overrun
+    first, second = episode.outcomes
+    assert first.missed
+    assert second.start > second.release  # delayed by the overrun
+    assert second.start == first.finish
 
 
 def test_queued_equals_carryover_delay(levels):
-    """``queued`` is exactly the predecessor's overrun carried over."""
+    """A late start is exactly the predecessor's overrun carried over,
+    and a short job clears it."""
     over = int(levels.nominal.frequency * 12 * MS)  # 2 ms past deadline
     small = int(levels.nominal.frequency * 1 * MS)
     episode = run_episode(ConstantFrequencyController(levels),
-                          [job(0, over), job(1, small), job(2, small)],
+                          [job(0, over), job(1, small), job(2, small),
+                           job(3, small)],
                           TASK, FlatEnergyModel())
-    points = trace_episode(episode)
-    assert points[0].queued == 0.0  # accelerator idle at release
-    overrun = points[0].finish - (points[0].release + TASK.deadline)
+    outcomes = episode.outcomes
+    queued = [o.start - o.release for o in outcomes]
+    assert queued[0] == 0.0  # accelerator idle at release
+    overrun = outcomes[0].finish - (outcomes[0].release + TASK.deadline)
     assert overrun == pytest.approx(2 * MS)
-    assert points[1].queued == pytest.approx(overrun)
-    assert points[2].queued == 0.0  # job 1 was short; carry-over gone
-
-
-def test_trace_consumes_episode_timeline(levels):
-    """The trace is read off JobOutcome, not re-derived — identical
-    release/start/finish, and slack agrees with the miss flag."""
-    over = int(levels.nominal.frequency * 12 * MS)
-    small = int(levels.nominal.frequency * 1 * MS)
-    episode = run_episode(ConstantFrequencyController(levels),
-                          [job(0, over), job(1, small)], TASK,
-                          FlatEnergyModel())
-    points = trace_episode(episode)
-    for point, outcome in zip(points, episode.outcomes):
-        assert point.release == outcome.release
-        assert point.start == outcome.start
-        assert point.finish == outcome.finish
-        assert (point.slack < 0) == outcome.missed
-        assert point.slack == pytest.approx(
-            point.release + TASK.deadline - point.finish)
-
-
-def test_sparkline_properties():
-    assert sparkline([]) == ""
-    assert sparkline([5.0, 5.0, 5.0]) == "▁▁▁"
-    line = sparkline([0, 1, 2, 3], width=4)
-    assert len(line) == 4
-    assert line[0] == "▁" and line[-1] == "█"
-    # Long series downsample to the requested width.
-    assert len(sparkline(list(range(500)), width=40)) == 40
-
-
-def test_render_trace_contains_summary(levels):
-    small = int(levels.nominal.frequency * 2 * MS)
-    episode = make_episode(levels, [small] * 6)
-    text = render_trace(episode, head=3)
-    assert "trace: oracle" in text
-    assert text.count("ms") > 3
-    assert "MISS" not in text
-
-
-def test_soc_aggregation(levels):
-    small = int(levels.nominal.frequency * 1 * MS)
-    streams = [
-        AcceleratorStream(
-            name=name,
-            controller=OracleController(levels),
-            jobs=[job(i, small * (k + 1)) for i in range(5)],
-            task=TASK,
-            energy_model=FlatEnergyModel(),
-        )
-        for k, name in enumerate(("decode", "filter"))
-    ]
-    result = run_soc(streams)
-    assert set(result.episodes) == {"decode", "filter"}
-    assert result.total_energy == pytest.approx(
-        sum(e.total_energy for e in result.episodes.values()))
-    assert result.total_misses == 0
-    assert result.worst_miss_rate == 0.0
-    profile = result.frame_power()
-    assert len(profile) == 5
-    assert result.peak_power >= result.average_power > 0
-
-
-def test_soc_rejects_duplicate_names(levels):
-    stream = AcceleratorStream(
-        name="x", controller=OracleController(levels),
-        jobs=[job(0, 1000)], task=TASK, energy_model=FlatEnergyModel(),
-    )
-    with pytest.raises(ValueError, match="unique"):
-        run_soc([stream, stream])
-
-
-def test_soc_dvfs_cuts_peak_power(levels):
-    """The chip-level story: per-job DVFS flattens the power profile."""
-    cycles = [int(levels.nominal.frequency * (1 + 2 * (i % 3)) * MS)
-              for i in range(9)]
-    jobs_list = [job(i, c) for i, c in enumerate(cycles)]
-
-    def soc_with(controller_factory):
-        return run_soc([AcceleratorStream(
-            name="a", controller=controller_factory(),
-            jobs=jobs_list, task=TASK, energy_model=FlatEnergyModel(),
-        )])
-
-    base = soc_with(lambda: ConstantFrequencyController(levels))
-    dvfs = soc_with(lambda: OracleController(levels))
-    assert dvfs.peak_power < base.peak_power
-    assert dvfs.normalized_energy(base) < 1.0
+    assert queued[1] == pytest.approx(overrun)
+    for o, q in zip(outcomes[2:], queued[2:]):  # job 1 was short
+        assert q == 0.0  # carry-over gone
+        assert o.finish <= o.release + TASK.deadline
+        assert not o.missed

@@ -1,12 +1,24 @@
-"""Load generation: open/closed loops and the latency report."""
+"""The latency report and its nearest-rank percentile."""
 
 import numpy as np
 import pytest
 
-from repro.serve import LoadReport, percentile, run_closed_loop, run_open_loop
-from repro.units import MS
+from repro.serve import (
+    LoadReport,
+    percentile,
+    poisson_arrivals,
+    serve_stream,
+    stream_from_records,
+)
 
 from .conftest import stream_records
+
+
+def served_report(stream, records, rate, n_jobs, seed):
+    """Serve a seeded Poisson stream and reduce it to its report."""
+    arrivals = poisson_arrivals(rate, n_jobs=n_jobs, seed=seed)
+    result = serve_stream(stream, stream_from_records(records, arrivals))
+    return LoadReport.from_result(result, mode="open", offered_rate=rate)
 
 
 def test_percentile_nearest_rank():
@@ -49,7 +61,7 @@ def test_percentile_always_returns_a_sample():
 
 def test_open_loop_report_is_consistent(make_stream, asic_levels):
     records = stream_records(asic_levels, n=10)
-    report = run_open_loop(make_stream(), records, rate=40.0,
+    report = served_report(make_stream(), records, rate=40.0,
                            n_jobs=30, seed=4)
     assert report.mode == "open"
     assert report.offered_rate == 40.0
@@ -64,9 +76,9 @@ def test_open_loop_report_is_consistent(make_stream, asic_levels):
 
 def test_open_loop_deterministic_in_seed(make_stream, asic_levels):
     records = stream_records(asic_levels, n=10)
-    a = run_open_loop(make_stream(), records, rate=50.0, n_jobs=20,
+    a = served_report(make_stream(), records, rate=50.0, n_jobs=20,
                       seed=6)
-    b = run_open_loop(make_stream(), records, rate=50.0, n_jobs=20,
+    b = served_report(make_stream(), records, rate=50.0, n_jobs=20,
                       seed=6)
     # Virtual-clock quantities are bit-identical; wall times are not.
     assert a.n_completed == b.n_completed
@@ -74,33 +86,9 @@ def test_open_loop_deterministic_in_seed(make_stream, asic_levels):
     assert a.achieved_rate == b.achieved_rate
 
 
-def test_closed_loop_self_paces(make_stream, asic_levels):
-    """Closed-loop clients wait for service, so nothing ever sheds
-    while concurrency stays below the queue depth."""
-    records = stream_records(asic_levels, n=10)
-    report = run_closed_loop(make_stream(queue_depth=8), records,
-                             n_jobs=40, concurrency=3)
-    assert report.mode == "closed"
-    assert report.n_offered == 40
-    assert report.n_shed == 0
-    assert report.achieved_rate > 0.0
-    # Offered rate is inferred from arrivals and tracks throughput.
-    assert report.offered_rate == pytest.approx(report.achieved_rate,
-                                                rel=0.25)
-
-
-def test_closed_loop_validation(make_stream, asic_levels):
-    records = stream_records(asic_levels, n=4)
-    with pytest.raises(ValueError, match="n_jobs"):
-        run_closed_loop(make_stream(), records, n_jobs=0)
-    with pytest.raises(ValueError, match="concurrency"):
-        run_closed_loop(make_stream(), records, n_jobs=4,
-                        concurrency=0)
-
-
 def test_report_round_trips_and_describes(make_stream, asic_levels):
     records = stream_records(asic_levels, n=6)
-    report = run_open_loop(make_stream(), records, rate=30.0,
+    report = served_report(make_stream(), records, rate=30.0,
                            n_jobs=12, seed=1)
     payload = report.to_dict()
     assert payload["stream"] == "synthetic"

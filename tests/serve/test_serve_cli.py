@@ -206,6 +206,29 @@ def test_serve_fleet_non_finite_tenant_limit_exits_2(capsys):
     assert "burst must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pool", [[], ["--fleet", "2"]],
+                         ids=["streams", "fleet"])
+@pytest.mark.parametrize("flags,message", [
+    (["--rate", "0", "--jobs", "10"], "rate must be"),
+    (["--rate", "-5", "--jobs", "10"], "rate must be"),
+    (["--arrival", "burst", "--rate", "0", "--jobs", "10"],
+     "rate must be"),
+    (["--rate", "nan", "--jobs", "10"], "rate must be"),
+    (["--rate", "inf", "--jobs", "10"], "rate must be"),
+    (["--jobs", "0"], "n_jobs must be"),
+    (["--jobs", "-3"], "n_jobs must be"),
+    (["--duration", "-1"], "duration must be"),
+])
+def test_serve_bad_arrival_flags_exit_2(cjpeg, capsys, pool, flags,
+                                        message):
+    """Bad arrival flags used to crash with a traceback, or serve NaN,
+    stacked or phantom arrivals and still print ``serve: ok``."""
+    assert main(["serve", "--benchmark", "cjpeg", "--virtual",
+                 "--predictor", "record", "--scale", "0.05"]
+                + pool + flags) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_serve_unknown_backend_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["serve", "--benchmark", "cjpeg", "--jobs", "1",

@@ -1,5 +1,7 @@
 """Arrival processes and stream construction."""
 
+import math
+
 import pytest
 
 from repro.serve import (
@@ -7,7 +9,6 @@ from repro.serve import (
     burst_arrivals,
     poisson_arrivals,
     stream_from_records,
-    trace_replay,
 )
 from tests.conftest import job
 
@@ -49,6 +50,40 @@ def test_poisson_argument_validation():
         poisson_arrivals(0.0, duration=1.0)
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    ({"rate": 0.0, "n_jobs": 10}, "rate"),
+    ({"rate": -5.0, "n_jobs": 10}, "rate"),
+    ({"rate": math.nan, "n_jobs": 10}, "rate"),
+    ({"rate": math.inf, "n_jobs": 10}, "rate"),
+    ({"rate": 10.0, "n_jobs": 0}, "n_jobs"),
+    ({"rate": 10.0, "n_jobs": -3}, "n_jobs"),
+    ({"rate": 10.0, "duration": 0.0}, "duration"),
+    ({"rate": 10.0, "duration": -1.0}, "duration"),
+    ({"rate": 10.0, "duration": math.nan}, "duration"),
+    ({"rate": 10.0, "duration": math.inf}, "duration"),
+])
+def test_poisson_rejects_bad_arguments_by_name(kwargs, name):
+    """A NaN rate used to serve NaN arrivals, an infinite one stacked
+    every arrival at t = 0, and ``n_jobs=0`` still produced a job."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        poisson_arrivals(**kwargs)
+
+
+@pytest.mark.parametrize("rate,duration,name", [
+    (0.0, 1.0, "rate"),
+    (-5.0, 1.0, "rate"),
+    (math.nan, 1.0, "rate"),
+    (math.inf, 1.0, "rate"),
+    (10.0, 0.0, "duration"),
+    (10.0, -1.0, "duration"),
+    (10.0, math.nan, "duration"),
+    (10.0, math.inf, "duration"),
+])
+def test_burst_rejects_bad_rate_or_duration_by_name(rate, duration, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        burst_arrivals(rate, duration=duration)
+
+
 def test_burst_preserves_average_rate():
     times = burst_arrivals(200.0, duration=20.0, seed=2)
     assert len(times) / 20.0 == pytest.approx(200.0, rel=0.15)
@@ -73,18 +108,15 @@ def test_burst_argument_validation():
         burst_arrivals(10.0, duration=1.0, period=-1.0)
 
 
-def test_trace_replay_sorts_and_compresses():
-    assert trace_replay([3.0, 1.0, 2.0]) == [1.0, 2.0, 3.0]
-    assert trace_replay([2.0, 4.0], speed=2.0) == [1.0, 2.0]
-    with pytest.raises(ValueError, match="speed"):
-        trace_replay([1.0], speed=0.0)
-    with pytest.raises(ValueError, match="negative"):
-        trace_replay([-1.0, 2.0])
-
-
 def test_stream_job_rejects_negative_arrival():
     with pytest.raises(ValueError, match="negative"):
         StreamJob(index=0, record=job(0, 100), arrival=-0.5)
+
+
+@pytest.mark.parametrize("arrival", [math.nan, math.inf])
+def test_stream_job_rejects_non_finite_arrival(arrival):
+    with pytest.raises(ValueError, match="finite"):
+        StreamJob(index=0, record=job(0, 100), arrival=arrival)
 
 
 def test_stream_from_records_cycles_and_reindexes():

@@ -118,6 +118,15 @@ def test_report_skips_unknown(tmp_path, capsys):
     assert "skipping unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--seed-list", "--train-jobs",
+                                  "--test-jobs"])
+def test_conform_rejects_removed_flags(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["conform", flag, "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_lint_clean_design(capsys):
     assert main(["lint", "aes"]) == 0
     out = capsys.readouterr().out

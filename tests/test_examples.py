@@ -49,10 +49,3 @@ def test_software_predictor():
     out = run_example("software_predictor.py")
     assert "sliced C program" in out
     assert "hw slice pred" in out
-
-
-def test_soc_pipeline():
-    out = run_example("soc_pipeline.py")
-    assert "peak power" in out
-    assert "chip-level:" in out
-    assert "trace: prediction" in out

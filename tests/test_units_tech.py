@@ -7,33 +7,15 @@ from repro.rtl import tech
 from repro.units import (
     DVFS_SWITCH_TIME,
     FRAME_DEADLINE_60FPS,
-    GHZ,
-    MHZ,
     MS,
     TIME_EPS_REL,
-    US,
-    cycles_to_time,
     deadline_missed,
-    format_frequency,
-    format_time,
-    time_to_cycles,
 )
 
 
 def test_paper_constants():
     assert FRAME_DEADLINE_60FPS == pytest.approx(16.7e-3)
     assert DVFS_SWITCH_TIME == pytest.approx(100e-6)
-
-
-def test_cycles_time_roundtrip():
-    assert cycles_to_time(250_000, 250 * MHZ) == pytest.approx(1 * MS)
-    assert time_to_cycles(1 * MS, 250 * MHZ) == 250_000
-    # Rounds up partial cycles.
-    assert time_to_cycles(1.0000001 * MS, 250 * MHZ) == 250_001
-    with pytest.raises(ValueError):
-        cycles_to_time(10, 0.0)
-    with pytest.raises(ValueError):
-        time_to_cycles(1.0, -1.0)
 
 
 def test_deadline_missed_epsilon_band():
@@ -50,17 +32,6 @@ def test_deadline_missed_epsilon_band():
     assert not deadline_missed(release + deadline * (1 + 1e-12),
                                release, deadline)
     assert TIME_EPS_REL == 1e-9
-
-
-def test_format_helpers():
-    assert format_time(7.56 * MS) == "7.56ms"
-    assert format_time(2.5) == "2.5s"
-    assert format_time(3 * US) == "3us"
-    assert format_time(5e-9) == "5ns"
-    assert format_frequency(250 * MHZ) == "250MHz"
-    assert format_frequency(1.5 * GHZ) == "1.5GHz"
-    assert format_frequency(3000.0) == "3kHz"
-    assert format_frequency(50.0) == "50Hz"
 
 
 def _cell(kind, width=16, param=0, count=1):

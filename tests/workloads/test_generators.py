@@ -13,11 +13,7 @@ from repro.workloads import (
     generate_trajectory,
     workload_for,
 )
-from repro.workloads.rng import (
-    clipped_normal_int,
-    log_uniform_int,
-    stream,
-)
+from repro.workloads.rng import clipped_normal_int, stream
 from repro.workloads.video import MAX_COEFFS
 
 
@@ -27,15 +23,6 @@ def test_stream_is_deterministic_and_label_separated():
     b = stream(1, "y").integers(0, 1000, 10)
     assert a1.tolist() == a2.tolist()
     assert a1.tolist() != b.tolist()
-
-
-def test_log_uniform_bounds():
-    rng = stream(7, "t")
-    values = [log_uniform_int(rng, 10, 1000) for _ in range(500)]
-    assert min(values) >= 10 and max(values) <= 1000
-    # Log-uniform: the geometric middle is hit roughly evenly.
-    below = sum(1 for v in values if v < 100)
-    assert 150 < below < 350
 
 
 def test_clipped_normal_int_respects_bounds():
