@@ -618,12 +618,13 @@ def check_epochs(result: "StreamResult",
                  epoch_log: List[tuple],
                  rel_eps: float = TIME_EPS_REL
                  ) -> List[InvariantViolation]:
-    """Audit the vectorized engine's decision-epoch conservation law.
+    """Audit the planned-run conservation law of virtual serving.
 
-    The epoch engine (:mod:`repro.serve.vector`) may only coalesce
-    arrivals whose decisions are provably independent — which leaves a
-    re-checkable footprint on the finished stream.  For every epoch
-    ``(first_index, n_jobs)`` it committed:
+    :func:`~repro.serve.vector.drive_stream_vectorized` may only commit
+    a planned run over arrivals whose decisions are provably
+    independent — which leaves a re-checkable footprint on the
+    finished stream.
+    For every run (an *epoch*) ``(first_index, n_jobs)`` it committed:
 
     * ``stream.epoch.shape`` — the epoch is non-empty and its first
       job exists in the result;

@@ -63,8 +63,8 @@ class Controller:
     #: (False for idealized variants like the oracle).
     charge_overheads: bool = True
     #: True when :meth:`plan` is a pure function of (job, budget) and
-    #: :meth:`observe` is a no-op — the contract the vectorized serving
-    #: engine relies on to decide whole epochs with :meth:`plan_batch`.
+    #: :meth:`observe` is a no-op — the contract virtual serving relies
+    #: on to plan whole blocks with :meth:`plan_batch`.
     #: Reactive schemes (pid, history, governor) must leave this False.
     vectorizable: bool = False
 

@@ -49,6 +49,7 @@ from .server import (
     StreamResult,
     _check_result,
     _emit_stream_summary,
+    _serve_virtual,
     valid_prediction,
 )
 from .stream import FleetJob
@@ -622,7 +623,8 @@ def virtual_outcomes(result: StreamResult) -> List:
 
 
 def _run_shard(task: Tuple[ShardSpec, List[FleetJob]]) -> StreamResult:
-    """Worker body: serve one instance's routed sub-stream.
+    """Worker body: serve one instance's routed sub-stream on the
+    virtual clock, exactly as a lone stream is served.
 
     Must stay a module-level function (pmap pickles it).  SLO
     judgement stays off inside shards — windows are only complete
@@ -631,11 +633,7 @@ def _run_shard(task: Tuple[ShardSpec, List[FleetJob]]) -> StreamResult:
     spec, jobs = task
     stream = spec.make_stream()
     stream.slo_live = False
-    t0 = time.perf_counter()
-    for job in jobs:
-        stream.offer(job.job)
-    stream.drain()
-    result = stream.result(wall_s=time.perf_counter() - t0)
+    result = _serve_virtual(stream, [job.job for job in jobs])
     _emit_stream_summary(result)
     _check_result(stream, result)
     return result

@@ -36,7 +36,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..dvfs.controllers import Controller
 from ..dvfs.energy import EnergyModel, JobActivity
@@ -309,15 +309,8 @@ class AcceleratorStream:
         self._in_flight = 0
         self.outcomes: List[StreamOutcome] = []
         self.n_offered = 0
-        #: Predictions kept for jobs that have not terminated, keyed by
-        #: job index: the effective record, or ``None`` for a failed
-        #: prediction.  Only the epoch engine's speculation fills it;
-        #: an entry goes when its job commits, executes or is shed.
-        #: Per stream, never per predictor: one predictor may serve
-        #: several streams, and job indices restart in each.
-        self._kept: Dict[int, Optional[JobRecord]] = {}
-        #: Committed decision epochs as ``(first_index, n_jobs)``
-        #: pairs — written only by the vectorized engine, audited by
+        #: Committed block-planned runs as ``(first_index, n_jobs)``
+        #: pairs — written only by block-planned serving, audited by
         #: :func:`repro.check.check_epochs` in strict mode.
         self.epoch_log: List[Tuple[int, int]] = []
         self.now = 0.0
@@ -354,8 +347,6 @@ class AcceleratorStream:
         return len(self._queue) + self._in_flight
 
     def _shed(self, sjob: StreamJob) -> None:
-        if self._kept:
-            self._kept.pop(sjob.index, None)
         self.outcomes.append(StreamOutcome(
             index=sjob.index, status=SHED, job=sjob.record,
             arrival=sjob.arrival, release=sjob.arrival))
@@ -385,48 +376,16 @@ class AcceleratorStream:
 
     # -- execution -----------------------------------------------------
 
-    def predict_jobs(self, sjobs: Sequence[StreamJob],
-                     speculative: bool = False
+    def predict_jobs(self, sjobs: Sequence[StreamJob]
                      ) -> List[Tuple[Optional[JobRecord], float]]:
         """The prediction pass: one ``(effective record | None,
-        decision_s)`` entry per job, ``None`` meaning fall back.
-
-        Both decision engines predict through here, so each job's
-        prediction runs once however often its job is speculated.  A
-        job with a kept entry reuses it and charges only the lookup as
-        its ``decision_s``; the others run the predictor.  The epoch
-        engine passes ``speculative=True``: it may commit only a
-        prefix of ``sjobs``, so fresh entries are kept until their
-        jobs terminate.  The scalar path executes every job it
-        predicts, so it takes kept entries out and keeps nothing.
-        """
-        kept = self._kept
-        if not (kept or speculative):
-            return self._run_predictor(sjobs)
-        fresh = [sjob for sjob in sjobs if sjob.index not in kept]
-        computed = dict(zip([sjob.index for sjob in fresh],
-                            self._run_predictor(fresh)))
-        take = kept.get if speculative else kept.pop
-        entries: List[Tuple[Optional[JobRecord], float]] = []
-        for sjob in sjobs:
-            entry = computed.get(sjob.index)
-            if entry is None:
-                t0 = time.perf_counter()
-                record = take(sjob.index)
-                entry = (record, time.perf_counter() - t0)
-            elif speculative:
-                kept[sjob.index] = entry[0]
-            entries.append(entry)
-        return entries
-
-    def _run_predictor(self, sjobs: Sequence[StreamJob]
-                       ) -> List[Tuple[Optional[JobRecord], float]]:
-        """Fresh predictions, one :meth:`predict_jobs` entry per job.
+        predict_s)`` entry per job, ``None`` meaning fall back.
 
         The predictor runs once per job, and each entry's
-        ``decision_s`` is that call's wall time.  A call that raises,
-        a result failing :func:`valid_prediction`, and a prediction
-        whose ``decision_s`` overran the budget all fall back.
+        ``predict_s`` is that call's wall time.  A call that raises, a
+        result failing :func:`valid_prediction`, and a prediction
+        whose ``predict_s`` overran ``prediction_budget`` all fall
+        back.
         """
         uses_slice = self.controller.uses_slice
         predictor = self.predictor
@@ -439,8 +398,6 @@ class AcceleratorStream:
                 record = None if uses_slice else sjob.record
                 entries.append((record, time.perf_counter() - t0))
             return entries
-        if not sjobs:
-            return []
         entries = []
         for sjob in sjobs:
             t0 = time.perf_counter()
@@ -456,18 +413,23 @@ class AcceleratorStream:
             observer.metrics.inc("serve.predict_runs", len(sjobs))
         budget = self.config.prediction_budget
         if budget is not None:
-            entries = [(None if decision_s > budget else record,
-                        decision_s) for record, decision_s in entries]
+            entries = [(None if predict_s > budget else record,
+                        predict_s) for record, predict_s in entries]
         return entries
 
     def _execute(self, sjob: StreamJob, record: Optional[JobRecord],
-                 decision_s: float, batch_size: int) -> StreamOutcome:
-        """Advance the virtual clock through one admitted job."""
+                 predict_s: float, batch_size: int) -> StreamOutcome:
+        """Advance the virtual clock through one admitted job.
+
+        Its ``decision_s`` is ``predict_s`` plus the wall time of
+        selecting its level.
+        """
         controller = self.controller
         release = sjob.arrival
         start = max(self.now, release)
         budget = release + self.config.deadline - start
         fallback = record is None
+        t0 = time.perf_counter()
         if fallback:
             # Abandon the prediction path entirely: dispatch at the
             # fastest non-boost point, charge no slice time or energy.
@@ -478,6 +440,7 @@ class AcceleratorStream:
             plan = controller.plan(record, budget)
             point = plan.point
             t_slice = plan.t_slice
+        decision_s = predict_s + (time.perf_counter() - t0)
 
         switch_needed = (point != self._previous
                          and controller.charge_overheads)
@@ -555,8 +518,8 @@ class AcceleratorStream:
             return []
         planned = self.predict_jobs(batch)
         executed = [
-            self._execute(sjob, record, decision_s, len(batch))
-            for sjob, (record, decision_s) in zip(batch, planned)
+            self._execute(sjob, record, predict_s, len(batch))
+            for sjob, (record, predict_s) in zip(batch, planned)
         ]
         observer = get_observer()
         if (observer is not None and observer.slo is not None
@@ -641,12 +604,12 @@ def _serve_virtual(stream: AcceleratorStream,
                    jobs: Sequence[StreamJob]) -> StreamResult:
     """Drive one stream on the virtual clock, as fast as possible.
 
-    The epoch-coalescing driver
-    (:func:`~repro.serve.vector.drive_stream_vectorized`) decides
-    whole epochs where they decouple and runs the scalar
-    ``offer``/``drain`` machine everywhere else.  Realtime mode runs
-    the scalar machine only: epochs would require arrivals that have
-    not happened yet on the wall clock.
+    The block-planning loop
+    (:func:`~repro.serve.vector.drive_stream_vectorized`) commits
+    uncoupled runs from a plan and runs the scalar ``offer``/``drain``
+    machine everywhere else.  Realtime mode runs the scalar machine
+    only: a plan would require arrivals that have not happened yet on
+    the wall clock.
 
     Deliberately synchronous: virtual serving never awaits, and
     ``asyncio.run`` is far from free here — installing its SIGINT

@@ -1,51 +1,59 @@
-"""The vectorized serving decision plane: epoch-coalesced execution.
+"""Virtual serving: block-planned execution.
 
-The scalar engine (:mod:`repro.serve.server`) walks the stream one
+The scalar machine (:mod:`repro.serve.server`) walks the stream one
 arrival at a time — admission check, prediction, ``select_level``,
 energy decomposition, all as interpreted Python per job.  This module
-replays *exactly the same state machine* as array programs over
-**decision epochs**: maximal runs of consecutive arrivals whose
-decisions are provably independent of each other's outcomes.
+drives *exactly the same state machine*, but decides whole **blocks**
+of arrivals at once wherever the decisions decouple.  Lone streams and
+fleet shards are both served this way on the virtual clock; realtime
+serving stays on the scalar machine.
 
-An epoch forms only in the uncoupled regime: the queue is empty, the
-virtual clock has not overtaken the next arrival, and the stream's
-controller is :attr:`~repro.dvfs.Controller.vectorizable` (its plan is
-a pure function of the job and budget, and it learns nothing from
-retired jobs).  In that regime the scalar engine provably executes
-every job with ``start == arrival`` and micro-batches of exactly one,
-and nothing can shed — so the engine *speculates* the whole window
-under that assumption, decides every job with
-:func:`~repro.dvfs.select_level_batch` and the batched energy
-decomposition, then **verifies** the speculation with one vectorized
-comparison: the committed prefix is the longest run where each job's
-projected finish stays at or before its successor's arrival.  The
-first violation ends the epoch; the stream falls back to the scalar
-path until the coupling clears (the arrival after a long job sees
-``now > arrival`` and takes the ordinary ``offer`` route).
+A job is *uncoupled* when it arrives to an empty queue and an idle
+server (the virtual clock at or before its arrival).  The scalar
+machine then starts it at its arrival, in a micro-batch of one, and
+cannot shed it, so its budget is the deadline and — for a
+:attr:`~repro.dvfs.Controller.vectorizable` controller, whose plan is
+a pure function of the job and its budget — its level follows in
+closed form.  When serving reaches an uncoupled arrival no plan
+covers, it plans that arrival and the next ``BLOCK - 1`` ones in one
+numpy pass, as if each started at its arrival: level and slice time
+from :meth:`~repro.dvfs.Controller.plan_batch`, execution time, and
+finish, miss flag and energy for both switch cases (no switch, and
+``ServeConfig.t_switch``).  It also marks each job's *chain bit*: its
+finish, with the switch decided against the previous job's planned
+level, is at or before the next arrival, so that next job is
+uncoupled too.
 
-Every committed outcome is **bit-identical** to the scalar engine's
+Each uncoupled arrival then commits a **run** from the block's Python
+lists, with no numpy call: the first job takes its switch case from
+the stream's current level, and the run extends while the chain bits
+hold.  A run ends at a broken chain or at the block's end; the next
+arrival takes the scalar path if it is coupled, or starts a new run.
+Every run lands in ``AcceleratorStream.epoch_log`` as ``(first_index,
+n_jobs)``, audited by :func:`repro.check.check_epochs`.
+
+Every committed outcome is **bit-identical** to the scalar machine's
 (:func:`repro.serve.virtual_outcomes` canonical form): the kernels
 replicate the scalar evaluation order operation by operation, and
-energy per-level constants are computed by the scalar model code and
-gathered by level index.  Only ``decision_s`` differs by design — it
-is genuinely measured wall time, amortized per epoch (see
+per-level energy constants are computed by the scalar model code and
+gathered by level index.  ``decision_s`` is the wall time to predict a
+job and select its level on both paths; a planned job carries its
+block's predict-and-plan time divided by the block's job count (see
 docs/serving.md).
 
-Predictions come from the stream's one prediction path,
-:meth:`~repro.serve.server.AcceleratorStream.predict_jobs`, which keeps
-each speculated prediction on the stream until its job terminates: a
-job past the committed prefix is not predicted again by the scalar
-path or by the next epoch.
-
-The engine declines (``run_epoch`` returns 0, the driver uses the
-scalar path) whenever state coupling binds:
+A block is planned only when no predictor has to run: a
+:class:`~repro.serve.server.RecordPredictor` replay, a scheme without
+a slice, or a slice scheme without a predictor.  Any other predictor
+(the live slice, a test double) takes the scalar machine, which
+predicts each executed job exactly once and a shed job never.  The
+scalar machine also runs every job when state coupling binds:
 
 * a reactive controller (pid / history / governor) — every decision
   feeds the next;
-* a non-empty queue or ``now`` past the next arrival — micro-batches
-  and queueing delays couple starts to earlier finishes;
-* ``prediction_budget`` set — a wall-clock cutoff is inherently
-  per-measurement and cannot be replayed batch-equivalently;
+* a non-empty queue or ``now`` past the arrival — micro-batches and
+  queueing delays couple starts to earlier finishes;
+* ``prediction_budget`` set — a wall-clock cutoff is per-measurement
+  and cannot be replayed for a block;
 * a slice-charging controller with no slice energy model, or a level
   table with duplicate points — the scalar diagnostics must surface.
 """
@@ -53,24 +61,21 @@ scalar path) whenever state coupling binds:
 from __future__ import annotations
 
 import time
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..dvfs.energy import EnergyModel, JobActivity
 from ..obs import get_observer
 from ..runtime.episode import switch_window_energy
-from ..runtime.jobs import JobRecord
 from ..units import TIME_EPS_REL
 from .server import COMPLETED, FALLBACK, AcceleratorStream, \
     RecordPredictor, StreamOutcome, valid_prediction
 from .stream import StreamJob
 
-#: Adaptive epoch window bounds: start small so a coupled stream pays
-#: almost nothing for failed speculation, grow while epochs commit
-#: fully.
-MIN_EPOCH = 32
-MAX_EPOCH = 1024
+#: Arrivals planned at once.  A block costs a fixed number of numpy
+#: calls, shared by every job it plans.
+BLOCK = 1024
 
 
 def _generic_energy(model) -> bool:
@@ -104,10 +109,20 @@ class _EnergyKit:
         self._dyn: dict = {}
         self._by_value: dict = {}
 
-    def dyn1v(self, activity: JobActivity) -> float:
-        hit = self._dyn.get(id(activity))
-        if hit is not None and hit[0] is activity:
-            return hit[1]
+    def dyn1v(self, records) -> np.ndarray:
+        """The 1 V dynamic energy of each record's activity."""
+        memo = self._dyn
+        out = []
+        for record in records:
+            activity = record.activity
+            hit = memo.get(id(activity))
+            if hit is None or hit[0] is not activity:
+                hit = memo[id(activity)] = (activity,
+                                            self._value(activity))
+            out.append(hit[1])
+        return np.array(out, dtype=float)
+
+    def _value(self, activity: JobActivity) -> float:
         # An activity is fully determined by (cycles, block_cycles), so
         # a value key is exact even across distinct objects per job —
         # item order is kept because it fixes the summation order.
@@ -116,7 +131,6 @@ class _EnergyKit:
         if value is None:
             value = self.model._dynamic_energy_1v(activity)
             self._by_value[key] = value
-        self._dyn[id(activity)] = (activity, value)
         return value
 
 
@@ -131,17 +145,22 @@ class _SliceEnergyKit:
         self.leak = model.leakage_power(nominal)
         self._dyn: dict = {}
 
-    def dyn1v(self, slice_cycles: int) -> float:
-        value = self._dyn.get(slice_cycles)
-        if value is None:
-            value = self.model._dynamic_energy_1v(
-                JobActivity(cycles=slice_cycles))
-            self._dyn[slice_cycles] = value
-        return value
+    def dyn1v(self, records) -> np.ndarray:
+        """The 1 V dynamic energy of each record's slice."""
+        memo = self._dyn
+        out = []
+        for record in records:
+            cycles = record.slice_cycles
+            value = memo.get(cycles)
+            if value is None:
+                value = memo[cycles] = self.model._dynamic_energy_1v(
+                    JobActivity(cycles=cycles))
+            out.append(value)
+        return np.array(out, dtype=float)
 
 
 class EpochEngine:
-    """Vectorized epoch executor bound to one
+    """Block planner and run committer bound to one
     :class:`~repro.serve.server.AcceleratorStream`."""
 
     def __init__(self, stream: AcceleratorStream) -> None:
@@ -149,19 +168,21 @@ class EpochEngine:
         self.levels = stream.levels
         self.config = stream.config
         self.controller = stream.controller
-        arrays = self.levels.arrays()
         self._points = list(self.levels.points)
         if self.levels.boost is not None:
             self._points.append(self.levels.boost)
         self._freq = np.array([p.frequency for p in self._points])
         self._volt = np.array([p.voltage for p in self._points])
         self._boost = np.array([p.is_boost for p in self._points])
+        predictor = stream.predictor
+        uses_slice = self.controller.uses_slice
         self.eligible = (
             self.controller.vectorizable
-            and arrays.unique
+            and self.levels.arrays().unique
             and self.config.prediction_budget is None
-            and not (self.controller.uses_slice
-                     and stream.slice_energy_model is None))
+            and (not uses_slice or predictor is None
+                 or type(predictor) is RecordPredictor)
+            and not (uses_slice and stream.slice_energy_model is None))
         self._energy_kit = (
             _EnergyKit(stream.energy_model, self._points)
             if _generic_energy(stream.energy_model) else None)
@@ -171,216 +192,231 @@ class EpochEngine:
             if (stream.slice_energy_model is not None
                 and _generic_energy(stream.slice_energy_model))
             else None)
-        self.window = 64
+        #: Arrivals per planned block.
+        self.window = BLOCK
+        #: The current block covers ``jobs[_first:_end]``; ``_plan`` is
+        #: its columns, or ``None`` when the controller declined it.
+        self._first = self._end = 0
+        self._plan = None
 
-    # -- prediction ----------------------------------------------------
+    # -- the block plan ------------------------------------------------
 
-    def _predict_epoch(self, window: Sequence[StreamJob]
-                       ) -> Tuple[List[JobRecord], np.ndarray]:
-        """The epoch's effective records and fallback mask.
-
-        Two shortcuts run no predictor: a scheme without a slice (or a
-        slice scheme without a predictor) and the zero-copy replay of
-        a :class:`RecordPredictor`.  Everything else predicts through
-        :meth:`AcceleratorStream.predict_jobs`, speculatively, so the
-        jobs this epoch does not commit keep their predictions.
-        """
-        predictor = self.stream.predictor
-        n = len(window)
+    def _fallback_mask(self, records) -> np.ndarray:
+        """Which jobs fall back, found without running a predictor."""
+        n = len(records)
         if not self.controller.uses_slice:
-            return [sj.record for sj in window], np.zeros(n, dtype=bool)
-        if predictor is None:
-            return [sj.record for sj in window], np.ones(n, dtype=bool)
-        fallback = np.zeros(n, dtype=bool)
-        if isinstance(predictor, RecordPredictor):
-            # The scalar path replays the record's own values through
-            # ``replace`` — value-identical to the original record, so
-            # the original is reused as the effective record.
-            records = [sj.record for sj in window]
-            for k, record in enumerate(records):
-                if not valid_prediction(record.predicted_cycles,
-                                        record.slice_cycles):
-                    fallback[k] = True
-            return records, fallback
-        entries = self.stream.predict_jobs(window, speculative=True)
-        records = []
-        for k, (sjob, (record, _)) in enumerate(zip(window, entries)):
-            if record is None:
-                fallback[k] = True
-                record = sjob.record
-            records.append(record)
-        return records, fallback
+            return np.zeros(n, dtype=bool)
+        if self.stream.predictor is None:
+            return np.ones(n, dtype=bool)
+        # A RecordPredictor replays the record's own values; the
+        # scalar path's ``replace`` gives a value-identical record, so
+        # the original stands in for it.
+        return np.array([not valid_prediction(r.predicted_cycles,
+                                              r.slice_cycles)
+                         for r in records], dtype=bool)
 
-    # -- energy --------------------------------------------------------
-
-    def _energies(self, records: List[JobRecord], idx: np.ndarray,
-                  t_slice: np.ndarray, t_switch: np.ndarray,
-                  t_exec: np.ndarray,
-                  fallback: np.ndarray) -> np.ndarray:
-        """Per-job energy, bit-identical to the scalar decomposition."""
+    def _energies(self, records, idx: np.ndarray, t_slice: np.ndarray,
+                  t_exec: np.ndarray, t_switch: float,
+                  fallback: np.ndarray):
+        """Per-job energy for both switch cases, bit-identical to the
+        scalar decomposition ``(job + switch window) + slice``."""
         stream = self.stream
-        uses_slice = self.controller.uses_slice
-        chargeable = (~fallback) & uses_slice & (t_slice > 0.0)
         kit = self._energy_kit
         if kit is not None:
-            dyn = np.array([kit.dyn1v(r.activity) for r in records])
+            dyn = kit.dyn1v(records)
             vr = kit.vr[idx]
-            energy = (dyn * vr) * vr + kit.leak[idx] * t_exec
-            energy = energy + kit.leak[idx] * t_switch
+            leak = kit.leak[idx]
+            job_e = (dyn * vr) * vr + leak * t_exec
+            window_e = leak * t_switch
         else:
-            energy = np.empty(len(records))
-            for k, record in enumerate(records):
-                point = self._points[idx[k]]
-                e = stream.energy_model.job_energy(
-                    record.activity, point, float(t_exec[k]))
-                e += switch_window_energy(stream.energy_model, point,
-                                          float(t_switch[k]))
-                energy[k] = e
+            model = stream.energy_model
+            points = [self._points[k] for k in idx.tolist()]
+            job_e = np.array([
+                model.job_energy(r.activity, p, te)
+                for r, p, te in zip(records, points, t_exec.tolist())])
+            window_e = np.array([switch_window_energy(model, p, t_switch)
+                                 for p in points])
+        # Gathered once; the switch cases differ only in the window,
+        # which the scalar path adds as 0.0 when the level holds.
+        cases = [job_e + 0.0, job_e + window_e]
+        chargeable = (~fallback) & self.controller.uses_slice \
+            & (t_slice > 0.0)
         if chargeable.any():
             skit = self._slice_kit
             if skit is not None:
-                dyn_s = np.array([skit.dyn1v(r.slice_cycles)
-                                  for r in records])
-                slice_e = ((dyn_s * skit.vr) * skit.vr
-                           + skit.leak * t_slice)
-                energy = np.where(chargeable, energy + slice_e, energy)
+                dyn_s = skit.dyn1v(records)
+                slice_e = (dyn_s * skit.vr) * skit.vr \
+                    + skit.leak * t_slice
             else:
+                slice_e = np.zeros(len(records))
                 nominal = self.levels.nominal
-                for k in np.flatnonzero(chargeable):
-                    energy[k] = energy[k] + \
-                        stream.slice_energy_model.job_energy(
-                            JobActivity(cycles=records[k].slice_cycles),
-                            nominal, float(t_slice[k]))
-        return energy
+                for k in np.flatnonzero(chargeable).tolist():
+                    slice_e[k] = stream.slice_energy_model.job_energy(
+                        JobActivity(cycles=records[k].slice_cycles),
+                        nominal, float(t_slice[k]))
+            cases = [np.where(chargeable, e + slice_e, e) for e in cases]
+        return cases
 
-    # -- the epoch -----------------------------------------------------
-
-    def run_epoch(self, jobs: Sequence[StreamJob], start: int) -> int:
-        """Speculate, decide, verify and commit one epoch.
-
-        Returns how many jobs were committed (0 = the epoch declined
-        and the caller must take the scalar path for ``jobs[start]``).
-        Preconditions (checked by the driver): the queue is empty and
-        ``stream.now <= jobs[start].arrival``.
-        """
-        window = jobs[start:start + self.window]
-        n = len(window)
-        if n < 2:
-            return 0
+    def _plan_block(self, jobs: Sequence[StreamJob], first: int) -> None:
+        """Plan ``jobs[first:first + BLOCK]`` as if each job started at
+        its arrival in a micro-batch of one."""
         t0 = time.perf_counter()
-        records, fallback = self._predict_epoch(window)
-        arr = np.array([sj.arrival for sj in window], dtype=float)
+        block = jobs[first:first + self.window]
+        n = len(block)
+        self._first, self._end, self._plan = first, first + n, None
+        records = [sj.record for sj in block]
+        fallback = self._fallback_mask(records)
+        arr = np.array([sj.arrival for sj in block], dtype=float)
         # The scalar budget is (release + deadline) - start with
-        # start == release in this regime — elementwise, not constant.
-        budgets = (arr + self.config.deadline) - arr
-        nominal_idx = self.levels.index_of(self.levels.nominal)
-        idx = np.full(n, nominal_idx, dtype=np.int64)
+        # start == release here — elementwise, not constant.
+        deadline = self.config.deadline
+        budgets = (arr + deadline) - arr
+        idx = np.full(n, self.levels.index_of(self.levels.nominal),
+                      dtype=np.int64)
         t_slice = np.zeros(n)
         live = ~fallback
-        if live.any():
-            live_pos = np.flatnonzero(live)
-            plan = self.controller.plan_batch(
-                [records[k] for k in live_pos], budgets[live])
+        n_live = int(live.sum())
+        if n_live:
+            if n_live < n:
+                plan = self.controller.plan_batch(
+                    [records[k] for k in np.flatnonzero(live).tolist()],
+                    budgets[live])
+            else:
+                plan = self.controller.plan_batch(records, budgets)
             if plan is None:
-                return 0
+                return
             idx[live] = plan.level_index
             t_slice[live] = plan.t_slice
-        # Switch charging: one lag of the level chain, seeded with the
-        # stream's current point.
-        try:
-            prev_first = self.levels.index_of(self.stream._previous)
-        except KeyError:
-            return 0
-        prev = np.empty(n, dtype=np.int64)
-        prev[0] = prev_first
-        prev[1:] = idx[:-1]
-        if self.controller.charge_overheads:
-            t_switch = np.where(idx != prev, self.config.t_switch, 0.0)
-        else:
-            t_switch = np.zeros(n)
-        actual = np.array([r.actual_cycles for r in records],
-                          dtype=float)
-        t_exec = actual / self._freq[idx]
-        finish = ((arr + t_slice) + t_switch) + t_exec
-        # Verify the speculation: the prefix holds while each finish
-        # stays at or before the next arrival (start == arrival).
-        chain = finish[:-1] <= arr[1:]
-        m = n if bool(chain.all()) else int(np.argmax(~chain)) + 1
-        deadline = self.config.deadline
-        missed = (finish - (arr + deadline)) > TIME_EPS_REL * deadline
-        energy = self._energies(records[:m], idx[:m], t_slice[:m],
-                                t_switch[:m], t_exec[:m], fallback[:m])
-        decision_s = (time.perf_counter() - t0) / m
-        self._commit(window, records, m, arr, idx, t_slice, t_switch,
-                     t_exec, finish, missed, energy, fallback,
-                     decision_s)
-        # Adapt the window: grow while speculation holds, shrink to
-        # the committed scale when it breaks.
-        if m == n:
-            self.window = min(self.window * 2, MAX_EPOCH)
-        else:
-            self.window = max(MIN_EPOCH, 1 << int(m).bit_length())
-        return m
+        decision_s = (time.perf_counter() - t0) / n
 
-    def _commit(self, window, records, m, arr, idx, t_slice, t_switch,
-                t_exec, finish, missed, energy, fallback,
-                decision_s: float) -> None:
+        t_switch = (self.config.t_switch
+                    if self.controller.charge_overheads else 0.0)
+        t_exec = np.array([r.actual_cycles for r in records],
+                          dtype=float) / self._freq[idx]
+        began = arr + t_slice
+        finish = [(began + tsw) + t_exec for tsw in (0.0, t_switch)]
+        late = TIME_EPS_REL * deadline
+        missed = [(f - (arr + deadline)) > late for f in finish]
+        energy = self._energies(records, idx, t_slice, t_exec, t_switch,
+                                fallback)
+        # The planned case switches against the previous job's planned
+        # level, and the first job against the stream's current one:
+        # the block's first run commits right after this plan.
+        switched = np.zeros(n, dtype=bool)
+        if self.controller.charge_overheads:
+            switched[0] = (self._points[int(idx[0])]
+                           != self.stream._previous)
+            switched[1:] = idx[1:] != idx[:-1]
+        cases = (finish, missed, energy)
+        planned = [np.where(switched, one, zero) for zero, one in cases]
+        # A run continuing at job j ends after the first job at or past
+        # j whose planned finish passes its successor's arrival.
+        breaks = np.flatnonzero(~(planned[0][:-1] <= arr[1:]))
+        ends = np.append(breaks + 1, n)[
+            np.searchsorted(breaks, np.arange(n))]
+        status = ([FALLBACK if f else COMPLETED
+                   for f in fallback.tolist()]
+                  if n_live < n else [COMPLETED] * n)
+        self._plan = (
+            block, records, decision_s, t_switch, status, arr.tolist(),
+            idx.tolist(), t_slice.tolist(), t_exec.tolist(),
+            self._volt[idx].tolist(), self._freq[idx].tolist(),
+            self._boost[idx].tolist(), switched.tolist(),
+            np.where(switched, t_switch, 0.0).tolist(),
+            [column.tolist() for column in planned], ends.tolist(),
+            [np.where(switched, zero, one).tolist()
+             for zero, one in cases])
+
+    # -- the run -------------------------------------------------------
+
+    def run_epoch(self, jobs: Sequence[StreamJob], start: int) -> int:
+        """Commit the uncoupled run that starts at ``jobs[start]``.
+
+        Plans a block first when none covers ``start``.  Returns how
+        many jobs were committed (0 = the controller declined the block
+        and the caller must take the scalar path for ``jobs[start]``).
+        Preconditions (checked by :func:`drive_stream_vectorized`): the
+        queue is empty and ``stream.now <= jobs[start].arrival``.
+        """
+        if not self._first <= start < self._end:
+            self._plan_block(jobs, start)
+        if self._plan is None:
+            return 0
+        (block, records, decision_s, t_switch, status_l, arr_l, idx_l,
+         ts_l, te_l, vo_l, fr_l, bo_l, sw_l, tsw_l, planned, ends_l,
+         other) = self._plan
         stream = self.stream
-        cols = [a[:m].tolist() for a in
-                (t_slice, t_switch, t_exec, finish, missed, energy,
-                 self._volt[idx[:m]], self._freq[idx[:m]],
-                 self._boost[idx[:m]])]
-        ts_l, tsw_l, te_l, fin_l, miss_l, en_l, vo_l, fr_l, bo_l = cols
-        fb_l = fallback[:m].tolist()
+        k = start - self._first
+        n = len(block)
+        fin_l, miss_l, en_l = planned
+        # The first job's switch case follows the stream's current
+        # level, exactly as the scalar machine decides it.
+        switch = (self.controller.charge_overheads
+                  and self._points[idx_l[k]] != stream._previous)
+        replanned = switch != sw_l[k]
+        finish_k = other[0][k] if replanned else fin_l[k]
+        end = ends_l[k + 1] if k + 1 < n and finish_k <= arr_l[k + 1] \
+            else k + 1
         append = stream.outcomes.append
         new = StreamOutcome.__new__
-        for k in range(m):
-            sjob = window[k]
+        for j in range(k, end):
             # Frozen-dataclass __init__ pays object.__setattr__ per
-            # field; populating __dict__ directly builds the identical
-            # (never-again-mutated) outcome at a fraction of the cost.
+            # field.  Storing into __dict__ field by field, in field
+            # order, builds the identical (never-again-mutated) outcome
+            # faster and keeps the class's shared key table, which a
+            # bulk update() would replace with a copy of its own.
             outcome = new(StreamOutcome)
-            outcome.__dict__.update(
-                index=sjob.index,
-                status=FALLBACK if fb_l[k] else COMPLETED,
-                job=records[k], arrival=sjob.arrival,
-                release=sjob.arrival, start=sjob.arrival,
-                t_slice=ts_l[k], t_switch=tsw_l[k], t_exec=te_l[k],
-                energy=en_l[k], missed=miss_l[k],
-                voltage=vo_l[k], frequency=fr_l[k], boosted=bo_l[k],
-                decision_s=decision_s, batch_size=1,
-            )
+            fields = outcome.__dict__
+            fields["index"] = block[j].index
+            fields["status"] = status_l[j]
+            fields["job"] = records[j]
+            fields["arrival"] = fields["release"] = fields["start"] = \
+                arr_l[j]
+            fields["t_slice"] = ts_l[j]
+            fields["t_switch"] = tsw_l[j]
+            fields["t_exec"] = te_l[j]
+            fields["energy"] = en_l[j]
+            fields["missed"] = miss_l[j]
+            fields["voltage"] = vo_l[j]
+            fields["frequency"] = fr_l[j]
+            fields["boosted"] = bo_l[j]
+            fields["decision_s"] = decision_s
+            fields["batch_size"] = 1
             append(outcome)
+        m = end - k
+        if replanned:  # the first job's switch case is not the plan's
+            stream.outcomes[-m].__dict__.update(
+                t_switch=t_switch if switch else 0.0,
+                energy=other[2][k], missed=other[1][k])
+        last = end - 1
+        finish = fin_l[last] if m > 1 else finish_k
         stream.n_offered += m
-        stream.now = fin_l[-1]
-        stream._previous = self._points[int(idx[m - 1])]
-        # Within the epoch every non-final finish is at or before the
-        # next arrival, so only the last one can still be in flight
-        # for any later backlog query.
-        stream._finishes.append(fin_l[-1])
+        stream.now = finish
+        stream._previous = self._points[idx_l[last]]
+        # Within a run every non-final finish is at or before the next
+        # arrival, so only the last one can still be in flight for any
+        # later backlog query.
+        stream._finishes.append(finish)
         stream._in_flight += 1
-        stream.epoch_log.append((window[0].index, m))
-        kept = stream._kept
-        if kept:
-            for sjob in window[:m]:
-                kept.pop(sjob.index, None)
+        stream.epoch_log.append((block[k].index, m))
         observer = get_observer()
         if observer is not None:
-            self._emit(observer, window, m, fin_l, miss_l, en_l,
-                       ts_l, tsw_l, te_l, fallback, decision_s)
+            self._emit(observer, stream.outcomes[-m:],
+                       [finish_k] + fin_l[k + 1:end])
+        return m
 
-    def _emit(self, observer, window, m, fin_l, miss_l, en_l, ts_l,
-              tsw_l, te_l, fallback, decision_s: float) -> None:
-        """Replay the scalar path's per-job telemetry for the epoch.
+    def _emit(self, observer, outcomes, finishes) -> None:
+        """Replay the scalar path's per-job telemetry for one run.
 
-        Counter and time-series *values* match the scalar engine
+        Counter and time-series *values* match the scalar machine
         exactly (windowed series aggregate by virtual time); only the
         emission order differs — the scalar path interleaves the next
         admission before the previous execution.
         """
         metrics = observer.metrics
         series = observer.timeseries
-        n_fallback = int(sum(1 for k in range(m) if fallback[k]))
+        m = len(outcomes)
+        n_fallback = sum(1 for o in outcomes if o.status == FALLBACK)
         metrics.inc("serve.offered", m)
         metrics.inc("serve.epochs")
         metrics.inc("serve.epoch_jobs", m)
@@ -389,35 +425,31 @@ class EpochEngine:
         if m - n_fallback:
             metrics.inc("serve.completed", m - n_fallback)
         slo_live = (observer.slo is not None and self.stream.slo_live)
-        for k in range(m):
-            sjob = window[k]
-            status = FALLBACK if fallback[k] else COMPLETED
-            series.observe("serve.shed", sjob.arrival, 0.0)
-            metrics.observe("serve.decision_ms", decision_s * 1e3)
+        for o, finish in zip(outcomes, finishes):
+            decision_ms = o.decision_s * 1e3
+            series.observe("serve.shed", o.arrival, 0.0)
+            metrics.observe("serve.decision_ms", decision_ms)
             metrics.observe("serve.batch_size", 1)
-            series.observe("serve.miss", fin_l[k],
-                           1.0 if miss_l[k] else 0.0)
-            series.observe("serve.fallback", fin_l[k],
-                           1.0 if fallback[k] else 0.0)
-            series.observe("serve.energy_per_job", fin_l[k], en_l[k])
-            series.observe("serve.decision_ms", fin_l[k],
-                           decision_s * 1e3)
+            series.observe("serve.miss", finish, 1.0 if o.missed else 0.0)
+            series.observe("serve.fallback", finish,
+                           1.0 if o.status == FALLBACK else 0.0)
+            series.observe("serve.energy_per_job", finish, o.energy)
+            series.observe("serve.decision_ms", finish, decision_ms)
             observer.emit(
-                "sjob", stream=self.stream.name, index=sjob.index,
-                status=status, arrival=sjob.arrival,
-                release=sjob.arrival, start=sjob.arrival,
-                t_slice=ts_l[k], t_switch=tsw_l[k], t_exec=te_l[k],
-                energy=en_l[k], missed=miss_l[k],
-                decision_ms=decision_s * 1e3, batch_size=1)
+                "sjob", stream=self.stream.name, index=o.index,
+                status=o.status, arrival=o.arrival, release=o.arrival,
+                start=o.arrival, t_slice=o.t_slice,
+                t_switch=o.t_switch, t_exec=o.t_exec, energy=o.energy,
+                missed=o.missed, decision_ms=decision_ms, batch_size=1)
             if slo_live:
-                observer.slo.evaluate(series, upto_t=fin_l[k])
+                observer.slo.evaluate(series, upto_t=finish)
 
 
 def drive_stream_vectorized(stream: AcceleratorStream,
                             jobs: Sequence[StreamJob]) -> None:
-    """Drive one arrival-sorted stream, epoch-coalescing where the
-    decisions decouple and deferring to the scalar state machine
-    everywhere else.  Equivalent to ``offer`` per job plus ``drain``.
+    """Drive one arrival-sorted stream: block-planned runs where the
+    decisions decouple, the scalar state machine everywhere else.
+    Equivalent to ``offer`` per job plus ``drain``.
     """
     engine = EpochEngine(stream)
     n = len(jobs)

@@ -22,8 +22,12 @@ def stream(seed: int, label: str) -> np.random.Generator:
 
 def clipped_normal(rng: np.random.Generator, mean: float, sigma: float,
                    low: float, high: float) -> float:
-    """One normal draw clipped into [low, high]."""
-    return float(np.clip(rng.normal(mean, sigma), low, high))
+    """One normal draw clipped into [low, high].
+
+    Plain ``min``/``max``: the same float as ``np.clip`` for every
+    non-NaN draw, without a numpy call per scalar.
+    """
+    return float(min(max(rng.normal(mean, sigma), low), high))
 
 
 def clipped_normal_int(rng: np.random.Generator, mean: float, sigma: float,

@@ -1,23 +1,25 @@
-"""Differential tests: the vectorized decision plane vs the scalar
+"""Differential tests: block-planned virtual serving vs the scalar
 reference machine.
 
 Every test here serves the *same* jobs twice — through
-:func:`repro.serve.serve_stream`, which decides epochs wherever they
-are eligible, and through the scalar state machine driven directly
-(``offer`` per job, then ``drain``) — and demands bit-identity on the
+:func:`repro.serve.serve_stream` (or :func:`repro.serve.serve_fleet`),
+which commits block-planned runs wherever they are eligible, and
+through the scalar state machine driven directly (``offer`` per job,
+then ``drain``) — and demands bit-identity on the
 :func:`repro.serve.virtual_outcomes` canonical form, not approximate
-equality.  The epoch engine's whole contract is that vectorization is
-an implementation detail invisible in the results.
+equality.  The whole contract of planning is that it is an
+implementation detail invisible in the results.
 """
 
 import math
+import time
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.check import check_epochs
+from repro.check import check_epochs, check_fleet
 from repro.dvfs import (
     AsicEnergyModel,
     ConstantFrequencyController,
@@ -28,16 +30,22 @@ from repro.dvfs import (
     TableBasedController,
 )
 from repro.experiments import make_controller, tech_context
+from repro.obs import session
 from repro.rtl import BACKENDS, set_default_backend
 from repro.serve import (
     COMPLETED,
     FALLBACK,
     SHED,
     AcceleratorStream,
+    FleetConfig,
+    FleetDispatcher,
     RecordPredictor,
     ServeConfig,
     SlicePredictor,
+    TenantSpec,
     build_stream_jobs,
+    mixed_stream_jobs,
+    serve_fleet,
     serve_stream,
     serve_streams,
     virtual_outcomes,
@@ -48,9 +56,11 @@ from repro.serve.stream import (
     poisson_arrivals,
     stream_from_records,
 )
+from repro.serve.vector import BLOCK
 from repro.units import DVFS_SWITCH_TIME, MS
 from tests.conftest import FlatEnergyModel, job
 from tests.serve.conftest import DEADLINE, stream_records
+from tests.serve.test_fleet import make_pool
 
 
 def spiky_records(levels, n=400, seed=0):
@@ -177,6 +187,26 @@ def test_missing_predictions_fall_back_identically(asic_levels):
     assert stream.epoch_log
 
 
+def test_declined_block_raises_the_scalar_diagnostic(asic_levels):
+    """A sliceless scheme plans on the record itself; a record with no
+    prediction makes ``plan_batch`` decline the block, and the scalar
+    machine then raises the same diagnostic ``plan`` raises alone."""
+    records = spiky_records(asic_levels, n=50, seed=1)
+    records[7] = replace(records[7], predicted_cycles=None)
+    jobs = stream_from_records(
+        records, poisson_arrivals(100.0, n_jobs=50, seed=2))
+    model = FlatEnergyModel()
+    for serve in (serve_scalar, serve_stream):
+        stream = AcceleratorStream(
+            "no-overhead", PredictiveController(
+                asic_levels, DVFS_SWITCH_TIME, charge_overheads=False),
+            model, slice_energy_model=model, predictor=RecordPredictor(),
+            config=ServeConfig(deadline=DEADLINE))
+        with pytest.raises(ValueError, match="job 7 carries no prediction"):
+            serve(stream, jobs)
+        assert stream.epoch_log == []
+
+
 def test_no_predictor_is_all_fallback_identically(asic_levels):
     records = spiky_records(asic_levels, n=100, seed=4)
     jobs = stream_from_records(
@@ -250,21 +280,73 @@ def test_epoch_log_conserves_and_checks_clean(asic_levels):
             assert outcome.start == outcome.arrival
 
 
+class SlowPlanController(PredictiveController):
+    """A predictive controller whose level selection takes at least
+    ``PLAN_S`` of wall time per call, scalar or batched."""
+
+    PLAN_S = 0.001
+
+    def plan(self, job, budget):
+        time.sleep(self.PLAN_S)
+        return super().plan(job, budget)
+
+    def plan_batch(self, jobs, budgets):
+        time.sleep(self.PLAN_S)
+        return super().plan_batch(jobs, budgets)
+
+
 def test_epoch_decision_latency_amortized(asic_levels):
-    """Within one epoch every job carries the same amortized
-    ``decision_s`` — the epoch's wall time divided by its size — and
-    it is a real measurement, not zero."""
-    records = spiky_records(asic_levels, n=200, seed=17)
+    """``decision_s`` is the wall time to predict a job and select its
+    level.  Every planned job of a block carries the same value — the
+    block's predict-and-plan time over its job count, a real
+    measurement that includes the batched level selection; a scalar
+    job's value includes its own ``plan`` call, which
+    ``prediction_budget`` (bounding the predictor call alone) does not
+    count."""
+    n = BLOCK + 200
+    records = spiky_records(asic_levels, n=n, seed=17)
     jobs = stream_from_records(
-        records, poisson_arrivals(100.0, n_jobs=200, seed=18))
-    stream, result = run_stream(asic_levels, "predictive", jobs)
+        records, poisson_arrivals(100.0, n_jobs=n, seed=18))
+    model = FlatEnergyModel()
+
+    def stream_with(**config):
+        return AcceleratorStream(
+            "slow", SlowPlanController(asic_levels, DVFS_SWITCH_TIME),
+            model, slice_energy_model=model, predictor=RecordPredictor(),
+            config=ServeConfig(deadline=DEADLINE, **config))
+
+    stream = stream_with()
+    result = serve_stream(stream, jobs)
     assert stream.epoch_log
     by_index = {o.index: o for o in result.outcomes}
+    # Each block starts at the first run past the previous block.
+    blocks = {}
+    block_end = -1
     for first, count in stream.epoch_log:
-        latencies = {by_index[i].decision_s
-                     for i in range(first, first + count)}
+        if first >= block_end:
+            block = blocks.setdefault(first, [])
+            block_end = first + BLOCK
+        assert first + count <= block_end
+        block.extend(range(first, first + count))
+    assert len(blocks) == 2
+    for start, indices in blocks.items():
+        latencies = {by_index[i].decision_s for i in indices}
         assert len(latencies) == 1
-        assert latencies.pop() > 0.0
+        size = min(BLOCK, n - start)
+        assert latencies.pop() * size >= SlowPlanController.PLAN_S
+    planned = {i for indices in blocks.values() for i in indices}
+    scalar = [o for o in result.outcomes
+              if o.executed and o.index not in planned]
+    assert scalar
+    assert all(o.decision_s >= SlowPlanController.PLAN_S
+               for o in scalar)
+
+    budgeted = stream_with(prediction_budget=SlowPlanController.PLAN_S)
+    result = serve_stream(budgeted, jobs[:50])
+    assert budgeted.epoch_log == []
+    assert result.n_fallback == 0
+    assert all(o.decision_s >= SlowPlanController.PLAN_S
+               for o in result.outcomes)
 
 
 def test_strict_mode_covers_vector_engine(asic_levels, monkeypatch):
@@ -277,6 +359,153 @@ def test_strict_mode_covers_vector_engine(asic_levels, monkeypatch):
     stream, result = run_stream(asic_levels, "predictive", jobs)
     assert stream.epoch_log
     assert result.n_offered == 200
+
+
+# -- block edges, real bundles, fleets and telemetry ---------------------
+
+def test_runs_across_and_on_block_boundaries(asic_levels):
+    """A stream over two block boundaries: an uncoupled chain crossing
+    the first (it commits as two runs, one per block), a run starting
+    mid-block after a coupled job, and a run starting exactly on the
+    second boundary after a coupled job.  Alternating light and
+    medium jobs switch level on every job, so both switch cases are
+    exercised."""
+    f = asic_levels.nominal.frequency
+    light, medium, long = (int(f * ms * MS) for ms in (2, 6, 20))
+    n = 2 * BLOCK + 200
+    # A 20 ms job overruns the next arrival 12 ms later, so that light
+    # job is coupled, but not the arrival after.
+    mid, edge = 600, 2 * BLOCK - 2
+    records = []
+    for i in range(n):
+        cycles = (long if i in (mid, edge) else
+                  light if i - 1 in (mid, edge) else (light, medium)[i % 2])
+        records.append(replace(job(i, cycles),
+                               predicted_cycles=float(cycles),
+                               slice_cycles=100))
+    jobs = stream_from_records(records, [i * 12 * MS for i in range(n)])
+    stream, result = assert_engines_identical(
+        asic_levels, "predictive", jobs, strict=True)
+    starts = {first: count for first, count in stream.epoch_log}
+    out = result.outcomes
+    # Crossing the first boundary: one chain, cut by the block.
+    assert any(first + count == BLOCK for first, count in starts.items())
+    assert BLOCK in starts
+    assert out[BLOCK - 1].finish <= out[BLOCK].arrival
+    assert out[BLOCK].start == out[BLOCK].arrival
+    # Mid-block and on the second boundary, right after a coupled job.
+    for first in (mid + 2, 2 * BLOCK):
+        assert first in starts
+        assert out[first - 1].start > out[first - 1].arrival
+    assert sum(1 for o in out if o.t_switch > 0.0) > n // 2
+
+
+@pytest.mark.parametrize("tech,scheme", [
+    ("fpga", "prediction"),
+    ("fpga", "oracle"),
+    ("asic", "prediction_boost"),
+    ("asic", "prediction_no_overhead"),
+    ("asic", "oracle"),
+])
+def test_real_bundle_schemes_identical(shared_bundle, tech, scheme):
+    """Controllers built by ``make_controller`` on a real bundle, with
+    its energy models and level table (FPGA included): the planned
+    outcomes equal the scalar machine's, and strict checks are
+    clean."""
+    bundle = shared_bundle("cjpeg", 0.05)
+    ctx = tech_context(bundle, tech=tech)
+    jobs = build_stream_jobs(
+        bundle, poisson_arrivals(60.0, n_jobs=BLOCK + 100, seed=5))
+
+    def make():
+        return AcceleratorStream(
+            "cjpeg", make_controller(ctx, scheme), ctx.energy_model,
+            ctx.slice_energy_model, predictor=RecordPredictor(),
+            config=ServeConfig(deadline=ctx.config.deadline,
+                               t_switch=ctx.config.t_switch,
+                               strict=True))
+
+    scalar = serve_scalar(make(), jobs)
+    stream = make()
+    result = serve_stream(stream, jobs)
+    assert stream.epoch_log
+    assert virtual_outcomes(result) == virtual_outcomes(scalar)
+
+
+def test_fleet_shards_take_the_block_plan(asic_levels):
+    """``serve_fleet`` serves every shard's routed sub-stream through
+    ``drive_stream_vectorized``: against a reference that offers and drains
+    each shard's routed jobs, shard outcomes, sheds and assignments
+    are identical, and the fleet checker is clean."""
+    records = {bench: spiky_records(asic_levels, n=50, seed=seed)
+               for seed, bench in enumerate(("alpha", "beta"))}
+    jobs = mixed_stream_jobs(
+        records, poisson_arrivals(300.0, n_jobs=1500, seed=4), seed=4,
+        tenants=("gold", "free"))
+    tenants = (TenantSpec("gold"), TenantSpec("free", rate=60.0,
+                                              burst=5.0))
+    config = FleetConfig(policy="least_loaded", strict=True)
+    with session() as obs:
+        result = serve_fleet(make_pool(asic_levels, queue_depth=4), jobs,
+                             config, tenants=tenants, workers=1)
+    assert obs.metrics.counters["serve.epochs"] > 0
+
+    dispatcher = FleetDispatcher(make_pool(asic_levels, queue_depth=4),
+                                 config, tenants=tenants)
+    routed = dispatcher.dispatch(jobs)
+    reference = [serve_scalar(spec.make_stream(),
+                              [job.job for job in shard_jobs])
+                 for spec, shard_jobs in zip(dispatcher.specs, routed)]
+    assert [virtual_outcomes(r) for r in result.shards] == \
+        [virtual_outcomes(r) for r in reference]
+    assert result.sheds == dispatcher.sheds
+    assert any(s.reason == "rate_limit" for s in result.sheds)
+    # Both paths ran inside the shards: some jobs queued behind others.
+    assert any(o.start > o.arrival for r in result.shards
+               for o in r.outcomes if o.executed)
+    assert result.assignments == dispatcher.assignments
+    assert check_fleet(result) == []
+
+
+def test_planned_telemetry_matches_scalar(asic_levels):
+    """Under an installed observer, a planned stream and the scalar
+    machine count the same outcomes and write the same windowed
+    series: equal per-window sample counts everywhere, and equal
+    per-window totals for every virtual-clock series."""
+    records = spiky_records(asic_levels, n=600, seed=19)
+    records = [replace(r, predicted_cycles=None) if i % 7 == 0 else r
+               for i, r in enumerate(records)]
+    jobs = stream_from_records(
+        records, poisson_arrivals(150.0, n_jobs=600, seed=20))
+
+    def observed(scalar):
+        with session() as obs:
+            stream, _ = run_stream(asic_levels, "predictive", jobs,
+                                   scalar=scalar, queue_depth=2)
+        return stream, obs
+
+    planned, p_obs = observed(False)
+    _, s_obs = observed(True)
+    assert planned.epoch_log
+    counters = p_obs.metrics.counters
+    assert counters["serve.epochs"] == len(planned.epoch_log)
+    assert counters["serve.epoch_jobs"] == \
+        sum(n for _, n in planned.epoch_log)
+    for name in ("serve.offered", "serve.completed", "serve.fallback",
+                 "serve.shed"):
+        assert counters[name] == s_obs.metrics.counters[name], name
+    for name in ("serve.decision_ms", "serve.batch_size"):
+        assert p_obs.metrics.histograms[name].count == \
+            s_obs.metrics.histograms[name].count
+    p_ts, s_ts = p_obs.timeseries, s_obs.timeseries
+    assert p_ts.series_names() == s_ts.series_names()
+    for name in p_ts.series_names():
+        p_cells, s_cells = p_ts.windows(name), s_ts.windows(name)
+        assert [(i, c.count) for i, c in p_cells] == \
+            [(i, c.count) for i, c in s_cells], name
+        if name != "serve.decision_ms":
+            assert [c.total for _, c in p_cells] == \
+                [c.total for _, c in s_cells], name
 
 
 # -- predictions: invalid results, and one run per job ------------------
@@ -324,7 +553,8 @@ def test_invalid_predictions_fall_back_in_both_engines(asic_levels):
     stream, result = assert_engines_identical(
         asic_levels, "predictive", jobs, predictor=InvalidEveryFifth(),
         strict=True)
-    assert stream.epoch_log
+    # A predictor that has to run takes the scalar machine only.
+    assert stream.epoch_log == []
     assert_every_fifth_falls_back(result)
 
 
@@ -377,35 +607,35 @@ def slice_backend(request):
 
 
 def test_live_slice_epochs_predict_each_job_once(cjpeg, slice_backend):
-    """With the live slice, epochs break often at 60 jobs/s; the jobs
-    each epoch speculates past its committed prefix keep their
-    predictions, so every offered job reaches the predictor exactly
-    once, and the outcomes match the scalar engine bit for bit."""
+    """A live slice has to run, so the stream takes the scalar machine
+    only: no epoch runs, every offered job reaches the predictor
+    exactly once, and the outcomes match the scalar engine bit for
+    bit."""
     jobs = build_stream_jobs(
         cjpeg[0], poisson_arrivals(60.0, n_jobs=120, seed=3),
         with_inputs=True)
     _, scalar, _ = serve_live(cjpeg, jobs, scalar=True)
     stream, result, predictor = serve_live(cjpeg, jobs)
-    assert len(stream.epoch_log) > 1
-    assert sum(n for _, n in stream.epoch_log) < len(jobs)
+    assert stream.epoch_log == []
     assert virtual_outcomes(result) == virtual_outcomes(scalar)
     assert predictor.calls == Counter(range(len(jobs)))
-    assert stream._kept == {}
 
 
 def test_live_slice_speculation_into_shed_jobs(cjpeg):
-    """Bursts against a queue of two: epochs speculate into jobs that
-    are shed later, whose kept predictions go with them."""
+    """Bursts against a queue of two: shed jobs never reach the live
+    predictor, and every executed job reaches it exactly once."""
     jobs = build_stream_jobs(
         cjpeg[0], burst_arrivals(60.0, duration=3.0, seed=5),
         with_inputs=True)
     _, scalar, _ = serve_live(cjpeg, jobs, scalar=True, queue_depth=2)
     stream, result, predictor = serve_live(cjpeg, jobs, queue_depth=2)
     assert virtual_outcomes(result) == virtual_outcomes(scalar)
+    assert stream.epoch_log == []
     shed = [o.index for o in result.outcomes if o.status == SHED]
-    assert any(predictor.calls[i] for i in shed)
-    assert max(predictor.calls.values()) == 1
-    assert stream._kept == {}
+    assert shed
+    assert not any(predictor.calls[i] for i in shed)
+    executed = [o.index for o in result.outcomes if o.executed]
+    assert predictor.calls == Counter(executed)
 
 
 def test_shared_slice_predictor_matches_fresh_per_stream(cjpeg):
