@@ -18,6 +18,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..rtl.simulator import EventSlots
+
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -53,21 +55,23 @@ class FeatureSet:
         if len(set(names)) != len(names):
             raise ValueError("duplicate feature specs")
         self._index: Dict[str, int] = {n: i for i, n in enumerate(names)}
-        # Event dispatch tables used by the recorder.
-        self.stc_index: Dict[Tuple[str, str, str], int] = {}
-        self.ic_index: Dict[str, int] = {}
-        self.aivs_index: Dict[str, int] = {}
-        self.apvs_index: Dict[str, int] = {}
+        # The recorder's event dispatch table, which the stepjit kernel
+        # compiles in: an arc counts into its STC slot, a counter load
+        # into the counter's IC and AIV-sum slots, a reset into its IC
+        # and APV-sum slots.
+        arcs: Dict[Tuple[str, str, str], int] = {}
+        by_kind: Dict[str, Dict[str, int]] = {"ic": {}, "aivs": {},
+                                              "apvs": {}}
         for i, spec in enumerate(self.specs):
             if spec.kind == "stc":
-                self.stc_index[(spec.source, spec.src_state,
-                                spec.dst_state)] = i
-            elif spec.kind == "ic":
-                self.ic_index[spec.source] = i
-            elif spec.kind == "aivs":
-                self.aivs_index[spec.source] = i
-            elif spec.kind == "apvs":
-                self.apvs_index[spec.source] = i
+                arcs[(spec.source, spec.src_state, spec.dst_state)] = i
+            else:
+                by_kind[spec.kind][spec.source] = i
+        ic, aivs, apvs = by_kind["ic"], by_kind["aivs"], by_kind["apvs"]
+        self.slots = EventSlots(
+            arcs,
+            loads={c: (ic.get(c), aivs.get(c)) for c in [*ic, *aivs]},
+            resets={c: (ic.get(c), apvs.get(c)) for c in [*ic, *apvs]})
 
     def __len__(self) -> int:
         return len(self.specs)

@@ -9,8 +9,11 @@ dropped, and real FSMs/counters missed by detection simply yield no
 features — both situations degrade prediction rather than break it,
 matching the paper's djpeg discussion.
 
-``FeatureRecorder`` is the runtime half: a simulator listener that
-accumulates the per-job feature vector.
+``FeatureRecorder`` is the runtime half: the per-job feature vector,
+one accumulator slot per feature — the counters the paper adds to the
+RTL.  Under the ``stepjit`` backend the slots are compiled into the
+simulation kernel, so recording costs one inline addition per event;
+the ``interp`` oracle reaches them through listener callbacks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from ..rtl.backend import make_simulation, resolve_backend
 from ..rtl.module import Module
 from ..rtl.netlist import Netlist
-from ..rtl.simulator import Listener, Simulation
+from ..rtl.simulator import EventSlots, Listener, Simulation
 from .counter_detect import DetectedCounter, detect_counters
 from .features import FeatureMatrix, FeatureSet, FeatureSpec
 from .fsm_detect import DetectedFsm, detect_fsms
@@ -78,43 +81,72 @@ def discover_features(module: Module, netlist: Netlist) -> FeatureSet:
 
 
 class FeatureRecorder(Listener):
-    """Simulator listener accumulating one job's feature vector."""
+    """Simulator listener accumulating one job's feature vector.
+
+    The vector accumulates in ``accumulator``, a list of floats, on
+    every backend, through one dispatch table: the feature set's
+    ``slots``.  Under ``stepjit`` the kernel compiles that table in
+    and adds each event to its slot inline, calling none of the
+    callbacks below; the ``interp`` oracle calls them.  Both add the
+    same values to each feature in the same order, so the vectors are
+    bit-identical.  A subclass that overrides a callback (or asks for
+    :meth:`on_cycle`) is always called back.
+    """
 
     def __init__(self, feature_set: FeatureSet):
         self.feature_set = feature_set
-        self._values = np.zeros(len(feature_set), dtype=float)
+        self.accumulator: List[float] = [0.0] * len(feature_set)
+        self._slots = feature_set.slots if _stock_callbacks(self) else None
+
+    def event_slots(self) -> Optional[EventSlots]:
+        """The feature set's slot table while the callbacks are this
+        class's own, else ``None``."""
+        return self._slots
 
     def start_job(self) -> None:
         """Clear the accumulator before a new job."""
-        self._values[:] = 0.0
+        self.accumulator = [0.0] * len(self.feature_set)
 
     def on_transition(self, fsm: str, src: str, dst: str) -> None:
         """Count a state transition (STC features)."""
-        idx = self.feature_set.stc_index.get((fsm, src, dst))
+        idx = self.feature_set.slots.transitions.get((fsm, src, dst))
         if idx is not None:
-            self._values[idx] += 1.0
+            self.accumulator[idx] += 1.0
 
     def on_counter_load(self, counter: str, value: int) -> None:
         """Record a down-counter load (IC and AIV-sum features)."""
-        idx = self.feature_set.ic_index.get(counter)
-        if idx is not None:
-            self._values[idx] += 1.0
-        idx = self.feature_set.aivs_index.get(counter)
-        if idx is not None:
-            self._values[idx] += float(value)
+        self._add(self.feature_set.slots.loads.get(counter), value)
 
     def on_counter_reset(self, counter: str, value: int) -> None:
         """Record an up-counter reset (IC and APV-sum features)."""
-        idx = self.feature_set.ic_index.get(counter)
-        if idx is not None:
-            self._values[idx] += 1.0
-        idx = self.feature_set.apvs_index.get(counter)
-        if idx is not None:
-            self._values[idx] += float(value)
+        self._add(self.feature_set.slots.resets.get(counter), value)
+
+    def _add(self, pair: Optional[Tuple[Optional[int], Optional[int]]],
+             value: int) -> None:
+        # One counter event: 1.0 to its count slot, the value to its
+        # value slot — the additions the stepjit kernel inlines.
+        if pair is None:
+            return
+        count, total = pair
+        if count is not None:
+            self.accumulator[count] += 1.0
+        if total is not None:
+            self.accumulator[total] += float(value)
 
     def vector(self) -> np.ndarray:
-        """The job's feature vector accumulated so far."""
-        return self._values.copy()
+        """The job's feature vector accumulated so far (a new array)."""
+        return np.array(self.accumulator, dtype=float)
+
+
+def _stock_callbacks(recorder: FeatureRecorder) -> bool:
+    """True when every callback of ``recorder`` is
+    :class:`FeatureRecorder`'s own, so inlined slots replace them."""
+    cls = type(recorder)
+    return (cls.on_transition is FeatureRecorder.on_transition
+            and cls.on_counter_load is FeatureRecorder.on_counter_load
+            and cls.on_counter_reset is FeatureRecorder.on_counter_reset
+            and cls.on_cycle is FeatureRecorder.on_cycle
+            and not recorder.wants_cycles)
 
 
 def _summarize_job_inputs(inputs: Dict[str, int],

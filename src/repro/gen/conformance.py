@@ -9,8 +9,10 @@ checks spanning every layer of the repository:
    netlist without crashing;
 3. ``backends`` — :func:`compare_backends`: ``stepjit`` agrees with
    the ``interp`` oracle bit-for-bit on cycle count, final
-   architectural state, per-state residency, final FSM states and
-   ordered listener events, with fast-forward both on and off;
+   architectural state, per-state residency, final FSM states,
+   ordered listener events and the feature vector a
+   :class:`~repro.analysis.FeatureRecorder` records, with
+   fast-forward both on and off;
 4. ``flow`` — the offline flow trains a predictor on a sampled
    workload and produces a prediction for every test job;
 5. ``episode:asic`` / ``episode:fpga`` — predictive DVFS episodes on
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..analysis import FeatureRecorder, FeatureSet, discover_features
 from ..check import check_episode, check_stream
 from ..experiments.runner import (
     BenchmarkBundle,
@@ -45,6 +48,7 @@ from ..rtl import (
     StepSimulation,
     errors_only,
     lint_module,
+    synthesize,
     to_verilog,
 )
 from ..serve import (
@@ -144,27 +148,38 @@ Job = Tuple[Dict[str, int], Dict[str, Sequence[int]]]
 
 #: Fields each backend must match ``interp`` on, per job.
 COMPARED_FIELDS = {
-    "stepjit": ("cycles", "state", "state_cycles", "fsm_state", "events"),
+    "stepjit": ("cycles", "state", "state_cycles", "fsm_state", "events",
+                "features"),
 }
 
 
-def _run_scalar(module, cls, job: Job, fast_forward: bool,
-                max_cycles: int) -> Dict[str, object]:
+def _run_job(sim, job: Job, max_cycles: int) -> None:
     inputs, memories = job
+    sim.load(inputs=inputs, memories=memories)
+    if not sim.run(max_cycles=max_cycles).finished:
+        raise RuntimeError(
+            f"{sim.module.name}: {type(sim).__name__} did not terminate "
+            f"in {max_cycles} cycles")
+
+
+def _run_scalar(module, cls, job: Job, fast_forward: bool,
+                max_cycles: int, feature_set: FeatureSet
+                ) -> Dict[str, object]:
+    # Two runs: ordered callbacks, then the feature recorder (which
+    # stepjit compiles into the kernel instead of calling back).
     rec = _EventRecorder()
     sim = cls(module, listener=rec, fast_forward=fast_forward)
-    sim.load(inputs=inputs, memories=memories)
-    result = sim.run(max_cycles=max_cycles)
-    if not result.finished:
-        raise RuntimeError(
-            f"{module.name}: {cls.__name__} did not terminate in "
-            f"{max_cycles} cycles")
+    _run_job(sim, job, max_cycles)
+    recorder = FeatureRecorder(feature_set)
+    _run_job(cls(module, listener=recorder, fast_forward=fast_forward),
+             job, max_cycles)
     return {
-        "cycles": result.cycles,
+        "cycles": sim.cycle,
         "state": dict(sim.state),
         "state_cycles": dict(sim.state_cycles),
         "fsm_state": dict(sim._fsm_state),
         "events": (rec.transitions, rec.loads, rec.resets),
+        "features": recorder.vector().tobytes(),
     }
 
 
@@ -172,14 +187,15 @@ def backend_runs(module, jobs: Sequence[Job], fast_forward: bool,
                  max_cycles: int = 2_000_000
                  ) -> Dict[str, List[Dict[str, object]]]:
     """Every job on every backend: ``{backend: [per-job result]}``,
-    each job on a fresh simulation."""
+    each job on a fresh simulation.  ``features`` holds the bytes of
+    the job's vector over the module's discovered features."""
     jobs = list(jobs)
+    feature_set = discover_features(module, synthesize(module))
     return {
-        "interp": [_run_scalar(module, Simulation, job, fast_forward,
-                               max_cycles) for job in jobs],
-        "stepjit": [_run_scalar(module, StepSimulation, job,
-                                fast_forward, max_cycles)
-                    for job in jobs],
+        backend: [_run_scalar(module, cls, job, fast_forward, max_cycles,
+                              feature_set) for job in jobs]
+        for backend, cls in (("interp", Simulation),
+                             ("stepjit", StepSimulation))
     }
 
 

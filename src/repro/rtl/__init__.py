@@ -37,7 +37,7 @@ from .fsm import Fsm, Transition
 from .module import DatapathBlock, Module
 from .netlist import Cell, Netlist, Provenance
 from .signals import Memory, Port, Reg, Update, Wire
-from .simulator import Listener, RunResult, Simulation
+from .simulator import EventSlots, Listener, RunResult, Simulation
 from .stepjit import StepProgram, StepSimulation, compile_stepper
 from .synth import synthesize
 from .transform import derive_module
@@ -46,7 +46,7 @@ from .wave import VcdWriter
 
 __all__ = [
     "BACKENDS", "BinOp", "Cell", "Const", "Counter",
-    "DatapathBlock",
+    "DatapathBlock", "EventSlots",
     "ItemLoop", "LintFinding", "VcdWriter", "errors_only", "lint_module",
     "Expr", "Fsm", "Listener", "MemRead", "Memory", "Module", "Mux",
     "Netlist", "Port", "Provenance", "Reg", "RunResult", "Sig",

@@ -52,13 +52,65 @@ def record_sim_run(backend: str, cycles: int, wall_s: float,
     metrics.inc(f"sim.{backend}.ff_jumps", float(ff_jumps))
 
 
+class EventSlots:
+    """Where a listener's events add up: the compiled-slot table.
+
+    ``transitions`` maps an arc ``(fsm, src, dst)`` to the slot that
+    counts its firings.  ``loads`` maps a counter to the ``(count,
+    value)`` slot pair its loads add ``1.0`` and the loaded value to;
+    ``resets`` does the same for resets and the pre-reset value.
+    Either slot of a pair may be ``None``, and an event with no slot
+    adds nothing.  Equal tables compare and hash equal, and the hash
+    is computed once, so listeners over equal tables share one
+    compiled program and looking one up costs no table walk.
+    """
+
+    def __init__(
+        self,
+        transitions: Dict[Tuple[str, str, str], int],
+        loads: Dict[str, Tuple[Optional[int], Optional[int]]],
+        resets: Dict[str, Tuple[Optional[int], Optional[int]]],
+    ):
+        self.transitions = dict(transitions)
+        self.loads = dict(loads)
+        self.resets = dict(resets)
+        # A frozenset caches its hash after the first lookup.
+        self._key = (frozenset(self.transitions.items()),
+                     frozenset(self.loads.items()),
+                     frozenset(self.resets.items()))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EventSlots) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
 class Listener:
-    """Instrumentation callback interface (all methods optional)."""
+    """Instrumentation callback interface (all methods optional).
+
+    Compiled slots: a listener whose events only add to a list of
+    floats may return an :class:`EventSlots` table from
+    :meth:`event_slots` and keep that list in ``accumulator``.  The
+    ``stepjit`` kernel then resolves each event's slots when it
+    generates code and adds inline, calling no callback: ``1.0`` to
+    an arc's slot when the arc fires, ``1.0`` and ``float(value)`` to
+    a counter's pair on a load or reset.  It reads ``accumulator``
+    when each ``run()`` starts, so the list may be replaced between
+    runs.  The ``interp`` oracle always calls the callbacks, which
+    must add the same values in the same order.  Neither backend
+    raises an event during a fast-forward jump.
+    """
 
     #: Set True to receive :meth:`on_cycle` after every committed cycle
     #: (and once after each fast-forward jump).  Off by default — the
     #: per-cycle callback costs real time on long runs.
     wants_cycles: bool = False
+
+    def event_slots(self) -> Optional[EventSlots]:
+        """The slot table ``stepjit`` may add to instead of calling
+        back, or ``None`` (the default) to be called back."""
+        return None
 
     def on_transition(self, fsm: str, src: str, dst: str) -> None:
         """An FSM arc fired."""

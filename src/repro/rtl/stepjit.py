@@ -14,14 +14,20 @@ one specialized Python function:
   are emitted as boolean checks over per-counter "changing"/"zero-up"
   flags, so the generated kernel skips the same stretches the
   interpreter does and the committed state is identical;
-* listener callbacks are compiled in only when a listener is attached,
-  so the common (unlistened) kernel pays nothing for instrumentation.
+* instrumentation comes in two variants, and the attached listener
+  picks one.  A listener with an :class:`~repro.rtl.simulator.EventSlots`
+  table (the feature recorder) gets its slots resolved at code
+  generation: each fired arc, counter load and counter reset adds to
+  the listener's ``accumulator`` inline (``_acc[k] += 1.0``,
+  ``_acc[k] += float(value)``), and an event without a slot emits
+  nothing.  Any other listener gets its callbacks called per event.
+  With no listener, no instrumentation code is emitted at all.
 
 Programs are cached per module (weakly) and per variant (elide set,
-state-cycle tracking, listener presence, fast-forward), and are
+state-cycle tracking, callbacks or slot table, fast-forward), and are
 pickle-safe: ``__reduce__`` pickles the source module plus the variant
-options and regenerates the code on load, so steppers cross process
-pools and the artifact cache.
+options (slot table included) and regenerates the code on load, so
+steppers cross process pools and the artifact cache.
 
 The generated stepper is cycle-exact against the interpreter — the
 differential fuzz suite and the golden gate (``repro check
@@ -42,6 +48,7 @@ from .expr import _CMPOPS, _PYOPS, BinOp, Const, Expr, MemRead, Mux, Sig, UnOp
 from .fsm import Fsm
 from .module import Module
 from .simulator import (
+    EventSlots,
     RunResult,
     Simulation,
     _DepAnalysis,
@@ -59,7 +66,7 @@ class _Names:
         "S", "MEMS", "DYN", "SC", "cycle", "max_cycles", "listener",
         "finished", "len", "min", "max", "None", "True", "False",
         "_j", "_r", "_t", "_d", "_i", "_ffj", "_wc", "_oc",
-        "_lt", "_lcl", "_lcr", "_step",
+        "_lt", "_lcl", "_lcr", "_acc", "_step",
     }
 
     def __init__(self) -> None:
@@ -81,7 +88,7 @@ class _StepCompiler:
 
     def __init__(self, module: Module, elide: FrozenSet[Tuple[str, str]],
                  track_state_cycles: bool, has_listener: bool,
-                 fast_forward: bool):
+                 fast_forward: bool, slots: Optional[EventSlots]):
         if not module.finalized:
             raise ValueError(
                 f"module {module.name} must be finalized first")
@@ -90,6 +97,7 @@ class _StepCompiler:
         self.track = track_state_cycles
         self.has_listener = has_listener
         self.fast_forward = fast_forward
+        self.slots = slots
         self.deps = _DepAnalysis(module)
 
         names = _Names()
@@ -242,6 +250,7 @@ class _StepCompiler:
             f"# stepjit kernel for module {self.m.name!r}",
             f"# variant: elide={sorted(self.elide)!r}, "
             f"track={self.track}, listener={self.has_listener}, "
+            f"slots={self.slots is not None}, "
             f"fast_forward={self.fast_forward}",
             "def _step(S, MEMS, DYN, SC, cycle, max_cycles, listener):",
         ]
@@ -280,6 +289,8 @@ class _StepCompiler:
             self.w("_lcr = listener.on_counter_reset")
             self.w("_wc = listener.wants_cycles")
             self.w("_oc = listener.on_cycle")
+        if self.slots is not None:
+            self.w("_acc = listener.accumulator")
 
     def _emit_writeback(self) -> None:
         for slot, name in enumerate(self.scalar_names):
@@ -548,6 +559,8 @@ class _StepCompiler:
             self.w(f"{cn} = ({self.render(c.load_value)}) & {c.mask}")
             if self.has_listener:
                 self.w(f"_lcl({c.name!r}, {cn})")
+            if self.slots is not None:
+                self._emit_slot_pair(self.slots.loads, c.name, cn)
             self.pop()
             guard = f"{v} > 0"
             if c.enable is not None:
@@ -568,6 +581,8 @@ class _StepCompiler:
                 self.w(f"{cn} = 0")
                 if self.has_listener:
                     self.w(f"_lcr({c.name!r}, {v})")
+                if self.slots is not None:
+                    self._emit_slot_pair(self.slots.resets, c.name, v)
                 self.pop()
                 head = "elif"
             if c.enable is None:
@@ -583,6 +598,15 @@ class _StepCompiler:
                 self.push()
                 self.w(f"{cn} = ({v} + {c.step}) & {c.mask}")
                 self.pop()
+
+    def _emit_slot_pair(self, pairs: Dict, counter: str, value: str) -> None:
+        # A counter event's inline additions: 1.0 to its count slot,
+        # the (loaded or pre-reset) value to its value slot.
+        count, total = pairs.get(counter, (None, None))
+        if count is not None:
+            self.w(f"_acc[{count}] += 1.0")
+        if total is not None:
+            self.w(f"_acc[{total}] += float({value})")
 
     # Phase 2b: update rules (globals first, then state-bound ones).
     def _emit_updates(self) -> None:
@@ -649,6 +673,11 @@ class _StepCompiler:
                         self.w(f"nd_{i} = _t if _t > 0 else 0")
                 if self.has_listener:
                     self.w(f"_lt({fsm.name!r}, {t.src!r}, {t.dst!r})")
+                if self.slots is not None:
+                    k = self.slots.transitions.get(
+                        (fsm.name, t.src, t.dst))
+                    if k is not None:
+                        self.w(f"_acc[{k}] += 1.0")
                 self.pop()
             self.pop()
 
@@ -717,24 +746,29 @@ class StepProgram:
 
     Holds the generated source (for inspection/tests) and the compiled
     function, plus the slot layout the :class:`StepSimulation` uses to
-    pack and unpack architectural state.  Pickles as (module, options)
-    and regenerates its code on load.
+    pack and unpack architectural state.  ``has_listener`` compiles in
+    listener callbacks; ``slots`` instead compiles a listener's
+    :class:`EventSlots` table into inline additions.  Pickles as
+    (module, options) and regenerates its code on load.
     """
 
     def __init__(self, module: Module,
                  elide: Iterable[Tuple[str, str]] = (),
                  track_state_cycles: bool = True,
                  has_listener: bool = False,
-                 fast_forward: bool = True):
+                 fast_forward: bool = True,
+                 slots: Optional[EventSlots] = None):
         start = perf_counter()
         self.module = module
         self.elide = frozenset(elide)
         self.track_state_cycles = bool(track_state_cycles)
         self.has_listener = bool(has_listener)
         self.fast_forward = bool(fast_forward)
+        self.slots = slots
         compiler = _StepCompiler(module, self.elide,
                                  self.track_state_cycles,
-                                 self.has_listener, self.fast_forward)
+                                 self.has_listener, self.fast_forward,
+                                 slots)
         self.source = compiler.source()
         namespace: Dict[str, object] = {}
         exec(compile(self.source, f"<stepjit:{module.name}>", "exec"),
@@ -764,7 +798,7 @@ class StepProgram:
         # cache.
         return (StepProgram, (self.module, tuple(sorted(self.elide)),
                               self.track_state_cycles, self.has_listener,
-                              self.fast_forward))
+                              self.fast_forward, self.slots))
 
 
 #: module -> {variant key -> StepProgram}; weak so modules can die.
@@ -775,17 +809,21 @@ def compile_stepper(module: Module, *,
                     elide: Iterable[Tuple[str, str]] = (),
                     track_state_cycles: bool = True,
                     has_listener: bool = False,
-                    fast_forward: bool = True) -> StepProgram:
-    """The cached :class:`StepProgram` for a module variant."""
+                    fast_forward: bool = True,
+                    slots: Optional[EventSlots] = None) -> StepProgram:
+    """The cached :class:`StepProgram` for a module variant.
+
+    Equal slot tables share one program: the table is part of the
+    key, and its hash is computed once per table.
+    """
     variants = _PROGRAMS.get(module)
     if variants is None:
         variants = _PROGRAMS.setdefault(module, {})
     key = (frozenset(elide), bool(track_state_cycles),
-           bool(has_listener), bool(fast_forward))
+           bool(has_listener), bool(fast_forward), slots)
     program = variants.get(key)
     if program is None:
-        program = variants[key] = StepProgram(
-            module, key[0], key[1], key[2], key[3])
+        program = variants[key] = StepProgram(module, *key)
     return program
 
 
@@ -805,12 +843,18 @@ class StepSimulation(Simulation):
         self._fsms = list(self.module.fsms.values())
 
     def program(self) -> StepProgram:
-        """The compiled stepper for this simulation's configuration."""
+        """The compiled stepper for this simulation's configuration.
+
+        The attached listener picks the instrumentation: its slot
+        table compiled inline when it offers one, else callbacks.
+        """
+        listener = self.listener
+        slots = None if listener is None else listener.event_slots()
         return compile_stepper(
             self.module, elide=self.elide,
             track_state_cycles=self.track_state_cycles,
-            has_listener=self.listener is not None,
-            fast_forward=self.fast_forward)
+            has_listener=listener is not None and slots is None,
+            fast_forward=self.fast_forward, slots=slots)
 
     def run(self, max_cycles: int = 200_000_000) -> RunResult:
         """Run until done (or ``max_cycles``) on the compiled kernel."""

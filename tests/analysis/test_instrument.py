@@ -12,7 +12,7 @@ from repro.analysis import (
     probe_nets,
     record_jobs,
 )
-from repro.rtl import Simulation, synthesize
+from repro.rtl import BACKENDS, make_simulation, synthesize
 from tests.conftest import build_toy, pack_item
 
 
@@ -53,11 +53,12 @@ def test_discovered_feature_inventory(toy_features):
     assert len(toy_features) == 7 + 4 + 2
 
 
-def test_recorder_accumulates_expected_values(toy, toy_features):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_recorder_accumulates_expected_values(toy, toy_features, backend):
     module, _ = toy
     items = [pack_item(5, 0), pack_item(3, 1), pack_item(2, 0)]
     recorder = FeatureRecorder(toy_features)
-    sim = Simulation(module, listener=recorder)
+    sim = make_simulation(module, backend=backend, listener=recorder)
     sim.load(inputs={"n_items": 3}, memories={"items": items})
     sim.run()
     vec = recorder.vector()
@@ -140,14 +141,17 @@ def test_probe_nets_closure_excludes_datapath(toy, toy_features):
     assert "datapath" not in constructs
 
 
-def test_features_identical_between_full_and_elided_run(toy, toy_features):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_features_identical_between_full_and_elided_run(toy, toy_features,
+                                                         backend):
     """Wait-state elision must not change recorded features."""
     module, _ = toy
     items = [pack_item(9, 0), pack_item(4, 1), pack_item(7, 1)]
 
     def run(elide):
         recorder = FeatureRecorder(toy_features)
-        sim = Simulation(module, listener=recorder, elide=elide)
+        sim = make_simulation(module, backend=backend, listener=recorder,
+                              elide=elide)
         sim.load(inputs={"n_items": 3}, memories={"items": items})
         sim.run()
         return recorder.vector()

@@ -6,8 +6,9 @@ waits, up counters, arc actions, conditional update rules and
 memory-driven guards — and runs them through the shared differential
 harness :func:`repro.gen.conformance.compare_backends`: ``stepjit``
 must match the ``interp`` oracle on cycle count, final architectural
-state, ``state_cycles``, FSM states and ordered listener events, with
-fast-forward both on and off.
+state, ``state_cycles``, FSM states, ordered listener events and the
+bytes of the feature vector a recorder records over the module's
+discovered features, with fast-forward both on and off.
 
 Termination by construction: every FSM is a forward chain of states
 (arcs only advance), wait counters are loaded from bounded memory
@@ -17,6 +18,7 @@ run finishes in at most a few thousand cycles.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.gen.conformance import (
@@ -104,6 +106,18 @@ def build_fuzz_module(seed: int) -> Module:
 @pytest.mark.parametrize("seed", range(25))
 def test_backends_agree_on_random_modules(seed):
     compare_backends(build_fuzz_module(seed), [JOB], max_cycles=100_000)
+
+
+def test_most_fuzz_modules_record_features():
+    """The feature comparison has teeth: most fuzz modules expose
+    discovered features, and the job records non-zero values."""
+    recorded = 0
+    for seed in range(25):
+        runs = backend_runs(build_fuzz_module(seed), [JOB], True,
+                            max_cycles=100_000)
+        vector = np.frombuffer(runs["interp"][0]["features"])
+        recorded += bool(vector.size and vector.any())
+    assert recorded >= 20
 
 
 @pytest.mark.parametrize("seed", range(0, 25, 5))

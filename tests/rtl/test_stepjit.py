@@ -1,10 +1,14 @@
 """Stepjit backend tests: cycle-exactness, listeners, pickling, cache."""
 
+import ast
+import pathlib
 import pickle
 
 import pytest
 
-from repro.accelerators import get_design
+import repro.rtl
+from repro.accelerators import ALL_DESIGNS, get_design
+from repro.analysis import FeatureRecorder, FeatureSet, discover_features
 from repro.obs import session
 from repro.rtl import (
     Module,
@@ -14,7 +18,9 @@ from repro.rtl import (
     make_simulation,
     resolve_backend,
     set_default_backend,
+    synthesize,
 )
+from repro.slicing import build_slice
 from repro.workloads import workload_for
 from tests.conftest import build_toy, pack_item, toy_expected_cycles
 from tests.rtl.test_simulator import Recorder
@@ -95,6 +101,22 @@ def test_stepjit_state_cycles_dict_identity_preserved():
     assert result.state_cycles == cells and cells
 
 
+class _ArcCounter(FeatureRecorder):
+    """A recorder that overrides one callback: it must be called."""
+
+    def __init__(self, feature_set):
+        super().__init__(feature_set)
+        self.arcs = 0
+
+    def on_transition(self, fsm, src, dst):
+        self.arcs += 1
+        super().on_transition(fsm, src, dst)
+
+
+def _toy_features(module):
+    return discover_features(module, synthesize(module))
+
+
 def test_stepjit_program_cache_and_variants():
     module = build_toy()
     a = compile_stepper(module)
@@ -106,6 +128,104 @@ def test_stepjit_program_cache_and_variants():
     assert "on_transition" not in a.source and "_lt" not in a.source
     d = compile_stepper(module, has_listener=True)
     assert "_lt(" in d.source
+
+    # A stock recorder compiles its slots inline: no callbacks.
+    features = _toy_features(module)
+    recorder = FeatureRecorder(features)
+    sim, _ = _run(module, StepSimulation, listener=recorder)
+    program = sim.program()
+    assert program.slots == features.slots
+    assert "_acc[" in program.source
+    for call in ("_lt(", "_lcl(", "_lcr("):
+        assert call not in program.source
+
+    # Equal feature sets share one program.
+    twin = FeatureRecorder(FeatureSet(features.specs))
+    assert twin.event_slots() is not recorder.event_slots()
+    assert StepSimulation(module, listener=twin).program() is program
+
+    # A subclass overriding a callback keeps the callback variant.
+    counter = _ArcCounter(features)
+    assert counter.event_slots() is None
+    sim, _ = _run(module, StepSimulation, listener=counter)
+    assert "_lt(" in sim.program().source
+    arcs = sum(value for spec, value in zip(features, recorder.vector())
+               if spec.kind == "stc")
+    assert counter.arcs == arcs > 0
+    assert counter.vector().tobytes() == recorder.vector().tobytes()
+
+    # The slot variant survives a pickle round trip.
+    clone = pickle.loads(pickle.dumps(program))
+    assert clone.slots == program.slots
+    assert clone.source == program.source
+    copy = FeatureRecorder(features)
+    sim = StepSimulation(clone.module, listener=copy)
+    sim.load(inputs={"n_items": len(ITEMS)}, memories={"items": ITEMS})
+    assert sim.run().cycles == toy_expected_cycles(ITEMS)
+    assert copy.vector().tobytes() == recorder.vector().tobytes()
+
+
+def test_stepjit_never_calls_a_stock_recorders_callbacks(monkeypatch):
+    module = build_toy()
+    features = _toy_features(module)
+    calls = []
+
+    def refuse(self, *args):
+        calls.append(args)
+
+    reference = FeatureRecorder(features)
+    _run(module, StepSimulation, listener=reference)
+    recorder = FeatureRecorder(features)
+    for name in ("on_transition", "on_counter_load", "on_counter_reset",
+                 "on_cycle"):
+        # Patched onto the instance: the class stays stock.
+        monkeypatch.setattr(recorder, name, refuse.__get__(recorder))
+    _run(module, StepSimulation, listener=recorder)
+    assert calls == []
+    assert recorder.vector().tobytes() == reference.vector().tobytes()
+    # The interp oracle is called back, and records the same vector.
+    _run(module, Simulation, listener=recorder)
+    assert calls
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40])
+def test_stepjit_chunked_run_records_the_same_vector(chunk):
+    module = build_toy()
+    features = _toy_features(module)
+    once = FeatureRecorder(features)
+    _, whole = _run(module, StepSimulation, listener=once)
+    recorder = FeatureRecorder(features)
+    sim = StepSimulation(module, listener=recorder)
+    sim.load(inputs={"n_items": len(ITEMS)}, memories={"items": ITEMS})
+    runs = 0
+    while True:
+        runs += 1
+        result = sim.run(max_cycles=sim.cycle + chunk)
+        if result.finished:
+            break
+    assert runs > 1
+    assert result.cycles == whole.cycles
+    assert recorder.vector().tobytes() == once.vector().tobytes()
+    # start_job() clears between jobs: a second job records afresh.
+    sim.reset()
+    recorder.start_job()
+    sim.load(inputs={"n_items": len(ITEMS)}, memories={"items": ITEMS})
+    sim.run()
+    assert recorder.vector().tobytes() == once.vector().tobytes()
+
+
+def test_rtl_layer_imports_nothing_from_analysis():
+    root = pathlib.Path(repro.rtl.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert "analysis" not in name.split("."), (path.name, name)
 
 
 def test_stepjit_program_pickle_roundtrip():
@@ -143,22 +263,33 @@ def test_stepjit_emits_sim_metrics(tmp_path):
     assert counters["sim.stepjit.codegen_s"] > 0.0
 
 
-@pytest.mark.parametrize("name", ["h264", "djpeg", "aes"])
+@pytest.mark.parametrize("name", ALL_DESIGNS)
 def test_stepjit_benchmark_designs_cycle_exact(name):
+    """Full design and slice, each with a feature recorder attached:
+    stepjit's compiled slots record the interp oracle's vector byte
+    for byte."""
     design = get_design(name)
     module = design.build()
+    features = discover_features(module, synthesize(module))
+    hw_slice = build_slice(module, features)
     workload = workload_for(name, scale=0.1)
     for item in workload.test[:2]:
         job = design.encode_job(item)
-        results = []
-        for cls in (Simulation, StepSimulation):
-            sim = cls(module, track_state_cycles=True)
-            sim.load(*job.as_pair())
-            results.append((sim.run(), dict(sim.state)))
-        (res_i, state_i), (res_s, state_s) = results
-        assert res_i.cycles == res_s.cycles
-        assert res_i.state_cycles == res_s.state_cycles
-        assert state_i == state_s
+        for target in (module, hw_slice.module):
+            results = []
+            for cls in (Simulation, StepSimulation):
+                recorder = FeatureRecorder(features)
+                sim = cls(target, listener=recorder,
+                          track_state_cycles=True)
+                sim.load(*job.as_pair(), ignore_unknown=True)
+                results.append((sim.run(), dict(sim.state),
+                                recorder.vector().tobytes()))
+            (res_i, state_i, vec_i), (res_s, state_s, vec_s) = results
+            assert res_i.finished and res_s.finished
+            assert res_i.cycles == res_s.cycles
+            assert res_i.state_cycles == res_s.state_cycles
+            assert state_i == state_s
+            assert vec_i == vec_s
 
 
 def test_backend_resolution_precedence():

@@ -220,8 +220,7 @@ def test_online_slice_matches_offline_prediction(shared_bundle):
     result = serve_stream(stream, jobs)
     assert result.n_completed == n
     for outcome, record in zip(result.outcomes, bundle.test_records):
-        assert outcome.job.predicted_cycles == pytest.approx(
-            record.predicted_cycles, rel=1e-9)
+        assert outcome.job.predicted_cycles == record.predicted_cycles
         assert outcome.job.slice_cycles == record.slice_cycles
     assert violations_of(stream, result) == []
 
