@@ -12,7 +12,9 @@ ever reaches an instance queue.
 The dispatcher routes on its own **ledger**: a projected virtual
 clock per instance, advanced by service-time *estimates* derived from
 each job's predicted cycles through the same level-selection model the
-controllers use (`select_level`, the paper's Sec. 3.6).  Routing is
+controllers use (`select_level`, the paper's Sec. 3.6).  One heap holds
+the pool's projected finishes; each admitted arrival retires it up to
+its own instant, so every backlog is an in-flight count.  Routing is
 therefore a pure function of the arrival sequence and the predictions
 — independent of shard execution — so the per-instance sub-streams
 execute in parallel worker processes via :func:`repro.parallel.pmap`
@@ -31,10 +33,11 @@ per tenant.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dvfs.controllers import Controller
@@ -177,10 +180,18 @@ class FleetConfig:
             raise ValueError(
                 f"unknown policy {self.policy!r}; pick one of "
                 f"{', '.join(POLICIES)}")
-        if self.global_depth < 1:
-            raise ValueError("global_depth must be >= 1")
+        # A NaN depth never sheds, and a NaN watermark silently turns
+        # its direction of elastic scaling off; both fail by name.
+        if not (isinstance(self.global_depth, numbers.Integral)
+                and self.global_depth >= 1):
+            raise ValueError("global_depth must be an integer >= 1, "
+                             f"got {self.global_depth!r}")
         if self.min_active < 1:
             raise ValueError("min_active must be >= 1")
+        for key in ("scale_up_backlog", "scale_down_backlog"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, "
+                                 f"got {getattr(self, key)!r}")
         if self.scale_down_backlog >= self.scale_up_backlog:
             raise ValueError("scale_down_backlog must sit below "
                              "scale_up_backlog")
@@ -323,44 +334,21 @@ class FleetResult:
                 f"{len(self.tenant_summary())} tenants")
 
 
-@dataclass(frozen=True)
-class _Estimate:
-    """Dispatcher-side service projection for one (job, instance)."""
-
-    service_s: float
-    energy: float
-    feasible: bool
-
-
 class _Ledger:
     """One instance's projected virtual clock at the dispatcher.
 
-    Mirrors the instance's admission accounting — a deque of projected
-    finishes with an incremental in-flight counter — but advances on
-    *estimates*, so the dispatcher never has to wait for execution.
+    ``clock`` is the projected finish of the last job routed there and
+    ``in_flight`` counts its jobs unfinished at the last admitted
+    arrival; the finishes sit in the dispatcher's pool-wide heap.  Both
+    advance on *estimates*, so the dispatcher never waits for execution.
     """
 
-    __slots__ = ("clock", "_finishes", "_in_flight", "active")
+    __slots__ = ("clock", "in_flight", "active")
 
     def __init__(self, active: bool = True):
         self.clock = 0.0
-        self._finishes: deque = deque()
-        self._in_flight = 0
+        self.in_flight = 0
         self.active = active
-
-    def backlog(self, arrival: float) -> int:
-        while self._finishes and self._finishes[0] <= arrival:
-            self._finishes.popleft()
-            self._in_flight -= 1
-        return self._in_flight
-
-    def commit(self, arrival: float, service_s: float) -> float:
-        start = max(self.clock, arrival)
-        finish = start + service_s
-        self.clock = finish
-        self._finishes.append(finish)
-        self._in_flight += 1
-        return finish
 
 
 class FleetDispatcher:
@@ -371,6 +359,10 @@ class FleetDispatcher:
     and every decision lands in :attr:`routing_log`.  Instances are
     eligible for a job only when they serve its benchmark (the pool is
     heterogeneous) and are currently active (elastic scaling).
+
+    Each admitted arrival does constant work: it retires the pool-wide
+    heap of projected finishes up to its instant, reads every backlog
+    as a count, and projects its service only where its policy looks.
     """
 
     def __init__(self, specs: Sequence[ShardSpec],
@@ -393,6 +385,16 @@ class FleetDispatcher:
         self._ledgers = [
             _Ledger(active=self._initially_active(i))
             for i in range(len(self.specs))]
+        #: Each benchmark's active instances, rebuilt on every flip;
+        #: decisions, sheds and the log share the tuple.
+        self._candidates = {
+            b: tuple(i for i in peers if self._ledgers[i].active)
+            for b, peers in self._by_benchmark.items()}
+        #: ``(finish, pool index)`` of every routed job not yet retired,
+        #: and their count (the pool's total backlog).
+        self._finishes: List[Tuple[float, int]] = []
+        self._in_flight = 0
+        self._projection = [self._constants(spec) for spec in self.specs]
         self._rr: Dict[str, int] = {b: 0 for b in self._by_benchmark}
         self.routing_log: List[RoutingDecision] = []
         self.sheds: List[FleetShed] = []
@@ -415,38 +417,51 @@ class FleetDispatcher:
                    else range(len(self.specs)))
         return sum(1 for i in indices if self._ledgers[i].active)
 
-    def _rescale(self, benchmark: str, arrival: float) -> None:
+    def _rescale(self, benchmark: str) -> None:
         """Move one watermark step for ``benchmark``'s sub-pool."""
         peers = self._by_benchmark[benchmark]
-        active = [i for i in peers if self._ledgers[i].active]
-        backlogs = [self._ledgers[i].backlog(arrival) for i in active]
-        mean = sum(backlogs) / len(active) if active else 0.0
-        observer = get_observer()
+        active = self._candidates[benchmark]
+        ledgers = self._ledgers
+        mean = (sum(ledgers[i].in_flight for i in active) / len(active)
+                if active else 0.0)
+        flip = None
         if (mean > self.config.scale_up_backlog
                 and len(active) < len(peers)):
-            nxt = next(i for i in peers if not self._ledgers[i].active)
-            self._ledgers[nxt].active = True
-            if observer is not None:
-                observer.metrics.inc("serve.fleet.scale_up")
+            flip = next(i for i in peers if not ledgers[i].active)
+            move = "scale_up"
         elif (mean < self.config.scale_down_backlog
                 and len(active) > self.config.min_active):
             # Retire from the back, and only an idle instance — an
             # empty ledger means nothing routed there needs moving, so
             # conservation is untouched.
-            for i in reversed(active):
-                if self._ledgers[i].backlog(arrival) == 0:
-                    self._ledgers[i].active = False
-                    if observer is not None:
-                        observer.metrics.inc("serve.fleet.scale_down")
-                    break
+            flip = next((i for i in reversed(active)
+                         if ledgers[i].in_flight == 0), None)
+            move = "scale_down"
+        if flip is not None:
+            ledgers[flip].active = not ledgers[flip].active
+            self._candidates[benchmark] = tuple(
+                i for i in peers if ledgers[i].active)
+        observer = get_observer()
         if observer is not None:
+            if flip is not None:
+                observer.metrics.inc(f"serve.fleet.{move}")
             observer.metrics.set_gauge("serve.fleet.active",
                                        self.n_active())
 
     # -- routing -------------------------------------------------------
 
-    def _estimate(self, pool_index: int, job: FleetJob) -> _Estimate:
-        """Project one job's service on one instance.
+    @staticmethod
+    def _constants(spec: ShardSpec) -> tuple:
+        """What :meth:`_project` reads of one instance, read once."""
+        c = spec.controller
+        return (c.levels, spec.config.deadline, c.levels.nominal.frequency,
+                c.uses_slice and c.charge_overheads,
+                spec.config.t_switch if c.charge_overheads else 0.0,
+                getattr(c, "margin", 0.0), getattr(c, "boost", False))
+
+    def _project(self, pool_index: int, job: FleetJob) -> tuple:
+        """Project one job's service on one instance:
+        ``(service_s, feasible, point, cycles)``.
 
         The projection reruns the controllers' own level-selection
         model on the job's *predicted* cycles (margin/boost/overheads
@@ -457,87 +472,72 @@ class FleetDispatcher:
         back on it) projects a full deadline at the fastest point: the
         conservative bound.
         """
-        spec = self.specs[pool_index]
-        ledger = self._ledgers[pool_index]
-        controller = spec.controller
-        levels = controller.levels
+        (levels, deadline, f_nominal, slice_charged, t_switch, margin,
+         boost) = self._projection[pool_index]
+        arrival = job.arrival
+        start = max(self._ledgers[pool_index].clock, arrival)
+        budget = arrival + deadline - start
         record = job.job.record
-        deadline = spec.config.deadline
-        start = max(ledger.clock, job.arrival)
-        budget = job.arrival + deadline - start
         predicted = record.predicted_cycles
         if not valid_prediction(predicted, record.slice_cycles):
-            predicted = None
-            point = levels.fastest()
-            exec_s = deadline
-            feasible = budget >= deadline
-        else:
-            t_slice = 0.0
-            if controller.uses_slice and controller.charge_overheads:
-                t_slice = record.slice_cycles / levels.nominal.frequency
-            t_switch = (spec.config.t_switch
-                        if controller.charge_overheads else 0.0)
-            decision = select_level(
-                levels, float(predicted), budget,
-                margin_fraction=getattr(controller, "margin", 0.0),
-                t_slice=t_slice, t_switch=t_switch,
-                allow_boost=getattr(controller, "boost", False),
-            )
-            point = decision.point
-            exec_s = t_slice + t_switch + float(predicted) / point.frequency
-            feasible = decision.feasible
-        energy = spec.energy_model.job_energy(
-            JobActivity(cycles=float(predicted if predicted is not None
-                                     else 0.0)),
-            point, exec_s)
-        return _Estimate(service_s=exec_s, energy=energy,
-                         feasible=feasible)
+            return deadline, budget >= deadline, levels.fastest(), 0.0
+        cycles = float(predicted)
+        t_slice = (record.slice_cycles / f_nominal if slice_charged
+                   else 0.0)
+        decision = select_level(levels, cycles, budget, margin, t_slice,
+                                t_switch, boost)
+        point = decision.point
+        return (t_slice + t_switch + cycles / point.frequency,
+                decision.feasible, point, cycles)
 
-    def _pick(self, candidates: List[int],
-              job: FleetJob) -> Tuple[Optional[int], Optional[str]]:
-        """Apply the routing policy; ``(None, reason)`` means shed."""
+    def _pick(self, candidates: Tuple[int, ...], backlogs: Tuple[int, ...],
+              job: FleetJob) -> Tuple[Optional[int], float]:
+        """Apply the routing policy: ``(pool index, service_s)``, where
+        a ``None`` index means the ``deadline`` policy sheds."""
         policy = self.config.policy
-        if policy == ROUND_ROBIN:
+        if policy == LEAST_LOADED:
+            chosen = min(zip(backlogs, candidates))[1]
+        elif policy == ROUND_ROBIN:
             turn = self._rr[job.benchmark]
             self._rr[job.benchmark] = turn + 1
-            return candidates[turn % len(candidates)], None
-        if policy == LEAST_LOADED:
-            return min(candidates,
-                       key=lambda i: (self._ledgers[i].backlog(
-                           job.arrival), i)), None
-        if policy == ENERGY_AWARE:
-            return min(candidates,
-                       key=lambda i: (self._estimate(i, job).energy,
-                                      self._ledgers[i].backlog(
-                                          job.arrival), i)), None
-        # DEADLINE: only instances projected to finish in time are
-        # eligible; none feasible -> shed here rather than burn an
-        # instance on a job already lost.
-        best = None
-        best_finish = None
-        for i in candidates:
-            estimate = self._estimate(i, job)
-            if not estimate.feasible:
-                continue
-            finish = (max(self._ledgers[i].clock, job.arrival)
-                      + estimate.service_s)
-            if best_finish is None or finish < best_finish:
-                best, best_finish = i, finish
-        if best is None:
-            return None, SHED_DEADLINE
-        return best, None
+            chosen = candidates[turn % len(candidates)]
+        elif policy == ENERGY_AWARE:
+            scored = []
+            for backlog, i in zip(backlogs, candidates):
+                service_s, _, point, cycles = self._project(i, job)
+                energy = self.specs[i].energy_model.job_energy(
+                    JobActivity(cycles=cycles), point, service_s)
+                scored.append((energy, backlog, i, service_s))
+            _, _, chosen, service_s = min(scored)
+            return chosen, service_s
+        else:
+            # DEADLINE: only instances projected to finish in time are
+            # eligible; none feasible -> shed here rather than burn an
+            # instance on a job already lost.
+            best, best_finish, best_service = None, None, 0.0
+            for i in candidates:
+                service_s, feasible, _, _ = self._project(i, job)
+                finish = max(self._ledgers[i].clock, job.arrival) + service_s
+                if feasible and (best_finish is None or finish < best_finish):
+                    best, best_finish, best_service = i, finish, service_s
+            return best, best_service
+        return chosen, self._project(chosen, job)[0]
 
-    def _shed(self, job: FleetJob, reason: str,
-              candidates: Tuple[int, ...] = (),
-              backlogs: Tuple[int, ...] = ()) -> None:
-        self.sheds.append(FleetShed(
-            index=job.index, benchmark=job.benchmark,
-            tenant=job.tenant, arrival=job.arrival, reason=reason))
+    def _retire(self, arrival: float) -> None:
+        """Pop every projected finish at or before ``arrival``."""
+        finishes = self._finishes
+        ledgers = self._ledgers
+        while finishes and finishes[0][0] <= arrival:
+            ledgers[heappop(finishes)[1]].in_flight -= 1
+            self._in_flight -= 1
+
+    def _shed(self, job: FleetJob, reason: str, candidates: tuple = (),
+              backlogs: tuple = ()) -> None:
+        self.sheds.append(FleetShed(job.index, job.benchmark, job.tenant,
+                                    job.arrival, reason))
         self.routing_log.append(RoutingDecision(
-            index=job.index, benchmark=job.benchmark,
-            tenant=job.tenant, arrival=job.arrival,
-            candidates=candidates, backlogs=backlogs,
-            chosen=None, reason=reason))
+            job.index, job.benchmark, job.tenant, job.arrival,
+            candidates, backlogs, None, reason))
         observer = get_observer()
         if observer is not None:
             observer.metrics.inc(f"serve.fleet.shed.{reason}")
@@ -547,50 +547,50 @@ class FleetDispatcher:
     def route(self, job: FleetJob) -> Optional[int]:
         """Route (or shed) one arriving job; returns the pool index."""
         self.n_offered += 1
-        if job.tenant not in self._buckets:
+        bucket = self._buckets.get(job.tenant)
+        if bucket is None:
             raise ValueError(
                 f"job {job.index} names unknown tenant {job.tenant!r}")
-        if job.benchmark not in self._by_benchmark:
+        if job.benchmark not in self._candidates:
             raise ValueError(
                 f"job {job.index} needs benchmark {job.benchmark!r} "
                 "but no pool instance serves it")
         observer = get_observer()
         if observer is not None:
             observer.metrics.inc("serve.fleet.offered")
-        if not self._buckets[job.tenant].allow(job.arrival):
+        arrival = job.arrival
+        if not bucket.allow(arrival):
             self._shed(job, SHED_RATE_LIMIT)
             return None
+        self._retire(arrival)
         if self.config.elastic:
-            self._rescale(job.benchmark, job.arrival)
-        total_backlog = sum(ledger.backlog(job.arrival)
-                            for ledger in self._ledgers)
+            self._rescale(job.benchmark)
         if observer is not None:
             observer.timeseries.observe("serve.fleet.backlog",
-                                        job.arrival, total_backlog)
-        if total_backlog >= self.config.global_depth:
+                                        arrival, self._in_flight)
+        if self._in_flight >= self.config.global_depth:
             self._shed(job, SHED_ADMISSION)
             return None
-        candidates = [i for i in self._by_benchmark[job.benchmark]
-                      if self._ledgers[i].active]
-        backlogs = tuple(self._ledgers[i].backlog(job.arrival)
-                         for i in candidates)
-        chosen, reason = self._pick(candidates, job)
+        candidates = self._candidates[job.benchmark]
+        ledgers = self._ledgers
+        backlogs = tuple([ledgers[i].in_flight for i in candidates])
+        chosen, service_s = self._pick(candidates, backlogs, job)
         if chosen is None:
-            self._shed(job, reason, tuple(candidates), backlogs)
+            self._shed(job, SHED_DEADLINE, candidates, backlogs)
             return None
-        estimate = self._estimate(chosen, job)
-        self._ledgers[chosen].commit(job.arrival, estimate.service_s)
+        ledger = ledgers[chosen]
+        ledger.clock = finish = max(ledger.clock, arrival) + service_s
+        ledger.in_flight += 1
+        self._in_flight += 1
+        heappush(self._finishes, (finish, chosen))
         self.assignments[job.index] = chosen
         self.routed[chosen].append(job)
         self.routing_log.append(RoutingDecision(
-            index=job.index, benchmark=job.benchmark,
-            tenant=job.tenant, arrival=job.arrival,
-            candidates=tuple(candidates), backlogs=backlogs,
-            chosen=chosen))
+            job.index, job.benchmark, job.tenant, arrival, candidates,
+            backlogs, chosen))
         if observer is not None:
             observer.metrics.inc("serve.fleet.routed")
-            observer.timeseries.observe("serve.fleet.shed",
-                                        job.arrival, 0.0)
+            observer.timeseries.observe("serve.fleet.shed", arrival, 0.0)
         return chosen
 
     def dispatch(self, jobs: Sequence[FleetJob]) -> List[List[FleetJob]]:

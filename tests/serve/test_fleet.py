@@ -7,6 +7,7 @@ decisions from shard outcomes.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import check_fleet
-from repro.dvfs import PredictiveController
+from repro.dvfs import ConstantFrequencyController, PredictiveController
 from repro.serve import (
     DEADLINE as POLICY_DEADLINE,
     ENERGY_AWARE,
@@ -133,6 +134,20 @@ def test_fleet_config_validates():
         FleetConfig(min_active=0)
     with pytest.raises(ValueError, match="scale_down_backlog"):
         FleetConfig(scale_up_backlog=2.0, scale_down_backlog=2.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("global_depth", math.nan), ("global_depth", math.inf),
+    ("global_depth", 8.5), ("global_depth", "8"),
+    ("scale_up_backlog", math.nan), ("scale_up_backlog", math.inf),
+    ("scale_down_backlog", math.nan), ("scale_down_backlog", -math.inf),
+])
+def test_fleet_config_rejects_bad_bounds_by_name(key, value):
+    """A NaN depth never shed, a fractional one was accepted, and a
+    non-finite watermark silently turned its direction of elastic
+    scaling off; each must fail at the config, naming the field."""
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        FleetConfig(**{key: value})
 
 
 def test_dispatcher_validates_stream(asic_levels):
@@ -431,6 +446,89 @@ def test_ledger_projects_refused_predictions_as_missing(asic_levels,
     assert bad.routing_log == missing.routing_log
     assert [l.clock for l in bad._ledgers] == \
         [l.clock for l in missing._ledgers]
+
+
+#: sha256 prefixes of the routing log, sheds, assignments and ledger
+#: clocks for every (policy, scaling, global_depth) case below.  Any
+#: change to the dispatcher's arithmetic or tie-breaking moves one.
+ROUTING_PINS = {
+    "round_robin/static/default": "610bc98f52084067",
+    "round_robin/static/6": "092d76463e320061",
+    "round_robin/elastic/default": "be61663b05fbf74f",
+    "round_robin/elastic/6": "19a06d9eebef1b6f",
+    "least_loaded/static/default": "82ed57565b3e106e",
+    "least_loaded/static/6": "54cabac7ee76709f",
+    "least_loaded/elastic/default": "d20c6be2f82e0d4c",
+    "least_loaded/elastic/6": "f1bab9c732a4fddd",
+    "energy_aware/static/default": "1906cc72b6cecf28",
+    "energy_aware/static/6": "66996adb65e398bc",
+    "energy_aware/elastic/default": "2f2e8484ba0d138d",
+    "energy_aware/elastic/6": "1361589572157d44",
+    "deadline/static/default": "9a8d1ca32609a557",
+    "deadline/static/6": "3815f90a8a4e3e71",
+    "deadline/elastic/default": "e9fdd05fa807ae94",
+    "deadline/elastic/6": "c92707106182e9b4",
+}
+
+
+def _routing_case(asic_levels, policy, elastic, depth):
+    """One dispatcher over a pool whose controllers differ in margin,
+    boost and overhead charging, fed a rate-limited two-tenant stream
+    in which every fifth prediction is refused."""
+    specs = make_pool(asic_levels, per=3)
+    for k, controller in (
+            (1, PredictiveController(asic_levels, DVFS_SWITCH_TIME,
+                                     boost=True)),
+            (4, PredictiveController(asic_levels, DVFS_SWITCH_TIME,
+                                     charge_overheads=False)),
+            (5, ConstantFrequencyController(asic_levels))):
+        specs[k] = dataclasses.replace(specs[k], controller=controller)
+    config = {"policy": policy}
+    if elastic:
+        config.update(elastic=True, scale_up_backlog=2.0,
+                      scale_down_backlog=0.5)
+    if depth is not None:
+        config["global_depth"] = depth
+    dispatcher = FleetDispatcher(
+        specs, FleetConfig(**config),
+        tenants=(TenantSpec("gold"),
+                 TenantSpec("free", rate=100.0, burst=5.0)))
+    jobs = mixed_jobs(asic_levels, rate=1500.0, n_jobs=300,
+                      tenants=("gold", "free"))
+    dispatcher.dispatch(_every_fifth(jobs, math.nan))
+    return dispatcher
+
+
+def test_routing_is_pinned_for_every_policy(asic_levels):
+    """Exact routing, sheds, assignments and clocks for all four
+    policies, static and elastic, at the default and a small global
+    depth; the inputs make every shed reason and both elastic
+    directions occur."""
+    from repro.obs import session
+
+    digests, reasons, moves = {}, set(), set()
+    for policy in POLICIES:
+        for elastic in (False, True):
+            for depth in (None, 6):
+                with session(command="pin") as obs:
+                    dispatcher = _routing_case(asic_levels, policy,
+                                               elastic, depth)
+                    counters = obs.metrics.counters
+                moves |= {move for move in ("scale_up", "scale_down")
+                          if counters.get(f"serve.fleet.{move}")}
+                reasons |= {shed.reason for shed in dispatcher.sheds}
+                text = "\n".join(
+                    [repr(d) for d in dispatcher.routing_log]
+                    + [repr(s) for s in dispatcher.sheds]
+                    + [repr(sorted(dispatcher.assignments.items())),
+                       repr([l.clock for l in dispatcher._ledgers])])
+                key = (f"{policy}/{'elastic' if elastic else 'static'}"
+                       f"/{depth or 'default'}")
+                digests[key] = hashlib.sha256(
+                    text.encode()).hexdigest()[:16]
+    assert reasons == {"admission", "rate_limit", "deadline"}
+    assert moves == {"scale_up", "scale_down"}
+    assert digests == ROUTING_PINS
 
 
 @pytest.mark.parametrize("policy", POLICIES)
