@@ -1,18 +1,21 @@
-"""Invariant checker: replay an episode and assert its accounting.
+"""Invariant checker: replay an episode or a stream and assert its
+accounting.
 
-The episode runner maintains a set of closed-form identities — the
-timeline chain, the deadline predicate, switch/slice charging rules,
-and energy decomposition.  The paper's headline numbers (near-oracle
-energy at near-zero misses) are only as trustworthy as these identities,
-so this module re-derives every one of them from the recorded
-:class:`~repro.runtime.jobs.JobOutcome` stream and reports each
-discrepancy as an :class:`InvariantViolation`.
+The runners maintain a set of closed-form identities — the timeline
+chain, the deadline predicate, switch/slice charging rules, and energy
+decomposition.  The paper's headline numbers (near-oracle energy at
+near-zero misses) are only as trustworthy as these identities, so this
+module re-derives every one of them from the recorded outcomes and
+reports each discrepancy as an :class:`InvariantViolation`.  Episodes
+and streams share one per-job rule set; each adds its own release and
+stream-level laws.
 
 The checker is pure (no mutation, no I/O beyond ``check.*`` metrics)
-and deliberately *independent* of the runner's control flow: it
-recomputes expectations from first principles instead of calling back
-into :func:`~repro.runtime.episode.run_episode`, so a bug in the
-runner cannot hide itself.
+and deliberately *independent* of the runners: it recomputes
+expectations from first principles instead of calling back into
+:func:`~repro.runtime.episode.run_episode` or the pricing kernel
+:func:`~repro.runtime.episode.charge_job`, so a bug in either cannot
+hide itself.
 
 Invariant catalog (codes as emitted):
 
@@ -37,6 +40,7 @@ Invariant catalog (codes as emitted):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, List, Optional
 
 from ..dvfs.energy import EnergyModel, JobActivity
@@ -119,6 +123,14 @@ def capabilities_for(controller_name: str) -> Optional[SchemeCaps]:
     return SCHEME_CAPS.get(controller_name)
 
 
+def _report(violations: List[InvariantViolation], code: str,
+            job: Optional[int], message: str, expected: object = None,
+            actual: object = None) -> None:
+    """Append one violation (each checker binds its list as ``bad``)."""
+    violations.append(InvariantViolation(code, job, message, expected,
+                                         actual))
+
+
 def _times_equal(a: float, b: float, scale: float,
                  rel_eps: float) -> bool:
     # Wall-clock comparison at the deadline's magnitude: two times are
@@ -128,6 +140,154 @@ def _times_equal(a: float, b: float, scale: float,
 
 def _energies_equal(a: float, b: float, rel_eps: float) -> bool:
     return abs(a - b) <= rel_eps * max(abs(a), abs(b), 1e-30)
+
+
+class _JobRules:
+    """The per-job identities of :func:`check_episode` and
+    :func:`check_stream`, over one run's constant context.
+
+    :meth:`check` replays one executed job — start chain, time
+    components, miss flag, switch and slice charging, energy
+    decomposition — and advances the chain.  Start gaps are reported
+    as ``start_code``, naming ``timeline`` in the message.  Energy is
+    re-derived from the models, never through the runners' pricing
+    kernel, so a bug in that kernel cannot hide itself.
+    """
+
+    def __init__(self, scheme: str, deadline: float, start_code: str,
+                 timeline: str, energy_model: Optional[EnergyModel],
+                 slice_energy_model: Optional[EnergyModel],
+                 levels: Optional[LevelTable], t_switch: float,
+                 uses_slice: Optional[bool],
+                 charge_overheads: Optional[bool], rel_eps: float,
+                 energy_rel_eps: float) -> None:
+        # Capability flags default to the scheme's SCHEME_CAPS entry.
+        caps = capabilities_for(scheme)
+        if uses_slice is None and caps is not None:
+            uses_slice = caps.uses_slice
+        if charge_overheads is None and caps is not None:
+            charge_overheads = caps.charge_overheads
+        self.deadline = deadline
+        self.start_code = start_code
+        self.timeline = timeline
+        self.energy_model = energy_model
+        self.slice_energy_model = slice_energy_model
+        self.t_switch = t_switch
+        self.uses_slice = uses_slice
+        self.charge_overheads = charge_overheads
+        self.rel_eps = rel_eps
+        self.energy_rel_eps = energy_rel_eps
+        self.nominal = levels.nominal if levels is not None else None
+        self.violations: List[InvariantViolation] = []
+        self.bad = partial(_report, self.violations)
+        self.prev_finish = 0.0
+        self.prev_point: Optional[OperatingPoint] = self.nominal
+
+    def check(self, i: int, o, fallback: bool = False) -> None:
+        """Replay executed job ``o`` (reported as job ``i``).  A
+        ``fallback`` job's slice time is held to the degraded rule of
+        its checker rather than to ``slice_cycles / f_nominal``."""
+        bad = self.bad
+        deadline, rel_eps = self.deadline, self.rel_eps
+        nominal, prev_point = self.nominal, self.prev_point
+        uses_slice, t_switch = self.uses_slice, self.t_switch
+        point = OperatingPoint(voltage=o.voltage, frequency=o.frequency,
+                               is_boost=o.boosted)
+
+        # -- timeline chain --------------------------------------------
+        start = max(self.prev_finish, o.release)
+        if not _times_equal(o.start, start, deadline, rel_eps):
+            bad(self.start_code, i,
+                "start is not max(previous finish, release) — the "
+                f"{self.timeline} has a gap or an overlap",
+                expected=start, actual=o.start)
+
+        # -- time components -------------------------------------------
+        for field in ("t_slice", "t_switch", "t_exec"):
+            if getattr(o, field) < 0.0:
+                bad("time.negative", i, f"{field} is negative",
+                    expected=0.0, actual=getattr(o, field))
+        t_exec = o.job.actual_cycles / o.frequency
+        if not _times_equal(o.t_exec, t_exec, deadline, rel_eps):
+            bad("time.exec", i,
+                "t_exec does not equal actual_cycles / frequency",
+                expected=t_exec, actual=o.t_exec)
+
+        # -- deadline flag (relative to the job's own release) ---------
+        missed = deadline_missed(o.finish, o.release, deadline, rel_eps)
+        if o.missed != missed:
+            bad("deadline.miss_flag", i,
+                "miss flag disagrees with the shared epsilon predicate",
+                expected=missed, actual=o.missed)
+
+        # -- switch charging -------------------------------------------
+        changed = (prev_point is not None and point != prev_point)
+        if self.charge_overheads is False and o.t_switch != 0.0:
+            bad("caps.switch_free", i,
+                "overhead-free scheme charged switch time",
+                expected=0.0, actual=o.t_switch)
+        elif self.charge_overheads and t_switch > 0.0:
+            if prev_point is not None:
+                expected_switch = t_switch if changed else 0.0
+                if o.t_switch != expected_switch:
+                    bad("switch.charge", i,
+                        "switch time charged iff the level changed, "
+                        "at exactly the configured switching time",
+                        expected=expected_switch, actual=o.t_switch)
+            elif o.t_switch not in (0.0, t_switch):
+                bad("switch.charge", i,
+                    "switch time is neither zero nor the configured "
+                    "switching time",
+                    expected=(0.0, t_switch), actual=o.t_switch)
+
+        # -- slice charging --------------------------------------------
+        if uses_slice is False and o.t_slice != 0.0:
+            bad("caps.slice_free", i,
+                "scheme without a prediction slice charged slice time",
+                expected=0.0, actual=o.t_slice)
+        if uses_slice and not fallback and nominal is not None:
+            t_slice = o.job.slice_cycles / nominal.frequency
+            if not _times_equal(o.t_slice, t_slice, deadline, rel_eps):
+                bad("time.slice", i,
+                    "slice time does not equal slice_cycles / f_nominal",
+                    expected=t_slice, actual=o.t_slice)
+
+        # -- energy decomposition --------------------------------------
+        energy_model = self.energy_model
+        if energy_model is not None:
+            energy = energy_model.job_energy(o.job.activity, point,
+                                             o.t_exec)
+            energy += switch_window_energy(energy_model, point, o.t_switch)
+            recomputable = True
+            if o.t_slice > 0.0:
+                slice_model = self.slice_energy_model
+                if slice_model is not None and nominal is not None:
+                    slice_activity = JobActivity(cycles=o.job.slice_cycles)
+                    energy += slice_model.job_energy(
+                        slice_activity, nominal, o.t_slice)
+                else:
+                    recomputable = False  # cannot price the slice
+            if recomputable and not _energies_equal(o.energy, energy,
+                                                    self.energy_rel_eps):
+                bad("energy.recompute", i,
+                    "recorded energy does not decompose into exec + "
+                    "switch leakage + slice energy",
+                    expected=energy, actual=o.energy)
+
+        self.prev_finish = o.start + o.t_slice + o.t_switch + o.t_exec
+        self.prev_point = point
+
+    def tally(self, counter: str, n_jobs: int) -> List[InvariantViolation]:
+        """Count the checked run under ``counter`` and return its
+        violations."""
+        observer = get_observer()
+        if observer is not None:
+            observer.metrics.inc(counter)
+            observer.metrics.inc("check.jobs", n_jobs)
+            if self.violations:
+                observer.metrics.inc("check.violations",
+                                     len(self.violations))
+        return self.violations
 
 
 def check_episode(result: EpisodeResult,
@@ -149,124 +309,19 @@ def check_episode(result: EpisodeResult,
     episode's controller name.  Returns all violations found (empty
     list = episode is internally consistent).
     """
-    caps = capabilities_for(result.controller)
-    if uses_slice is None:
-        uses_slice = caps.uses_slice if caps is not None else None
-    if charge_overheads is None:
-        charge_overheads = caps.charge_overheads if caps is not None else None
-
     deadline = result.task.deadline
-    violations: List[InvariantViolation] = []
-
-    def bad(code: str, job: Optional[int], message: str,
-            expected: object = None, actual: object = None) -> None:
-        violations.append(InvariantViolation(
-            code=code, job_index=job, message=message,
-            expected=expected, actual=actual))
-
-    prev_finish = 0.0
-    prev_point: Optional[OperatingPoint] = (
-        levels.nominal if levels is not None else None)
-    nominal = levels.nominal if levels is not None else None
-
+    rules = _JobRules(result.controller, deadline, "timeline.start",
+                      "timeline", energy_model, slice_energy_model, levels,
+                      t_switch, uses_slice, charge_overheads, rel_eps,
+                      energy_rel_eps)
     for i, o in enumerate(result.outcomes):
-        point = OperatingPoint(voltage=o.voltage, frequency=o.frequency,
-                               is_boost=o.boosted)
-
-        # -- timeline ------------------------------------------------
         release = i * deadline
         if not _times_equal(o.release, release, deadline, rel_eps):
-            bad("timeline.release", i,
-                "job released off its period boundary",
-                expected=release, actual=o.release)
-        start = max(prev_finish, o.release)
-        if not _times_equal(o.start, start, deadline, rel_eps):
-            bad("timeline.start", i,
-                "start is not max(previous finish, release) — the "
-                "timeline has a gap or an overlap",
-                expected=start, actual=o.start)
-
-        # -- time components ------------------------------------------
-        for field in ("t_slice", "t_switch", "t_exec"):
-            if getattr(o, field) < 0.0:
-                bad("time.negative", i, f"{field} is negative",
-                    expected=0.0, actual=getattr(o, field))
-        t_exec = o.job.actual_cycles / o.frequency
-        if not _times_equal(o.t_exec, t_exec, deadline, rel_eps):
-            bad("time.exec", i,
-                "t_exec does not equal actual_cycles / frequency",
-                expected=t_exec, actual=o.t_exec)
-
-        # -- deadline flag --------------------------------------------
-        missed = deadline_missed(o.finish, o.release, deadline, rel_eps)
-        if o.missed != missed:
-            bad("deadline.miss_flag", i,
-                "miss flag disagrees with the shared epsilon predicate",
-                expected=missed, actual=o.missed)
-
-        # -- switch charging ------------------------------------------
-        changed = (prev_point is not None and point != prev_point)
-        if charge_overheads is False and o.t_switch != 0.0:
-            bad("caps.switch_free", i,
-                "overhead-free scheme charged switch time",
-                expected=0.0, actual=o.t_switch)
-        elif charge_overheads and t_switch > 0.0:
-            if prev_point is not None:
-                expected_switch = t_switch if changed else 0.0
-                if o.t_switch != expected_switch:
-                    bad("switch.charge", i,
-                        "switch time charged iff the level changed, "
-                        "at exactly the configured switching time",
-                        expected=expected_switch, actual=o.t_switch)
-            elif o.t_switch not in (0.0, t_switch):
-                bad("switch.charge", i,
-                    "switch time is neither zero nor the configured "
-                    "switching time",
-                    expected=(0.0, t_switch), actual=o.t_switch)
-
-        # -- slice charging -------------------------------------------
-        if uses_slice is False and o.t_slice != 0.0:
-            bad("caps.slice_free", i,
-                "scheme without a prediction slice charged slice time",
-                expected=0.0, actual=o.t_slice)
-        if uses_slice and nominal is not None:
-            t_slice = o.job.slice_cycles / nominal.frequency
-            if not _times_equal(o.t_slice, t_slice, deadline, rel_eps):
-                bad("time.slice", i,
-                    "slice time does not equal slice_cycles / f_nominal",
-                    expected=t_slice, actual=o.t_slice)
-
-        # -- energy decomposition -------------------------------------
-        if energy_model is not None:
-            energy = energy_model.job_energy(o.job.activity, point,
-                                             o.t_exec)
-            energy += switch_window_energy(energy_model, point, o.t_switch)
-            recomputable = True
-            if o.t_slice > 0.0:
-                if slice_energy_model is not None and nominal is not None:
-                    slice_activity = JobActivity(cycles=o.job.slice_cycles)
-                    energy += slice_energy_model.job_energy(
-                        slice_activity, nominal, o.t_slice)
-                else:
-                    recomputable = False  # cannot price the slice
-            if recomputable and not _energies_equal(o.energy, energy,
-                                                    energy_rel_eps):
-                bad("energy.recompute", i,
-                    "recorded energy does not decompose into exec + "
-                    "switch leakage + slice energy",
-                    expected=energy, actual=o.energy)
-
-        prev_finish = o.start + o.t_slice + o.t_switch + o.t_exec
-        prev_point = point
-
-    observer = get_observer()
-    if observer is not None:
-        observer.metrics.inc("check.episodes")
-        observer.metrics.inc("check.jobs", len(result.outcomes))
-        if violations:
-            observer.metrics.inc("check.violations", len(violations))
-
-    return violations
+            rules.bad("timeline.release", i,
+                      "job released off its period boundary",
+                      expected=release, actual=o.release)
+        rules.check(i, o)
+    return rules.tally("check.episodes", len(result.outcomes))
 
 
 def check_stream(result: "StreamResult",
@@ -309,25 +364,17 @@ def check_stream(result: "StreamResult",
     degraded ones above rather than the scheme's.  Deadlines are
     relative to each job's own arrival (``release + deadline``).
     """
-    caps = capabilities_for(result.scheme)
-    if uses_slice is None:
-        uses_slice = caps.uses_slice if caps is not None else None
-    if charge_overheads is None:
-        charge_overheads = caps.charge_overheads if caps is not None else None
-
     # Imported here (not at module top) to keep repro.check importable
     # without the serve package and free of import cycles.
     from ..serve.server import FALLBACK, SHED, TERMINAL_STATES, \
         valid_prediction
 
     deadline = result.deadline
-    violations: List[InvariantViolation] = []
-
-    def bad(code: str, job: Optional[int], message: str,
-            expected: object = None, actual: object = None) -> None:
-        violations.append(InvariantViolation(
-            code=code, job_index=job, message=message,
-            expected=expected, actual=actual))
+    rules = _JobRules(result.scheme, deadline, "stream.timeline",
+                      "stream timeline", energy_model, slice_energy_model,
+                      levels, t_switch, uses_slice, charge_overheads,
+                      rel_eps, energy_rel_eps)
+    bad = rules.bad
 
     # -- conservation -------------------------------------------------
     if len(result.outcomes) != result.n_offered:
@@ -357,11 +404,6 @@ def check_stream(result: "StreamResult",
             actual=(result.n_completed + result.n_fallback
                     + result.n_shed))
 
-    prev_finish = 0.0
-    prev_point: Optional[OperatingPoint] = (
-        levels.nominal if levels is not None else None)
-    nominal = levels.nominal if levels is not None else None
-
     for o in result.outcomes:
         i = o.index
 
@@ -385,49 +427,21 @@ def check_stream(result: "StreamResult",
                     expected=False, actual=True)
             continue
 
-        point = OperatingPoint(voltage=o.voltage, frequency=o.frequency,
-                               is_boost=o.boosted)
-        fallback = o.status == FALLBACK
-
-        # -- timeline chain over executed jobs -------------------------
-        start = max(prev_finish, o.release)
-        if not _times_equal(o.start, start, deadline, rel_eps):
-            bad("stream.timeline", i,
-                "start is not max(previous finish, release) — the "
-                "stream timeline has a gap or an overlap",
-                expected=start, actual=o.start)
-
-        # -- time components -------------------------------------------
-        for fname in ("t_slice", "t_switch", "t_exec"):
-            if getattr(o, fname) < 0.0:
-                bad("time.negative", i, f"{fname} is negative",
-                    expected=0.0, actual=getattr(o, fname))
-        t_exec = o.job.actual_cycles / o.frequency
-        if not _times_equal(o.t_exec, t_exec, deadline, rel_eps):
-            bad("time.exec", i,
-                "t_exec does not equal actual_cycles / frequency",
-                expected=t_exec, actual=o.t_exec)
-
-        # -- deadline flag (relative to the job's own arrival) ---------
-        missed = deadline_missed(o.finish, o.release, deadline, rel_eps)
-        if o.missed != missed:
-            bad("deadline.miss_flag", i,
-                "miss flag disagrees with the shared epsilon predicate",
-                expected=missed, actual=o.missed)
-
         # -- fallback semantics, or a plan on a valid prediction -------
+        fallback = o.status == FALLBACK
         if fallback:
             if o.t_slice != 0.0:
                 bad("stream.fallback", i,
                     "fallback job charged slice time — degraded jobs "
                     "abandon the prediction path entirely",
                     expected=0.0, actual=o.t_slice)
+            nominal = rules.nominal
             if nominal is not None and o.frequency < nominal.frequency:
                 bad("stream.fallback", i,
                     "fallback job dispatched below nominal frequency",
                     expected=nominal.frequency, actual=o.frequency)
-        elif uses_slice and not valid_prediction(o.job.predicted_cycles,
-                                                 o.job.slice_cycles):
+        elif rules.uses_slice and not valid_prediction(
+                o.job.predicted_cycles, o.job.slice_cycles):
             bad("stream.prediction", i,
                 "completed job was planned on an invalid prediction "
                 "instead of falling back",
@@ -435,69 +449,8 @@ def check_stream(result: "StreamResult",
                          "slice_cycles >= 0",
                 actual=(o.job.predicted_cycles, o.job.slice_cycles))
 
-        # -- switch charging -------------------------------------------
-        changed = (prev_point is not None and point != prev_point)
-        if charge_overheads is False and o.t_switch != 0.0:
-            bad("caps.switch_free", i,
-                "overhead-free scheme charged switch time",
-                expected=0.0, actual=o.t_switch)
-        elif charge_overheads and t_switch > 0.0:
-            if prev_point is not None:
-                expected_switch = t_switch if changed else 0.0
-                if o.t_switch != expected_switch:
-                    bad("switch.charge", i,
-                        "switch time charged iff the level changed, "
-                        "at exactly the configured switching time",
-                        expected=expected_switch, actual=o.t_switch)
-            elif o.t_switch not in (0.0, t_switch):
-                bad("switch.charge", i,
-                    "switch time is neither zero nor the configured "
-                    "switching time",
-                    expected=(0.0, t_switch), actual=o.t_switch)
-
-        # -- slice charging --------------------------------------------
-        if uses_slice is False and o.t_slice != 0.0:
-            bad("caps.slice_free", i,
-                "scheme without a prediction slice charged slice time",
-                expected=0.0, actual=o.t_slice)
-        if uses_slice and not fallback and nominal is not None:
-            t_slice = o.job.slice_cycles / nominal.frequency
-            if not _times_equal(o.t_slice, t_slice, deadline, rel_eps):
-                bad("time.slice", i,
-                    "slice time does not equal slice_cycles / f_nominal",
-                    expected=t_slice, actual=o.t_slice)
-
-        # -- energy decomposition --------------------------------------
-        if energy_model is not None:
-            energy = energy_model.job_energy(o.job.activity, point,
-                                             o.t_exec)
-            energy += switch_window_energy(energy_model, point, o.t_switch)
-            recomputable = True
-            if o.t_slice > 0.0:
-                if slice_energy_model is not None and nominal is not None:
-                    slice_activity = JobActivity(cycles=o.job.slice_cycles)
-                    energy += slice_energy_model.job_energy(
-                        slice_activity, nominal, o.t_slice)
-                else:
-                    recomputable = False  # cannot price the slice
-            if recomputable and not _energies_equal(o.energy, energy,
-                                                    energy_rel_eps):
-                bad("energy.recompute", i,
-                    "recorded energy does not decompose into exec + "
-                    "switch leakage + slice energy",
-                    expected=energy, actual=o.energy)
-
-        prev_finish = o.start + o.t_slice + o.t_switch + o.t_exec
-        prev_point = point
-
-    observer = get_observer()
-    if observer is not None:
-        observer.metrics.inc("check.streams")
-        observer.metrics.inc("check.jobs", len(result.outcomes))
-        if violations:
-            observer.metrics.inc("check.violations", len(violations))
-
-    return violations
+        rules.check(i, o, fallback)
+    return rules.tally("check.streams", len(result.outcomes))
 
 
 def check_fleet(result: "FleetResult",
@@ -525,12 +478,7 @@ def check_fleet(result: "FleetResult",
       across dispatcher and shards.
     """
     violations: List[InvariantViolation] = []
-
-    def bad(code: str, job: Optional[int], message: str,
-            expected: object = None, actual: object = None) -> None:
-        violations.append(InvariantViolation(
-            code=code, job_index=job, message=message,
-            expected=expected, actual=actual))
+    bad = partial(_report, violations)
 
     # -- per-shard stream identities ----------------------------------
     for shard_index, (spec, shard) in enumerate(
@@ -645,12 +593,7 @@ def check_epochs(result: "StreamResult",
     from ..serve.server import SHED
 
     violations: List[InvariantViolation] = []
-
-    def bad(code: str, job: Optional[int], message: str,
-            expected: object = None, actual: object = None) -> None:
-        violations.append(InvariantViolation(
-            code=code, job_index=job, message=message,
-            expected=expected, actual=actual))
+    bad = partial(_report, violations)
 
     deadline = result.deadline
     position = {o.index: k for k, o in enumerate(result.outcomes)}

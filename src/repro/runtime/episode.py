@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..dvfs.energy import EnergyModel, JobActivity
 from ..obs import get_observer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..dvfs.controllers import Controller
+    from ..dvfs.levels import OperatingPoint
 from ..units import DVFS_SWITCH_TIME, deadline_missed
 from .jobs import JobOutcome, JobRecord, Task
 
@@ -34,12 +35,42 @@ def switch_window_energy(energy_model: EnergyModel,
     The switch costs wall time, and powered silicon leaks for all of
     it — pricing the window as a zero-activity job charges exactly the
     leakage term at the destination point's voltage.  Shared by
-    :func:`run_episode` and the invariant checker so their accounting
+    :func:`charge_job` and the invariant checker so their accounting
     can never drift apart.
     """
     if duration <= 0.0:
         return 0.0
     return energy_model.job_energy(_IDLE_ACTIVITY, point, duration)
+
+
+def charge_job(record: JobRecord, point: "OperatingPoint",
+               t_slice: float, t_switch: float,
+               energy_model: EnergyModel,
+               slice_energy_model: Optional[EnergyModel],
+               nominal: "OperatingPoint", uses_slice: bool,
+               owner: str) -> Tuple[float, float]:
+    """Price one job at ``point``: ``(t_exec, energy)``.
+
+    Execution over ``actual_cycles / frequency``, leakage over the
+    switch window ``t_switch``, and — when the scheme runs a slice —
+    the slice's energy at ``nominal`` over ``t_slice`` (Sec. 3.6 and
+    4.1 of the paper).  Every runner prices its jobs here, so their
+    energies agree bit for bit; ``owner`` names the runner in the
+    missing-slice-model diagnostic.
+    """
+    t_exec = record.actual_cycles / point.frequency
+    energy = energy_model.job_energy(record.activity, point, t_exec)
+    # The switch window adds wall time, so it must add leakage too —
+    # otherwise switching is time-expensive yet energy-free and the
+    # scheme comparison under-charges switch-happy controllers.
+    energy += switch_window_energy(energy_model, point, t_switch)
+    if uses_slice and t_slice > 0.0:
+        if slice_energy_model is None:
+            raise ValueError(
+                f"{owner} runs a slice but has no slice energy model")
+        energy += slice_energy_model.job_energy(
+            JobActivity(cycles=record.slice_cycles), nominal, t_slice)
+    return t_exec, energy
 
 
 def strict_checks_enabled() -> bool:
@@ -122,6 +153,7 @@ def run_episode(controller: "Controller",
     now = 0.0
     observer = get_observer()  # None keeps the per-job cost at one test
     switch_count = 0
+    owner = f"controller {controller.name}"
 
     for index, job in enumerate(jobs):
         release = index * task.deadline
@@ -133,27 +165,14 @@ def run_episode(controller: "Controller",
         t_slice = plan.t_slice
         switch_needed = point != previous and controller.charge_overheads
         t_switch_actual = t_switch if switch_needed else 0.0
-        t_exec = job.actual_cycles / point.frequency
+        t_exec, energy = charge_job(
+            job, point, t_slice, t_switch_actual, energy_model,
+            slice_energy_model, nominal, controller.uses_slice, owner)
         total = t_slice + t_switch_actual + t_exec
         missed = deadline_missed(start + total, release, task.deadline)
         now = start + total
         if switch_needed:
             switch_count += 1
-
-        energy = energy_model.job_energy(job.activity, point, t_exec)
-        # The switch window adds wall time, so it must add leakage too —
-        # otherwise switching is time-expensive yet energy-free and the
-        # scheme comparison under-charges switch-happy controllers.
-        energy += switch_window_energy(energy_model, point, t_switch_actual)
-        if controller.uses_slice and t_slice > 0.0:
-            if slice_energy_model is None:
-                raise ValueError(
-                    f"controller {controller.name} runs a slice but no "
-                    "slice energy model was provided"
-                )
-            slice_activity = JobActivity(cycles=job.slice_cycles)
-            energy += slice_energy_model.job_energy(
-                slice_activity, nominal, t_slice)
 
         outcomes.append(JobOutcome(
             job=job,

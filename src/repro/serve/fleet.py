@@ -180,14 +180,14 @@ class FleetConfig:
             raise ValueError(
                 f"unknown policy {self.policy!r}; pick one of "
                 f"{', '.join(POLICIES)}")
-        # A NaN depth never sheds, and a NaN watermark silently turns
-        # its direction of elastic scaling off; both fail by name.
-        if not (isinstance(self.global_depth, numbers.Integral)
-                and self.global_depth >= 1):
-            raise ValueError("global_depth must be an integer >= 1, "
-                             f"got {self.global_depth!r}")
-        if self.min_active < 1:
-            raise ValueError("min_active must be >= 1")
+        # A NaN depth never sheds, a NaN min_active activates no
+        # instance, and a NaN watermark silently turns its direction of
+        # elastic scaling off; each fails by name.
+        for key in ("global_depth", "min_active"):
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(
+                    f"{key} must be an integer >= 1, got {value!r}")
         for key in ("scale_up_backlog", "scale_down_backlog"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, "
@@ -463,11 +463,12 @@ class FleetDispatcher:
         """Project one job's service on one instance:
         ``(service_s, feasible, point, cycles)``.
 
-        The projection reruns the controllers' own level-selection
-        model on the job's *predicted* cycles (margin/boost/overheads
-        read off the instance's controller), so the ledger sees the
-        service time the instance is about to plan — without touching
-        controller state.  A job with no valid prediction (see
+        Every instance is projected as the predictive scheme would
+        plan the job, on its *predicted* cycles with margin/boost/
+        overheads read off the instance's controller, without touching
+        controller state; for another scheme (a ``baseline`` instance
+        always runs at nominal) that is an estimate.  A job with no
+        valid prediction (see
         :func:`~repro.serve.server.valid_prediction`: the shard falls
         back on it) projects a full deadline at the fastest point: the
         conservative bound.

@@ -17,15 +17,16 @@ queue over one accelerator:
   max-frequency (nominal) execution with no slice charge: the event
   is counted, the stream keeps serving.
 
-Execution accounting mirrors :func:`~repro.runtime.episode.run_episode`
-exactly — the same energy decomposition, deadline epsilon, and switch
-charging rules — but on a stream timeline where ``release`` is the
-arrival instant rather than a rigid period boundary.  Two clocks are
-maintained deliberately: the *virtual clock* (simulated accelerator
-time, used for all time/energy accounting and backpressure) and the
-*wall clock* (decision latency, realtime pacing).  ``realtime=False``
-drives the virtual clock as fast as the host allows; ``realtime=True``
-paces arrivals against the wall clock through asyncio, which is what
+Each job is priced by :func:`~repro.runtime.episode.charge_job`, the
+kernel :func:`~repro.runtime.episode.run_episode` prices its jobs
+with, under the same deadline epsilon and switch charging rule — but
+on a stream timeline where ``release`` is the arrival instant rather
+than a rigid period boundary.  Two clocks are maintained deliberately:
+the *virtual clock* (simulated accelerator time, used for all
+time/energy accounting and backpressure) and the *wall clock*
+(decision latency, realtime pacing).  ``realtime=False`` drives the
+virtual clock as fast as the host allows; ``realtime=True`` paces
+arrivals against the wall clock through asyncio, which is what
 ``repro serve`` and the throughput benchmark measure.
 """
 
@@ -33,15 +34,16 @@ from __future__ import annotations
 
 import asyncio
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..dvfs.controllers import Controller
-from ..dvfs.energy import EnergyModel, JobActivity
+from ..dvfs.energy import EnergyModel
 from ..obs import get_observer, span
-from ..runtime.episode import strict_checks_enabled, switch_window_energy
+from ..runtime.episode import charge_job, strict_checks_enabled
 from ..runtime.jobs import JobRecord
 from ..units import DVFS_SWITCH_TIME, FRAME_DEADLINE_60FPS, deadline_missed
 from .stream import StreamJob
@@ -78,10 +80,13 @@ class ServeConfig:
         if not (math.isfinite(self.t_switch) and self.t_switch >= 0.0):
             raise ValueError(
                 f"t_switch must be finite and >= 0, got {self.t_switch!r}")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-        if self.batch_max < 1:
-            raise ValueError("batch_max must be >= 1")
+        # A NaN batch_max pops nothing, so serving never ends, and a
+        # NaN queue_depth never sheds; counts must be integers.
+        for key in ("queue_depth", "batch_max"):
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(
+                    f"{key} must be an integer >= 1, got {value!r}")
         budget = self.prediction_budget
         if budget is not None and not (math.isfinite(budget)
                                        and budget >= 0.0):
@@ -445,21 +450,13 @@ class AcceleratorStream:
         switch_needed = (point != self._previous
                          and controller.charge_overheads)
         t_switch = self.config.t_switch if switch_needed else 0.0
-        t_exec = record.actual_cycles / point.frequency
+        # A fallback job's t_slice is 0.0, so it pays no slice energy.
+        t_exec, energy = charge_job(
+            record, point, t_slice, t_switch, self.energy_model,
+            self.slice_energy_model, self.levels.nominal,
+            controller.uses_slice, f"stream {self.name}")
         finish = start + t_slice + t_switch + t_exec
         missed = deadline_missed(finish, release, self.config.deadline)
-
-        energy = self.energy_model.job_energy(record.activity, point,
-                                              t_exec)
-        energy += switch_window_energy(self.energy_model, point, t_switch)
-        if not fallback and controller.uses_slice and t_slice > 0.0:
-            if self.slice_energy_model is None:
-                raise ValueError(
-                    f"stream {self.name} runs a slice but has no "
-                    "slice energy model")
-            energy += self.slice_energy_model.job_energy(
-                JobActivity(cycles=record.slice_cycles),
-                self.levels.nominal, t_slice)
 
         self.now = finish
         self._previous = point

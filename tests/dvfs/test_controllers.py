@@ -16,6 +16,13 @@ from repro.dvfs import (
     build_level_table,
 )
 from repro.runtime import JobRecord, Task, run_episode
+from repro.serve import (
+    AcceleratorStream,
+    RecordPredictor,
+    ServeConfig,
+    serve_stream,
+)
+from repro.serve.stream import stream_from_records
 from repro.units import DVFS_SWITCH_TIME, MHZ, MS
 
 
@@ -206,6 +213,9 @@ def test_episode_miss_detection(levels):
 
 
 def test_episode_slice_energy_requires_model(levels):
+    """A scheme that runs a slice needs a slice energy model: the
+    episode, a served stream's block plan and its scalar machine all
+    raise the one diagnostic, naming their owner."""
     ctrl = PredictiveController(levels, DVFS_SWITCH_TIME)
     jobs = [job(0, 1000, predicted=1000.0, slice_cycles=100)]
     with pytest.raises(ValueError, match="slice energy model"):
@@ -213,6 +223,22 @@ def test_episode_slice_energy_requires_model(levels):
     result = run_episode(ctrl, jobs, TASK, FlatEnergyModel(),
                          slice_energy_model=FlatEnergyModel())
     assert result.total_energy > 0
+
+    records = [job(i, 1000, predicted=1000.0, slice_cycles=100)
+               for i in range(4)]
+    # Spaced arrivals are uncoupled, so the block plan prices them; a
+    # burst under a prediction budget is coupled and runs on the
+    # scalar machine only.
+    for arrivals, budget in (([i * TASK.deadline for i in range(4)], None),
+                             ([0.0] * 4, 1.0)):
+        stream = AcceleratorStream(
+            "c", PredictiveController(levels, DVFS_SWITCH_TIME),
+            FlatEnergyModel(), predictor=RecordPredictor(),
+            config=ServeConfig(deadline=TASK.deadline,
+                               prediction_budget=budget))
+        with pytest.raises(ValueError, match="^stream c runs a slice but "
+                           "has no slice energy model$"):
+            serve_stream(stream, stream_from_records(records, arrivals))
 
 
 def test_episode_normalized_energy(levels):

@@ -139,13 +139,15 @@ def test_fleet_config_validates():
 @pytest.mark.parametrize("key, value", [
     ("global_depth", math.nan), ("global_depth", math.inf),
     ("global_depth", 8.5), ("global_depth", "8"),
+    ("min_active", math.nan), ("min_active", 1.5),
     ("scale_up_backlog", math.nan), ("scale_up_backlog", math.inf),
     ("scale_down_backlog", math.nan), ("scale_down_backlog", -math.inf),
 ])
 def test_fleet_config_rejects_bad_bounds_by_name(key, value):
-    """A NaN depth never shed, a fractional one was accepted, and a
-    non-finite watermark silently turned its direction of elastic
-    scaling off; each must fail at the config, naming the field."""
+    """A NaN depth never shed, a fractional one was accepted, a NaN
+    min_active activated no instance, and a non-finite watermark
+    silently turned its direction of elastic scaling off; each must
+    fail at the config, naming the field."""
     with pytest.raises(ValueError, match=f"{key} must be"):
         FleetConfig(**{key: value})
 

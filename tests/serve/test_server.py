@@ -174,12 +174,15 @@ def test_serve_config_validation():
     ("t_switch", math.nan), ("t_switch", math.inf), ("t_switch", -1e-3),
     ("prediction_budget", math.nan), ("prediction_budget", math.inf),
     ("prediction_budget", -1e-3),
+    ("queue_depth", math.nan), ("queue_depth", 2.5),
+    ("batch_max", math.nan), ("batch_max", 2.5),
 ])
 def test_serve_config_rejects_values_that_corrupt_a_run(field, value):
     """A NaN deadline reported no misses, a negative budget forced
-    every job to fall back, and a negative switch time charged
-    negative windows; each must fail at construction, naming the
-    field."""
+    every job to fall back, a negative switch time charged negative
+    windows, a NaN queue depth never shed and a NaN batch size popped
+    nothing, so serving never ended; each must fail at construction,
+    naming the field."""
     with pytest.raises(ValueError, match=f"^{field} must be"):
         ServeConfig(**{field: value})
 

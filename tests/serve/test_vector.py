@@ -23,6 +23,7 @@ from repro.check import check_epochs, check_fleet
 from repro.dvfs import (
     AsicEnergyModel,
     ConstantFrequencyController,
+    JobActivity,
     OracleController,
     PidController,
     PidGains,
@@ -32,6 +33,7 @@ from repro.dvfs import (
 from repro.experiments import make_controller, tech_context
 from repro.obs import session
 from repro.rtl import BACKENDS, set_default_backend
+from repro.runtime import JobRecord
 from repro.serve import (
     COMPLETED,
     FALLBACK,
@@ -170,6 +172,28 @@ def test_vector_engine_generic_energy_model(asic_levels):
         records, poisson_arrivals(120.0, n_jobs=300, seed=13))
     stream, _ = assert_engines_identical(
         asic_levels, "predictive", jobs, energy_model=model)
+    assert stream.epoch_log
+
+
+def test_planned_charges_key_on_every_kernel_input(asic_levels):
+    """Records sharing one ``JobActivity`` but differing in
+    ``actual_cycles``, ``slice_cycles`` and ``predicted_cycles`` take
+    different times and energies: a plan that priced them once per
+    activity would commit wrong outcomes."""
+    rng = np.random.default_rng(17)
+    light = int(asic_levels.nominal.frequency * 2 * MS)
+    shared = JobActivity(cycles=light)
+    # Few values per field, drawn independently: a key missing any
+    # one input collides on records that price differently.
+    records = [
+        JobRecord(index=i, actual_cycles=int(light * rng.choice([1, 2, 3])),
+                  activity=shared,
+                  predicted_cycles=float(light * rng.choice([1, 2, 3])),
+                  slice_cycles=int(rng.choice([100, 400])))
+        for i in range(300)]
+    jobs = stream_from_records(
+        records, poisson_arrivals(50.0, n_jobs=300, seed=19))
+    stream, _ = assert_engines_identical(asic_levels, "predictive", jobs)
     assert stream.epoch_log
 
 
