@@ -6,16 +6,13 @@ it against itself and the manifest:
 
 * the manifest parses and its ``n_events`` matches the events file
   (detects torn/truncated artifacts);
-* every per-job ``job`` event is self-consistent (non-negative time
+* every executed ``sjob`` event is self-consistent (non-negative time
   and energy, miss flag agreeing with the recorded slack);
-* every ``episode`` summary event equals the aggregation of the job
-  events it closes over (job count, energy sum, miss count, switch
-  count);
-* every ``stream`` summary event from the serving runtime equals the
-  aggregation of its per-job ``sjob`` events (offered / completed /
-  fallback / shed / miss counts, energy sum — the conservation law
-  every offered job ends in exactly one terminal state);
-* the manifest's ``episode.jobs`` counter matches the job-event total;
+* every ``stream`` summary event — a served stream's or an episode's —
+  equals the aggregation of its per-job ``sjob`` events (offered /
+  completed / fallback / shed / miss counts, energy sum — the
+  conservation law every offered job ends in exactly one terminal
+  state);
 * a manifest-named ``timeseries.json`` exists, parses, and its
   windowed sample counts agree with the manifest's ``serve.*``
   counters (unless the ring evicted windows, which the artifact
@@ -31,12 +28,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Union
 
 from ..obs import MANIFEST_NAME, TimeSeriesRegistry, read_events
 from ..units import TIME_EPS_REL
 
-#: Relative tolerance for energy sums re-accumulated from job events.
+#: Relative tolerance for energy sums re-accumulated from sjob events.
 _ENERGY_REL_TOL = 1e-6
 
 
@@ -92,85 +89,35 @@ def check_run_dir(run_dir: Union[str, Path]) -> List[str]:
             f"{events_name} holds {len(events)} — truncated or "
             f"appended-to artifact")
 
-    # Accumulate job events until the episode summary that closes them
-    # (and sjob events until their stream summary).
-    open_groups: Dict[Tuple[str, str], List[Dict[str, object]]] = {}
+    # Accumulate sjob events until the stream summary that closes them.
     open_streams: Dict[str, List[Dict[str, object]]] = {}
-    total_job_events = 0
     for position, event in enumerate(events):
         etype = event.get("type")
-        key = (str(event.get("controller")), str(event.get("task")))
         if etype == "sjob":
             name = str(event.get("stream"))
             open_streams.setdefault(name, []).append(event)
-            if event.get("status") != "shed":
-                for field in ("t_slice", "t_switch", "t_exec", "energy"):
-                    if float(event.get(field, 0.0)) < 0.0:
-                        violations.append(
-                            f"event {position}: sjob "
-                            f"{event.get('index')} of stream {name} "
-                            f"has negative {field} ({event.get(field)})")
+            if event.get("status") == "shed":
+                continue
+            for field in ("t_slice", "t_switch", "t_exec", "energy"):
+                if float(event.get(field, 0.0)) < 0.0:
+                    violations.append(
+                        f"event {position}: sjob {event.get('index')} "
+                        f"of stream {name} has negative {field} "
+                        f"({event.get(field)})")
+            if _slack_contradicts_miss(event):
+                violations.append(
+                    f"event {position}: sjob {event.get('index')} of "
+                    f"stream {name} has missed={event.get('missed')} "
+                    f"but slack={event.get('slack')}")
         elif etype == "stream":
             name = str(event.get("stream"))
             violations.extend(_check_stream_summary(
                 position, event, open_streams.pop(name, [])))
-        elif etype == "job":
-            total_job_events += 1
-            open_groups.setdefault(key, []).append(event)
-            for field in ("t_slice", "t_exec", "energy"):
-                if float(event.get(field, 0.0)) < 0.0:
-                    violations.append(
-                        f"event {position}: job {event.get('index')} of "
-                        f"{key} has negative {field} "
-                        f"({event.get(field)})")
-            if _slack_contradicts_miss(event):
-                violations.append(
-                    f"event {position}: job {event.get('index')} of "
-                    f"{key} has missed={event.get('missed')} but "
-                    f"slack={event.get('slack')}")
-        elif etype == "episode":
-            jobs = open_groups.pop(key, [])
-            n_jobs = int(event.get("n_jobs", -1))
-            if n_jobs != len(jobs):
-                violations.append(
-                    f"event {position}: episode {key} claims "
-                    f"{n_jobs} jobs but {len(jobs)} job events precede it")
-                continue
-            energy = sum(float(j.get("energy", 0.0)) for j in jobs)
-            claimed = float(event.get("energy", 0.0))
-            if abs(claimed - energy) > _ENERGY_REL_TOL * max(
-                    abs(claimed), abs(energy), 1e-30):
-                violations.append(
-                    f"event {position}: episode {key} energy {claimed!r} "
-                    f"!= job-event sum {energy!r}")
-            misses = sum(1 for j in jobs if j.get("missed"))
-            if int(event.get("misses", -1)) != misses:
-                violations.append(
-                    f"event {position}: episode {key} claims "
-                    f"{event.get('misses')} misses but job events "
-                    f"show {misses}")
-            switches = sum(1 for j in jobs if j.get("switched"))
-            if int(event.get("switches", -1)) != switches:
-                violations.append(
-                    f"event {position}: episode {key} claims "
-                    f"{event.get('switches')} switches but job events "
-                    f"show {switches}")
-    for key, jobs in open_groups.items():
-        violations.append(
-            f"{len(jobs)} job event(s) for {key} never closed by an "
-            f"episode summary")
     for name, sjobs in open_streams.items():
         violations.append(
             f"{len(sjobs)} sjob event(s) for stream {name} never "
             f"closed by a stream summary")
 
-    counters = (manifest.get("metrics") or {}).get("counters") or {}
-    if "episode.jobs" in counters and total_job_events:
-        if int(counters["episode.jobs"]) != total_job_events:
-            violations.append(
-                f"manifest counter episode.jobs="
-                f"{counters['episode.jobs']} but {total_job_events} "
-                f"job events were captured")
     violations.extend(_check_timeseries(run_dir, manifest))
     violations.extend(_check_slo_rows(manifest))
     return violations

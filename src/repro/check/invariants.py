@@ -14,7 +14,7 @@ The checker is pure (no mutation, no I/O beyond ``check.*`` metrics)
 and deliberately *independent* of the runners: it recomputes
 expectations from first principles instead of calling back into
 :func:`~repro.runtime.episode.run_episode` or the pricing kernel
-:func:`~repro.runtime.episode.charge_job`, so a bug in either cannot
+:func:`~repro.runtime.jobs.charge_job`, so a bug in either cannot
 hide itself.
 
 Invariant catalog (codes as emitted):
@@ -34,7 +34,13 @@ Invariant catalog (codes as emitted):
   (oracle, *_no_overhead) never pay switch or slice time;
 * ``energy.recompute`` — the recorded energy equals execution energy
   plus switch-window leakage plus slice energy, re-derived from
-  :class:`~repro.dvfs.energy.JobActivity` and the energy models.
+  :class:`~repro.dvfs.energy.JobActivity` and the energy models;
+* ``stream.fallback`` — a fallback job abandoned the prediction path:
+  no slice time, dispatched at least as fast as nominal;
+* ``stream.prediction`` — a completed job under a slice-using scheme
+  was planned on a valid prediction
+  (:func:`~repro.serve.server.valid_prediction`): an invalid one must
+  have fallen back.
 """
 
 from __future__ import annotations
@@ -46,12 +52,14 @@ from typing import TYPE_CHECKING, List, Optional
 from ..dvfs.energy import EnergyModel, JobActivity
 from ..dvfs.levels import LevelTable, OperatingPoint
 from ..obs import get_observer
-from ..runtime.episode import EpisodeResult, switch_window_energy
+from ..runtime.episode import EpisodeResult
+from ..runtime.jobs import switch_window_energy
+from ..serve.server import FALLBACK, SHED, TERMINAL_STATES, \
+    StreamResult, valid_prediction
 from ..units import DVFS_SWITCH_TIME, TIME_EPS_REL, deadline_missed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..serve.fleet import FleetResult
-    from ..serve.server import StreamResult
 
 
 @dataclass(frozen=True)
@@ -146,9 +154,11 @@ class _JobRules:
     """The per-job identities of :func:`check_episode` and
     :func:`check_stream`, over one run's constant context.
 
-    :meth:`check` replays one executed job — start chain, time
-    components, miss flag, switch and slice charging, energy
-    decomposition — and advances the chain.  Start gaps are reported
+    :meth:`check` replays one executed job — fallback or prediction
+    rule, start chain, time components, miss flag, switch and slice
+    charging, energy decomposition — and advances the chain.  A
+    fallback job's slice time is held to the fallback rule rather than
+    to ``slice_cycles / f_nominal``.  Start gaps are reported
     as ``start_code``, naming ``timeline`` in the message.  Energy is
     re-derived from the models, never through the runners' pricing
     kernel, so a bug in that kernel cannot hide itself.
@@ -183,16 +193,35 @@ class _JobRules:
         self.prev_finish = 0.0
         self.prev_point: Optional[OperatingPoint] = self.nominal
 
-    def check(self, i: int, o, fallback: bool = False) -> None:
-        """Replay executed job ``o`` (reported as job ``i``).  A
-        ``fallback`` job's slice time is held to the degraded rule of
-        its checker rather than to ``slice_cycles / f_nominal``."""
+    def check(self, i: int, o) -> None:
+        """Replay executed job ``o`` (reported as job ``i``)."""
         bad = self.bad
         deadline, rel_eps = self.deadline, self.rel_eps
         nominal, prev_point = self.nominal, self.prev_point
         uses_slice, t_switch = self.uses_slice, self.t_switch
         point = OperatingPoint(voltage=o.voltage, frequency=o.frequency,
                                is_boost=o.boosted)
+
+        # -- fallback semantics, or a plan on a valid prediction -------
+        fallback = o.status == FALLBACK
+        if fallback:
+            if o.t_slice != 0.0:
+                bad("stream.fallback", i,
+                    "fallback job charged slice time — degraded jobs "
+                    "abandon the prediction path entirely",
+                    expected=0.0, actual=o.t_slice)
+            if nominal is not None and o.frequency < nominal.frequency:
+                bad("stream.fallback", i,
+                    "fallback job dispatched below nominal frequency",
+                    expected=nominal.frequency, actual=o.frequency)
+        elif uses_slice and not valid_prediction(o.job.predicted_cycles,
+                                                 o.job.slice_cycles):
+            bad("stream.prediction", i,
+                "completed job was planned on an invalid prediction "
+                "instead of falling back",
+                expected="finite predicted_cycles >= 0, "
+                         "slice_cycles >= 0",
+                actual=(o.job.predicted_cycles, o.job.slice_cycles))
 
         # -- timeline chain --------------------------------------------
         start = max(self.prev_finish, o.release)
@@ -274,7 +303,7 @@ class _JobRules:
                     "switch leakage + slice energy",
                     expected=energy, actual=o.energy)
 
-        self.prev_finish = o.start + o.t_slice + o.t_switch + o.t_exec
+        self.prev_finish = o.finish
         self.prev_point = point
 
     def tally(self, counter: str, n_jobs: int) -> List[InvariantViolation]:
@@ -306,8 +335,10 @@ def check_episode(result: EpisodeResult,
     recomputation check; ``levels`` enables the first-job switch check
     and the slice-time formula (both need the nominal point).
     Capability flags default to the :data:`SCHEME_CAPS` entry for the
-    episode's controller name.  Returns all violations found (empty
-    list = episode is internally consistent).
+    episode's controller name.  An episode is a stream that never
+    sheds, so a job that fell back is held to the stream's fallback
+    rule.  Returns all violations found (empty list = episode is
+    internally consistent).
     """
     deadline = result.task.deadline
     rules = _JobRules(result.controller, deadline, "timeline.start",
@@ -324,7 +355,7 @@ def check_episode(result: EpisodeResult,
     return rules.tally("check.episodes", len(result.outcomes))
 
 
-def check_stream(result: "StreamResult",
+def check_stream(result: StreamResult,
                  energy_model: Optional[EnergyModel] = None,
                  slice_energy_model: Optional[EnergyModel] = None,
                  levels: Optional[LevelTable] = None,
@@ -336,9 +367,8 @@ def check_stream(result: "StreamResult",
                  ) -> List[InvariantViolation]:
     """Re-derive every identity of a served stream and diff.
 
-    The serving runtime's analogue of :func:`check_episode` — the same
-    time/energy/capability identities, plus the stream-level laws the
-    batch runner never needed:
+    The per-job identities of :func:`check_episode`, fallback and
+    prediction rules included, plus the laws of a stream that can shed:
 
     * ``stream.conservation`` — every offered job appears exactly once
       (dense unique indices, ``len(outcomes) == n_offered``) and ends
@@ -350,25 +380,13 @@ def check_stream(result: "StreamResult",
       release)`` in arrival order (shed jobs do not occupy the
       server);
     * ``stream.shed`` — a shed job never touched the accelerator:
-      zero time, zero energy, no miss, no operating point;
-    * ``stream.fallback`` — a fallback job abandoned the prediction
-      path: no slice time, dispatched at least as fast as nominal;
-    * ``stream.prediction`` — a completed job under a slice-using
-      scheme was planned on a valid prediction
-      (:func:`~repro.serve.server.valid_prediction`): an invalid one
-      must have fallen back.
+      zero time, zero energy, no miss, no operating point.
 
     Fallback jobs participate in the switch-point chain (dispatching
     at nominal *is* a level change when the previous job ran slower)
-    and in the energy decomposition; their slice identities are the
-    degraded ones above rather than the scheme's.  Deadlines are
-    relative to each job's own arrival (``release + deadline``).
+    and in the energy decomposition.  Deadlines are relative to each
+    job's own arrival (``release + deadline``).
     """
-    # Imported here (not at module top) to keep repro.check importable
-    # without the serve package and free of import cycles.
-    from ..serve.server import FALLBACK, SHED, TERMINAL_STATES, \
-        valid_prediction
-
     deadline = result.deadline
     rules = _JobRules(result.scheme, deadline, "stream.timeline",
                       "stream timeline", energy_model, slice_energy_model,
@@ -426,30 +444,7 @@ def check_stream(result: "StreamResult",
                     "shed job flagged as a deadline miss",
                     expected=False, actual=True)
             continue
-
-        # -- fallback semantics, or a plan on a valid prediction -------
-        fallback = o.status == FALLBACK
-        if fallback:
-            if o.t_slice != 0.0:
-                bad("stream.fallback", i,
-                    "fallback job charged slice time — degraded jobs "
-                    "abandon the prediction path entirely",
-                    expected=0.0, actual=o.t_slice)
-            nominal = rules.nominal
-            if nominal is not None and o.frequency < nominal.frequency:
-                bad("stream.fallback", i,
-                    "fallback job dispatched below nominal frequency",
-                    expected=nominal.frequency, actual=o.frequency)
-        elif rules.uses_slice and not valid_prediction(
-                o.job.predicted_cycles, o.job.slice_cycles):
-            bad("stream.prediction", i,
-                "completed job was planned on an invalid prediction "
-                "instead of falling back",
-                expected="finite predicted_cycles >= 0, "
-                         "slice_cycles >= 0",
-                actual=(o.job.predicted_cycles, o.job.slice_cycles))
-
-        rules.check(i, o, fallback)
+        rules.check(i, o)
     return rules.tally("check.streams", len(result.outcomes))
 
 
@@ -562,7 +557,7 @@ def check_fleet(result: "FleetResult",
     return violations
 
 
-def check_epochs(result: "StreamResult",
+def check_epochs(result: StreamResult,
                  epoch_log: List[tuple],
                  rel_eps: float = TIME_EPS_REL
                  ) -> List[InvariantViolation]:
@@ -590,8 +585,6 @@ def check_epochs(result: "StreamResult",
     this closes the loop: epoch jobs + scalar jobs + sheds account for
     every offered job exactly once.
     """
-    from ..serve.server import SHED
-
     violations: List[InvariantViolation] = []
     bad = partial(_report, violations)
 

@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING
 
 from ..dvfs.energy import EnergyModel
 from ..dvfs.levels import LevelTable, OperatingPoint
-from ..runtime.episode import EpisodeResult, switch_window_energy
+from ..runtime.episode import EpisodeResult
+from ..runtime.jobs import switch_window_energy
 from ..units import DVFS_SWITCH_TIME
 from .invariants import InvariantViolation, check_episode, check_stream
 

@@ -49,7 +49,7 @@ import sys
 from typing import Iterator, List, Optional
 
 from .accelerators import ALL_DESIGNS, get_design
-from .workloads import workload_for
+from .workloads import check_scale, workload_for
 
 #: Experiment id -> (module name, runner kwargs).  Resolved lazily so
 #: `repro list` stays fast.
@@ -817,6 +817,15 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scale(text: str) -> float:
+    """``--scale`` values: the workload-scale rule, as an argparse type
+    so a bad value exits 2 with the rule's message."""
+    try:
+        return check_scale(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -863,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="regenerate a table/figure",
                        parents=[obs_opts, perf_opts])
     p.add_argument("id", help=f"one of: {', '.join(EXPERIMENTS)}")
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--scale", type=_scale, default=None,
                    help="workload scale (default: REPRO_SCALE or 1.0)")
 
     p = sub.add_parser("verilog", help="export a design as Verilog")
@@ -873,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="train and demo a predictor",
                        parents=[obs_opts, perf_opts])
     p.add_argument("benchmark", choices=ALL_DESIGNS)
-    p.add_argument("--scale", type=float, default=0.15)
+    p.add_argument("--scale", type=_scale, default=0.15)
     p.add_argument("--show", type=int, default=8, metavar="N",
                    help="number of test jobs to predict and print")
 
@@ -892,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run", nargs="?", default=None,
                    help="a --run-dir directory to audit (omit to run "
                         "fresh episodes under the checker)")
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--scale", type=_scale, default=None,
                    help="workload scale (default: REPRO_SCALE or 1.0)")
     p.add_argument("--tech", choices=("asic", "fpga"), default="asic")
     p.add_argument("--benchmarks", nargs="*", default=None,
@@ -937,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--duration)")
     p.add_argument("--scheme", default="prediction",
                    help="DVFS scheme per stream (default: prediction)")
-    p.add_argument("--scale", type=float, default=0.05,
+    p.add_argument("--scale", type=_scale, default=0.05,
                    help="workload scale for the bundles (default 0.05)")
     p.add_argument("--tech", choices=("asic", "fpga"), default="asic")
     p.add_argument("--deadline-ms", type=float, default=None,
@@ -1006,7 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a --run-dir directory to render (omit to "
                         "regenerate the full markdown report)")
     p.add_argument("-o", "--output", default="reproduction_report.md")
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--scale", type=_scale, default=None)
     p.add_argument("--only", nargs="*", default=None,
                    help="subset of experiment ids")
     p.add_argument("--export-trace", default=None, metavar="OUT.json",

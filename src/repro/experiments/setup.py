@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass
 
 from ..units import DVFS_SWITCH_TIME, FRAME_DEADLINE_60FPS
+from ..workloads import check_scale
 
 PID_MARGIN = 0.10
 PREDICTION_MARGIN = 0.05
@@ -37,12 +38,9 @@ def default_scale() -> float:
     if not raw:
         return 1.0
     try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_SCALE must be a number, got {raw!r}")
-    if value <= 0:
-        raise ValueError("REPRO_SCALE must be positive")
-    return value
+        return check_scale(float(raw))
+    except ValueError as exc:
+        raise ValueError(f"REPRO_SCALE={raw!r}: {exc}") from None
 
 
 def default_config() -> ExperimentConfig:

@@ -14,12 +14,12 @@ trace *processes*:
 * **pid 1 — wall clock**: the manifest's recorded spans (pipeline
   stages, pool maps, the serve umbrella), offset so the first span
   starts at t=0;
-* **pid 2 — virtual clock**: per-job slices.  Serve runs carry exact
-  virtual ``start``/``finish`` instants per job (``sjob`` events) and
-  map 1:1 onto the timeline; episode-runner ``job`` events carry only
-  durations, so each (controller, task) track lays its jobs end to
-  end.  Time-series windows ride along as Chrome counter tracks
-  (miss rate, shed rate, energy per job, p99 decision latency).
+* **pid 2 — virtual clock**: per-job slices, one track per stream run.
+  Every executed job — served or in an episode — carries its exact
+  virtual ``start`` and time components (``sjob`` events), so release
+  gaps and switch windows show as they happened.  Time-series windows
+  ride along as Chrome counter tracks (miss rate, shed rate, energy
+  per job, p99 decision latency).
 
 Timestamps are microseconds (the format's native unit); payloads are
 strict JSON with a top-level ``traceEvents`` list, which is all either
@@ -80,33 +80,8 @@ def _span_events(stages: List[Dict]) -> List[Dict]:
     return events
 
 
-def _job_track(tid: int, events: List[Dict]) -> List[Dict]:
-    # Episode-runner job events carry durations but no placement:
-    # lay them end to end so the track reads as the episode timeline.
-    out = []
-    cursor = 0.0
-    for event in events:
-        duration = (float(event.get("t_slice", 0.0))
-                    + float(event.get("t_exec", 0.0)))
-        out.append({
-            "name": f"job {event.get('index')}",
-            "ph": "X", "pid": 2, "tid": tid,
-            "ts": cursor * _US,
-            "dur": max(duration * _US, 0.01),
-            "args": {
-                "predicted_cycles": event.get("predicted_cycles"),
-                "actual_cycles": event.get("actual_cycles"),
-                "missed": bool(event.get("missed")),
-                "energy": event.get("energy"),
-                "frequency": event.get("frequency"),
-            },
-        })
-        cursor += duration
-    return out
-
-
 def _sjob_events(tid: int, events: List[Dict]) -> List[Dict]:
-    # Serve jobs carry exact virtual placement; shed jobs (never
+    # Executed jobs carry exact virtual placement; shed jobs (never
     # executed) become instants at their arrival.
     out = []
     for event in events:
@@ -158,7 +133,7 @@ def chrome_trace(run_dir: Union[str, Path]) -> Dict[str, object]:
     manifest (not a run directory).  Missing optional artifacts
     (events, time series) simply contribute no tracks.
     """
-    from .report import _salvage_events, load_manifest
+    from .report import _salvage_events, load_manifest, stream_runs
 
     run_dir = Path(run_dir)
     manifest = load_manifest(run_dir)
@@ -168,31 +143,14 @@ def chrome_trace(run_dir: Union[str, Path]) -> Dict[str, object]:
 
     events_path = run_dir / str(manifest.get("events_file")
                                 or EVENTS_NAME)
-    job_groups: Dict[str, List[Dict]] = {}
-    sjob_groups: Dict[str, List[Dict]] = {}
-    if events_path.is_file():
-        for event in _salvage_events(events_path):
-            etype = event.get("type")
-            if etype == "job":
-                key = (f"{event.get('controller', '?')} on "
-                       f"{event.get('task', '?')}")
-                job_groups.setdefault(key, []).append(event)
-            elif etype == "sjob":
-                sjob_groups.setdefault(
-                    str(event.get("stream", "?")), []).append(event)
+    runs = (stream_runs(_salvage_events(events_path))
+            if events_path.is_file() else [])
 
     trace += _meta(2, "virtual clock (jobs)")
-    tid = 1
-    for key in sorted(sjob_groups):
+    for tid, (scheme, name, sjobs) in enumerate(runs, start=1):
         trace += _meta(2, "virtual clock (jobs)", tid=tid,
-                       tname=f"serve {key}")[1:]
-        trace += _sjob_events(tid, sjob_groups[key])
-        tid += 1
-    for key in sorted(job_groups):
-        trace += _meta(2, "virtual clock (jobs)", tid=tid,
-                       tname=key)[1:]
-        trace += _job_track(tid, job_groups[key])
-        tid += 1
+                       tname=f"{scheme} on {name}")[1:]
+        trace += _sjob_events(tid, sjobs)
 
     ts_name = manifest.get("timeseries_file")
     ts_path = run_dir / str(ts_name or TIMESERIES_NAME)

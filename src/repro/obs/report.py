@@ -1,4 +1,4 @@
-"""Render captured runs: stage timings, episodes, serve dashboards.
+"""Render captured runs: stage timings, stream digests, serve dashboards.
 
 Pure presentation over the artifacts ``runctx`` wrote — nothing here
 mutates a run directory.  ``render_run`` is the engine behind
@@ -13,6 +13,7 @@ manifest's SLO burn-rate status; Chrome-trace export lives in
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -170,38 +171,62 @@ def summarize_perf(metrics: Dict) -> str:
     return "\n".join(lines)
 
 
-def summarize_job_events(events: Sequence[Dict]) -> str:
-    """Per-(controller, task) digest of ``type == "job"`` events.
+def stream_runs(events: Sequence[Dict]
+                ) -> List[Tuple[str, str, List[Dict]]]:
+    """``(scheme, stream, sjob events)`` per stream run, in closing
+    order.
 
-    Shows job/miss/boost/switch counts, the mean absolute prediction
-    error where a prediction was recorded, and a slack sparkline —
-    the quick "where did the misses cluster" view.
+    A stream's ``sjob`` events run until the ``stream`` summary that
+    closes them, so an episode or a served stream is one run even when
+    a later run reuses its name.  Runs never closed (a crash mid-run)
+    come last, with scheme ``"?"``.
     """
-    groups: Dict[Tuple[str, str], List[Dict]] = {}
+    runs: List[Tuple[str, str, List[Dict]]] = []
+    open_streams: Dict[str, List[Dict]] = {}
     for event in events:
-        if event.get("type") != "job":
-            continue
-        key = (str(event.get("controller", "?")),
-               str(event.get("task", "?")))
-        groups.setdefault(key, []).append(event)
-    if not groups:
+        etype = event.get("type")
+        if etype == "sjob":
+            open_streams.setdefault(str(event.get("stream", "?")),
+                                    []).append(event)
+        elif etype == "stream":
+            name = str(event.get("stream", "?"))
+            runs.append((str(event.get("scheme", "?")), name,
+                         open_streams.pop(name, [])))
+    return runs + [("?", name, sjobs)
+                   for name, sjobs in open_streams.items()]
+
+
+def summarize_streams(events: Sequence[Dict]) -> str:
+    """One digest line per stream run (see :func:`stream_runs`).
+
+    Each line gives executed job, miss, boost and switch counts, sheds
+    when any, the mean absolute prediction error where a prediction
+    was recorded, and a slack sparkline — the quick "where did the
+    misses cluster" view.
+    """
+    runs = stream_runs(events)
+    if not runs:
         return "(no job events)"
     lines = []
-    for (controller, task), jobs in groups.items():
+    for scheme, name, sjobs in runs:
+        jobs = [j for j in sjobs if j.get("status") != "shed"]
         misses = sum(1 for j in jobs if j.get("missed"))
         boosts = sum(1 for j in jobs if j.get("boosted"))
-        switches = sum(1 for j in jobs if j.get("switched"))
+        switches = sum(1 for j in jobs if float(j.get("t_switch", 0.0)) > 0)
         errors = [
             abs(float(j["predicted_cycles"]) - float(j["actual_cycles"]))
             / float(j["actual_cycles"]) * 100.0
             for j in jobs
             if j.get("predicted_cycles") is not None
+            and math.isfinite(float(j["predicted_cycles"]))
             and float(j.get("actual_cycles", 0)) > 0
         ]
         slack = [float(j["slack"]) for j in jobs if "slack" in j]
+        shed = len(sjobs) - len(jobs)
         lines.append(
-            f"  {controller} on {task}: {len(jobs)} jobs, "
+            f"  {scheme} on {name}: {len(jobs)} jobs, "
             f"{misses} missed, {boosts} boosted, {switches} switches"
+            + (f", {shed} shed" if shed else "")
             + (f", mean |err| {sum(errors) / len(errors):.2f}%"
                if errors else "")
         )
@@ -367,7 +392,10 @@ def render_run(run_dir) -> str:
                 )
     ts_path = run_dir / str(manifest.get("timeseries_file")
                             or TIMESERIES_NAME)
-    if ts_path.is_file():
+    # Episodes feed the serve.* series too, but each restarts the
+    # virtual clock at 0, so only a serve run's windows describe a run.
+    command = str(manifest.get("command") or "")
+    if command.split(" ", 1)[0] == "serve" and ts_path.is_file():
         with open(ts_path) as handle:
             ts = TimeSeriesRegistry.from_dict(json.load(handle))
         if any(name.startswith("serve.") for name in ts.series_names()):
@@ -383,7 +411,7 @@ def render_run(run_dir) -> str:
     events_path = run_dir / EVENTS_NAME
     if events_path.exists():
         lines.append("")
-        lines.append("episodes:")
+        lines.append("streams:")
         try:
             events = read_events(events_path)
         except json.JSONDecodeError:
@@ -392,7 +420,7 @@ def render_run(run_dir) -> str:
             events = _salvage_events(events_path)
             lines.append(f"  (events file truncated mid-write; "
                          f"salvaged {len(events)} complete events)")
-        lines.append(summarize_job_events(events))
+        lines.append(summarize_streams(events))
     return "\n".join(lines)
 
 

@@ -4,79 +4,24 @@ Per job (Fig 4 of the paper): run the prediction slice (if the scheme
 uses one), switch voltage/frequency if the level changed, execute the
 job, check the deadline, and integrate energy.  All times and energies
 come from the precomputed :class:`JobRecord` ground truth plus the
-energy model — the controller only chooses levels.
+energy model — the controller only chooses levels.  An episode is a
+periodic stream, so :func:`run_episode` hands its jobs to the serving
+machine (:mod:`repro.serve`), which prices every job through
+:func:`~repro.runtime.jobs.charge_job`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..dvfs.energy import EnergyModel, JobActivity
-from ..obs import get_observer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from ..dvfs.controllers import Controller
-    from ..dvfs.levels import OperatingPoint
-from ..units import DVFS_SWITCH_TIME, deadline_missed
-from .jobs import JobOutcome, JobRecord, Task
-
-#: Zero-activity placeholder: running ``job_energy`` with it prices a
-#: window where the accelerator is powered but does no work (leakage
-#: only, for any energy model that follows the ``job_energy`` protocol).
-_IDLE_ACTIVITY = JobActivity(cycles=0)
-
-
-def switch_window_energy(energy_model: EnergyModel,
-                         point: "object", duration: float) -> float:
-    """Leakage energy of holding ``point`` over a DVFS switch window.
-
-    The switch costs wall time, and powered silicon leaks for all of
-    it — pricing the window as a zero-activity job charges exactly the
-    leakage term at the destination point's voltage.  Shared by
-    :func:`charge_job` and the invariant checker so their accounting
-    can never drift apart.
-    """
-    if duration <= 0.0:
-        return 0.0
-    return energy_model.job_energy(_IDLE_ACTIVITY, point, duration)
-
-
-def charge_job(record: JobRecord, point: "OperatingPoint",
-               t_slice: float, t_switch: float,
-               energy_model: EnergyModel,
-               slice_energy_model: Optional[EnergyModel],
-               nominal: "OperatingPoint", uses_slice: bool,
-               owner: str) -> Tuple[float, float]:
-    """Price one job at ``point``: ``(t_exec, energy)``.
-
-    Execution over ``actual_cycles / frequency``, leakage over the
-    switch window ``t_switch``, and — when the scheme runs a slice —
-    the slice's energy at ``nominal`` over ``t_slice`` (Sec. 3.6 and
-    4.1 of the paper).  Every runner prices its jobs here, so their
-    energies agree bit for bit; ``owner`` names the runner in the
-    missing-slice-model diagnostic.
-    """
-    t_exec = record.actual_cycles / point.frequency
-    energy = energy_model.job_energy(record.activity, point, t_exec)
-    # The switch window adds wall time, so it must add leakage too —
-    # otherwise switching is time-expensive yet energy-free and the
-    # scheme comparison under-charges switch-happy controllers.
-    energy += switch_window_energy(energy_model, point, t_switch)
-    if uses_slice and t_slice > 0.0:
-        if slice_energy_model is None:
-            raise ValueError(
-                f"{owner} runs a slice but has no slice energy model")
-        energy += slice_energy_model.job_energy(
-            JobActivity(cycles=record.slice_cycles), nominal, t_slice)
-    return t_exec, energy
-
-
-def strict_checks_enabled() -> bool:
-    """Whether ``REPRO_CHECK`` asks for post-episode invariant checks."""
-    return os.environ.get("REPRO_CHECK", "").lower() in (
-        "1", "true", "strict")
+from ..dvfs.controllers import Controller
+from ..dvfs.energy import EnergyModel
+from ..serve.server import AcceleratorStream, RecordPredictor, \
+    ServeConfig, StreamOutcome, serve_stream
+from ..serve.stream import StreamJob
+from ..units import DVFS_SWITCH_TIME
+from .jobs import JobRecord, Task, strict_checks_enabled
 
 
 @dataclass
@@ -85,7 +30,7 @@ class EpisodeResult:
 
     controller: str
     task: Task
-    outcomes: List[JobOutcome]
+    outcomes: List[StreamOutcome]
 
     @property
     def n_jobs(self) -> int:
@@ -122,7 +67,7 @@ class EpisodeResult:
         return self.total_energy / base
 
 
-def run_episode(controller: "Controller",
+def run_episode(controller: Controller,
                 jobs: Sequence[JobRecord],
                 task: Task,
                 energy_model: EnergyModel,
@@ -137,6 +82,12 @@ def run_episode(controller: "Controller",
     shrinks that job's budget — so one under-prediction forces the
     following job to a high (expensive) level.
 
+    The episode is served as one stream by
+    :func:`~repro.serve.server.serve_stream`: arrivals at
+    ``i * deadline``, the records' own predictions replayed, and a
+    queue no backlog can fill, so no job is shed.  A job with no valid
+    prediction under a slice scheme falls back, as in any stream.
+
     ``slice_energy_model`` prices the prediction slice's execution (at
     nominal voltage); required when the controller runs a slice.
 
@@ -145,96 +96,31 @@ def run_episode(controller: "Controller",
     :class:`~repro.check.InvariantError` on any accounting violation;
     ``None`` defers to the ``REPRO_CHECK`` environment variable.
     """
-    controller.reset()
-    levels = controller.levels
-    nominal = levels.nominal
-    previous = nominal  # the accelerator idles at nominal before job 0
-    outcomes: List[JobOutcome] = []
-    now = 0.0
-    observer = get_observer()  # None keeps the per-job cost at one test
-    switch_count = 0
-    owner = f"controller {controller.name}"
-
-    for index, job in enumerate(jobs):
-        release = index * task.deadline
-        start = max(now, release)
-        budget = release + task.deadline - start
-        plan = controller.plan(job, budget)
-        point = plan.point
-
-        t_slice = plan.t_slice
-        switch_needed = point != previous and controller.charge_overheads
-        t_switch_actual = t_switch if switch_needed else 0.0
-        t_exec, energy = charge_job(
-            job, point, t_slice, t_switch_actual, energy_model,
-            slice_energy_model, nominal, controller.uses_slice, owner)
-        total = t_slice + t_switch_actual + t_exec
-        missed = deadline_missed(start + total, release, task.deadline)
-        now = start + total
-        if switch_needed:
-            switch_count += 1
-
-        outcomes.append(JobOutcome(
-            job=job,
-            voltage=point.voltage,
-            frequency=point.frequency,
-            boosted=point.is_boost,
-            t_slice=t_slice,
-            t_switch=t_switch_actual,
-            t_exec=t_exec,
-            energy=energy,
-            missed=missed,
-            release=release,
-            start=start,
-        ))
-        previous = point
-        controller.observe(job)
-
-        if observer is not None:
-            slack = release + task.deadline - now
-            observer.emit(
-                "job",
-                controller=controller.name, task=task.name,
-                index=job.index,
-                predicted_cycles=job.predicted_cycles,
-                actual_cycles=job.actual_cycles,
-                voltage=point.voltage, frequency=point.frequency,
-                slack=slack, missed=missed,
-                boosted=point.is_boost, switched=switch_needed,
-                t_slice=t_slice, t_exec=t_exec, energy=energy,
-            )
-            observer.metrics.observe("episode.slack_ms", slack * 1e3)
-
-    if observer is not None:
-        observer.metrics.inc("episode.jobs", len(outcomes))
-        observer.metrics.inc(
-            "episode.misses", sum(1 for o in outcomes if o.missed))
-        observer.metrics.inc("episode.switches", switch_count)
-        observer.emit(
-            "episode",
-            controller=controller.name, task=task.name,
-            n_jobs=len(outcomes),
-            energy=sum(o.energy for o in outcomes),
-            misses=sum(1 for o in outcomes if o.missed),
-            switches=switch_count,
-        )
-
+    deadline = task.deadline
+    stream = AcceleratorStream(
+        task.name, controller, energy_model,
+        slice_energy_model=slice_energy_model,
+        predictor=RecordPredictor(),
+        config=ServeConfig(deadline=deadline, t_switch=t_switch,
+                           queue_depth=max(len(jobs), 1), strict=False))
+    served = serve_stream(stream, [StreamJob(i, job, i * deadline)
+                                   for i, job in enumerate(jobs)])
     result = EpisodeResult(controller=controller.name, task=task,
-                           outcomes=outcomes)
+                           outcomes=served.outcomes)
     if strict is None:
         strict = strict_checks_enabled()
     if strict:
         # Imported lazily: repro.check depends on this module.
-        from ..check import InvariantError, check_episode
+        from ..check import InvariantError, check_episode, check_epochs
         violations = check_episode(
             result,
             energy_model=energy_model,
             slice_energy_model=slice_energy_model,
-            levels=levels,
+            levels=controller.levels,
             t_switch=t_switch,
             uses_slice=controller.uses_slice,
             charge_overheads=controller.charge_overheads,
-        )
+        ) + check_epochs(served, stream.epoch_log)
         if violations:
             raise InvariantError(violations)
     return result

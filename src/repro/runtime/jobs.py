@@ -8,16 +8,25 @@ slice-based prediction, and switching-activity data for the energy
 model.  Controllers only see the fields their strategy is entitled to
 (the oracle reads ``actual_cycles``; the predictive controller reads
 ``predicted_cycles``; PID sees nothing until the job retires).
+
+:func:`charge_job` is the one pricing kernel: the serving machine
+(:mod:`repro.serve`), which runs every episode and stream, prices each
+job's time and energy through it.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from ..dvfs.energy import JobActivity
+from ..dvfs.energy import EnergyModel, JobActivity
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..dvfs.levels import OperatingPoint
 
 
 @dataclass(frozen=True)
@@ -28,8 +37,11 @@ class Task:
     deadline: float  # seconds per job
 
     def __post_init__(self) -> None:
-        if self.deadline <= 0:
-            raise ValueError("deadline must be positive")
+        # isfinite, because NaN passes a bare `<= 0` test: a NaN
+        # deadline would report NaN times and no misses.
+        if not (math.isfinite(self.deadline) and self.deadline > 0):
+            raise ValueError(f"task {self.name!r}: deadline must be "
+                             f"finite and > 0, got {self.deadline!r}")
 
 
 @dataclass(frozen=True)
@@ -51,34 +63,58 @@ class JobRecord:
             raise ValueError("slice cycles cannot be negative")
 
 
-@dataclass(frozen=True)
-class JobOutcome:
-    """What happened when one job ran under a controller.
+#: Zero-activity placeholder: running ``job_energy`` with it prices a
+#: window where the accelerator is powered but does no work (leakage
+#: only, for any energy model that follows the ``job_energy`` protocol).
+_IDLE_ACTIVITY = JobActivity(cycles=0)
 
-    ``release`` and ``start`` pin the job to the wall clock as the
-    episode runner computed it — carry-over from an overrunning
-    predecessor makes ``start > release``.  Recording them here (once,
-    in ``run_episode``) is what lets the invariant checker and the
-    golden traces read the timeline without re-deriving it.
+
+def switch_window_energy(energy_model: EnergyModel,
+                         point: "object", duration: float) -> float:
+    """Leakage energy of holding ``point`` over a DVFS switch window.
+
+    The switch costs wall time, and powered silicon leaks for all of
+    it — pricing the window as a zero-activity job charges exactly the
+    leakage term at the destination point's voltage.  Shared by
+    :func:`charge_job` and the invariant checker so their accounting
+    can never drift apart.
     """
+    if duration <= 0.0:
+        return 0.0
+    return energy_model.job_energy(_IDLE_ACTIVITY, point, duration)
 
-    job: JobRecord
-    voltage: float
-    frequency: float
-    boosted: bool
-    t_slice: float
-    t_switch: float
-    t_exec: float
-    energy: float
-    missed: bool
-    release: float = 0.0
-    start: float = 0.0
 
-    @property
-    def total_time(self) -> float:
-        return self.t_slice + self.t_switch + self.t_exec
+def charge_job(record: JobRecord, point: "OperatingPoint",
+               t_slice: float, t_switch: float,
+               energy_model: EnergyModel,
+               slice_energy_model: Optional[EnergyModel],
+               nominal: "OperatingPoint", uses_slice: bool,
+               owner: str) -> Tuple[float, float]:
+    """Price one job at ``point``: ``(t_exec, energy)``.
 
-    @property
-    def finish(self) -> float:
-        """Wall-clock completion time (start plus all time spent)."""
-        return self.start + self.total_time
+    Execution over ``actual_cycles / frequency``, leakage over the
+    switch window ``t_switch``, and — when the scheme runs a slice —
+    the slice's energy at ``nominal`` over ``t_slice`` (Sec. 3.6 and
+    4.1 of the paper).  The serving machine and its block planner both
+    price their jobs here, so their energies agree bit for bit;
+    ``owner`` names the stream in the missing-slice-model diagnostic.
+    """
+    t_exec = record.actual_cycles / point.frequency
+    energy = energy_model.job_energy(record.activity, point, t_exec)
+    # The switch window adds wall time, so it must add leakage too —
+    # otherwise switching is time-expensive yet energy-free and the
+    # scheme comparison under-charges switch-happy controllers.
+    energy += switch_window_energy(energy_model, point, t_switch)
+    if uses_slice and t_slice > 0.0:
+        if slice_energy_model is None:
+            raise ValueError(
+                f"{owner} runs a slice but has no slice energy model")
+        energy += slice_energy_model.job_energy(
+            JobActivity(cycles=record.slice_cycles), nominal, t_slice)
+    return t_exec, energy
+
+
+def strict_checks_enabled() -> bool:
+    """Whether ``REPRO_CHECK`` asks for post-episode invariant checks."""
+    return os.environ.get("REPRO_CHECK", "").lower() in (
+        "1", "true", "strict")

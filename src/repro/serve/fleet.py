@@ -10,11 +10,11 @@ depth bound, deadline-infeasibility shedding — made *before* a job
 ever reaches an instance queue.
 
 The dispatcher routes on its own **ledger**: a projected virtual
-clock per instance, advanced by service-time *estimates* derived from
-each job's predicted cycles through the same level-selection model the
-controllers use (`select_level`, the paper's Sec. 3.6).  One heap holds
-the pool's projected finishes; each admitted arrival retires it up to
-its own instant, so every backlog is an in-flight count.  Routing is
+clock per instance, advanced by service-time *estimates*: each job's
+predicted cycles at the level the instance's own controller plans for
+it (:meth:`FleetDispatcher._project`, the paper's Sec. 3.6).  One heap
+holds the pool's projected finishes; each admitted arrival retires it
+up to its own instant, so every backlog is an in-flight count.  Routing is
 therefore a pure function of the arrival sequence and the predictions
 — independent of shard execution — so the per-instance sub-streams
 execute in parallel worker processes via :func:`repro.parallel.pmap`
@@ -40,12 +40,12 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dvfs.controllers import Controller
-from ..dvfs.dvfs_model import select_level
+from ..dvfs.controllers import Controller, Plan
 from ..dvfs.energy import EnergyModel, JobActivity
 from ..obs import get_observer, span
 from ..parallel import pmap, resolve_jobs
-from ..runtime.episode import strict_checks_enabled
+from ..runtime.jobs import strict_checks_enabled
+from ..units import deadline_missed
 from .server import (
     AcceleratorStream,
     ServeConfig,
@@ -394,7 +394,7 @@ class FleetDispatcher:
         #: and their count (the pool's total backlog).
         self._finishes: List[Tuple[float, int]] = []
         self._in_flight = 0
-        self._projection = [self._constants(spec) for spec in self.specs]
+        self._projection = [self._projector(spec) for spec in self.specs]
         self._rr: Dict[str, int] = {b: 0 for b in self._by_benchmark}
         self.routing_log: List[RoutingDecision] = []
         self.sheds: List[FleetShed] = []
@@ -451,45 +451,55 @@ class FleetDispatcher:
     # -- routing -------------------------------------------------------
 
     @staticmethod
-    def _constants(spec: ShardSpec) -> tuple:
-        """What :meth:`_project` reads of one instance, read once."""
+    def _projector(spec: ShardSpec) -> tuple:
+        """What :meth:`_project` reads of one instance, bound once:
+        its plan, deadline, switch allowance and fastest point."""
         c = spec.controller
-        return (c.levels, spec.config.deadline, c.levels.nominal.frequency,
-                c.uses_slice and c.charge_overheads,
+        if c.vectorizable:
+            plan = c.plan
+        else:
+            nominal = Plan(point=c.levels.nominal)
+
+            def plan(job, budget):
+                return nominal
+        return (plan, spec.config.deadline,
                 spec.config.t_switch if c.charge_overheads else 0.0,
-                getattr(c, "margin", 0.0), getattr(c, "boost", False))
+                c.levels.fastest())
 
     def _project(self, pool_index: int, job: FleetJob) -> tuple:
         """Project one job's service on one instance:
         ``(service_s, feasible, point, cycles)``.
 
-        Every instance is projected as the predictive scheme would
-        plan the job, on its *predicted* cycles with margin/boost/
-        overheads read off the instance's controller, without touching
-        controller state; for another scheme (a ``baseline`` instance
-        always runs at nominal) that is an estimate.  A job with no
-        valid prediction (see
-        :func:`~repro.serve.server.valid_prediction`: the shard falls
-        back on it) projects a full deadline at the fastest point: the
-        conservative bound.
+        The job is planned as its instance will plan it, on its
+        *predicted* cycles, with the switch allowance charged as if it
+        switched.  A ``vectorizable`` controller plans through its own
+        :meth:`~repro.dvfs.Controller.plan`, a pure function of job
+        and budget.  A reactive one (pid, history, governor) projects
+        at nominal: that is its plan before it has observed a job, and
+        the dispatcher never feeds it one.  A job with no valid
+        prediction (see :func:`~repro.serve.server.valid_prediction`:
+        a slice scheme's shard falls back on it) projects a full
+        deadline at the fastest point: the conservative bound.
+        ``feasible`` also holds the projected finish to the deadline by
+        :func:`~repro.units.deadline_missed`'s rule, because a nominal
+        plan reports feasible whatever its budget.
         """
-        (levels, deadline, f_nominal, slice_charged, t_switch, margin,
-         boost) = self._projection[pool_index]
+        plan, deadline, t_switch, fastest = self._projection[pool_index]
         arrival = job.arrival
         start = max(self._ledgers[pool_index].clock, arrival)
         budget = arrival + deadline - start
         record = job.job.record
         predicted = record.predicted_cycles
         if not valid_prediction(predicted, record.slice_cycles):
-            return deadline, budget >= deadline, levels.fastest(), 0.0
+            return deadline, budget >= deadline, fastest, 0.0
         cycles = float(predicted)
-        t_slice = (record.slice_cycles / f_nominal if slice_charged
-                   else 0.0)
-        decision = select_level(levels, cycles, budget, margin, t_slice,
-                                t_switch, boost)
+        decision = plan(record, budget)
         point = decision.point
-        return (t_slice + t_switch + cycles / point.frequency,
-                decision.feasible, point, cycles)
+        service_s = decision.t_slice + t_switch + cycles / point.frequency
+        return (service_s,
+                decision.feasible
+                and not deadline_missed(start + service_s, arrival, deadline),
+                point, cycles)
 
     def _pick(self, candidates: Tuple[int, ...], backlogs: Tuple[int, ...],
               job: FleetJob) -> Tuple[Optional[int], float]:

@@ -17,11 +17,11 @@ queue over one accelerator:
   max-frequency (nominal) execution with no slice charge: the event
   is counted, the stream keeps serving.
 
-Each job is priced by :func:`~repro.runtime.episode.charge_job`, the
-kernel :func:`~repro.runtime.episode.run_episode` prices its jobs
-with, under the same deadline epsilon and switch charging rule — but
-on a stream timeline where ``release`` is the arrival instant rather
-than a rigid period boundary.  Two clocks are maintained deliberately:
+Each job is priced by :func:`~repro.runtime.jobs.charge_job` on a
+timeline where ``release`` is the job's arrival instant.  A periodic
+episode (:func:`~repro.runtime.episode.run_episode`) is one such
+stream: arrivals at ``i * deadline`` and a queue too deep to shed.
+Two clocks are maintained deliberately:
 the *virtual clock* (simulated accelerator time, used for all
 time/energy accounting and backpressure) and the *wall clock*
 (decision latency, realtime pacing).  ``realtime=False`` drives the
@@ -43,8 +43,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from ..dvfs.controllers import Controller
 from ..dvfs.energy import EnergyModel
 from ..obs import get_observer, span
-from ..runtime.episode import charge_job, strict_checks_enabled
-from ..runtime.jobs import JobRecord
+from ..runtime.jobs import JobRecord, charge_job, strict_checks_enabled
 from ..units import DVFS_SWITCH_TIME, FRAME_DEADLINE_60FPS, deadline_missed
 from .stream import StreamJob
 
@@ -209,12 +208,10 @@ class StreamOutcome:
     batch_size: int = 0
 
     @property
-    def total_time(self) -> float:
-        return self.t_slice + self.t_switch + self.t_exec
-
-    @property
     def finish(self) -> float:
-        return self.start + self.total_time
+        """Virtual completion instant, summed in the order the serving
+        machine advances its clock."""
+        return ((self.start + self.t_slice) + self.t_switch) + self.t_exec
 
     @property
     def executed(self) -> bool:
@@ -480,27 +477,40 @@ class AcceleratorStream:
         if observer is not None:
             observer.metrics.inc("serve.fallback" if fallback
                                  else "serve.completed")
-            observer.metrics.observe("serve.decision_ms",
-                                     decision_s * 1e3)
-            observer.metrics.observe("serve.batch_size", batch_size)
-            # Windowed signals keyed on the virtual finish instant:
-            # 0/1 indicators make each window's mean a rate, so the
-            # SLO tracker and the report dashboard read rates and
-            # energy-per-job straight off the windows.
-            ts = observer.timeseries
-            ts.observe("serve.miss", finish, 1.0 if missed else 0.0)
-            ts.observe("serve.fallback", finish,
-                       1.0 if fallback else 0.0)
-            ts.observe("serve.energy_per_job", finish, energy)
-            ts.observe("serve.decision_ms", finish, decision_s * 1e3)
-            observer.emit(
-                "sjob", stream=self.name, index=sjob.index,
-                status=outcome.status, arrival=sjob.arrival,
-                release=release, start=start, t_slice=t_slice,
-                t_switch=t_switch, t_exec=t_exec, energy=energy,
-                missed=missed, decision_ms=decision_s * 1e3,
-                batch_size=batch_size)
+            self.record_executed(observer, outcome)
         return outcome
+
+    def record_executed(self, observer, o: StreamOutcome) -> None:
+        """Telemetry of one executed job: its histograms, windowed
+        samples and ``sjob`` event.  Both serving paths record every
+        executed job here."""
+        metrics = observer.metrics
+        finish = o.finish
+        decision_ms = o.decision_s * 1e3
+        slack = (o.release + self.config.deadline) - finish
+        metrics.observe("serve.decision_ms", decision_ms)
+        metrics.observe("serve.batch_size", o.batch_size)
+        metrics.observe("serve.slack_ms", slack * 1e3)
+        # Windowed signals keyed on the virtual finish instant: 0/1
+        # indicators make each window's mean a rate, so the SLO tracker
+        # and the report dashboard read rates and energy-per-job
+        # straight off the windows.
+        ts = observer.timeseries
+        ts.observe("serve.miss", finish, 1.0 if o.missed else 0.0)
+        ts.observe("serve.fallback", finish,
+                   1.0 if o.status == FALLBACK else 0.0)
+        ts.observe("serve.energy_per_job", finish, o.energy)
+        ts.observe("serve.decision_ms", finish, decision_ms)
+        record = o.job
+        observer.emit(
+            "sjob", stream=self.name, index=o.index, status=o.status,
+            arrival=o.arrival, release=o.release, start=o.start,
+            t_slice=o.t_slice, t_switch=o.t_switch, t_exec=o.t_exec,
+            energy=o.energy, missed=o.missed, slack=slack,
+            predicted_cycles=record.predicted_cycles,
+            actual_cycles=record.actual_cycles, voltage=o.voltage,
+            frequency=o.frequency, boosted=o.boosted,
+            decision_ms=decision_ms, batch_size=o.batch_size)
 
     def run_batch(self) -> List[StreamOutcome]:
         """Pop and execute one micro-batch from the admission queue.

@@ -20,7 +20,7 @@ each started at its arrival: level and slice time from
 :meth:`~repro.dvfs.Controller.plan_batch`; one switch case per job,
 against the previous job's planned level (the first job's against the
 stream's current one); execution time and energy for that case from
-:func:`~repro.runtime.episode.charge_job`; and, in numpy, finish, miss
+:func:`~repro.runtime.jobs.charge_job`; and, in numpy, finish, miss
 flag and a *chain bit*: the job's planned finish is at or before the
 next arrival, so that next job is uncoupled too.
 
@@ -67,7 +67,7 @@ from typing import Sequence
 import numpy as np
 
 from ..obs import get_observer
-from ..runtime.episode import charge_job
+from ..runtime.jobs import charge_job
 from ..units import TIME_EPS_REL, deadline_missed
 from .server import COMPLETED, FALLBACK, AcceleratorStream, \
     RecordPredictor, StreamOutcome, valid_prediction
@@ -290,10 +290,10 @@ class EpochEngine:
         stream.epoch_log.append((block[k].index, m))
         observer = get_observer()
         if observer is not None:
-            self._emit(observer, stream.outcomes[-m:], fin_l[k:end])
+            self._emit(observer, stream.outcomes[-m:])
         return m
 
-    def _emit(self, observer, outcomes, finishes) -> None:
+    def _emit(self, observer, outcomes) -> None:
         """Replay the scalar path's per-job telemetry for one run.
 
         Counter and time-series *values* match the scalar machine
@@ -303,6 +303,7 @@ class EpochEngine:
         """
         metrics = observer.metrics
         series = observer.timeseries
+        stream = self.stream
         m = len(outcomes)
         n_fallback = sum(1 for o in outcomes if o.status == FALLBACK)
         metrics.inc("serve.offered", m)
@@ -312,25 +313,12 @@ class EpochEngine:
             metrics.inc("serve.fallback", n_fallback)
         if m - n_fallback:
             metrics.inc("serve.completed", m - n_fallback)
-        slo_live = (observer.slo is not None and self.stream.slo_live)
-        for o, finish in zip(outcomes, finishes):
-            decision_ms = o.decision_s * 1e3
+        slo_live = (observer.slo is not None and stream.slo_live)
+        for o in outcomes:
             series.observe("serve.shed", o.arrival, 0.0)
-            metrics.observe("serve.decision_ms", decision_ms)
-            metrics.observe("serve.batch_size", 1)
-            series.observe("serve.miss", finish, 1.0 if o.missed else 0.0)
-            series.observe("serve.fallback", finish,
-                           1.0 if o.status == FALLBACK else 0.0)
-            series.observe("serve.energy_per_job", finish, o.energy)
-            series.observe("serve.decision_ms", finish, decision_ms)
-            observer.emit(
-                "sjob", stream=self.stream.name, index=o.index,
-                status=o.status, arrival=o.arrival, release=o.arrival,
-                start=o.arrival, t_slice=o.t_slice,
-                t_switch=o.t_switch, t_exec=o.t_exec, energy=o.energy,
-                missed=o.missed, decision_ms=decision_ms, batch_size=1)
+            stream.record_executed(observer, o)
             if slo_live:
-                observer.slo.evaluate(series, upto_t=finish)
+                observer.slo.evaluate(series, upto_t=o.finish)
 
 
 def drive_stream_vectorized(stream: AcceleratorStream,

@@ -42,7 +42,7 @@ DVFS_SWITCH_TIME = 100 * US
 # to fit its budget *exactly* (oracle at margin 0) can come out a few
 # ULPs past the deadline after the divide/accumulate round trip
 # (``t_exec = cycles / (cycles / budget)`` plus the running-clock sum);
-# both the episode runner and the invariant checker treat overruns
+# both the serving machine and the invariant checker treat overruns
 # within this fraction of the deadline as on-time.
 TIME_EPS_REL = 1e-9
 
@@ -51,9 +51,10 @@ def deadline_missed(finish: float, release: float, deadline: float,
                     rel_eps: float = TIME_EPS_REL) -> bool:
     """Whether ``finish`` overruns ``release + deadline`` beyond rounding.
 
-    The single deadline predicate shared by :func:`repro.runtime.episode.
-    run_episode` and the invariant checker, so the two can never disagree
-    on what counts as a miss.
+    The single deadline predicate shared by the serving machine
+    (:mod:`repro.serve`, which runs every episode and stream) and the
+    invariant checker, so the two can never disagree on what counts as
+    a miss.
     """
     return finish - (release + deadline) > rel_eps * deadline
 

@@ -8,6 +8,7 @@ shape).  Train and test sets always use disjoint random seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, List
 
@@ -30,12 +31,24 @@ class BenchmarkWorkload:
     test_description: str
 
 
+def check_scale(scale: float) -> float:
+    """Return ``scale`` if it is a workload scale: finite and > 0.
+
+    A zero or negative scale would silently build floor-sized
+    workloads, and NaN or infinity cannot be rounded to a job count.
+    """
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
+    return scale
+
+
 def _count(base: int, scale: float, floor: int = 8) -> int:
     return max(int(round(base * scale)), floor)
 
 
 def workload_for(name: str, scale: float = 1.0) -> BenchmarkWorkload:
     """Build the Table 3 workload for one benchmark."""
+    check_scale(scale)
     if name == "h264":
         n_train = _count(100, scale)
         n_test = _count(60, scale)

@@ -35,7 +35,7 @@ def _corrupt_first_job_event(run_dir, **changes):
     lines = events_path.read_text().splitlines()
     for i, line in enumerate(lines):
         event = json.loads(line)
-        if event.get("type") == "job":
+        if event.get("type") == "sjob":
             event.update(changes)
             lines[i] = json.dumps(event)
             break
@@ -53,7 +53,7 @@ def test_artifact_audit_flags_tampered_energy(tmp_path, capsys, levels,
     run_dir = _captured_run(tmp_path, levels, model)
     events = [json.loads(line) for line in
               (run_dir / "events.jsonl").read_text().splitlines()]
-    first_job = next(e for e in events if e["type"] == "job")
+    first_job = next(e for e in events if e["type"] == "sjob")
     _corrupt_first_job_event(run_dir, energy=first_job["energy"] * 2)
     assert main(["check", str(run_dir)]) == 1
     out = capsys.readouterr().out
@@ -64,7 +64,7 @@ def test_artifact_audit_flags_slack_miss_contradiction(tmp_path, capsys,
                                                        levels, model):
     run_dir = _captured_run(tmp_path, levels, model)
     # An on-time job (positive slack) suddenly claims it missed: both
-    # the per-job check and the episode-summary miss count must fire.
+    # the per-job check and the stream-summary miss count must fire.
     _corrupt_first_job_event(run_dir, missed=True)
     assert main(["check", str(run_dir)]) == 1
     assert "missed" in capsys.readouterr().out

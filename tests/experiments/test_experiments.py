@@ -17,11 +17,20 @@ from repro.experiments import (
     table3,
     table4,
 )
-from repro.experiments import fig18_hls
+from repro.experiments import default_scale, fig18_hls
 from repro.experiments.schemes import average_row
 from repro.workloads import ALL_BENCHMARKS
 
 SCALE = 0.12
+
+
+@pytest.mark.parametrize("raw", ["0", "-2", "nan", "inf"])
+def test_default_scale_rejects_a_bad_repro_scale(raw, monkeypatch):
+    """``REPRO_SCALE=nan`` passed a bare ``<= 0`` test."""
+    monkeypatch.setenv("REPRO_SCALE", raw)
+    with pytest.raises(ValueError,
+                       match="REPRO_SCALE.*scale must be finite and > 0"):
+        default_scale()
 
 
 def test_table3_rows():

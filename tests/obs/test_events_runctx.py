@@ -111,19 +111,22 @@ def test_run_episode_emits_per_job_events(tmp_path, levels):
                      _job(1, small)],
                     task, FlatEnergyModel())
     events = read_events(run_dir / EVENTS_NAME)
-    jobs = [e for e in events if e["type"] == "job"]
-    episodes = [e for e in events if e["type"] == "episode"]
-    assert len(jobs) == 2 and len(episodes) == 1
+    jobs = [e for e in events if e["type"] == "sjob"]
+    streams = [e for e in events if e["type"] == "stream"]
+    assert len(jobs) == 2 and len(streams) == 1
     first, second = jobs
     assert first["missed"] is True and first["slack"] < 0
     assert first["predicted_cycles"] == float(over)
     assert first["actual_cycles"] == over
     assert first["voltage"] == levels.nominal.voltage
     assert second["missed"] is False
-    assert episodes[0]["n_jobs"] == 2 and episodes[0]["misses"] == 1
-    assert obs.metrics.counters["episode.jobs"] == 2.0
-    assert obs.metrics.counters["episode.misses"] == 1.0
-    assert obs.metrics.histograms["episode.slack_ms"].count == 2
+    assert (streams[0]["scheme"], streams[0]["stream"]) == ("baseline",
+                                                           "cam")
+    assert streams[0]["n_completed"] == 2 and streams[0]["misses"] == 1
+    assert obs.metrics.counters["serve.completed"] == 2.0
+    assert obs.metrics.histograms["serve.slack_ms"].count == 2
+    assert not any(name.startswith("episode.")
+                   for name in obs.metrics.counters)
 
 
 def test_render_run_full_report(tmp_path, levels):

@@ -4,16 +4,20 @@ import json
 
 import pytest
 
+from repro.dvfs import HistoryController
 from repro.obs import session
 from repro.obs.export import (
     chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.runtime import run_episode
+from repro.units import DVFS_SWITCH_TIME, MS
+from tests.conftest import TASK, FlatEnergyModel, job
 
 
 def _serve_run(tmp_path):
-    """A captured run with spans, sjob/job events and a time series."""
+    """A captured run with spans, sjob events and a time series."""
     run_dir = tmp_path / "run"
     with session(run_dir=run_dir, command="serve test") as obs:
         with obs.span("serve", streams=1):
@@ -24,8 +28,6 @@ def _serve_run(tmp_path):
                  decision_ms=0.01, batch_size=1)
         obs.emit("sjob", stream="aes", index=1, status="shed",
                  arrival=0.002)
-        obs.emit("job", controller="pid", task="cam", index=0,
-                 t_slice=0.0, t_exec=0.002, missed=False, energy=2e-5)
         obs.timeseries.observe("serve.miss", 0.004, 0.0)
         obs.timeseries.observe("serve.energy_per_job", 0.004, 1e-5)
     return run_dir
@@ -57,18 +59,30 @@ def test_sjob_placement_is_exact_virtual_time(tmp_path):
     assert sjob["dur"] == pytest.approx(0.005 * 1e6)  # slice+switch+exec
 
 
-def test_episode_jobs_laid_end_to_end(tmp_path):
+def test_episode_jobs_keep_release_gaps_and_switch_windows(tmp_path,
+                                                           asic_levels):
+    """An episode's jobs sit at their exact virtual start: a short job
+    leaves a gap to the next release, and a switch window widens the
+    slice of the job that paid it."""
+    light = int(asic_levels.nominal.frequency * 2 * MS)
     run_dir = tmp_path / "run"
-    with session(run_dir=run_dir, command="episode") as obs:
-        for i, t_exec in enumerate((0.002, 0.003)):
-            obs.emit("job", controller="pid", task="cam", index=i,
-                     t_slice=0.001, t_exec=t_exec, missed=False)
+    with session(run_dir=run_dir, command="episode"):
+        result = run_episode(HistoryController(asic_levels,
+                                               DVFS_SWITCH_TIME),
+                             [job(i, light) for i in range(3)], TASK,
+                             FlatEnergyModel())
     payload = chrome_trace(run_dir)
     track = sorted((e for e in payload["traceEvents"]
                     if e["ph"] == "X" and e["pid"] == 2),
                    key=lambda e: e["ts"])
-    assert track[0]["ts"] == pytest.approx(0.0)
-    assert track[1]["ts"] == pytest.approx(track[0]["dur"])
+    outcomes = result.outcomes
+    assert any(o.t_switch > 0.0 for o in outcomes)
+    assert [e["ts"] for e in track] == pytest.approx(
+        [o.start * 1e6 for o in outcomes])
+    assert [e["dur"] for e in track] == pytest.approx(
+        [(o.finish - o.start) * 1e6 for o in outcomes])
+    assert track[1]["ts"] == pytest.approx(TASK.deadline * 1e6)
+    assert track[1]["ts"] > track[0]["ts"] + track[0]["dur"]
 
 
 def test_write_and_reload(tmp_path):

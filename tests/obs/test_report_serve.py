@@ -52,11 +52,11 @@ def test_salvage_fully_corrupt_file_yields_nothing(tmp_path):
 
 # -- the serve dashboard ------------------------------------------------
 
-def _serve_fixture(tmp_path):
+def _serve_fixture(tmp_path, command="serve demo"):
     """A deterministic serve run dir: 3 executed jobs over 2 windows
     of the default 100 ms, plus an exhausted-SLO summary."""
     run_dir = tmp_path / "run"
-    with session(run_dir=run_dir, command="serve demo") as obs:
+    with session(run_dir=run_dir, command=command) as obs:
         ts = obs.timeseries
         for t, miss, energy in ((0.01, 0.0, 1e-5), (0.05, 1.0, 3e-5),
                                 (0.12, 1.0, 2e-5)):
@@ -85,6 +85,17 @@ def test_render_run_serve_section_golden(tmp_path):
     assert "slo:" in text
     assert "slo miss_rate<0.7@99%: 1/2 bad window(s)" in text
     assert "burn rate 50.00 — EXHAUSTED" in text
+
+
+def test_render_run_omits_the_dashboard_for_episode_runs(tmp_path):
+    """Every episode restarts the virtual clock at 0, so an experiment
+    run's windows pool all of its episodes: no dashboard for them."""
+    run_dir = _serve_fixture(tmp_path, command="experiment fig11")
+    assert (run_dir / "timeseries.json").is_file()
+    text = render_run(run_dir)
+    assert "serve (windows of" not in text
+    assert "miss%" not in text
+    assert "slo:" in text
 
 
 def test_summarize_serve_windows_coarsens_long_runs():

@@ -1,6 +1,11 @@
 """Episode-runner tests: periodic releases, carry-over, aggregation."""
 
+import math
+from dataclasses import replace
+
 import pytest
+
+from repro.check import check_episode
 
 from repro.dvfs import (
     ASIC_VOLTAGES,
@@ -12,6 +17,7 @@ from repro.dvfs import (
     OperatingPoint,
     OracleController,
     Plan,
+    PredictiveController,
     build_level_table,
 )
 from repro.runtime import (
@@ -24,7 +30,7 @@ from repro.runtime import (
     switch_window_energy,
     summarize,
 )
-from repro.units import MHZ, MS
+from repro.units import DVFS_SWITCH_TIME, MHZ, MS
 
 
 class FlatEnergyModel:
@@ -69,6 +75,14 @@ def test_job_record_validation():
                   activity=JobActivity(cycles=1), slice_cycles=-1)
     with pytest.raises(ValueError, match="deadline"):
         Task("t", deadline=0.0)
+
+
+@pytest.mark.parametrize("deadline", [math.nan, math.inf, -math.inf])
+def test_task_rejects_a_non_finite_deadline(deadline):
+    """NaN passes a bare ``<= 0`` test, and an episode under a NaN
+    deadline reported NaN times and no misses."""
+    with pytest.raises(ValueError, match="deadline must be finite"):
+        Task("t", deadline=deadline)
 
 
 def test_periodic_release_full_budget_when_on_time(levels):
@@ -160,6 +174,30 @@ def test_strict_mode_accepts_a_clean_episode(levels):
     result = run_episode(OracleController(levels), jobs, TASK,
                          FlatEnergyModel(), strict=True)
     assert result.n_jobs == 6
+
+
+def test_slice_scheme_falls_back_on_a_missing_prediction(levels):
+    """A record with no prediction under a slice scheme falls back, as
+    in any stream: the fastest non-boost point and no slice.  The
+    strict checker holds it to the fallback rule."""
+    small = int(levels.nominal.frequency * 2 * MS)
+    predicted = replace(job(0, small), predicted_cycles=float(small),
+                        slice_cycles=100)
+    jobs = [predicted, job(1, small), replace(predicted, index=2)]
+    model = FlatEnergyModel()
+    result = run_episode(PredictiveController(levels, DVFS_SWITCH_TIME),
+                         jobs, TASK, model, slice_energy_model=model,
+                         strict=True)
+    assert [o.status for o in result.outcomes] \
+        == ["completed", "fallback", "completed"]
+    fallback = result.outcomes[1]
+    assert fallback.t_slice == 0.0
+    assert fallback.frequency == levels.fastest().frequency
+    outcomes = list(result.outcomes)
+    outcomes[1] = replace(fallback, t_slice=1e-4)
+    tampered = replace(result, outcomes=outcomes)
+    assert "stream.fallback" in {
+        v.code for v in check_episode(tampered, levels=levels)}
 
 
 def test_strict_mode_env_toggle(monkeypatch):

@@ -36,7 +36,7 @@ from repro.serve import (
     serve_fleet,
     virtual_outcomes,
 )
-from repro.units import DVFS_SWITCH_TIME
+from repro.units import DVFS_SWITCH_TIME, MS
 from tests.conftest import FlatEnergyModel
 
 from .conftest import DEADLINE, stream_records
@@ -454,22 +454,22 @@ def test_ledger_projects_refused_predictions_as_missing(asic_levels,
 #: clocks for every (policy, scaling, global_depth) case below.  Any
 #: change to the dispatcher's arithmetic or tie-breaking moves one.
 ROUTING_PINS = {
-    "round_robin/static/default": "610bc98f52084067",
-    "round_robin/static/6": "092d76463e320061",
-    "round_robin/elastic/default": "be61663b05fbf74f",
+    "round_robin/static/default": "7ec674fec5b9de36",
+    "round_robin/static/6": "6cfac6b91154224f",
+    "round_robin/elastic/default": "f2bcc9cec7f2495c",
     "round_robin/elastic/6": "19a06d9eebef1b6f",
-    "least_loaded/static/default": "82ed57565b3e106e",
-    "least_loaded/static/6": "54cabac7ee76709f",
-    "least_loaded/elastic/default": "d20c6be2f82e0d4c",
+    "least_loaded/static/default": "87bc7cb481e3094b",
+    "least_loaded/static/6": "ad00333f00aef66b",
+    "least_loaded/elastic/default": "d66502f228e0fef8",
     "least_loaded/elastic/6": "f1bab9c732a4fddd",
-    "energy_aware/static/default": "1906cc72b6cecf28",
-    "energy_aware/static/6": "66996adb65e398bc",
-    "energy_aware/elastic/default": "2f2e8484ba0d138d",
+    "energy_aware/static/default": "8272932520b9b45a",
+    "energy_aware/static/6": "9e869745965d5624",
+    "energy_aware/elastic/default": "c60cd00eb6ac0302",
     "energy_aware/elastic/6": "1361589572157d44",
-    "deadline/static/default": "9a8d1ca32609a557",
-    "deadline/static/6": "3815f90a8a4e3e71",
-    "deadline/elastic/default": "e9fdd05fa807ae94",
-    "deadline/elastic/6": "c92707106182e9b4",
+    "deadline/static/default": "d4be57aa339b8080",
+    "deadline/static/6": "71f95efe4670e44d",
+    "deadline/elastic/default": "03eb9c3e20d88f73",
+    "deadline/elastic/6": "0dc93eaa97ac1462",
 }
 
 
@@ -531,6 +531,54 @@ def test_routing_is_pinned_for_every_policy(asic_levels):
     assert reasons == {"admission", "rate_limit", "deadline"}
     assert moves == {"scale_up", "scale_down"}
     assert digests == ROUTING_PINS
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_baseline_pool_sheds_nothing_nominal_can_serve(asic_levels,
+                                                       policy):
+    """A baseline instance always runs at nominal, so the dispatcher
+    projects it there: when nominal finishes every job before the next
+    arrival, even a global depth of one sheds nothing and no job
+    misses."""
+    specs = [dataclasses.replace(
+        make_spec(asic_levels, f"alpha#{k}", "alpha"),
+        controller=ConstantFrequencyController(asic_levels))
+        for k in range(2)]
+    light = stream_records(asic_levels, n=20, heavy_every=0)
+    jobs = mixed_stream_jobs({"alpha": light},
+                             [3 * MS * i for i in range(60)])
+    result = serve_fleet(specs, jobs,
+                         FleetConfig(policy=policy, global_depth=1,
+                                     strict=True), workers=1)
+    assert result.sheds == []
+    assert result.n_completed == len(jobs)
+    assert sum(shard.miss_count for shard in result.shards) == 0
+
+
+def test_deadline_policy_sheds_what_nominal_cannot_finish(asic_levels):
+    """A baseline plan reports feasible whatever its budget, so the
+    ``deadline`` policy holds the nominal finish to the deadline
+    itself: every job nominal cannot finish in time is shed, and every
+    other job is served and meets its deadline."""
+    specs = [dataclasses.replace(
+        make_spec(asic_levels, f"alpha#{k}", "alpha"),
+        controller=ConstantFrequencyController(asic_levels))
+        for k in range(2)]
+    too_long = float(int(asic_levels.nominal.frequency * 1.5 * DEADLINE))
+    records = [dataclasses.replace(r, actual_cycles=int(too_long),
+                                   predicted_cycles=too_long)
+               if i % 4 == 3 else r
+               for i, r in enumerate(stream_records(asic_levels, n=20,
+                                                    heavy_every=0))]
+    jobs = mixed_stream_jobs({"alpha": records},
+                             [2 * DEADLINE * i for i in range(40)])
+    result = serve_fleet(specs, jobs,
+                         FleetConfig(policy=POLICY_DEADLINE, strict=True),
+                         workers=1)
+    assert [(s.index, s.reason) for s in result.sheds] == \
+        [(i, "deadline") for i in range(3, 40, 4)]
+    assert result.n_completed == 30
+    assert sum(shard.miss_count for shard in result.shards) == 0
 
 
 @pytest.mark.parametrize("policy", POLICIES)

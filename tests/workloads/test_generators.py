@@ -1,5 +1,7 @@
 """Workload generator tests: determinism, ranges, statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,11 @@ def test_train_and_test_sets_differ():
     train_sizes = [p.n_bytes for p in workload.train]
     test_sizes = [p.n_bytes for p in workload.test]
     assert train_sizes != test_sizes
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_workload_for_rejects_a_bad_scale(scale):
+    """A zero or negative scale silently built floor-sized workloads,
+    and NaN or infinity failed converting a job count."""
+    with pytest.raises(ValueError, match="scale must be finite and > 0"):
+        workload_for("aes", scale)
