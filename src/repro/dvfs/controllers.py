@@ -69,6 +69,9 @@ class Controller:
     #: Whether slice/switch overheads are charged by the serving machine
     #: (False for idealized variants like the oracle).
     charge_overheads: bool = True
+    #: Whether :meth:`plan` reads the job's ``predicted_cycles``: only
+    #: such a run has a prediction error to report.
+    plans_on_prediction: bool = False
     #: True when :meth:`plan` is a pure function of (job, budget) and
     #: :meth:`observe` is a no-op — the contract virtual serving relies
     #: on to plan whole blocks with :meth:`plan_batch`.
@@ -274,6 +277,7 @@ class PredictiveController(Controller):
 
     uses_slice = True
     vectorizable = True
+    plans_on_prediction = True
 
     def __init__(self, levels: LevelTable, t_switch: float,
                  margin: float = 0.05, boost: bool = False,

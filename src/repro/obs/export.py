@@ -147,9 +147,9 @@ def chrome_trace(run_dir: Union[str, Path]) -> Dict[str, object]:
             if events_path.is_file() else [])
 
     trace += _meta(2, "virtual clock (jobs)")
-    for tid, (scheme, name, sjobs) in enumerate(runs, start=1):
-        trace += _meta(2, "virtual clock (jobs)", tid=tid,
-                       tname=f"{scheme} on {name}")[1:]
+    for tid, (summary, sjobs) in enumerate(runs, start=1):
+        name = f"{summary.get('scheme', '?')} on {summary.get('stream')}"
+        trace += _meta(2, "virtual clock (jobs)", tid=tid, tname=name)[1:]
         trace += _sjob_events(tid, sjobs)
 
     ts_name = manifest.get("timeseries_file")

@@ -172,16 +172,16 @@ def summarize_perf(metrics: Dict) -> str:
 
 
 def stream_runs(events: Sequence[Dict]
-                ) -> List[Tuple[str, str, List[Dict]]]:
-    """``(scheme, stream, sjob events)`` per stream run, in closing
+                ) -> List[Tuple[Dict, List[Dict]]]:
+    """``(stream summary, sjob events)`` per stream run, in closing
     order.
 
     A stream's ``sjob`` events run until the ``stream`` summary that
     closes them, so an episode or a served stream is one run even when
     a later run reuses its name.  Runs never closed (a crash mid-run)
-    come last, with scheme ``"?"``.
+    come last, with a stand-in summary of scheme ``"?"``.
     """
-    runs: List[Tuple[str, str, List[Dict]]] = []
+    runs: List[Tuple[Dict, List[Dict]]] = []
     open_streams: Dict[str, List[Dict]] = {}
     for event in events:
         etype = event.get("type")
@@ -190,9 +190,8 @@ def stream_runs(events: Sequence[Dict]
                                     []).append(event)
         elif etype == "stream":
             name = str(event.get("stream", "?"))
-            runs.append((str(event.get("scheme", "?")), name,
-                         open_streams.pop(name, [])))
-    return runs + [("?", name, sjobs)
+            runs.append((event, open_streams.pop(name, [])))
+    return runs + [({"stream": name, "scheme": "?"}, sjobs)
                    for name, sjobs in open_streams.items()]
 
 
@@ -200,15 +199,16 @@ def summarize_streams(events: Sequence[Dict]) -> str:
     """One digest line per stream run (see :func:`stream_runs`).
 
     Each line gives executed job, miss, boost and switch counts, sheds
-    when any, the mean absolute prediction error where a prediction
-    was recorded, and a slack sparkline — the quick "where did the
-    misses cluster" view.
+    when any, the mean absolute prediction error of a run whose
+    controller planned on the prediction (its summary's
+    ``plans_on_prediction``), and a slack sparkline — the quick "where
+    did the misses cluster" view.
     """
     runs = stream_runs(events)
     if not runs:
         return "(no job events)"
     lines = []
-    for scheme, name, sjobs in runs:
+    for summary, sjobs in runs:
         jobs = [j for j in sjobs if j.get("status") != "shed"]
         misses = sum(1 for j in jobs if j.get("missed"))
         boosts = sum(1 for j in jobs if j.get("boosted"))
@@ -220,11 +220,12 @@ def summarize_streams(events: Sequence[Dict]) -> str:
             if j.get("predicted_cycles") is not None
             and math.isfinite(float(j["predicted_cycles"]))
             and float(j.get("actual_cycles", 0)) > 0
-        ]
+        ] if summary.get("plans_on_prediction") else []
         slack = [float(j["slack"]) for j in jobs if "slack" in j]
         shed = len(sjobs) - len(jobs)
         lines.append(
-            f"  {scheme} on {name}: {len(jobs)} jobs, "
+            f"  {summary.get('scheme', '?')} on "
+            f"{summary.get('stream', '?')}: {len(jobs)} jobs, "
             f"{misses} missed, {boosts} boosted, {switches} switches"
             + (f", {shed} shed" if shed else "")
             + (f", mean |err| {sum(errors) / len(errors):.2f}%"

@@ -279,10 +279,6 @@ class FleetResult:
     wall_s: float = 0.0
 
     @property
-    def n_dispatcher_shed(self) -> int:
-        return len(self.sheds)
-
-    @property
     def n_completed(self) -> int:
         return sum(r.n_completed for r in self.shards)
 
@@ -645,7 +641,7 @@ def _run_shard(task: Tuple[ShardSpec, List[FleetJob]]) -> StreamResult:
     stream = spec.make_stream()
     stream.slo_live = False
     result = _serve_virtual(stream, [job.job for job in jobs])
-    _emit_stream_summary(result)
+    _emit_stream_summary(stream, result)
     _check_result(stream, result)
     return result
 

@@ -17,8 +17,10 @@ queue over one accelerator:
   max-frequency (nominal) execution with no slice charge: the event
   is counted, the stream keeps serving.
 
-Each job is priced by :func:`~repro.runtime.jobs.charge_job` on a
-timeline where ``release`` is the job's arrival instant.  A periodic
+Each job is priced by :func:`~repro.runtime.jobs.charge_job`, through
+one memo per stream that the block planner shares
+(:meth:`AcceleratorStream.charge`), on a timeline where ``release``
+is the job's arrival instant.  A periodic
 episode (:func:`~repro.runtime.episode.run_episode`) is one such
 stream: arrivals at ``i * deadline`` and a queue too deep to shed.
 Two clocks are maintained deliberately:
@@ -170,11 +172,16 @@ class SlicePredictor:
 
 def _effective(sjob: StreamJob, predicted: float,
                slice_cycles: int) -> Optional[JobRecord]:
-    """The job's record as predicted, or ``None`` for an invalid
-    prediction (see :func:`valid_prediction`)."""
+    """The job's record as predicted — the record itself when the
+    prediction is its own, as in a block plan — or ``None`` for an
+    invalid prediction (see :func:`valid_prediction`)."""
     if not valid_prediction(predicted, slice_cycles):
         return None
-    return replace(sjob.record, predicted_cycles=predicted,
+    record = sjob.record
+    if (predicted == record.predicted_cycles
+            and slice_cycles == record.slice_cycles):
+        return record
+    return replace(record, predicted_cycles=predicted,
                    slice_cycles=slice_cycles)
 
 
@@ -188,6 +195,11 @@ class StreamOutcome:
     online prediction, ``job.predicted_cycles``/``job.slice_cycles``
     are what the slice produced at serve time — so the invariant
     checker can re-derive every identity from the outcome alone.
+
+    Both serving paths build an executed outcome with ``__new__`` and
+    stores into its ``__dict__`` in field order: the frozen
+    ``__init__`` pays an ``object.__setattr__`` per field, and a bulk
+    ``update()`` would give the instance a key table of its own.
     """
 
     index: int
@@ -315,6 +327,8 @@ class AcceleratorStream:
         #: pairs — written only by block-planned serving, audited by
         #: :func:`repro.check.check_epochs` in strict mode.
         self.epoch_log: List[Tuple[int, int]] = []
+        #: The memo of :meth:`charge`, emptied by :meth:`result`.
+        self._charges: dict = {}
         self.now = 0.0
         self._previous = self.levels.nominal
         #: Evaluate the ambient SLO tracker after every batch.  Left
@@ -419,6 +433,22 @@ class AcceleratorStream:
                         predict_s) for record, predict_s in entries]
         return entries
 
+    def charge(self, record: JobRecord, point, t_slice: float,
+               t_switch: float) -> tuple:
+        """``charge_job`` on this stream's models, memoized on exactly
+        its per-job inputs, for both serving paths: ``(t_exec, energy,
+        activity, point)``, holding what the key names by ``id``."""
+        key = (id(record.activity), record.actual_cycles,
+               record.slice_cycles, id(point), t_slice, t_switch)
+        hit = self._charges.get(key)
+        if hit is None:
+            hit = self._charges[key] = charge_job(
+                record, point, t_slice, t_switch, self.energy_model,
+                self.slice_energy_model, self.levels.nominal,
+                self.controller.uses_slice,
+                f"stream {self.name}") + (record.activity, point)
+        return hit
+
     def _execute(self, sjob: StreamJob, record: Optional[JobRecord],
                  predict_s: float, batch_size: int) -> StreamOutcome:
         """Advance the virtual clock through one admitted job.
@@ -448,10 +478,8 @@ class AcceleratorStream:
                          and controller.charge_overheads)
         t_switch = self.config.t_switch if switch_needed else 0.0
         # A fallback job's t_slice is 0.0, so it pays no slice energy.
-        t_exec, energy = charge_job(
-            record, point, t_slice, t_switch, self.energy_model,
-            self.slice_energy_model, self.levels.nominal,
-            controller.uses_slice, f"stream {self.name}")
+        t_exec, energy, _, _ = self.charge(record, point, t_slice,
+                                           t_switch)
         finish = start + t_slice + t_switch + t_exec
         missed = deadline_missed(finish, release, self.config.deadline)
 
@@ -461,17 +489,23 @@ class AcceleratorStream:
         self._in_flight += 1
         controller.observe(record)
 
-        outcome = StreamOutcome(
-            index=sjob.index,
-            status=FALLBACK if fallback else COMPLETED,
-            job=record, arrival=sjob.arrival,
-            release=release, start=start,
-            t_slice=t_slice, t_switch=t_switch, t_exec=t_exec,
-            energy=energy, missed=missed,
-            voltage=point.voltage, frequency=point.frequency,
-            boosted=point.is_boost,
-            decision_s=decision_s, batch_size=batch_size,
-        )
+        outcome = StreamOutcome.__new__(StreamOutcome)
+        fields = outcome.__dict__
+        fields["index"] = sjob.index
+        fields["status"] = FALLBACK if fallback else COMPLETED
+        fields["job"] = record
+        fields["arrival"] = fields["release"] = release
+        fields["start"] = start
+        fields["t_slice"] = t_slice
+        fields["t_switch"] = t_switch
+        fields["t_exec"] = t_exec
+        fields["energy"] = energy
+        fields["missed"] = missed
+        fields["voltage"] = point.voltage
+        fields["frequency"] = point.frequency
+        fields["boosted"] = point.is_boost
+        fields["decision_s"] = decision_s
+        fields["batch_size"] = batch_size
         self.outcomes.append(outcome)
         observer = get_observer()
         if observer is not None:
@@ -559,6 +593,9 @@ class AcceleratorStream:
 
     def result(self, wall_s: float = 0.0) -> StreamResult:
         """Freeze the stream's accounting into a ``StreamResult``."""
+        # Every serve call ends here; a served stream may be kept for
+        # its accounting, where the memo would only hold memory.
+        self._charges.clear()
         outcomes = sorted(self.outcomes, key=lambda o: o.index)
         return StreamResult(
             stream=self.name, scheme=self.controller.name,
@@ -593,13 +630,15 @@ def _check_result(stream: AcceleratorStream,
         raise InvariantError(violations)
 
 
-def _emit_stream_summary(result: StreamResult) -> None:
+def _emit_stream_summary(stream: AcceleratorStream,
+                         result: StreamResult) -> None:
     observer = get_observer()
     if observer is None:
         return
     observer.emit(
         "stream",
         stream=result.stream, scheme=result.scheme,
+        plans_on_prediction=stream.controller.plans_on_prediction,
         n_offered=result.n_offered, n_completed=result.n_completed,
         n_fallback=result.n_fallback, n_shed=result.n_shed,
         misses=result.miss_count, energy=result.total_energy,
@@ -709,7 +748,7 @@ def serve_streams(streams: Sequence[Tuple[AcceleratorStream,
             results = [_serve_virtual(stream, jobs)
                        for stream, jobs in streams]
     for (stream, _), result in zip(streams, results):
-        _emit_stream_summary(result)
+        _emit_stream_summary(stream, result)
         _check_result(stream, result)
     if observer is not None and observer.slo is not None:
         observer.slo.finalize(observer.timeseries)

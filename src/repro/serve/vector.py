@@ -1,62 +1,47 @@
 """Virtual serving: block-planned execution.
 
 The scalar machine (:mod:`repro.serve.server`) walks the stream one
-arrival at a time — admission check, prediction, ``select_level``,
-job pricing, all as interpreted Python per job.  This module drives
-*exactly the same state machine*, but decides whole **blocks** of
-arrivals at once wherever the decisions decouple.  Lone streams and
-fleet shards are both served this way on the virtual clock; realtime
-serving stays on the scalar machine.
+arrival at a time.  This module drives *exactly the same state
+machine*, but decides whole **blocks** of arrivals at once wherever
+the decisions decouple.  Lone streams and fleet shards are both served
+this way on the virtual clock; realtime serving stays scalar.
 
 A job is *uncoupled* when it arrives to an empty queue and an idle
-server (the virtual clock at or before its arrival).  The scalar
-machine then starts it at its arrival, in a micro-batch of one, and
-cannot shed it, so its budget is the deadline and — for a
-:attr:`~repro.dvfs.Controller.vectorizable` controller, whose plan is
-a pure function of the job and its budget — its level follows in
-closed form.  When serving reaches an uncoupled arrival no plan
-covers, it plans that arrival and the next ``BLOCK - 1`` ones, as if
-each started at its arrival: level and slice time from
-:meth:`~repro.dvfs.Controller.plan_batch`; one switch case per job,
-against the previous job's planned level (the first job's against the
-stream's current one); execution time and energy for that case from
-:func:`~repro.runtime.jobs.charge_job`; and, in numpy, finish, miss
-flag and a *chain bit*: the job's planned finish is at or before the
-next arrival, so that next job is uncoupled too.
+server: the scalar machine would start it at its arrival, in a
+micro-batch of one, with the deadline as its budget, so a
+:attr:`~repro.dvfs.Controller.vectorizable` controller's level follows
+in closed form.  When serving reaches an uncoupled arrival no plan
+covers, it plans that arrival and the next ``BLOCK - 1`` as if each
+started at its arrival: level and slice time from
+:meth:`~repro.dvfs.Controller.plan_batch`, a switch case against the
+previous job's planned level, ``t_exec = actual_cycles / frequency``
+(the accounting kernel's own expression) and, in numpy, finish, miss
+flag and a *chain bit*: the planned finish is at or before the next
+arrival, so that job is uncoupled too.
 
-Each uncoupled arrival then commits a **run** from the block's Python
-lists, with no numpy call, extending it while the chain bits hold.  A
-run ends at a broken chain or at the block's end; the next arrival
-takes the scalar path if it is coupled, or starts a new run.  A run
-whose first job switches differently from the plan (the scalar path
-ran in between) prices that one job again.  Every run lands in
+Each uncoupled arrival then commits a **run** from the block's lists
+while the chain bits hold, and prices each committed job's energy
+from the stream's memo of :func:`~repro.runtime.jobs.charge_job`
+(:meth:`~repro.serve.server.AcceleratorStream.charge`), which the
+scalar machine shares: a coupled arrival is priced once, by the path
+that serves it.  A run ends at a broken chain or at the block's end; a
+run whose first job switches differently from the plan (the scalar
+path ran in between) redoes that job's finish.  Every run lands in
 ``AcceleratorStream.epoch_log`` as ``(first_index, n_jobs)``, audited
-by :func:`repro.check.check_epochs`.
-
-Every committed outcome is **bit-identical** to the scalar machine's
-(:func:`repro.serve.virtual_outcomes` canonical form) by construction:
-both paths price a job through ``charge_job``, which the planner
-memoizes on exactly its per-job inputs, and the times kept in numpy
-take the scalar operations in the scalar order.  ``decision_s`` is the
-wall time to predict a job and select its level on both paths; a
-planned job carries its block's predict-and-plan time divided by the
-block's job count (see docs/serving.md).
+by :func:`repro.check.check_epochs`.  Committed outcomes are
+**bit-identical** to the scalar machine's
+(:func:`repro.serve.virtual_outcomes`): one kernel prices both, and
+numpy takes the scalar operations in the scalar order.  A planned
+job's ``decision_s`` is its block's plan time over its job count (see
+docs/serving.md).
 
 A block is planned only when no predictor has to run: a
 :class:`~repro.serve.server.RecordPredictor` replay, a scheme without
-a slice, or a slice scheme without a predictor.  Any other predictor
-(the live slice, a test double) takes the scalar machine, which
-predicts each executed job exactly once and a shed job never.  The
-scalar machine also runs every job when state coupling binds:
-
-* a reactive controller (pid / history / governor) — every decision
-  feeds the next;
-* a non-empty queue or ``now`` past the arrival — micro-batches and
-  queueing delays couple starts to earlier finishes;
-* ``prediction_budget`` set — a wall-clock cutoff is per-measurement
-  and cannot be replayed for a block;
-* a level table with duplicate points — the scalar diagnostic must
-  surface.
+a slice, or a slice scheme without a predictor.  The scalar machine
+serves everything else: a live predictor (run once per executed job,
+never for a shed one), a reactive controller (pid / history /
+governor), a set ``prediction_budget``, a level table with duplicate
+points, and every coupled arrival.
 """
 
 from __future__ import annotations
@@ -67,7 +52,6 @@ from typing import Sequence
 import numpy as np
 
 from ..obs import get_observer
-from ..runtime.jobs import charge_job
 from ..units import TIME_EPS_REL, deadline_missed
 from .server import COMPLETED, FALLBACK, AcceleratorStream, \
     RecordPredictor, StreamOutcome, valid_prediction
@@ -90,9 +74,8 @@ class EpochEngine:
         self._points = list(self.levels.points)
         if self.levels.boost is not None:
             self._points.append(self.levels.boost)
+        self._ids = [id(p) for p in self._points]
         self._freq = np.array([p.frequency for p in self._points])
-        self._volt = np.array([p.voltage for p in self._points])
-        self._boost = np.array([p.is_boost for p in self._points])
         predictor = stream.predictor
         self.eligible = (
             self.controller.vectorizable
@@ -100,10 +83,6 @@ class EpochEngine:
             and self.config.prediction_budget is None
             and (not self.controller.uses_slice or predictor is None
                  or type(predictor) is RecordPredictor))
-        #: ``charge_job`` results as ``(activity, t_exec, energy)``,
-        #: keyed on its per-job inputs (see ``_charge``); holding the
-        #: activity keeps its ``id`` from being reused.
-        self._charges: dict = {}
         #: Arrivals per planned block.
         self.window = BLOCK
         #: The current block covers ``jobs[_first:_end]``; ``_plan`` is
@@ -120,29 +99,11 @@ class EpochEngine:
             return np.zeros(n, dtype=bool)
         if self.stream.predictor is None:
             return np.ones(n, dtype=bool)
-        # A RecordPredictor replays the record's own values; the
-        # scalar path's ``replace`` gives a value-identical record, so
-        # the original stands in for it.
+        # A RecordPredictor replays the record's own values, so the
+        # scalar path plans on the record itself too.
         return np.array([not valid_prediction(r.predicted_cycles,
                                               r.slice_cycles)
                          for r in records], dtype=bool)
-
-    def _charge(self, record, level: int, t_slice: float,
-                t_switch: float) -> tuple:
-        """``(activity, t_exec, energy)``: ``charge_job`` on this
-        stream's models, memoized in ``_charges``."""
-        activity = record.activity
-        key = (id(activity), record.actual_cycles, record.slice_cycles,
-               level, t_slice, t_switch)
-        hit = self._charges.get(key)
-        if hit is None:
-            stream = self.stream
-            hit = self._charges[key] = (activity,) + charge_job(
-                record, self._points[level], t_slice, t_switch,
-                stream.energy_model, stream.slice_energy_model,
-                self.levels.nominal, self.controller.uses_slice,
-                f"stream {stream.name}")
-        return hit
 
     def _plan_block(self, jobs: Sequence[StreamJob], first: int) -> None:
         """Plan ``jobs[first:first + BLOCK]`` as if each job started at
@@ -187,19 +148,11 @@ class EpochEngine:
                            != self.stream._previous)
             switched[1:] = idx[1:] != idx[:-1]
         t_sw = np.where(switched, t_switch, 0.0)
-        idx_l, ts_l, tsw_l = idx.tolist(), t_slice.tolist(), t_sw.tolist()
-        # Cycled streams repeat a few hundred records, so most jobs hit
-        # the memo.  The lookup runs per job, so it is inlined here,
-        # keyed exactly as ``_charge`` keys it; a miss goes there.
-        get = self._charges.get
-        charges = []
-        for record, level, ts, tsw in zip(records, idx_l, ts_l, tsw_l):
-            charges.append(get((id(record.activity), record.actual_cycles,
-                                record.slice_cycles, level, ts, tsw))
-                           or self._charge(record, level, ts, tsw))
-        te_l = [c[1] for c in charges]
-        en_l = [c[2] for c in charges]
-        finish = ((arr + t_slice) + t_sw) + np.array(te_l)
+        # ``charge_job``'s own expression for the execution time: the
+        # plan prices nothing (see ``run_epoch``).
+        t_exec = np.array([r.actual_cycles for r in records],
+                          dtype=float) / self._freq[idx]
+        finish = ((arr + t_slice) + t_sw) + t_exec
         missed = (finish - (arr + deadline)) > TIME_EPS_REL * deadline
         # A run continuing at job j ends after the first job at or past
         # j whose planned finish passes its successor's arrival.
@@ -209,12 +162,17 @@ class EpochEngine:
         status = ([FALLBACK if f else COMPLETED
                    for f in fallback.tolist()]
                   if n_live < n else [COMPLETED] * n)
+        idx_l, ts_l, tsw_l = idx.tolist(), t_slice.tolist(), t_sw.tolist()
+        # Most jobs find their charge in the stream's memo (keyed as
+        # ``AcceleratorStream.charge`` keys it); a miss stays ``None``.
+        get, ids = self.stream._charges.get, self._ids
+        charges = [get((id(r.activity), r.actual_cycles, r.slice_cycles,
+                        ids[level], ts, tsw))
+                   for r, level, ts, tsw in zip(records, idx_l, ts_l, tsw_l)]
         self._plan = (
             block, records, decision_s, t_switch, status, arr.tolist(),
-            idx_l, ts_l, te_l, self._volt[idx].tolist(),
-            self._freq[idx].tolist(), self._boost[idx].tolist(),
-            switched.tolist(), tsw_l, finish.tolist(), missed.tolist(),
-            en_l, ends.tolist())
+            idx_l, ts_l, tsw_l, finish.tolist(), missed.tolist(), charges,
+            ends.tolist())
 
     # -- the run -------------------------------------------------------
 
@@ -232,21 +190,22 @@ class EpochEngine:
         if self._plan is None:
             return 0
         (block, records, decision_s, t_switch, status_l, arr_l, idx_l,
-         ts_l, te_l, vo_l, fr_l, bo_l, sw_l, tsw_l, fin_l, miss_l, en_l,
-         ends_l) = self._plan
+         ts_l, tsw_l, fin_l, miss_l, charges, ends_l) = self._plan
         stream = self.stream
+        points = self._points
         k = start - self._first
         n = len(block)
         # The first job's switch case follows the stream's current
-        # level, exactly as the scalar machine decides it.  When the
-        # scalar path ran since the plan, the case may differ: the job
-        # is then priced again, in place (no later run reads it).
-        switch = (self.controller.charge_overheads
-                  and self._points[idx_l[k]] != stream._previous)
-        if switch != sw_l[k]:
-            tsw = tsw_l[k] = t_switch if switch else 0.0
-            en_l[k] = self._charge(records[k], idx_l[k], ts_l[k], tsw)[2]
-            fin_l[k] = ((arr_l[k] + ts_l[k]) + tsw) + te_l[k]
+        # level, as the scalar machine decides it.  When the scalar path
+        # ran since the plan, the case may differ: the job is then
+        # priced, and its finish and miss flag redone, in place.
+        tsw = (t_switch if self.controller.charge_overheads
+               and points[idx_l[k]] != stream._previous else 0.0)
+        if tsw != tsw_l[k]:
+            tsw_l[k] = tsw
+            charges[k] = stream.charge(records[k], points[idx_l[k]],
+                                       ts_l[k], tsw)
+            fin_l[k] = ((arr_l[k] + ts_l[k]) + tsw) + charges[k][0]
             miss_l[k] = deadline_missed(fin_l[k], arr_l[k],
                                         self.config.deadline)
         end = ends_l[k + 1] if k + 1 < n and fin_l[k] <= arr_l[k + 1] \
@@ -254,11 +213,12 @@ class EpochEngine:
         append = stream.outcomes.append
         new = StreamOutcome.__new__
         for j in range(k, end):
-            # Frozen-dataclass __init__ pays object.__setattr__ per
-            # field.  Storing into __dict__ field by field, in field
-            # order, builds the identical (never-again-mutated) outcome
-            # faster and keeps the class's shared key table, which a
-            # bulk update() would replace with a copy of its own.
+            # Priced only at commit: the plan never prices an arrival
+            # that the scalar machine serves.
+            charge = charges[j] or stream.charge(
+                records[j], points[idx_l[j]], ts_l[j], tsw_l[j])
+            point = charge[3]
+            # Built as ``StreamOutcome`` says, never mutated again.
             outcome = new(StreamOutcome)
             fields = outcome.__dict__
             fields["index"] = block[j].index
@@ -268,12 +228,12 @@ class EpochEngine:
                 arr_l[j]
             fields["t_slice"] = ts_l[j]
             fields["t_switch"] = tsw_l[j]
-            fields["t_exec"] = te_l[j]
-            fields["energy"] = en_l[j]
+            fields["t_exec"] = charge[0]
+            fields["energy"] = charge[1]
             fields["missed"] = miss_l[j]
-            fields["voltage"] = vo_l[j]
-            fields["frequency"] = fr_l[j]
-            fields["boosted"] = bo_l[j]
+            fields["voltage"] = point.voltage
+            fields["frequency"] = point.frequency
+            fields["boosted"] = point.is_boost
             fields["decision_s"] = decision_s
             fields["batch_size"] = 1
             append(outcome)
@@ -281,7 +241,7 @@ class EpochEngine:
         finish = fin_l[end - 1]
         stream.n_offered += m
         stream.now = finish
-        stream._previous = self._points[idx_l[end - 1]]
+        stream._previous = points[idx_l[end - 1]]
         # Within a run every non-final finish is at or before the next
         # arrival, so only the last one can still be in flight for any
         # later backlog query.

@@ -1,0 +1,55 @@
+"""The serve smokes: exact work counts of two virtual CLI runs.
+
+Both runs serve on the virtual clock, so every count pinned here is
+host-independent work:
+
+* **record replay** — h264 at Poisson 30 jobs/s, 2,000 jobs, seed 1:
+  the block planner commits 417 runs over 1,259 jobs, and the scalar
+  machine replays the other 741 predictions;
+* **live slice** — cjpeg at Poisson 60 jobs/s, 300 jobs, seed 1: a
+  live slice has to run, so the scalar machine serves every job, no
+  run is planned, and the slice runs once per job.
+
+Each run happens in a subprocess, as a user's CLI call does.  A change
+that moves the split between planned runs and the scalar machine has
+changed the work done and must re-pin these counts, saying why.
+"""
+
+import json
+
+import pytest
+
+from tests.integration.test_fig11_strict_gate import _repro
+
+
+def _serve_counters(tmp_path, *args):
+    """Counters of one ``repro serve --virtual --seed 1`` run."""
+    run_dir = tmp_path / "run"
+    result = _repro("serve", *args, "--virtual", "--seed", "1",
+                    "--run-dir", str(run_dir))
+    assert result.returncode == 0, result.stderr[-2000:]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    return manifest["metrics"]["counters"]
+
+
+def _conserved(counters):
+    """completed + fallback + shed, the terminal states of every
+    offered job."""
+    return sum(counters.get(f"serve.{state}", 0)
+               for state in ("completed", "fallback", "shed"))
+
+
+@pytest.mark.parametrize("args,counts", [
+    (("--benchmark", "h264", "--predictor", "record", "--rate", "30",
+      "--jobs", "2000"),
+     {"serve.offered": 2000, "serve.epochs": 417,
+      "serve.epoch_jobs": 1259, "serve.predict_runs": 741}),
+    (("--benchmark", "cjpeg", "--rate", "60", "--jobs", "300"),
+     {"serve.offered": 300, "serve.epochs": 0,
+      "serve.predict_runs": 300}),
+], ids=["record_replay", "live_slice"])
+def test_serve_smoke_counts_are_exact(tmp_path, args, counts):
+    counters = _serve_counters(tmp_path, *args)
+    assert {name: int(counters.get(name, 0)) for name in counts} \
+        == counts
+    assert _conserved(counters) == counts["serve.offered"]

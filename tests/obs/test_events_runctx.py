@@ -9,6 +9,9 @@ from repro.dvfs import (
     AsicVfModel,
     ConstantFrequencyController,
     JobActivity,
+    PidController,
+    PidGains,
+    PredictiveController,
     build_level_table,
 )
 from repro.obs import (
@@ -21,7 +24,7 @@ from repro.obs import (
 )
 from repro.obs.report import format_stage_table, render_run
 from repro.runtime import JobRecord, Task, run_episode
-from repro.units import MHZ, MS
+from repro.units import DVFS_SWITCH_TIME, MHZ, MS
 
 
 class FlatEnergyModel:
@@ -147,6 +150,34 @@ def test_render_run_full_report(tmp_path, levels):
     assert "bundle" in text and "fit" in text
     assert "baseline on cam: 4 jobs, 0 missed" in text
     assert "slack" in text  # the sparkline line
+
+
+def test_report_states_prediction_error_only_where_planned_on(tmp_path,
+                                                            levels):
+    """Every record carries an offline prediction, 20% high, but only
+    the prediction scheme plans on it: baseline and pid never read
+    it, so their digest lines state no prediction error."""
+    frequency = levels.nominal.frequency
+    cycles = int(frequency * 2 * MS)
+    jobs = [_job(i, cycles, predicted=1.2 * cycles) for i in range(4)]
+    task = Task("cam", deadline=10 * MS)
+    controllers = (
+        ConstantFrequencyController(levels),
+        PidController(levels, DVFS_SWITCH_TIME, gains=PidGains(0.4, 0.1,
+                                                               0.05)),
+        PredictiveController(levels, DVFS_SWITCH_TIME,
+                             charge_overheads=False))
+    run_dir = tmp_path / "run"
+    with session(run_dir=run_dir, command="experiment figX"):
+        for controller in controllers:
+            run_episode(controller, jobs, task, FlatEnergyModel())
+    lines = {line.split(" on ")[0].strip(): line
+             for line in render_run(run_dir).splitlines()
+             if " on cam: " in line}
+    assert set(lines) == {"baseline", "pid", "prediction_no_overhead"}
+    assert "mean |err|" not in lines["baseline"]
+    assert "mean |err|" not in lines["pid"]
+    assert lines["prediction_no_overhead"].endswith("mean |err| 20.00%")
 
 
 def test_format_stage_table_empty():

@@ -34,6 +34,7 @@ from repro.experiments import make_controller, tech_context
 from repro.obs import session
 from repro.rtl import BACKENDS, set_default_backend
 from repro.runtime import JobRecord
+from repro.runtime.jobs import charge_job
 from repro.serve import (
     COMPLETED,
     FALLBACK,
@@ -52,6 +53,7 @@ from repro.serve import (
     serve_streams,
     virtual_outcomes,
 )
+from repro.serve import server, vector
 from repro.serve.server import _check_result
 from repro.serve.stream import (
     burst_arrivals,
@@ -178,8 +180,11 @@ def test_vector_engine_generic_energy_model(asic_levels):
 def test_planned_charges_key_on_every_kernel_input(asic_levels):
     """Records sharing one ``JobActivity`` but differing in
     ``actual_cycles``, ``slice_cycles`` and ``predicted_cycles`` take
-    different times and energies: a plan that priced them once per
-    activity would commit wrong outcomes."""
+    different times, levels, switch cases and energies.  Both engines
+    price through one memo per stream, so a memo key that missed an
+    input would corrupt them alike: strict mode judges the outcomes
+    instead, with ``check_stream``'s ``time.exec`` and
+    ``energy.recompute`` rules, which price every job afresh."""
     rng = np.random.default_rng(17)
     light = int(asic_levels.nominal.frequency * 2 * MS)
     shared = JobActivity(cycles=light)
@@ -192,9 +197,47 @@ def test_planned_charges_key_on_every_kernel_input(asic_levels):
                   slice_cycles=int(rng.choice([100, 400])))
         for i in range(300)]
     jobs = stream_from_records(
-        records, poisson_arrivals(50.0, n_jobs=300, seed=19))
-    stream, _ = assert_engines_identical(asic_levels, "predictive", jobs)
+        records, poisson_arrivals(100.0, n_jobs=300, seed=19))
+    stream, result = assert_engines_identical(asic_levels, "predictive",
+                                              jobs, strict=True)
+    # Both paths priced jobs: planned runs, and coupled arrivals.
     assert stream.epoch_log
+    assert any(o.start > o.arrival for o in result.outcomes)
+    assert len({o.t_switch for o in result.outcomes}) == 2
+
+
+def test_each_kernel_input_is_priced_once_per_stream(asic_levels,
+                                                     monkeypatch):
+    """A Poisson stream of cycled records, loaded so that the block
+    plan and the scalar machine each serve at least a quarter of the
+    jobs: ``charge_job`` runs exactly once per distinct kernel input
+    among the executed outcomes.  So every priced job was committed
+    (the planner prices no arrival the scalar machine serves), and no
+    input is priced twice in a stream, on either path."""
+    records = spiky_records(asic_levels, n=40, seed=23)
+    jobs = stream_from_records(
+        records, poisson_arrivals(90.0, n_jobs=1200, seed=29))
+    priced = []
+
+    def counted(*args):
+        priced.append(args)
+        return charge_job(*args)
+
+    # Every call site of the kernel in the serving package.
+    for module in (server, vector):
+        monkeypatch.setattr(module, "charge_job", counted, raising=False)
+    for scalar in (True, False):
+        priced.clear()
+        stream, result = run_stream(asic_levels, "predictive", jobs,
+                                    scalar=scalar)
+        executed = [o for o in result.outcomes if o.executed]
+        keys = {(id(o.job.activity), o.job.actual_cycles,
+                 o.job.slice_cycles, o.voltage, o.frequency, o.boosted,
+                 o.t_slice, o.t_switch) for o in executed}
+        assert len(priced) == len(keys), scalar
+    planned = sum(n for _, n in stream.epoch_log)
+    assert planned >= len(jobs) / 4
+    assert len(executed) - planned >= len(jobs) / 4
 
 
 def test_missing_predictions_fall_back_identically(asic_levels):
