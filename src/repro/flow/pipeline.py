@@ -16,6 +16,7 @@ slice, the linear model in raw feature space, and the static costs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -62,6 +63,13 @@ class FlowConfig:
     auto_gamma_slack: float = 0.5     # pct-points tolerance on the path
     refit: bool = True
     lint: bool = True                 # reject designs with lint errors
+
+    def __post_init__(self) -> None:
+        self.training_config(self.gamma)  # validates alpha and gamma
+        if not (math.isfinite(self.auto_gamma_slack)
+                and self.auto_gamma_slack >= 0.0):
+            raise ValueError(f"auto_gamma_slack must be a finite number "
+                             f">= 0, got {self.auto_gamma_slack}")
 
     def training_config(self, gamma: float) -> TrainingConfig:
         """The TrainingConfig for a concrete gamma."""
@@ -160,7 +168,7 @@ def _fit_counts(observer) -> Dict[str, int]:
     # flow event's field names; the event carries a design's deltas.
     counters = observer.metrics.counters if observer is not None else {}
     return {f"fit_{name}": int(counters.get(f"flow.fit.{name}", 0))
-            for name in ("solves", "iterations", "unconverged")}
+            for name in ("solves", "iterations", "steps", "unconverged")}
 
 
 def generate_predictor(design: AcceleratorDesign,
@@ -177,8 +185,9 @@ def generate_predictor(design: AcceleratorDesign,
     disabled the spans are shared no-ops.
 
     ``workers`` (default: the ambient ``--jobs``/``REPRO_JOBS``
-    setting) parallelizes the record stage and the Lasso path across
-    processes; results are bit-identical to a serial run.  When a
+    setting) parallelizes the record stage and the Lasso path's refits
+    across processes (the path's gamma points run in process as one
+    lockstep batch); results are bit-identical to a serial run.  When a
     persistent artifact cache is configured (``--cache-dir`` or
     ``REPRO_CACHE_DIR``), the recorded feature matrix is reused across
     runs and the ``record`` stage is skipped entirely on a warm hit.

@@ -18,7 +18,7 @@ import numpy as np
 from ..analysis.features import FeatureMatrix
 from .training import (
     TrainingConfig,
-    _lasso_fit,
+    _lasso_fits,
     _nonzero,
     _refit,
     _trained_model,
@@ -62,20 +62,21 @@ def lasso_path(matrix: FeatureMatrix, alpha: float = 8.0,
     """Fit at every gamma; report sparsity and held-out error.
 
     Each point is :func:`~repro.model.training.fit_predictor` on the
-    same train split, scored on the held-out split.  A point's refit
-    depends only on the features its Lasso solve selects, so the path
-    runs the gamma points' Lasso solves, then one refit per distinct
-    non-empty selection.  Both sets of solves are independent, so
-    ``workers > 1`` distributes each over a process pool
-    (``workers=None`` follows the ambient ``--jobs``/``REPRO_JOBS``
-    setting); the returned path is identical to a serial run.
+    same train split, scored on the held-out split.  The gamma points'
+    Lasso problems share the split's standardized design and differ
+    only in gamma, so they run in process as one lockstep batch
+    (:func:`~repro.model.solver.solve_batch`).  A point's refit depends
+    only on the features its Lasso solve selects, so the path then runs
+    one refit per distinct non-empty selection; the refits are
+    independent, so ``workers > 1`` distributes them over a process
+    pool (``workers=None`` follows the ambient ``--jobs``/``REPRO_JOBS``
+    setting).  The returned path is identical to a serial run.
     """
     from ..parallel import pmap
 
     train, x_val, y_val = _split(matrix, val_fraction, seed)
     configs = [TrainingConfig(alpha=alpha, gamma=gamma) for gamma in gammas]
-    fits = pmap(functools.partial(_lasso_fit, train), configs,
-                jobs=workers, label="lasso_path.pmap")
+    fits = _lasso_fits(train, configs)
     selections = [tuple(_nonzero(fit.beta)) for fit in fits]
     distinct = list(dict.fromkeys(s for s in selections if s))
     refit = functools.partial(_refit, train,

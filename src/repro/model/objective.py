@@ -16,6 +16,7 @@ loss; the L1 term is handled by the proximal step of the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -41,10 +42,12 @@ class AsymmetricLassoObjective:
     penalize: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
+            raise ValueError(f"alpha must be a finite number >= 1, "
+                             f"got {self.alpha}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be a finite number >= 0, "
+                             f"got {self.gamma}")
         if self.x.ndim != 2 or self.y.ndim != 1:
             raise ValueError("x must be 2-D and y 1-D")
         if self.x.shape[0] != self.y.shape[0]:
@@ -61,26 +64,29 @@ class AsymmetricLassoObjective:
         return np.where(residuals >= 0.0, 1.0, self.alpha)
 
     def weighted_residual(self, beta: np.ndarray
-                          ) -> Tuple[np.ndarray, float]:
+                          ) -> Tuple[np.ndarray, np.ndarray]:
         """``(w * r, loss)`` at ``beta``, from one product with ``x``.
 
         ``r = x @ beta - y`` and ``w = residual_weights(r)``; the loss
         is :meth:`smooth_value`, and :meth:`grad_of` turns ``w * r``
-        into :meth:`smooth_grad`.
+        into :meth:`smooth_grad`.  ``beta`` may also be a stack of
+        coefficient rows, shape ``(..., n_coeffs)``: each row costs one
+        gemv and sums its loss along the contiguous last axis, so it
+        gets the bits it gets alone.
         """
-        r = self.x @ beta - self.y
+        r = beta @ self.x.T - self.y
         # alpha >= 1, so the minimum is r where r >= 0 and alpha * r
         # below: exactly residual_weights(r) * r.
         wr = np.minimum(r, self.alpha * r)
-        return wr, float(np.add.reduce(wr * r))
+        return wr, np.add.reduce(wr * r, axis=-1)
 
     def grad_of(self, wr: np.ndarray) -> np.ndarray:
         """The smooth loss's gradient from a :meth:`weighted_residual`."""
-        return 2.0 * (self.x.T @ wr)
+        return 2.0 * (wr @ self.x)
 
     def smooth_value(self, beta: np.ndarray) -> float:
         """The asymmetric squared loss (without the L1 term)."""
-        return self.weighted_residual(beta)[1]
+        return float(self.weighted_residual(beta)[1])
 
     def smooth_grad(self, beta: np.ndarray) -> np.ndarray:
         """Gradient of the asymmetric squared loss."""
@@ -105,17 +111,6 @@ class AsymmetricLassoObjective:
             return 1.0
         sigma = np.linalg.norm(self.x, 2)
         return max(2.0 * self.alpha * sigma * sigma, 1e-12)
-
-    def prox(self, beta: np.ndarray, step: float) -> np.ndarray:
-        """Soft-threshold the penalized coefficients."""
-        if self.gamma == 0.0:
-            return beta
-        threshold = self.gamma * step
-        out = beta.copy()
-        p = self.penalize
-        out[p] = np.sign(beta[p]) * np.maximum(np.abs(beta[p]) - threshold,
-                                               0.0)
-        return out
 
 
 def make_objective(x: np.ndarray, y: np.ndarray, alpha: float, gamma: float,

@@ -12,8 +12,9 @@ The pipeline mirrors Sec. 3.4 end to end:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from ..analysis.features import FeatureMatrix
 from ..obs import get_observer
 from .linear import LinearPredictor
 from .objective import make_objective
-from .solver import SolveResult, solve
+from .solver import SolveResult, solve_batch
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,13 @@ class TrainingConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
+            raise ValueError(f"alpha must be a finite number >= 1, "
+                             f"got {self.alpha}")
+        if self.gamma is not None and not (math.isfinite(self.gamma)
+                                           and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be a finite number >= 0, "
+                             f"got {self.gamma}")
 
 
 @dataclass
@@ -88,7 +92,7 @@ def fit_predictor(matrix: FeatureMatrix,
     """Train the execution-time predictor on a feature matrix."""
     if matrix.n_jobs < 2:
         raise ValueError("need at least two training jobs")
-    fit = _lasso_fit(matrix, config)
+    [fit] = _lasso_fits(matrix, [config])
     if config.refit:
         selected = _nonzero(fit.beta)
         if selected:
@@ -107,12 +111,18 @@ class _Fit:
     info: SolveResult
 
 
-def _lasso_fit(matrix: FeatureMatrix, config: TrainingConfig) -> _Fit:
-    # The L1-penalized selection solve over every candidate feature.
-    gamma = config.gamma if config.gamma is not None else 0.0
-    return _solve_standardized(matrix.x, matrix.cycles, config.alpha,
-                               gamma * matrix.n_jobs, config.max_iter,
-                               config.tol)
+def _lasso_fits(matrix: FeatureMatrix,
+                configs: Sequence[TrainingConfig]) -> List[_Fit]:
+    # The L1-penalized selection solves over every candidate feature,
+    # one per config.  The configs differ only in gamma, so the solves
+    # share one standardized design and run as one lockstep batch.
+    if not configs:
+        return []
+    first = configs[0]
+    gammas = [(c.gamma if c.gamma is not None else 0.0) * matrix.n_jobs
+              for c in configs]
+    return _solve_standardized(matrix.x, matrix.cycles, first.alpha,
+                               gammas, first.max_iter, first.tol)
 
 
 def _refit(matrix: FeatureMatrix, config: TrainingConfig,
@@ -121,9 +131,9 @@ def _refit(matrix: FeatureMatrix, config: TrainingConfig,
     # every candidate feature.  It depends on the selection and the
     # matrix, not on gamma, so gamma points that select the same
     # features can share one.
-    fit = _solve_standardized(matrix.x[:, selected], matrix.cycles,
-                              config.alpha, 0.0, config.max_iter,
-                              config.tol)
+    [fit] = _solve_standardized(matrix.x[:, selected], matrix.cycles,
+                                config.alpha, [0.0], config.max_iter,
+                                config.tol)
     beta = np.zeros(matrix.n_features)
     beta[selected] = fit.beta
     # Rebuild a full-width standardizer view for the mapping.
@@ -157,8 +167,9 @@ def _trained_model(matrix: FeatureMatrix, config: TrainingConfig,
 
 
 def _solve_standardized(x: np.ndarray, y: np.ndarray, alpha: float,
-                        gamma: float, max_iter: int, tol: float) -> _Fit:
-    """Solve in standardized space.
+                        gammas: Sequence[float], max_iter: int,
+                        tol: float) -> List[_Fit]:
+    """Solve in standardized space, one fit per gamma, as one batch.
 
     Every training solve passes here, so this is where the
     ``flow.fit.*`` work counters are kept.
@@ -170,15 +181,21 @@ def _solve_standardized(x: np.ndarray, y: np.ndarray, alpha: float,
         y_scale = 1.0
     ys = y / y_scale
     design = np.hstack([xs, np.ones((xs.shape[0], 1))])
-    objective = make_objective(design, ys, alpha=alpha, gamma=gamma,
-                               intercept_col=design.shape[1] - 1)
-    info = solve(objective, max_iter=max_iter, tol=tol)
+    infos = solve_batch(
+        [make_objective(design, ys, alpha=alpha, gamma=gamma,
+                        intercept_col=design.shape[1] - 1)
+         for gamma in gammas],
+        max_iter=max_iter, tol=tol)
     observer = get_observer()
     if observer is not None:
-        observer.metrics.inc("flow.fit.solves")
-        observer.metrics.inc("flow.fit.iterations", info.iterations)
-        observer.metrics.inc("flow.fit.unconverged", int(not info.converged))
-    return _Fit(info.beta[:-1], float(info.beta[-1]), std, y_scale, info)
+        iterations = [info.iterations for info in infos]
+        observer.metrics.inc("flow.fit.solves", len(infos))
+        observer.metrics.inc("flow.fit.iterations", sum(iterations))
+        observer.metrics.inc("flow.fit.steps", max(iterations))
+        observer.metrics.inc("flow.fit.unconverged",
+                             sum(not info.converged for info in infos))
+    return [_Fit(info.beta[:-1], float(info.beta[-1]), std, y_scale, info)
+            for info in infos]
 
 
 def _nonzero(beta: np.ndarray, rel_tol: float = 1e-6) -> List[int]:

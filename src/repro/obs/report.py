@@ -134,7 +134,8 @@ def summarize_perf(metrics: Dict) -> str:
         lines.append(
             f"  fit: {int(solves)} solve(s), "
             f"{int(counters.get('flow.fit.iterations', 0))} FISTA "
-            f"iteration(s), "
+            f"iteration(s) in {int(counters.get('flow.fit.steps', 0))} "
+            f"step(s), "
             f"{int(counters.get('flow.fit.unconverged', 0))} unconverged")
     offered = counters.get("serve.offered", 0)
     if offered:

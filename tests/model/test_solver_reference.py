@@ -6,11 +6,12 @@ verbatim: every iteration evaluated the momentum twice (gradient, then
 loss) and the accepted candidate twice (backtracking test, then
 objective value).  The current solver evaluates each visited point
 once and must still return the same coefficients, value, iteration
-count and convergence flag on every problem.
+count and convergence flag on every problem, both alone and as one
+member of a lockstep batch whose other members differ in gamma.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -166,15 +167,39 @@ def _problem(seed, n=80, p=6, alpha=8.0, gamma=0.0, order="C",
     return objective
 
 
-def _assert_bit_equal(objective, **kwargs):
-    ref = ReferenceObjective(objective)
-    expected = reference_solve(ref, **kwargs)
-    got = solver_mod.solve(objective, **kwargs)
+def _assert_same(got, expected):
     assert np.array_equal(got.beta, expected.beta)
     assert got.value == expected.value
     assert got.iterations == expected.iterations
     assert got.converged == expected.converged
+
+
+def _assert_bit_equal(objective, **kwargs):
+    ref = ReferenceObjective(objective)
+    expected = reference_solve(ref, **kwargs)
+    _assert_same(solver_mod.solve(objective, **kwargs), expected)
+    _assert_batch_bit_equal(objective, **kwargs)
     return ref, expected
+
+
+#: The other members of each case's batch: they share its design and
+#: differ in gamma, so they converge at other iterations, and gamma 0
+#: is never thresholded.
+BATCH_GAMMAS = (0.0, 0.01, 0.5, 3.0, 40.0)
+
+
+def _assert_batch_bit_equal(objective, **kwargs):
+    """The objective as the middle member of a mixed batch: every
+    member equals its own reference-loop run."""
+    others = [replace(objective, gamma=g) for g in BATCH_GAMMAS
+              if g != objective.gamma]
+    batch = others[:2] + [objective] + others[2:]
+    results = solver_mod.solve_batch(batch, **kwargs)
+    assert len(results) == len(batch)
+    for member, got in zip(batch, results):
+        _assert_same(got, reference_solve(ReferenceObjective(member),
+                                          **kwargs))
+    return results
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -193,6 +218,16 @@ def test_solve_matches_reference_with_intercept_exempt_from_l1():
     # The strong L1 zeroes every feature; only the intercept survives.
     assert np.all(result.beta[:-1] == 0.0)
     assert result.beta[-1] != 0.0
+
+
+def test_solve_matches_reference_with_the_intercept_first():
+    # The penalized columns are no prefix, so the batch gathers them.
+    base = _problem(9, gamma=0.5, intercept=False)
+    x = np.hstack([np.ones((base.x.shape[0], 1)), base.x])
+    objective = make_objective(x, base.y + 40.0, alpha=8.0, gamma=0.5,
+                               intercept_col=0)
+    assert not objective.penalize[0] and objective.penalize[1:].all()
+    _assert_bit_equal(objective, tol=1e-10)
 
 
 def test_solve_matches_reference_on_adaptive_restarts():
@@ -238,23 +273,51 @@ def test_solve_matches_reference_from_a_warm_start():
     _assert_bit_equal(objective, beta0=beta0, tol=1e-10)
 
 
+def test_batch_members_finish_at_their_own_iterations():
+    # The batch runs until its slowest member converges; the others
+    # leave it earlier with the results they get alone.
+    results = _assert_batch_bit_equal(_problem(2, gamma=0.5, order="F"),
+                                      tol=1e-10)
+    assert len({r.iterations for r in results}) > 1
+
+
+def test_batch_rejects_members_on_different_designs():
+    a, b = _problem(0), _problem(1)
+    with pytest.raises(ValueError, match="share x, y, alpha"):
+        solver_mod.solve_batch([a, b])
+    with pytest.raises(ValueError, match="share x, y, alpha"):
+        solver_mod.solve_batch([a, replace(a, alpha=2.0)])
+    assert solver_mod.solve_batch([]) == []
+
+
 def test_training_solves_match_reference_on_a_real_matrix(
         shared_bundle, monkeypatch):
-    """Every solve a real flow's training runs — the Lasso solves on
-    C-ordered designs and the refits on the F-ordered column gathers —
-    is bit-equal to the reference loop."""
+    """Every solve a real flow's training runs — the Lasso path's
+    gamma points as one batch, the final Lasso solves on C-ordered
+    designs and the refits on the F-ordered column gathers — is
+    bit-equal to the reference loop."""
+    from repro.model import lasso_path
+
     matrix = shared_bundle("djpeg", 0.05).package.train_matrix
-    seen = []
+    batches = []
 
-    def recording_solve(objective, **kwargs):
-        seen.append((objective, kwargs))
-        return solver_mod.solve(objective, **kwargs)
+    def recording_solve_batch(objectives, **kwargs):
+        batches.append((list(objectives), kwargs))
+        return solver_mod.solve_batch(objectives, **kwargs)
 
-    monkeypatch.setattr(training, "solve", recording_solve)
+    monkeypatch.setattr(training, "solve_batch", recording_solve_batch)
     for gamma in (1e-5, 1e-3):
         training.fit_predictor(matrix, training.TrainingConfig(gamma=gamma))
+    lasso_path(matrix, workers=1)
+    sizes = [len(objectives) for objectives, _ in batches]
+    assert max(sizes) == 11 and min(sizes) == 1
+    seen = [(obj, kwargs) for objectives, kwargs in batches
+            for obj in objectives]
     assert {obj.gamma == 0.0 for obj, _ in seen} == {True, False}
     layouts = {obj.x.flags.f_contiguous for obj, _ in seen}
     assert layouts == {True, False}
-    for objective, kwargs in seen:
-        _assert_bit_equal(objective, **kwargs)
+    for objectives, kwargs in batches:
+        results = solver_mod.solve_batch(objectives, **kwargs)
+        for objective, got in zip(objectives, results):
+            _assert_same(got, reference_solve(
+                ReferenceObjective(objective), **kwargs))

@@ -144,8 +144,8 @@ def test_lasso_path_refits_once_per_distinct_selection(shared_bundle,
     assert points == _path_by_definition(matrix)
     train = _split(matrix, 0.25, 0)[0]
     selections = [
-        tuple(lasso_mod._nonzero(lasso_mod._lasso_fit(
-            train, TrainingConfig(gamma=gamma)).beta))
+        tuple(lasso_mod._nonzero(lasso_mod._lasso_fits(
+            train, [TrainingConfig(gamma=gamma)])[0].beta))
         for gamma in DEFAULT_GAMMAS]
     distinct = {s for s in selections if s}
     assert len(distinct) < len(selections)  # selections repeat

@@ -87,3 +87,42 @@ def test_huge_dynamic_range():
     pred = model.predictor.predict(x)
     err = np.abs(pred - cycles) / cycles
     assert np.max(err) < 0.05
+
+
+NON_FINITE = [float("nan"), float("inf")]
+
+
+def _flow_config(**fields):
+    from repro.flow import FlowConfig
+    return FlowConfig(**fields)
+
+
+def _objective(**fields):
+    from repro.model import make_objective
+    params = {"alpha": 8.0, "gamma": 0.0, **fields}
+    return make_objective(np.ones((3, 2)), np.ones(3), **params)
+
+
+# One case per field that takes a float: NaN slipped through every
+# `< bound` test, and infinity through every lower bound.
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+@pytest.mark.parametrize("build,field", [
+    (TrainingConfig, "alpha"),
+    (TrainingConfig, "gamma"),
+    (_objective, "alpha"),
+    (_objective, "gamma"),
+    (_flow_config, "alpha"),
+    (_flow_config, "gamma"),
+    (_flow_config, "auto_gamma_slack"),
+], ids=["training-alpha", "training-gamma", "objective-alpha",
+        "objective-gamma", "flow-alpha", "flow-gamma", "flow-slack"])
+def test_non_finite_hyperparameters_are_rejected_by_name(build, field,
+                                                         value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite"):
+        build(**{field: value})
+
+
+def test_negative_auto_gamma_slack_is_rejected():
+    # A negative slack leaves no path point eligible for select_gamma.
+    with pytest.raises(ValueError, match="auto_gamma_slack"):
+        _flow_config(auto_gamma_slack=-0.1)

@@ -53,18 +53,19 @@ def test_flow_counts_training_solves_and_unconverged(tmp_path,
                                                      monkeypatch):
     """h264 at scale 0.05 stops some solves at ``max_iter``: the
     ``flow.fit.*`` counters, the ``flow`` event and the report's
-    ``fit:`` line all show every solve the flow ran."""
+    ``fit:`` line all show every solve the flow ran, and the lockstep
+    steps of its batches (the Lasso path's gamma points are one)."""
     from repro.model import training
     from repro.obs.report import render_run
 
-    results = []
-    real_solve = training.solve
+    batches = []
+    real_solve_batch = training.solve_batch
 
-    def recording_solve(objective, **kwargs):
-        results.append(real_solve(objective, **kwargs))
-        return results[-1]
+    def recording_solve_batch(objectives, **kwargs):
+        batches.append(real_solve_batch(objectives, **kwargs))
+        return batches[-1]
 
-    monkeypatch.setattr(training, "solve", recording_solve)
+    monkeypatch.setattr(training, "solve_batch", recording_solve_batch)
     run_dir = tmp_path / "flow"
     with session(run_dir=run_dir, command="fit counters") as obs:
         generate_predictor(get_design("h264"),
@@ -72,19 +73,26 @@ def test_flow_counts_training_solves_and_unconverged(tmp_path,
                            workers=1)
         counters = dict(obs.metrics.counters)
 
+    results = [r for batch in batches for r in batch]
     solves = len(results)
     iterations = sum(r.iterations for r in results)
+    steps = sum(max(r.iterations for r in batch) for batch in batches)
     unconverged = sum(not r.converged for r in results)
     assert unconverged > 0
+    assert max(len(batch) for batch in batches) == 11
+    assert steps < iterations
     assert counters["flow.fit.solves"] == solves
     assert counters["flow.fit.iterations"] == iterations
+    assert counters["flow.fit.steps"] == steps
     assert counters["flow.fit.unconverged"] == unconverged
     [event] = [e for e in read_events(run_dir / "events.jsonl")
                if e["type"] == "flow"]
     assert (event["fit_solves"], event["fit_iterations"],
-            event["fit_unconverged"]) == (solves, iterations, unconverged)
-    assert (f"  fit: {solves} solve(s), {iterations} FISTA iteration(s), "
-            f"{unconverged} unconverged") in render_run(run_dir)
+            event["fit_steps"], event["fit_unconverged"]) \
+        == (solves, iterations, steps, unconverged)
+    assert (f"  fit: {solves} solve(s), {iterations} FISTA iteration(s) "
+            f"in {steps} step(s), {unconverged} unconverged"
+            ) in render_run(run_dir)
 
 
 def test_fit_counters_survive_pool_workers():
