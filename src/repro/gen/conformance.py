@@ -8,8 +8,8 @@ checks spanning every layer of the repository:
 2. ``verilog`` — :func:`repro.rtl.to_verilog` emits a non-trivial
    netlist without crashing;
 3. ``backends`` — :func:`compare_backends`: ``stepjit`` agrees with
-   the ``interp`` oracle bit-for-bit on cycle count, final
-   architectural state, per-state residency, final FSM states,
+   the ``interp`` oracle bit-for-bit on cycle count, fast-forward
+   jumps, final state, per-state residency, final FSM states,
    ordered listener events and the feature vector a
    :class:`~repro.analysis.FeatureRecorder` records, with
    fast-forward both on and off;
@@ -148,8 +148,8 @@ Job = Tuple[Dict[str, int], Dict[str, Sequence[int]]]
 
 #: Fields each backend must match ``interp`` on, per job.
 COMPARED_FIELDS = {
-    "stepjit": ("cycles", "state", "state_cycles", "fsm_state", "events",
-                "features"),
+    "stepjit": ("cycles", "ff_jumps", "state", "state_cycles",
+                "fsm_state", "events", "features"),
 }
 
 
@@ -174,7 +174,7 @@ def _run_scalar(module, cls, job: Job, fast_forward: bool,
     _run_job(cls(module, listener=recorder, fast_forward=fast_forward),
              job, max_cycles)
     return {
-        "cycles": sim.cycle,
+        "cycles": sim.cycle, "ff_jumps": sim.ff_jumps,
         "state": dict(sim.state),
         "state_cycles": dict(sim.state_cycles),
         "fsm_state": dict(sim._fsm_state),

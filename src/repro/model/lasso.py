@@ -10,6 +10,7 @@ whose validation error is within a tolerance of the best.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -74,6 +75,9 @@ def lasso_path(matrix: FeatureMatrix, alpha: float = 8.0,
     """
     from ..parallel import pmap
 
+    if not (math.isfinite(val_fraction) and 0.0 < val_fraction < 1.0):
+        raise ValueError(f"val_fraction must be a finite number in "
+                         f"(0, 1), got {val_fraction}")
     train, x_val, y_val = _split(matrix, val_fraction, seed)
     configs = [TrainingConfig(alpha=alpha, gamma=gamma) for gamma in gammas]
     fits = _lasso_fits(train, configs)
@@ -108,6 +112,9 @@ def select_gamma(matrix: FeatureMatrix, alpha: float = 8.0,
                  ) -> Tuple[float, List[PathPoint]]:
     """Pick the sparsest gamma within ``accuracy_slack`` (percentage
     points of mean error) of the best point on the path."""
+    if not (math.isfinite(accuracy_slack) and accuracy_slack >= 0.0):
+        raise ValueError(f"accuracy_slack must be a finite number >= 0, "
+                         f"got {accuracy_slack}")
     points = lasso_path(matrix, alpha=alpha, gammas=gammas,
                         val_fraction=val_fraction, seed=seed,
                         workers=workers)

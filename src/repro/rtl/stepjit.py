@@ -6,46 +6,49 @@ one specialized Python function:
 
 * architectural state lives in slot-indexed locals (no dict lookups on
   the hot path; the flat list is only touched on entry/exit);
-* combinational wires are computed once per cycle, in topological
-  order, as plain locals — per-cycle memoization without ``_LazyEnv``;
-* arc selection, counters, update rules and the commit phase are fused
-  into straight-line code with the interpreter's exact ordering;
+* the loop head dispatches on the state of one FSM (the one with the
+  most states) and each branch is the cycle with that state known:
+  its state compares fold to constants, the other states' arc choices,
+  update rules and jump vetoes are left out, and only the wires the
+  branch reads are computed, as plain locals;
+* counters and registers nothing later in the cycle reads are written
+  in place; the rest are staged and committed with the interpreter's
+  exact ordering;
 * the fast-forward jump is preserved: ``_DepAnalysis``'s veto tables
   are emitted as boolean checks over per-counter "changing"/"zero-up"
-  flags, so the generated kernel skips the same stretches the
-  interpreter does and the committed state is identical;
+  flags, so the kernel jumps exactly where the interpreter does;
 * instrumentation comes in two variants, and the attached listener
   picks one.  A listener with an :class:`~repro.rtl.simulator.EventSlots`
   table (the feature recorder) gets its slots resolved at code
-  generation: each fired arc, counter load and counter reset adds to
-  the listener's ``accumulator`` inline (``_acc[k] += 1.0``,
-  ``_acc[k] += float(value)``), and an event without a slot emits
-  nothing.  Any other listener gets its callbacks called per event.
-  With no listener, no instrumentation code is emitted at all.
+  generation (``_acc[k] += 1.0``, ``_acc[k] += float(value)``); any
+  other listener gets its callbacks called per event.  With no
+  listener, no instrumentation code is emitted at all.
 
 Programs are cached per module (weakly) and per variant (elide set,
 state-cycle tracking, callbacks or slot table, fast-forward), and are
 pickle-safe: ``__reduce__`` pickles the source module plus the variant
-options (slot table included) and regenerates the code on load, so
-steppers cross process pools and the artifact cache.
+options and regenerates the code on load.
 
-The generated stepper is cycle-exact against the interpreter — the
-differential fuzz suite and the golden gate (``repro check
---backend stepjit``) both verify it end to end.
+The kernel is exact against the interpreter, jump for jump: the
+differential fuzz suite and the golden gate (``repro check --backend
+stepjit``) verify it end to end.
 """
 
 from __future__ import annotations
 
 import keyword
 import re
+from functools import partial
 from time import perf_counter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
+                    Tuple)
 from weakref import WeakKeyDictionary
 
 from ..obs import get_observer
 from .counter import Counter
-from .expr import _CMPOPS, _PYOPS, BinOp, Const, Expr, MemRead, Mux, Sig, UnOp
-from .fsm import Fsm
+from .expr import (_BINOPS, _CMPOPS, _PYOPS, _UNOPS, BinOp, Const, Expr,
+                   MemRead, Mux, Sig, UnOp, walk)
+from .fsm import Fsm, Transition
 from .module import Module
 from .simulator import (
     EventSlots,
@@ -84,7 +87,13 @@ class _Names:
 
 
 class _StepCompiler:
-    """Emits the specialized ``_step`` function for one module variant."""
+    """Emits the specialized ``_step`` function for one module variant.
+
+    The cycle body is emitted once per state of the dispatch FSM (the
+    module's FSM with the most states, first on a tie).  Inside a
+    branch that state is a known constant, which :meth:`fold` uses to
+    evaluate every expression it fixes.
+    """
 
     def __init__(self, module: Module, elide: FrozenSet[Tuple[str, str]],
                  track_state_cycles: bool, has_listener: bool,
@@ -118,6 +127,11 @@ class _StepCompiler:
         self.mem_local = {
             name: names.make("m_", name) for name in self.mem_names
         }
+        # Only a listener's callback could resize a memory mid-run.
+        self.mem_len = {
+            name: f"len({self.mem_local[name]})" if has_listener
+            else names.make("n_", name) for name in self.mem_names
+        }
         self.wire_local = {
             name: names.make("w_", name) for name in module.wire_order
         }
@@ -137,6 +151,19 @@ class _StepCompiler:
                     written.add(reg)
         self.pending_regs = [r for r in module.regs if r in written]
         self.p_local = {r: names.make("p_", r) for r in self.pending_regs}
+        self.dispatch: Optional[Fsm] = max(
+            self.fsms, key=lambda f: len(f.states), default=None)
+
+        # What one branch knows, reset by _emit_branch: the dispatch
+        # state and the signals it fixes (plus folded wires), the wires
+        # read, each FSM's possible arcs and whether one always fires,
+        # the jump's known ch_/zu_ flags and whether it has a length,
+        # the counters and registers written in place, and the rest.
+        self.state, self.known, self._folds, self.live = None, {}, {}, set()
+        self.arcs: Dict[int, List[Transition]] = {}
+        self.fires: Dict[int, Optional[bool]] = {}
+        self.flags: Dict[str, Optional[int]] = {}
+        self.eta, self.direct, self.staged = False, set(), []
 
         self._lines: List[str] = []
         self._indent = 1
@@ -151,6 +178,101 @@ class _StepCompiler:
     def pop(self) -> None:
         self._indent -= 1
 
+    def _break_if(self, cond: Optional[str]) -> None:
+        # None never holds, "1" always does.
+        if cond == "1":
+            self.w("break")
+        elif cond:
+            self.w(f"if {cond}:")
+            self.w("    break")
+
+    def _per_state(self, fsm: Fsm, emit: Callable[[str], None]) -> None:
+        """``emit(state)`` under an ``if st == code`` chain over the
+        states ``fsm`` can be in: just the branch's, for the dispatch
+        FSM."""
+        if fsm is self.dispatch:
+            emit(self.state)
+            return
+        head = "if"
+        for state, code in fsm.states.items():
+            start = len(self._lines)
+            self.w(f"{head} {self.scalar_local[fsm.state_signal]} == {code}:")
+            self.push()
+            emit(state)
+            self.pop()
+            if len(self._lines) == start + 1:
+                del self._lines[start]  # nothing to do in this state
+            else:
+                head = "elif"
+
+    # -- folding under the branch's known state --------------------------
+    def fold(self, expr: Optional[Expr]) -> Optional[int]:
+        """The value of ``expr`` when the branch's known state fixes it.
+
+        Every expression is pure, so an operand a constant makes
+        irrelevant (``0 & x``, an unselected mux input) is not needed.
+        """
+        if isinstance(expr, Const):
+            return expr.value
+        if isinstance(expr, Sig):
+            name = expr.name
+            if name in self.known:
+                return self.known[name]
+            wire = self.m.wires.get(name)
+            if wire is None:
+                return None
+            if name not in self._folds:
+                self._folds[name] = self.fold(wire.expr)
+            return self._folds[name]
+        if isinstance(expr, Mux):
+            sel = self.fold(expr.sel)
+            if sel is not None:
+                return self.fold(expr.a if sel else expr.b)
+            a = self.fold(expr.a)
+            return a if a is not None and a == self.fold(expr.b) else None
+        if isinstance(expr, UnOp):
+            a = self.fold(expr.a)
+            return None if a is None else _UNOPS[expr.op](a)
+        if isinstance(expr, BinOp):
+            a, b = self.fold(expr.a), self.fold(expr.b)
+            if a is not None and b is not None:
+                try:
+                    return _BINOPS[expr.op](a, b)
+                except (ArithmeticError, ValueError, MemoryError):
+                    return None  # raised at run time, as unfolded
+            if expr.op in ("and", "mul") and 0 in (a, b):
+                return 0
+            if expr.op == "or" and (a == 1 and self.is_bool(expr.b)
+                                    or b == 1 and self.is_bool(expr.a)):
+                return 1
+        return None
+
+    def truth(self, expr: Optional[Expr]) -> Optional[bool]:
+        """Whether ``expr`` holds in the whole branch (a missing one
+        does); None when only the run can tell."""
+        value = 1 if expr is None else self.fold(expr)
+        return None if value is None else bool(value)
+
+    def is_bool(self, expr: Expr) -> bool:
+        """True when ``expr`` can only be 0 or 1."""
+        if self.fold(expr) in (0, 1):
+            return True
+        if isinstance(expr, Sig):
+            wire = self.m.wires.get(expr.name)
+            return wire is not None and self.is_bool(wire.expr)
+        if isinstance(expr, UnOp):
+            return expr.op != "neg"
+        if isinstance(expr, BinOp):
+            if expr.op in _CMPOPS:
+                return True
+            if expr.op == "and":
+                return self.is_bool(expr.a) or self.is_bool(expr.b)
+            if expr.op in ("or", "xor"):
+                return self.is_bool(expr.a) and self.is_bool(expr.b)
+        if isinstance(expr, Mux):
+            return self.is_bool(expr.a) and self.is_bool(expr.b)
+        return False
+
     # -- expression rendering ------------------------------------------
     def ref(self, name: str) -> str:
         local = self.scalar_local.get(name)
@@ -158,39 +280,51 @@ class _StepCompiler:
             return local
         local = self.wire_local.get(name)
         if local is not None:
+            self.live.add(name)
             return local
         if name.startswith(_MEM_PREFIX):
             return self.mem_local[name[len(_MEM_PREFIX):]]
         raise KeyError(f"stepjit: unknown signal {name!r} in {self.m.name}")
 
     def render(self, expr: Expr) -> str:
-        if isinstance(expr, Const):
-            return repr(expr.value)
+        value = self.fold(expr)
+        if value is not None:
+            return repr(value)
         if isinstance(expr, Sig):
             return self.ref(expr.name)
         if isinstance(expr, MemRead):
             mem = self.mem_local[expr.memory]
+            size = self.mem_len[expr.memory]
             idx = self.render(expr.index)
             if _SIMPLE_ATOM.match(idx):
-                return f"({mem}[{idx}] if 0 <= {idx} < len({mem}) else 0)"
-            return (
-                "(lambda _d, _i: _d[_i] if 0 <= _i < len(_d) else 0)"
-                f"({mem}, {idx})"
-            )
+                return f"({mem}[{idx}] if 0 <= {idx} < {size} else 0)"
+            # The index is bound before the read (a nested read of the
+            # index rebinds _i first).
+            return f"({mem}[_i] if 0 <= (_i := {idx}) < {size} else 0)"
         if isinstance(expr, Mux):
+            sel = self.fold(expr.sel)
+            if sel is not None:
+                return self.render(expr.a if sel else expr.b)
             return (f"({self.render(expr.a)} if {self.cond(expr.sel)}"
                     f" else {self.render(expr.b)})")
         if isinstance(expr, UnOp):
-            a = self.render(expr.a)
             if expr.op == "not":
-                return f"(0 if {a} else 1)"
+                return f"(0 if {self.cond(expr.a)} else 1)"
             if expr.op == "bool":
-                return f"(1 if {a} else 0)"
-            return f"(-({a}))"
+                if self.is_bool(expr.a):
+                    return self.render(expr.a)
+                return f"(1 if {self.cond(expr.a)} else 0)"
+            return f"(-({self.render(expr.a)}))"
         if isinstance(expr, BinOp):
+            op = expr.op
+            # x | 0 is x; so is x & 1 when x is 0 or 1.
+            for keep, other in ((expr.a, expr.b), (expr.b, expr.a)):
+                if op == "or" and self.fold(other) == 0 or (
+                        op == "and" and self.fold(other) == 1
+                        and self.is_bool(keep)):
+                    return self.render(keep)
             a = self.render(expr.a)
             b = self.render(expr.b)
-            op = expr.op
             if op in _PYOPS:
                 return f"({a} {_PYOPS[op]} {b})"
             if op in _CMPOPS:
@@ -199,50 +333,72 @@ class _StepCompiler:
                 return f"(({a}) // ({b}) if ({b}) else 0)"
             if op == "mod":
                 return f"(({a}) % ({b}) if ({b}) else 0)"
-            if op == "min":
-                return f"min({a}, {b})"
-            if op == "max":
-                return f"max({a}, {b})"
+            if op in ("min", "max"):
+                if _SIMPLE_ATOM.match(a) and _SIMPLE_ATOM.match(b):
+                    # As _BINOPS computes it, without a call.
+                    less = "<" if op == "min" else ">"
+                    return f"({a} if {a} {less} {b} else {b})"
+                return f"{op}({a}, {b})"
         raise TypeError(f"cannot compile expression node {expr!r}")
+
+    def masked(self, expr: Expr, mask: int) -> str:
+        value = self.fold(expr)
+        if value is not None:
+            return repr(value & mask)
+        return f"({self.render(expr)}) & {mask}"
 
     def cond(self, expr: Optional[Expr]) -> str:
         """Render for a boolean context (integer truthiness)."""
-        if expr is None:
-            return "1"
-        if isinstance(expr, BinOp) and expr.op in _CMPOPS:
-            a = self.render(expr.a)
-            b = self.render(expr.b)
-            return f"{a} {_CMPOPS[expr.op]} {b}"
+        value = 1 if expr is None else self.fold(expr)
+        if value is not None:
+            return repr(value)
+        if isinstance(expr, BinOp):
+            if expr.op in _CMPOPS:
+                a = self.render(expr.a)
+                b = self.render(expr.b)
+                return f"{a} {_CMPOPS[expr.op]} {b}"
+            if expr.op in ("and", "or") and self.is_bool(expr.a) \
+                    and self.is_bool(expr.b):
+                # On 0/1 operands & and | are Python's and/or; a folded
+                # operand here is the identity (else the node folds).
+                parts = [self.cond(x) for x in (expr.a, expr.b)
+                         if self.fold(x) is None]
+                return f"({f' {expr.op} '.join(parts)})"
         if isinstance(expr, UnOp):
             if expr.op == "not":
                 return f"not ({self.cond(expr.a)})"
             if expr.op == "bool":
                 return self.cond(expr.a)
+        if isinstance(expr, Mux):
+            sel = self.fold(expr.sel)
+            if sel is not None:
+                return self.cond(expr.a if sel else expr.b)
         return self.render(expr)
+
+    def in_state(self, fsm: Fsm, state: str) -> Expr:
+        return BinOp("eq", Sig(fsm.state_signal), Const(fsm.code_of(state)))
 
     # -- veto tables ----------------------------------------------------
     def veto_terms(self, pair) -> List[str]:
-        """Boolean locals that, when set, veto a fast-forward jump."""
+        """Boolean locals that, when set, veto a fast-forward jump:
+        zero-compares are stable except on an up counter leaving 0."""
         unstable, zerocmp = pair
-        terms = []
-        for name in sorted(unstable):
-            flag = self.ch.get(name)
-            if flag is not None:
-                terms.append(flag)
-        for name in sorted(zerocmp):
-            # Zero-compares are stable except on an up counter leaving 0.
-            flag = self.zu.get(name)
-            if flag is not None:
-                terms.append(flag)
-        return terms
+        return ([self.ch[name] for name in sorted(unstable)
+                 if name in self.ch]
+                + [self.zu[name] for name in sorted(zerocmp)
+                   if name in self.zu])
 
-    def arc_veto_terms(self, fsm: Fsm, state: str) -> List[str]:
-        terms: List[str] = []
-        for t in fsm.transitions_from(state):
-            for term in self.veto_terms(self.deps.analyze(t.cond)):
-                if term not in terms:
-                    terms.append(term)
-        return terms
+    def any_flag(self, terms: Iterable[str]) -> Optional[str]:
+        """The flags' disjunction: ``"1"`` when one is known set, None
+        when all are known clear."""
+        live: List[str] = []
+        for term in terms:
+            known = self.flags[term]
+            if known:
+                return "1"
+            if known is None and term not in live:
+                live.append(term)
+        return " or ".join(live) or None
 
     # -- program assembly -----------------------------------------------
     def source(self) -> str:
@@ -259,15 +415,18 @@ class _StepCompiler:
         self.w("_ffj = 0")
         self.w("while cycle < max_cycles:")
         self.push()
-        self._emit_wires()
-        self._emit_done_check()
-        self._emit_arc_selection()
-        if self.fast_forward:
-            self._emit_fast_forward()
-        self._emit_counters()
-        self._emit_updates()
-        self._emit_arc_commit_prep()
-        self._emit_commit()
+        fsm = self.dispatch
+        states = [None] if fsm is None else list(fsm.states)
+        for n, state in enumerate(states):
+            if len(states) > 1:
+                st = self.scalar_local[fsm.state_signal]
+                self.w("else:" if n == len(states) - 1 else
+                       f"{'elif' if n else 'if'} {st} == "
+                       f"{fsm.code_of(state)}:")
+                self.push()
+            self._emit_branch(state)
+            if len(states) > 1:
+                self.pop()
         self.pop()
         self._emit_writeback()
         self.w("return (cycle, finished, _ffj)")
@@ -278,6 +437,8 @@ class _StepCompiler:
             self.w(f"{self.scalar_local[name]} = S[{slot}]")
         for slot, name in enumerate(self.mem_names):
             self.w(f"{self.mem_local[name]} = MEMS[{slot}]")
+            if not self.has_listener:
+                self.w(f"{self.mem_len[name]} = len(MEMS[{slot}])")
         for slot, fsm in enumerate(self.dyn_fsms):
             self.w(f"d_{self.fsms.index(fsm)} = DYN[{slot}]")
         if self.track:
@@ -298,87 +459,142 @@ class _StepCompiler:
         for slot, fsm in enumerate(self.dyn_fsms):
             self.w(f"DYN[{slot}] = d_{self.fsms.index(fsm)}")
 
-    def _emit_wires(self) -> None:
-        for name in self.m.wire_order:
-            wire = self.m.wires[name]
-            self.w(f"{self.wire_local[name]} = {self.render(wire.expr)}")
+    def _emit_branch(self, state: Optional[str]) -> None:
+        """One cycle with the dispatch FSM in ``state`` (None without
+        FSMs).  The wires each half reads come first; the tail's wait
+        until no jump was taken (a jump writes state only when taken)."""
+        self.state = state
+        self.known = {} if state is None else {
+            self.dispatch.state_signal: self.dispatch.code_of(state)}
+        self._folds = {}
+        outer, computed = self._lines, set()
+        for part in (self._emit_head, self._emit_tail):
+            self._lines, self.live = [], set()
+            more = part()
+            lines, wires = self._lines, []
+            # Reverse topological order: a live wire marks its inputs.
+            for name in reversed(self.m.wire_order):
+                if name in self.live and name not in computed:
+                    wires.append(f"{self.wire_local[name]} = "
+                                 f"{self.render(self.m.wires[name].expr)}")
+            computed |= self.live
+            self._lines = outer
+            for line in reversed(wires):
+                self.w(line)
+            outer.extend(lines)
+            if not more:
+                break
 
-    def _emit_done_check(self) -> None:
-        self.w(f"if {self.cond(self.m.done_expr)}:")
-        self.push()
-        self.w("finished = 1")
-        self.w("break")
-        self.pop()
+    def _emit_head(self) -> bool:
+        """The done check, arc selection and jump; False when the
+        module is done in the whole branch."""
+        done = self.truth(self.m.done_expr)
+        if done is None:
+            self.w(f"if {self.cond(self.m.done_expr)}:")
+            self.w("    finished = 1")
+            self.w("    break")
+        elif done:
+            self.w("finished = 1")
+            self.w("break")
+            return False
+        self._emit_arc_selection()
+        if self.fast_forward:
+            self._emit_fast_forward()
+        return True
+
+    def _emit_tail(self) -> bool:
+        self._emit_counters()
+        self._emit_updates()
+        self._emit_arc_commit_prep()
+        self._emit_commit()
+        return True
 
     # Phase 1: arc selection against pre-cycle state.
     def _emit_arc_selection(self) -> None:
+        self.arcs, self.fires = {}, {}
         for i, fsm in enumerate(self.fsms):
             if not fsm.transitions:
                 continue
-            self.w(f"t_{i} = -1")
-            st = self.scalar_local[fsm.state_signal]
-            opened = False
-            for state, code in fsm.states.items():
-                arcs = fsm.transitions_from(state)
-                if not arcs:
+            self.arcs[i], self.fires[i] = [], None
+            if fsm is self.dispatch:
+                gates, choices = self._arc_choices(i, fsm, self.state)
+                if not choices:
+                    self.fires[i] = False
                     continue
-                head = "if" if not opened else "elif"
-                opened = True
-                self.w(f"{head} {st} == {code}:")
-                self.push()
-                gates = 0
-                if (fsm.name, state) not in self.elide:
-                    counter = fsm.wait_states.get(state)
-                    if counter is not None:
-                        self.w(f"if {self.scalar_local[counter]} <= 0:")
-                        self.push()
-                        gates += 1
-                    if state in fsm.dynamic_waits:
-                        self.w(f"if d_{i} <= 0:")
-                        self.push()
-                        gates += 1
-                chained = False
-                for t in arcs:
-                    if t.cond is None:
-                        if chained:
-                            self.w("else:")
-                            self.push()
-                            self.w(f"t_{i} = {t.index}")
-                            self.pop()
-                        else:
-                            self.w(f"t_{i} = {t.index}")
-                        break
-                    head2 = "elif" if chained else "if"
-                    self.w(f"{head2} {self.cond(t.cond)}:")
-                    self.push()
-                    self.w(f"t_{i} = {t.index}")
-                    self.pop()
-                    chained = True
-                for _ in range(gates):
-                    self.pop()
-                self.pop()
+                if not gates and choices[-1][0] is None:
+                    self.fires[i] = True  # t_i only tells which arc
+                    if len(choices) == 1:
+                        self.arcs[i] = [choices[0][1]]
+                        continue
+            if self.fires[i] is None:
+                self.w(f"t_{i} = -1")
+            self._per_state(fsm, partial(self._emit_choices, i, fsm))
+
+    def _arc_choices(self, i: int, fsm: Fsm, state: str):
+        """A state's wait gates and its (condition, arc) choices in
+        priority order; a None condition always holds."""
+        gates = []
+        if (fsm.name, state) not in self.elide:
+            counter = fsm.wait_states.get(state)
+            if counter is not None:
+                gates.append(f"{self.scalar_local[counter]} <= 0")
+            if state in fsm.dynamic_waits:
+                gates.append(f"d_{i} <= 0")
+        choices = []
+        for t in fsm.transitions_from(state):
+            holds = self.truth(t.cond)
+            if holds is False:
+                continue
+            choices.append((None if holds else self.cond(t.cond), t))
+            if holds:
+                break
+        return gates, choices
+
+    def _emit_choices(self, i: int, fsm: Fsm, state: str) -> None:
+        gates, choices = self._arc_choices(i, fsm, state)
+        self.arcs[i] += [t for _text, t in choices]
+        if gates and choices:
+            self.w(f"if {' and '.join(gates)}:")
+            self.push()
+        for n, (text, t) in enumerate(choices):
+            if text is None and not n:
+                self.w(f"t_{i} = {t.index}")
+                break
+            self.w("else:" if text is None else
+                   f"{'elif' if n else 'if'} {text}:")
+            self.w(f"    t_{i} = {t.index}")
+        if gates and choices:
+            self.pop()
 
     # The fast-forward jump: mirrors Simulation._try_skip exactly.
     def _emit_fast_forward(self) -> None:
-        fired_terms = [f"t_{i} < 0" for i, fsm in enumerate(self.fsms)
-                       if fsm.transitions]
-        self.w(f"if {' and '.join(fired_terms) if fired_terms else '1'}:")
-        self.push()
+        if any(self.fires.values()):
+            return  # an arc fires in every cycle of the branch
+        start, live, indent = len(self._lines), set(self.live), self._indent
+        terms = [f"t_{i} < 0" for i, fires in self.fires.items()
+                 if fires is None]
+        if terms:
+            self.w(f"if {' and '.join(terms)}:")
+            self.push()
+        self.flags, self.eta = {}, False
         self.w("_j = 0")
         self.w("while 1:")
         self.push()
+        scan = len(self._lines)
         self.w("_r = -1")
         self._emit_skip_counters()
-        self._emit_skip_fsm_scan()
-        self.w("if _r < 0:")
-        self.push()
-        self.w("break")
-        self.pop()
+        for i, fsm in enumerate(self.fsms):
+            self._per_state(fsm, partial(self._emit_skip_state, i, fsm))
+        self._break_if("_r < 0")
         self._emit_skip_vetoes()
-        self.w("if _r <= 1:")
-        self.push()
-        self.w("break")
-        self.pop()
+        self._break_if("_r <= 1")
+        # An unconditional break, or no stretch length, rules out every
+        # jump in the branch: drop the block.
+        if not self.eta or "    " * self._indent + "break" in \
+                self._lines[scan:]:
+            del self._lines[start:]
+            self.live, self._indent = live, indent
+            return
         self.w("_j = _r")
         self.w("break")
         self.pop()
@@ -386,217 +602,244 @@ class _StepCompiler:
         self.push()
         self._emit_skip_commit()
         self.w("continue")
-        self.pop()
-        self.pop()
+        self._indent = indent
+
+    def _emit_eta(self, flag: str, eta: str) -> None:
+        # _r = min(_r, eta) while the flag's counter changes.
+        known = self.flags[flag]
+        if known == 0:
+            return
+        if known is None:
+            self.w(f"if {flag}:")
+            self.push()
+        self.w(f"_t = {eta}")
+        self.w("if _r < 0 or _t < _r:")
+        self.w("    _r = _t")
+        if known is None:
+            self.pop()
+        self.eta = True
 
     def _emit_skip_counters(self) -> None:
         for c in self.down:
-            v = self.scalar_local[c.name]
-            guard = f"{v} > 0"
-            if c.enable is not None:
-                guard += f" and ({self.cond(c.enable)})"
-            self.w(f"{self.ch[c.name]} = 1 if {guard} else 0")
-            self.w(f"if {self.ch[c.name]}:")
-            self.push()
-            eta = v if c.step == 1 else f"-(-{v} // {c.step})"
-            self.w(f"_t = {eta}")
-            self.w("if _r < 0 or _t < _r:")
-            self.push()
-            self.w("_r = _t")
-            self.pop()
-            self.pop()
+            v, ch = self.scalar_local[c.name], self.ch[c.name]
+            enabled = self.truth(c.enable)
+            self.flags[ch] = 0 if enabled is False else None
+            if enabled is not False:
+                guard = f"{v} > 0"
+                if not enabled:
+                    guard += f" and ({self.cond(c.enable)})"
+                self.w(f"{ch} = {guard}")
+            self._emit_eta(ch, v if c.step == 1 else f"-(-{v} // {c.step})")
         for c in self.up:
-            v = self.scalar_local[c.name]
-            if c.load_cond is not None:
-                self.w(f"if {self.cond(c.load_cond)}:")
-                self.push()
-                self.w("break")  # a reset would fire this cycle
-                self.pop()
-            if c.enable is None:
-                self.w(f"{self.ch[c.name]} = 1")
-            else:
-                self.w(f"{self.ch[c.name]} = "
-                       f"1 if {self.cond(c.enable)} else 0")
-            self.w(f"{self.zu[c.name]} = "
-                   f"1 if {self.ch[c.name]} and {v} == 0 else 0")
-            self.w(f"if {self.ch[c.name]}:")
-            self.push()
-            self.w(f"_t = ({c.mask} - {v}) // {c.step}")  # wrap bound
-            self.w("if _r < 0 or _t < _r:")
-            self.push()
-            self.w("_r = _t")
-            self.pop()
-            self.pop()
+            v, ch, zu = (self.scalar_local[c.name], self.ch[c.name],
+                         self.zu[c.name])
+            if c.load_cond is not None:  # a reset would fire this cycle
+                reset = self.truth(c.load_cond)
+                self._break_if(
+                    self.cond(c.load_cond) if reset is None
+                    else "1" if reset else None)
+            enabled = self.truth(c.enable)
+            self.flags[ch] = 0 if enabled is False else 1 if enabled \
+                else None
+            self.flags[zu] = 0 if enabled is False else None
+            if enabled is None:
+                self.w(f"{ch} = {self.cond(c.enable)}")
+            if enabled is not False:
+                self.w(f"{zu} = {'' if enabled else ch + ' and '}{v} == 0")
+            self._emit_eta(ch, f"({c.mask} - {v}) // {c.step}")  # wrap
 
-    def _emit_skip_fsm_scan(self) -> None:
-        for i, fsm in enumerate(self.fsms):
-            st = self.scalar_local[fsm.state_signal]
-            branches: List[Tuple[int, List[str]]] = []
-            for state, code in fsm.states.items():
-                body: List[str] = []
-                elided = (fsm.name, state) in self.elide
-                counter = fsm.wait_states.get(state)
-                arc_terms = self.arc_veto_terms(fsm, state)
-                if counter is not None and not elided:
-                    body.append(f"if {self.scalar_local[counter]} > 0:")
-                    body.append(f"    if not {self.ch[counter]}:")
-                    body.append("        break")  # parked, no ETA
-                    if arc_terms:
-                        body.append("else:")
-                        body.append(f"    if {' or '.join(arc_terms)}:")
-                        body.append("        break")
-                elif state in fsm.dynamic_waits and not elided:
-                    body.append(f"if d_{i} > 0:")
-                    body.append(f"    if _r < 0 or d_{i} < _r:")
-                    body.append(f"        _r = d_{i}")
-                    if arc_terms:
-                        body.append("else:")
-                        body.append(f"    if {' or '.join(arc_terms)}:")
-                        body.append("        break")
-                elif arc_terms:
-                    body.append(f"if {' or '.join(arc_terms)}:")
-                    body.append("    break")
-                if body:
-                    branches.append((code, body))
-            opened = False
-            for code, body in branches:
-                head = "if" if not opened else "elif"
-                opened = True
-                self.w(f"{head} {st} == {code}:")
-                self.push()
-                for line in body:
-                    self.w(line)
-                self.pop()
+    def _emit_skip_state(self, i: int, fsm: Fsm, state: str) -> None:
+        """One state's part of the jump scan: a parked FSM's ETA, or the
+        vetoes of arcs a jump could make fire."""
+        veto = self.any_flag(
+            term for t in fsm.transitions_from(state)
+            for term in self.veto_terms(self.deps.analyze(t.cond)))
+        elided = (fsm.name, state) in self.elide
+        counter = None if elided else fsm.wait_states.get(state)
+        if counter is None and (elided or state not in fsm.dynamic_waits):
+            self._break_if(veto)
+            return
+        if counter is not None:
+            known = self.flags[self.ch[counter]]
+            self.w(f"if {self.scalar_local[counter]} > 0:")
+            self.push()
+            self._break_if(  # parked on a counter that does not count
+                "1" if known == 0 else None if known
+                else f"not {self.ch[counter]}")
+        else:
+            self.w(f"if d_{i} > 0:")
+            self.push()
+            self.w(f"if _r < 0 or d_{i} < _r:")
+            self.w(f"    _r = d_{i}")
+            self.eta = True
+        if self._lines[-1].endswith(":"):
+            self.w("pass")
+        self.pop()
+        if veto:
+            self.w("else:")
+            self.push()
+            self._break_if(veto)
+            self.pop()
 
     def _emit_skip_vetoes(self) -> None:
         # Unconditional vetoes: counter load/enable deps, update deps,
         # and done-expression deps (order of abort checks is free — all
         # evaluations are pure).
-        terms: List[str] = []
-        for c in self.down + self.up:
-            lu, lz = self.deps.analyze(c.load_cond)
-            eu, ez = self.deps.analyze(c.enable)
-            for term in self.veto_terms((lu | eu, lz | ez)):
-                if term not in terms:
-                    terms.append(term)
-        for upd in self.m.updates:
-            for term in self.veto_terms(self.deps.analyze(upd.cond)):
-                if term not in terms:
-                    terms.append(term)
-        for term in self.veto_terms(self.deps.analyze(self.m.done_expr)):
-            if term not in terms:
-                terms.append(term)
-        if terms:
-            self.w(f"if {' or '.join(terms)}:")
-            self.push()
-            self.w("break")
-            self.pop()
+        pairs = [self.deps.analyze(e) for c in self.down + self.up
+                 for e in (c.load_cond, c.enable)]
+        pairs += [self.deps.analyze(upd.cond) for upd in self.m.updates]
+        pairs.append(self.deps.analyze(self.m.done_expr))
+        self._break_if(self.any_flag(
+            term for pair in pairs for term in self.veto_terms(pair)))
         for c in self.down:
             # A load on a non-counting down counter would fire mid-jump.
-            self.w(f"if not {self.ch[c.name]} and "
-                   f"({self.cond(c.load_cond)}):")
-            self.push()
-            self.w("break")
-            self.pop()
+            counting = self.flags[self.ch[c.name]]
+            load = self.truth(c.load_cond)
+            if not counting and load is not False:
+                parts = ([] if counting == 0 else [f"not {self.ch[c.name]}"])
+                if not load:
+                    parts.append(f"({self.cond(c.load_cond)})")
+                self._break_if(" and ".join(parts) or "1")
         for upd in self.m.updates:
             # A register write that fires this cycle forbids jumping.
-            guard = self.cond(upd.cond)
-            if upd.fsm is not None:
-                fsm = self.m.fsms[upd.fsm]
-                st = self.scalar_local[fsm.state_signal]
-                code = fsm.code_of(upd.state)
-                guard = (f"{st} == {code} and ({guard})"
-                         if upd.cond is not None else f"{st} == {code}")
-            self.w(f"if {guard}:")
-            self.push()
-            self.w("break")
-            self.pop()
+            guard = [upd.cond] if upd.fsm is None else [
+                self.in_state(self.m.fsms[upd.fsm], upd.state), upd.cond]
+            holds = [self.truth(e) for e in guard]
+            if False not in holds:
+                self._break_if(" and ".join(
+                    f"({self.cond(e)})" for e, h in zip(guard, holds)
+                    if h is None) or "1")
 
     def _emit_skip_commit(self) -> None:
-        for c in self.down:
-            v = self.scalar_local[c.name]
-            self.w(f"if {self.ch[c.name]}:")
-            self.push()
-            delta = "_j" if c.step == 1 else f"_j * {c.step}"
-            self.w(f"_t = {v} - {delta}")
-            self.w(f"{v} = _t if _t > 0 else 0")
-            self.pop()
-        for c in self.up:
-            v = self.scalar_local[c.name]
-            self.w(f"if {self.ch[c.name]}:")
-            self.push()
-            delta = "_j" if c.step == 1 else f"_j * {c.step}"
-            self.w(f"{v} = ({v} + {delta}) & {c.mask}")
-            self.pop()
-        for i, fsm in enumerate(self.fsms):
-            st = self.scalar_local[fsm.state_signal]
-            live_dyn = [code for state, code in fsm.states.items()
-                        if state in fsm.dynamic_waits
-                        and (fsm.name, state) not in self.elide]
-            if live_dyn:
-                parked = " or ".join(f"{st} == {code}" for code in live_dyn)
-                self.w(f"if ({parked}) and d_{i} > 0:")
+        for c in self.down + self.up:
+            v, ch = self.scalar_local[c.name], self.ch[c.name]
+            known = self.flags[ch]
+            if known == 0:
+                continue
+            if known is None:
+                self.w(f"if {ch}:")
                 self.push()
-                self.w(f"d_{i} -= _j")
+            delta = "_j" if c.step == 1 else f"_j * {c.step}"
+            if c.mode == "down":
+                self.w(f"_t = {v} - {delta}")
+                self.w(f"{v} = _t if _t > 0 else 0")
+            else:
+                self.w(f"{v} = ({v} + {delta}) & {c.mask}")
+            if known is None:
                 self.pop()
+        for i, fsm in enumerate(self.fsms):
+            parked = [self.cond(self.in_state(fsm, state))
+                      for state in fsm.states
+                      if state in fsm.dynamic_waits
+                      and (fsm.name, state) not in self.elide
+                      and self.truth(self.in_state(fsm, state)) is not False]
+            if parked:
+                test = "" if "1" in parked else f"({' or '.join(parked)}) and "
+                self.w(f"if {test}d_{i} > 0:")
+                self.w(f"    d_{i} -= _j")
             if fsm.dynamic_waits:
                 busy = self.scalar_local[fsm.dynbusy_signal]
                 self.w(f"{busy} = 1 if d_{i} > 0 else 0")
             if self.track:
+                st = self.known.get(fsm.state_signal,
+                                    self.scalar_local[fsm.state_signal])
                 self.w(f"SC_{i}[{st}] += _j")
         self.w("cycle += _j")
         self.w("_ffj += 1")
         self._emit_on_cycle()
 
     # Phase 2a: counters.
+    def _direct_writes(self) -> Set[str]:
+        """The counters and registers whose next value can go straight
+        to their local: nothing evaluated after their first write in
+        the cycle reads them (wires are computed up front).  The rest
+        are staged in ``cn_``/``p_`` locals and committed at the end."""
+        # (written name, expression read first) in evaluation order; a
+        # list of step lists holds alternatives: an FSM fires one arc.
+        steps: List = []
+        for c in self.down + self.up:
+            steps += [(None, c.load_cond), (None, c.enable),
+                      (c.name, c.load_value)]
+        for upd in self._branch_updates():
+            steps += [(None, upd.cond), (upd.reg, upd.value)]
+        for i, arcs in self.arcs.items():
+            waits = self.fsms[i].dynamic_waits
+            steps.append([list(t.actions) + [(None, waits.get(t.dst))]
+                          for t in arcs])
+        written: Set[str] = set()
+        staged: Set[str] = set()
+
+        def scan(steps: List, later: Set[str]) -> Set[str]:
+            later = set(later)
+            for step in reversed(steps):
+                if isinstance(step, list):
+                    later = later.union(*(scan(alt, later) for alt in step))
+                    continue
+                name, expr = step
+                if name is not None:
+                    written.add(name)
+                    if name in later:
+                        staged.add(name)
+                if expr is not None:
+                    later.update(node.name for node in walk(expr)
+                                 if isinstance(node, Sig))
+            return later
+
+        scan(steps, set())
+        return written - staged
+
     def _emit_counters(self) -> None:
-        for c in self.down:
+        self.direct = self._direct_writes()
+        self.staged = []
+        for c in self.down + self.up:
             v = self.scalar_local[c.name]
-            cn = self.cn[c.name]
-            self.w(f"{cn} = -1")
-            self.w(f"if {self.cond(c.load_cond)}:")
-            self.push()
-            self.w(f"{cn} = ({self.render(c.load_value)}) & {c.mask}")
-            if self.has_listener:
-                self.w(f"_lcl({c.name!r}, {cn})")
-            if self.slots is not None:
-                self._emit_slot_pair(self.slots.loads, c.name, cn)
-            self.pop()
-            guard = f"{v} > 0"
-            if c.enable is not None:
-                guard += f" and ({self.cond(c.enable)})"
-            self.w(f"elif {guard}:")
-            self.push()
-            self.w(f"_t = {v} - {c.step}")
-            self.w(f"{cn} = _t if _t > 0 else 0")
-            self.pop()
-        for c in self.up:
-            v = self.scalar_local[c.name]
-            cn = self.cn[c.name]
-            self.w(f"{cn} = -1")
-            head = "if"
-            if c.load_cond is not None:
-                self.w(f"if {self.cond(c.load_cond)}:")
-                self.push()
-                self.w(f"{cn} = 0")
-                if self.has_listener:
-                    self.w(f"_lcr({c.name!r}, {v})")
-                if self.slots is not None:
-                    self._emit_slot_pair(self.slots.resets, c.name, v)
-                self.pop()
-                head = "elif"
-            if c.enable is None:
-                if head == "elif":
-                    self.w("else:")
+            target = v if c.name in self.direct else self.cn[c.name]
+            down = c.mode == "down"
+            load = c.load_cond is not None and self.truth(c.load_cond)
+            enabled = self.truth(c.enable)
+            if load is False and enabled is False:
+                continue  # holds its value in the whole branch
+            if target != v:
+                self.w(f"{target} = -1")
+                self.staged.append(c.name)
+            if load is not False:
+                if load is None:
+                    self.w(f"if {self.cond(c.load_cond)}:")
                     self.push()
-                    self.w(f"{cn} = ({v} + {c.step}) & {c.mask}")
-                    self.pop()
+                if down:
+                    self.w(f"{target} = "
+                           f"{self.masked(c.load_value, c.mask)}")
+                    if self.has_listener:
+                        self.w(f"_lcl({c.name!r}, {target})")
+                    if self.slots is not None:
+                        self._emit_slot_pair(self.slots.loads, c.name,
+                                             target)
                 else:
-                    self.w(f"{cn} = ({v} + {c.step}) & {c.mask}")
-            else:
-                self.w(f"{head} {self.cond(c.enable)}:")
+                    if self.has_listener:
+                        self.w(f"_lcr({c.name!r}, {v})")
+                    if self.slots is not None:
+                        self._emit_slot_pair(self.slots.resets, c.name, v)
+                    self.w(f"{target} = 0")
+                if load:
+                    continue  # loaded in every cycle of the branch
+                self.pop()
+            if enabled is False:
+                continue
+            guard = [f"{v} > 0"] if down else []
+            if not enabled:
+                guard.append(f"({self.cond(c.enable)})")
+            if guard or load is None:
+                self.w(f"{'elif' if load is None else 'if'} "
+                       f"{' and '.join(guard)}:" if guard else "else:")
                 self.push()
-                self.w(f"{cn} = ({v} + {c.step}) & {c.mask}")
+            if down and c.step == 1:
+                self.w(f"{target} = {v} - 1")  # exact: {v} > 0 here
+            elif down:
+                self.w(f"_t = {v} - {c.step}")
+                self.w(f"{target} = _t if _t > 0 else 0")
+            else:
+                self.w(f"{target} = ({v} + {c.step}) & {c.mask}")
+            if guard or load is None:
                 self.pop()
 
     def _emit_slot_pair(self, pairs: Dict, counter: str, value: str) -> None:
@@ -609,119 +852,127 @@ class _StepCompiler:
             self.w(f"_acc[{total}] += float({value})")
 
     # Phase 2b: update rules (globals first, then state-bound ones).
-    def _emit_updates(self) -> None:
-        for reg in self.pending_regs:
-            self.w(f"{self.p_local[reg]} = None")
-        for upd in self.m.updates:
-            if upd.fsm is None:
-                self._emit_one_update(upd)
-        for fsm in self.fsms:
-            per_state: Dict[str, List] = {}
-            for upd in self.m.updates:
-                if upd.fsm == fsm.name:
-                    per_state.setdefault(upd.state, []).append(upd)
-            if not per_state:
-                continue
-            st = self.scalar_local[fsm.state_signal]
-            opened = False
-            for state, code in fsm.states.items():
-                upds = per_state.get(state)
-                if not upds:
-                    continue
-                head = "if" if not opened else "elif"
-                opened = True
-                self.w(f"{head} {st} == {code}:")
-                self.push()
-                for upd in upds:
-                    self._emit_one_update(upd)
-                self.pop()
+    def _branch_updates(self) -> List:
+        """The update rules that can fire in this branch, in emission
+        order."""
+        live = [upd for upd in self.m.updates
+                if self.truth(upd.cond) is not False and (
+                    upd.fsm is None or self.truth(self.in_state(
+                        self.m.fsms[upd.fsm], upd.state)) is not False)]
+        return [upd for owner in [None] + [f.name for f in self.fsms]
+                for upd in live if upd.fsm == owner]
 
-    def _emit_one_update(self, upd) -> None:
-        target = self.p_local[upd.reg]
-        if upd.cond is None:
-            self.w(f"{target} = {self.render(upd.value)}")
+    def _write(self, reg: str, value: Expr) -> None:
+        # A register write: in place (masked) or staged for the commit.
+        if reg in self.direct:
+            self.w(f"{self.scalar_local[reg]} = "
+                   f"{self.masked(value, self.m.regs[reg].mask)}")
         else:
-            self.w(f"if {self.cond(upd.cond)}:")
-            self.push()
-            self.w(f"{target} = {self.render(upd.value)}")
-            self.pop()
+            self.w(f"{self.p_local[reg]} = {self.render(value)}")
+
+    def _emit_updates(self) -> None:
+        updates = self._branch_updates()
+        regs = {upd.reg for upd in updates}
+        for arcs in self.arcs.values():
+            regs.update(reg for t in arcs for reg, _value in t.actions)
+        for reg in self.pending_regs:
+            if reg in regs and reg not in self.direct:
+                self.w(f"{self.p_local[reg]} = None")
+                self.staged.append(reg)
+        self._emit_updates_in(None, updates, None)
+        for fsm in self.fsms:
+            self._per_state(fsm, partial(self._emit_updates_in, fsm.name,
+                                         updates))
+
+    def _emit_updates_in(self, fsm: Optional[str], updates: List,
+                         state: Optional[str]) -> None:
+        for upd in updates:
+            if upd.fsm == fsm and upd.state == state:
+                holds = self.truth(upd.cond)
+                if holds is None:
+                    self.w(f"if {self.cond(upd.cond)}:")
+                    self.push()
+                self._write(upd.reg, upd.value)
+                if holds is None:
+                    self.pop()
 
     # Phase 2c: fired arcs — next state, entry actions, dynamic waits.
     def _emit_arc_commit_prep(self) -> None:
         for i, fsm in enumerate(self.fsms):
-            if not fsm.transitions:
+            arcs = self.arcs.get(i)
+            if not arcs:
                 continue
-            if fsm.dynamic_waits:
+            into = [t.dst in fsm.dynamic_waits for t in arcs]
+            if any(into) and not all(into):
                 self.w(f"nd_{i} = -1")
-            self.w(f"if t_{i} >= 0:")
-            self.push()
-            opened = False
-            for t in fsm.transitions:
-                head = "if" if not opened else "elif"
-                opened = True
-                self.w(f"{head} t_{i} == {t.index}:")
+            start = len(self._lines)
+            if not self.fires[i]:
+                self.w(f"if t_{i} >= 0:")
                 self.push()
-                self.w(f"ns_{i} = {fsm.code_of(t.dst)}")
-                for reg, value in t.actions:
-                    self.w(f"{self.p_local[reg]} = {self.render(value)}")
-                if t.dst in fsm.dynamic_waits:
-                    if (fsm.name, t.dst) in self.elide:
-                        self.w(f"nd_{i} = 0")
-                    else:
-                        duration = fsm.dynamic_waits[t.dst]
-                        self.w(f"_t = {self.render(duration)}")
-                        self.w(f"nd_{i} = _t if _t > 0 else 0")
-                if self.has_listener:
-                    self.w(f"_lt({fsm.name!r}, {t.src!r}, {t.dst!r})")
-                if self.slots is not None:
-                    k = self.slots.transitions.get(
-                        (fsm.name, t.src, t.dst))
-                    if k is not None:
-                        self.w(f"_acc[{k}] += 1.0")
+            for n, t in enumerate(arcs):
+                if len(arcs) > 1:
+                    self.w("else:" if n == len(arcs) - 1 else
+                           f"{'elif' if n else 'if'} t_{i} == {t.index}:")
+                    self.push()
+                    self.w(f"ns_{i} = {fsm.code_of(t.dst)}")
+                self._emit_arc(i, fsm, t)
+                if len(arcs) > 1:
+                    self.pop()
+            if not self.fires[i]:
                 self.pop()
-            self.pop()
+                if len(self._lines) == start + 1:
+                    del self._lines[start]  # the arc has no prep to do
+
+    def _emit_arc(self, i: int, fsm: Fsm, t: Transition) -> None:
+        for reg, value in t.actions:
+            self._write(reg, value)
+        if t.dst in fsm.dynamic_waits:
+            if (fsm.name, t.dst) in self.elide:
+                self.w(f"nd_{i} = 0")
+            else:
+                self.w(f"_t = {self.render(fsm.dynamic_waits[t.dst])}")
+                self.w(f"nd_{i} = _t if _t > 0 else 0")
+        if self.has_listener:
+            self.w(f"_lt({fsm.name!r}, {t.src!r}, {t.dst!r})")
+        if self.slots is not None:
+            k = self.slots.transitions.get((fsm.name, t.src, t.dst))
+            if k is not None:
+                self.w(f"_acc[{k}] += 1.0")
 
     # Phase 3: commit.
     def _emit_commit(self) -> None:
         if self.track:
             for i, fsm in enumerate(self.fsms):
-                st = self.scalar_local[fsm.state_signal]
+                st = self.known.get(fsm.state_signal,
+                                    self.scalar_local[fsm.state_signal])
                 self.w(f"SC_{i}[{st}] += 1")  # keyed on pre-commit state
-        for c in self.down + self.up:
-            cn = self.cn[c.name]
-            self.w(f"if {cn} >= 0:")
-            self.push()
-            self.w(f"{self.scalar_local[c.name]} = {cn}")
-            self.pop()
-        for reg in self.pending_regs:
-            p = self.p_local[reg]
-            self.w(f"if {p} is not None:")
-            self.push()
-            mask = self.m.regs[reg].mask
-            self.w(f"{self.scalar_local[reg]} = {p} & {mask}")
-            self.pop()
+        for name in self.staged:
+            v = self.scalar_local[name]
+            if name in self.cn:
+                self.w(f"if {self.cn[name]} >= 0:")
+                self.w(f"    {v} = {self.cn[name]}")
+            else:
+                p = self.p_local[name]
+                self.w(f"if {p} is not None:")
+                self.w(f"    {v} = {p} & {self.m.regs[name].mask}")
         for i, fsm in enumerate(self.fsms):
-            st = self.scalar_local[fsm.state_signal]
-            if fsm.transitions:
-                self.w(f"if t_{i} >= 0:")
-                self.push()
-                self.w(f"{st} = ns_{i}")
-                if fsm.dynamic_waits:
-                    self.w(f"if nd_{i} >= 0:")
+            arcs, fires = self.arcs.get(i), self.fires.get(i, False)
+            if arcs:
+                if not fires:
+                    self.w(f"if t_{i} >= 0:")
                     self.push()
-                    self.w(f"d_{i} = nd_{i}")
+                nxt = (fsm.code_of(arcs[0].dst) if len(arcs) == 1
+                       else f"ns_{i}")
+                self.w(f"{self.scalar_local[fsm.state_signal]} = {nxt}")
+                into = [t.dst in fsm.dynamic_waits for t in arcs]
+                if any(into):
+                    self.w(f"d_{i} = nd_{i}" if all(into) else
+                           f"if nd_{i} >= 0: d_{i} = nd_{i}")
+                if not fires:
                     self.pop()
-                self.pop()
-                if fsm.dynamic_waits:
-                    self.w(f"elif d_{i} > 0:")
-                    self.push()
-                    self.w(f"d_{i} -= 1")  # parked in a dynamic wait
-                    self.pop()
-            elif fsm.dynamic_waits:
-                self.w(f"if d_{i} > 0:")
-                self.push()
-                self.w(f"d_{i} -= 1")
-                self.pop()
+            if fsm.dynamic_waits and not fires:
+                self.w(f"{'elif' if arcs else 'if'} d_{i} > 0:")
+                self.w(f"    d_{i} -= 1")  # parked in a dynamic wait
             if fsm.dynamic_waits:
                 busy = self.scalar_local[fsm.dynbusy_signal]
                 self.w(f"{busy} = 1 if d_{i} > 0 else 0")
@@ -876,8 +1127,7 @@ class StepSimulation(Simulation):
         cycle, finished, ff_jumps = program.fn(
             scalars, mems, dyn, sc, self.cycle, max_cycles, self.listener)
         wall = perf_counter() - start
-        for name, value in zip(program.scalar_names, scalars):
-            state[name] = value
+        state.update(zip(program.scalar_names, scalars))
         for name, value in zip(program.dyn_names, dyn):
             self._dyn_stall[name] = value
         for name, signal, states in zip(program.fsm_names,

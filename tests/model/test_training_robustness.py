@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import FeatureMatrix, FeatureSet, FeatureSpec
-from repro.model import TrainingConfig, fit_predictor
+from repro.model import (TrainingConfig, fit_predictor, lasso_path,
+                         select_gamma)
 
 
 def matrix_from(x, cycles):
@@ -126,3 +127,30 @@ def test_negative_auto_gamma_slack_is_rejected():
     # A negative slack leaves no path point eligible for select_gamma.
     with pytest.raises(ValueError, match="auto_gamma_slack"):
         _flow_config(auto_gamma_slack=-0.1)
+
+
+def _path_matrix():
+    rng = np.random.default_rng(0)
+    x = rng.uniform(1.0, 10.0, size=(16, 3))
+    return matrix_from(x, x @ np.array([3.0, 1.0, 0.5]) + 100.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")],
+                         ids=["nan", "negative", "inf"])
+def test_select_gamma_rejects_a_bad_accuracy_slack_by_name(value):
+    # NaN and negative slacks left no path point eligible (an empty
+    # min()); an infinite one silently picked the sparsest gamma.
+    with pytest.raises(ValueError, match="^accuracy_slack must be a finite"):
+        select_gamma(_path_matrix(), accuracy_slack=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, 1.0,
+                                   -0.25],
+                         ids=["nan", "inf", "zero", "one", "negative"])
+@pytest.mark.parametrize("fit", [lasso_path, select_gamma],
+                         ids=["path", "select"])
+def test_lasso_path_rejects_a_bad_val_fraction_by_name(fit, value):
+    # NaN failed converting to an int, 1.0 left no training jobs, and
+    # 0.0 or a negative fraction silently validated on one job.
+    with pytest.raises(ValueError, match="^val_fraction must be a finite"):
+        fit(_path_matrix(), val_fraction=value)

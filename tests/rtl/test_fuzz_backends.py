@@ -5,10 +5,11 @@ semantic surface — multi-FSM designs with wait counters, dynamic
 waits, up counters, arc actions, conditional update rules and
 memory-driven guards — and runs them through the shared differential
 harness :func:`repro.gen.conformance.compare_backends`: ``stepjit``
-must match the ``interp`` oracle on cycle count, final architectural
-state, ``state_cycles``, FSM states, ordered listener events and the
-bytes of the feature vector a recorder records over the module's
-discovered features, with fast-forward both on and off.
+must match the ``interp`` oracle on cycle count, fast-forward jump
+count, final architectural state, ``state_cycles``, FSM states,
+ordered listener events and the bytes of the feature vector a
+recorder records over the module's discovered features, with
+fast-forward both on and off.
 
 Termination by construction: every FSM is a forward chain of states
 (arcs only advance), wait counters are loaded from bounded memory
@@ -126,8 +127,9 @@ def test_fast_forward_is_exact_per_backend(seed):
     module = build_fuzz_module(seed)
     on = backend_runs(module, [JOB], True, max_cycles=100_000)
     off = backend_runs(module, [JOB], False, max_cycles=100_000)
-    fields = dict(COMPARED_FIELDS, interp=COMPARED_FIELDS["stepjit"])
-    for backend, names in fields.items():
+    # Jump counts differ between on and off by design.
+    names = [f for f in COMPARED_FIELDS["stepjit"] if f != "ff_jumps"]
+    for backend in ("interp", "stepjit"):
         for field in names:
             assert on[backend][0][field] == off[backend][0][field], (
                 seed, backend, field)

@@ -263,11 +263,32 @@ def test_stepjit_emits_sim_metrics(tmp_path):
     assert counters["sim.stepjit.codegen_s"] > 0.0
 
 
+def _design_run(cls, target, job, listener=None, window=None, **kwargs):
+    """One job's outcome; with a ``window``, fast-forward stays off
+    except for one loop iteration after every ``window`` cycles, so the
+    job still reaches every state."""
+    sim = cls(target, listener=listener, **kwargs)
+    sim.load(*job.as_pair(), ignore_unknown=True)
+    while True:
+        sim.fast_forward = window is None
+        finished = sim.run(sim.cycle + (window or 200_000_000)).finished
+        if finished or window is None:
+            break
+        sim.fast_forward = True
+        finished = sim.run(sim.cycle + 1).finished
+        if finished:
+            break
+    return (sim.cycle, finished, sim.ff_jumps, dict(sim.state),
+            dict(sim.state_cycles), dict(sim._fsm_state))
+
+
 @pytest.mark.parametrize("name", ALL_DESIGNS)
 def test_stepjit_benchmark_designs_cycle_exact(name):
-    """Full design and slice, each with a feature recorder attached:
-    stepjit's compiled slots record the interp oracle's vector byte
-    for byte."""
+    """Full design and slice, in every kernel variant: stepjit matches
+    the interp oracle on cycles, fast-forward jumps, final state and
+    per-state residency, plus the recorded vector byte for byte
+    (compiled slots, fast-forward on and off), the ordered events
+    (callbacks) or nothing more (no listener)."""
     design = get_design(name)
     module = design.build()
     features = discover_features(module, synthesize(module))
@@ -276,20 +297,26 @@ def test_stepjit_benchmark_designs_cycle_exact(name):
     for item in workload.test[:2]:
         job = design.encode_job(item)
         for target in (module, hw_slice.module):
-            results = []
-            for cls in (Simulation, StepSimulation):
-                recorder = FeatureRecorder(features)
-                sim = cls(target, listener=recorder,
-                          track_state_cycles=True)
-                sim.load(*job.as_pair(), ignore_unknown=True)
-                results.append((sim.run(), dict(sim.state),
-                                recorder.vector().tobytes()))
-            (res_i, state_i, vec_i), (res_s, state_s, vec_s) = results
-            assert res_i.finished and res_s.finished
-            assert res_i.cycles == res_s.cycles
-            assert res_i.state_cycles == res_s.state_cycles
-            assert state_i == state_s
-            assert vec_i == vec_s
+            variants = (
+                (lambda: FeatureRecorder(features), {}),
+                (lambda: FeatureRecorder(features), {"window": 8}),
+                (Recorder, {}),
+                (lambda: None, {"track_state_cycles": False}),
+            )
+            for make, kwargs in variants:
+                runs = []
+                for cls in (Simulation, StepSimulation):
+                    listener = make()
+                    outcome = _design_run(cls, target, job, listener,
+                                          **kwargs)
+                    if isinstance(listener, FeatureRecorder):
+                        outcome += (listener.vector().tobytes(),)
+                    elif listener is not None:
+                        outcome += ((listener.transitions, listener.loads,
+                                     listener.resets),)
+                    runs.append(outcome)
+                assert runs[1] == runs[0], (target.name, kwargs)
+                assert runs[0][1] and runs[0][2], (target.name, kwargs)
 
 
 def test_backend_resolution_precedence():
