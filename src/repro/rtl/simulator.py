@@ -394,7 +394,8 @@ class Simulation:
                         fired.append((fsm, t))
                         break
 
-            if not fired and self.fast_forward and self._try_skip(env):
+            if (not fired and self.fast_forward
+                    and self._try_skip(env, max_cycles)):
                 continue
 
             self._step_once(env, fired)
@@ -485,8 +486,9 @@ class Simulation:
             listener.on_cycle(self.cycle, self.state)
 
     # -- fast-forward -------------------------------------------------------
-    def _try_skip(self, env: _LazyEnv) -> bool:
-        """Jump over a provably-inert stretch of stalled cycles.
+    def _try_skip(self, env: _LazyEnv, max_cycles: int) -> bool:
+        """Jump over a provably-inert stretch of stalled cycles, never
+        past ``max_cycles``.
 
         Called only when no FSM arc fires this cycle.  Returns True if
         a jump was committed.
@@ -572,7 +574,7 @@ class Simulation:
         if vetoed(self._done_deps):
             return False
 
-        k = min(remaining)
+        k = min(min(remaining), max_cycles - self.cycle)
         if k <= 1:
             return False  # not worth a bulk jump; step normally
 

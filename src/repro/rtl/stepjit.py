@@ -587,6 +587,8 @@ class _StepCompiler:
             self._per_state(fsm, partial(self._emit_skip_state, i, fsm))
         self._break_if("_r < 0")
         self._emit_skip_vetoes()
+        self.w("if _r > max_cycles - cycle:")
+        self.w("    _r = max_cycles - cycle")
         self._break_if("_r <= 1")
         # An unconditional break, or no stretch length, rules out every
         # jump in the branch: drop the block.

@@ -1,0 +1,526 @@
+"""The figure golden: every committed result of the paper, at full scale.
+
+One module-scoped fixture renders all 24 results in one process at
+scale 1.0, so the seven bundles are built once: the 17 registered
+``repro experiment`` ids through the CLI's own runner (fig19 prints
+fig18's text), the six ablations and the feature-visibility study.
+Each case compares one result's text byte for byte with its committed
+file under ``tests/golden/figures/`` and checks the paper's claims on
+the result itself.  Every call passes the scale, so ``REPRO_SCALE``
+does not move what this module renders.
+
+A change that moves a figure rewrites the files with::
+
+    PYTHONPATH=src python -m tests.integration.test_figures_golden
+
+and says why.
+"""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.analysis.coverage import visibility_by_benchmark
+from repro.cli import _run_experiment
+from repro.experiments import (
+    ablations,
+    bundle_for,
+    fig11_schemes,
+    fig13_oracle,
+    fig14_boost,
+    fig15_deadlines,
+    fig16_fpga,
+    table4,
+)
+from repro.model import PredictionReport
+from repro.model.quantize import quantization_sweep
+from repro.workloads import ALL_BENCHMARKS
+
+ROOT = Path(__file__).resolve().parents[2]
+GOLDEN_DIR = ROOT / "tests" / "golden" / "figures"
+SCALE = 1.0
+
+#: Golden file -> the ``repro experiment`` id that prints it.
+REGISTERED = {
+    "table3": "table3", "table4": "table4", "fig02": "fig2",
+    "fig03": "fig3", "fig10": "fig10", "fig11": "fig11",
+    "fig12": "fig12", "fig13": "fig13", "fig14": "fig14",
+    "fig15": "fig15", "fig16": "fig16", "fig17": "fig17",
+    "fig18_19": "fig18", "case_study": "case-study",
+    "ext_all_schemes": "all-schemes", "ext_resolutions": "multires",
+    "ext_taxonomy": "taxonomy",
+}
+
+
+# -- the studies no experiment id prints: (result, text) -----------------
+
+def _ablation_alpha():
+    points = ablations.alpha_sweep(scale=SCALE)
+    lines = ["alpha  under%  miss%  energy%"]
+    for p in points:
+        lines.append(f"{p.alpha:5.0f} {p.under_rate_pct:7.1f} "
+                     f"{p.miss_rate_pct:6.2f} "
+                     f"{p.normalized_energy_pct:8.1f}")
+    return points, "\n".join(lines)
+
+
+def _ablation_gamma():
+    points = ablations.gamma_sweep(scale=SCALE)
+    lines = ["gamma  n_feat  err%  slice_area%"]
+    for p in points:
+        lines.append(f"{p.gamma:7.0e} {p.n_features:6d} "
+                     f"{p.mean_abs_error_pct:6.2f} "
+                     f"{p.slice_area_fraction * 100:8.2f}")
+    return points, "\n".join(lines)
+
+
+def _ablation_margin():
+    points = ablations.margin_sweep(scale=SCALE)
+    lines = ["margin%  miss%  energy%"]
+    for p in points:
+        lines.append(f"{p.margin_pct:7.1f} {p.miss_rate_pct:6.2f} "
+                     f"{p.normalized_energy_pct:8.1f}")
+    return points, "\n".join(lines)
+
+
+def _ablation_switching():
+    points = ablations.switching_time_sweep(scale=SCALE)
+    lines = ["t_switch_us  miss%  energy%"]
+    for p in points:
+        lines.append(f"{p.t_switch_us:11.2f} {p.miss_rate_pct:6.2f} "
+                     f"{p.normalized_energy_pct:8.1f}")
+    return points, "\n".join(lines)
+
+
+def _ablation_elision():
+    result = ablations.elision_benefit(scale=SCALE)
+    return result, (
+        f"{result.benchmark}: slice cycles with elision "
+        f"{result.slice_cycles_with_elision}, without "
+        f"{result.slice_cycles_without_elision} "
+        f"(speedup {result.speedup:.1f}x)"
+    )
+
+
+def _ablation_quantization():
+    """Fixed-point predictor coefficients (the hardware MAC reality)."""
+    bundle = bundle_for("h264", SCALE)
+    x = np.array([r.features for r in bundle.test_records])
+    points = quantization_sweep(bundle.package.predictor, x,
+                                fraction_bits=(0, 2, 4, 8, 12))
+    lines = ["fraction_bits  max_pct_delta_vs_float"]
+    for bits, err in points:
+        lines.append(f"{bits:13d}  {err:12.4f}")
+    return points, "\n".join(lines)
+
+
+def _ext_visibility():
+    """The invisible-time share of each design (cycles in opaque serial
+    stalls) next to its mean prediction error."""
+    reports = visibility_by_benchmark(ALL_BENCHMARKS, scale=0.1, n_jobs=4)
+    lines = ["bench     invisible%  mean|err|%"]
+    errors = {}
+    for name in ALL_BENCHMARKS:
+        bundle = bundle_for(name, SCALE)
+        predicted = np.array(
+            [r.predicted_cycles for r in bundle.test_records])
+        actual = np.array(
+            [float(r.actual_cycles) for r in bundle.test_records])
+        err = PredictionReport.from_predictions(predicted,
+                                                actual).mean_abs_pct
+        errors[name] = err
+        lines.append(f"{name:8s} {reports[name].invisible_fraction * 100:10.2f} "
+                     f"{err:11.3f}")
+    return (reports, errors), "\n".join(lines)
+
+
+STUDIES = {
+    "ablation_alpha": _ablation_alpha,
+    "ablation_gamma": _ablation_gamma,
+    "ablation_margin": _ablation_margin,
+    "ablation_switching": _ablation_switching,
+    "ablation_elision": _ablation_elision,
+    "ablation_quantization": _ablation_quantization,
+    "ext_visibility": _ext_visibility,
+}
+
+
+def render() -> dict:
+    """Every golden result as ``{file stem: (result, text)}``."""
+    figures = {name: _run_experiment(exp_id, SCALE)
+               for name, exp_id in REGISTERED.items()}
+    figures.update((name, study()) for name, study in STUDIES.items())
+    return figures
+
+
+# -- the paper's claims, one check per result ----------------------------
+
+CLAIMS = {}
+
+
+def claims(name):
+    def register(check):
+        CLAIMS[name] = check
+        return check
+    return register
+
+
+@claims("table3")
+def _table3(rows):
+    assert len(rows) == 7
+
+
+@claims("table4")
+def _table4(rows):
+    for row in rows:
+        paper = table4.PAPER_TABLE4[row.benchmark]
+        # Areas within ~2x of the paper's place-and-route results.
+        assert paper[0] / 2 <= row.area_um2 <= paper[0] * 2, row.benchmark
+        assert row.freq_mhz == paper[1]
+        # Large input-dependent execution-time variation, under the
+        # 16.7ms deadline, like the paper's Table 4.
+        assert row.max_ms < 16.7
+        assert row.max_ms > 2 * row.min_ms
+
+
+@claims("fig02")
+def _fig02(result):
+    # Three clips at the same resolution, visibly different time bands,
+    # with within-clip variation (the premise of fine-grained DVFS).
+    assert set(result.clips) == {"coastguard", "foreman", "news"}
+    avg = {c: sum(v) / len(v) for c, v in result.series_ms.items()}
+    assert avg["coastguard"] > avg["foreman"] > avg["news"]
+    for clip in result.clips:
+        assert result.spread(clip) > 0.3  # ms
+
+
+@claims("fig03")
+def _fig03(result):
+    # The PID prediction lags actual changes by one job: errors
+    # correlate with the negated previous-frame delta.
+    assert result.lag_correlation() > 0.2
+
+
+@claims("fig10")
+def _fig10(result):
+    for name, report in result.reports.items():
+        # "For most benchmarks, the prediction error is negligible."
+        limit = 12.0 if name == "djpeg" else 3.0
+        assert report.mean_abs_pct < limit, name
+        # Conservative: under-predictions stay bounded.
+        assert report.max_under_pct < 15.0, name
+    # "The JPEG decoder showed higher prediction error."
+    others = [r.mean_abs_pct for n, r in result.reports.items()
+              if n != "djpeg"]
+    assert result.reports["djpeg"].mean_abs_pct > max(others)
+
+
+@claims("fig11")
+def _fig11(summaries):
+    head = fig11_schemes.headline(summaries)
+    # The paper's 36.7% +- 5, the band OfflineFlow._paper_bands holds.
+    assert 31.7 <= head["prediction_energy_savings_pct"] <= 41.7
+    assert head["prediction_miss_pct"] < 2.0                # paper 0.4
+    assert 4 < head["pid_miss_pct"] < 25                    # paper 10.5
+    assert head["pid_miss_pct"] > 5 * max(
+        head["prediction_miss_pct"], 0.4)
+    # The baseline rows are exact by construction.
+    for s in summaries:
+        if s.scheme == "baseline":
+            assert s.miss_rate_pct == 0.0
+
+
+@claims("fig12")
+def _fig12(rows):
+    avg = rows[-1]
+    assert avg.benchmark == "average"
+    # Paper: 5.1% area, 1.5% energy, 3.5% of the time budget.  Our
+    # control-dominated small designs push the area average up, but all
+    # three overheads stay small.
+    assert avg.area_pct < 25
+    assert avg.energy_pct < 4
+    assert avg.time_pct < 6
+    by_name = {r.benchmark: r for r in rows}
+    # The case-study claim: the h264 slice is a few percent of the chip.
+    assert by_name["h264"].area_pct < 10
+
+
+@claims("fig13")
+def _fig13(summaries):
+    head = fig13_oracle.headline(summaries)
+    # Removing overheads helps a little (paper: 3.1%), and the result
+    # sits within a few percent of the oracle (paper: 0.7%).
+    assert 0 <= head["overhead_cost_pct"] < 6
+    assert 0 <= head["gap_to_oracle_pct"] < 4
+    # Without overheads, misses vanish (paper: 0%).
+    assert head["no_overhead_miss_pct"] == 0.0
+    assert head["oracle_miss_pct"] == 0.0
+
+
+@claims("fig14")
+def _fig14(summaries):
+    head = fig14_boost.headline(summaries)
+    # Paper: misses go to zero for +0.24% energy.
+    assert head["boost_miss_pct"] == 0.0
+    assert head["boost_energy_increase_pct"] < 1.5
+
+
+@claims("fig15")
+def _fig15(points):
+    pred = fig15_deadlines.series(points, "prediction")
+    base = fig15_deadlines.series(points, "baseline")
+    energies = [e for _, e, _ in pred]
+    # Longer deadlines -> monotone energy reduction for prediction.
+    assert all(a >= b for a, b in zip(energies, energies[1:]))
+    # At 0.6x even the baseline misses (jobs longer than the deadline);
+    # at 1.2x+ prediction meets everything.
+    assert base[0][2] > 0
+    for factor, _, miss in pred:
+        if factor >= 1.2:
+            assert miss == 0.0
+    # Baseline energy stays at 100% throughout.
+    assert all(abs(e - 100.0) < 1e-9 for _, e, _ in base)
+
+
+@claims("fig16")
+def _fig16(summaries):
+    head = fig16_fpga.headline(summaries)
+    # Paper: 35.9% savings, 0.4% misses — comparable to ASIC.
+    assert 25 < head["prediction_energy_savings_pct"] < 55
+    assert head["prediction_miss_pct"] < 2.0
+
+
+@claims("fig17")
+def _fig17(rows):
+    avg = rows[-1]
+    # Paper: 9.4% resources, 2% energy, 3.5% budget; stencil's relative
+    # resource overhead is the outlier (control-only LUT usage).
+    assert avg.area_pct < 40
+    assert avg.energy_pct < 4
+    assert avg.time_pct < 6
+    by_name = {r.benchmark: r for r in rows}
+    assert by_name["stencil"].area_pct > by_name["h264"].area_pct
+
+
+@claims("fig18_19")
+def _fig18_19(results):
+    by_label = {r.label: r for r in results}
+    # Fig 18: accuracy comparable, misses disappear with HLS slicing.
+    for name in ("md", "stencil"):
+        rtl = by_label[f"{name}-rtl"]
+        hls = by_label[f"{name}-hls"]
+        assert abs(rtl.error_box.median) < 2.0
+        assert abs(hls.error_box.median) < 2.0
+        assert hls.miss_rate_pct == 0.0
+    # md's RTL slice is slow enough to starve near-deadline jobs.
+    assert by_label["md-rtl"].miss_rate_pct > 0.0
+    # Fig 19: the HLS slice executes much faster.
+    assert by_label["md-hls"].time_pct < by_label["md-rtl"].time_pct / 5
+
+
+@claims("case_study")
+def _case_study(result):
+    # Lasso reduces the candidate pool to a small working set
+    # (paper: 257 -> 7 on the full RTL's candidate pool).
+    assert result.n_selected_features <= result.n_candidate_features / 2
+    # Worst-case error around the paper's ~3%.
+    assert result.worst_case_error_pct < 4.0
+    # Slice area a few percent (paper: 5.7%), energy small (2.8%),
+    # execution 5-15% of the decoder's time (ours is a touch faster).
+    assert result.slice_area_fraction < 0.10
+    assert result.slice_energy_fraction < 0.05
+    assert 0.005 < result.slice_time_fraction_max < 0.20
+
+
+@claims("ext_all_schemes")
+def _ext_all_schemes(summaries):
+    avg = {s.scheme: s for s in summaries if s.benchmark == "average"}
+    # The literature-section story, quantified on one set of jobs:
+    # the oracle bounds everyone; prediction is the best real scheme
+    # on the energy/miss frontier; table-based wastes energy on the
+    # per-class worst case but misses almost never; reactive schemes
+    # (history, pid, governor) all miss far more than prediction.
+    assert avg["oracle"].normalized_energy_pct <= min(
+        s.normalized_energy_pct for s in avg.values() if s.scheme != "oracle")
+    assert avg["prediction"].miss_rate_pct < 2.0
+    # Table-based misses only when a test job exceeds its class's
+    # training worst case — rare, but not zero.
+    assert avg["table"].miss_rate_pct < 4.0
+    assert (avg["table"].normalized_energy_pct
+            > avg["prediction"].normalized_energy_pct)
+    for reactive in ("history", "pid", "governor"):
+        assert avg[reactive].miss_rate_pct > 3 * max(
+            avg["prediction"].miss_rate_pct, 0.5), reactive
+
+
+@claims("ext_resolutions")
+def _ext_resolutions(result):
+    energy = result.normalized_energy_pct
+    # The table helps (resolution explains coarse variation) but
+    # prediction clearly beats it (within-resolution content variation
+    # is invisible to the table) — Sec. 2.4's argument, quantified.
+    assert energy["table"] < 95.0
+    assert energy["prediction"] < energy["table"] - 5.0
+    assert result.miss_rate_pct["prediction"] < 2.0
+
+
+@claims("ext_taxonomy")
+def _ext_taxonomy(rows):
+    by_corr = sorted(rows, key=lambda r: r.profile.lag1_autocorr)
+    least = sum(r.reactive_penalty_pct for r in by_corr[:2]) / 2
+    most = sum(r.reactive_penalty_pct for r in by_corr[-2:]) / 2
+    # The less trackable the workload, the bigger the reactive
+    # scheme's miss penalty (Sec. 2.4's taxonomy, measured).
+    assert least >= most
+    # Prediction's misses never depend on workload statistics.
+    assert all(r.prediction_miss_pct < 7 for r in rows)
+
+
+@claims("ablation_alpha")
+def _ablation_alpha_claims(points):
+    # Larger alpha -> fewer under-predictions (the objective's purpose).
+    assert points[0].under_rate_pct >= points[-1].under_rate_pct
+    # And it does not rise from symmetric to alpha=100 (the committed
+    # sweep shows it flat).
+    assert points[-1].under_rate_pct < points[0].under_rate_pct + 1e-9
+
+
+@claims("ablation_gamma")
+def _ablation_gamma_claims(points):
+    # The strongest penalty keeps fewer features than the weakest and
+    # costs accuracy.
+    assert points[-1].n_features <= points[0].n_features
+    assert points[-1].mean_abs_error_pct >= points[0].mean_abs_error_pct
+
+
+@claims("ablation_margin")
+def _ablation_margin_claims(points):
+    # More margin -> monotone energy increase, never more misses.
+    energies = [p.normalized_energy_pct for p in points]
+    assert all(a <= b + 1e-9 for a, b in zip(energies, energies[1:]))
+    assert points[-1].miss_rate_pct <= points[0].miss_rate_pct
+
+
+@claims("ablation_switching")
+def _ablation_switching_claims(points):
+    # ns-scale switching (Sec 4.2's faster regulators) saves energy
+    # relative to the conservative 100us+ setting.
+    assert (points[0].normalized_energy_pct
+            <= points[-1].normalized_energy_pct + 1e-9)
+
+
+@claims("ablation_elision")
+def _ablation_elision_claims(result):
+    # Sec 3.5: without elision the slice is no faster than the job.
+    assert result.speedup > 5.0
+
+
+@claims("ablation_quantization")
+def _ablation_quantization_claims(points):
+    by_bits = dict(points)
+    # 8 fraction bits reproduce the float model to well under 0.5%.
+    assert by_bits[8] < 0.5
+    assert by_bits[12] <= by_bits[0]
+
+
+@claims("ext_visibility")
+def _ext_visibility_claims(result):
+    reports, errors = result
+    # djpeg is the least visible design and the least predictable one.
+    worst_visibility = max(ALL_BENCHMARKS,
+                           key=lambda n: reports[n].invisible_fraction)
+    worst_error = max(ALL_BENCHMARKS, key=lambda n: errors[n])
+    assert worst_visibility == worst_error == "djpeg"
+
+
+@pytest.fixture(scope="module")
+def figures():
+    return render()
+
+
+@pytest.mark.parametrize("name", [*REGISTERED, *STUDIES])
+def test_figure_matches_the_golden(figures, name):
+    result, text = figures[name]
+    assert text + "\n" == (GOLDEN_DIR / f"{name}.txt").read_text()
+    CLAIMS[name](result)
+
+
+# -- the docs quote the pinned lines -------------------------------------
+
+def _pinned(name: str, pattern: str) -> tuple:
+    """The groups of ``pattern`` in one golden file."""
+    match = re.search(pattern, (GOLDEN_DIR / f"{name}.txt").read_text(),
+                      re.M)
+    assert match, (name, pattern)
+    return match.groups()
+
+
+def _doc_table(doc: str, heading: str) -> dict:
+    """The body rows of the first table after ``heading`` in a doc, as
+    ``{first cell: [other cells]}``."""
+    lines = (ROOT / doc).read_text().split(heading, 1)[1].splitlines()
+    rows = {}
+    body = False
+    for line in lines:
+        if line.startswith("|---"):
+            body = True
+        elif body and line.startswith("|"):
+            first, *rest = (c.strip() for c in line.strip("| ").split("|"))
+            rows[first] = rest
+        elif body:
+            break
+    return rows
+
+
+def test_docs_quote_the_pinned_headlines():
+    """README's headline table and EXPERIMENTS.md's Fig 11 rows print
+    each number as the pinned result prints it."""
+    saved, pred_miss, pid_miss, penalty = _pinned(
+        "fig11", r"^headline: prediction saves (\S+)% energy with (\S+)% "
+                 r"misses; PID misses (\S+)% and burns (\S+)% more energy")
+    pid_energy, pred_energy = _pinned(
+        "fig11", r"^ +average +\S+ +(\S+) +(\S+) ")
+    boost_miss, boost_cost = _pinned(
+        "fig14", r"^headline: boost drops misses \S+% -> (\S+)% for "
+                 r"(\S+)% energy")
+    (gap,) = _pinned("fig13", r"overhead-free prediction is (\S+)% from "
+                              r"oracle")
+    fpga_saved, fpga_miss = _pinned(
+        "fig16", r"^headline: prediction saves (\S+)% with (\S+)% misses")
+    (worst,) = _pinned("case_study", r"worst-case prediction error: (\S+)%")
+    (area,) = _pinned("case_study", r"slice area: (\S+)% of the decoder")
+    (energy,) = _pinned("case_study", r"slice energy: (\S+)%")
+    (slice_time,) = _pinned("case_study",
+                            r"slice time: (\S+) of decoder time")
+
+    readme = _doc_table("README.md", "## Headline reproduction")
+    assert {quantity: cells[1] for quantity, cells in readme.items()} == {
+        "Energy savings (prediction vs baseline)": f"{saved}%",
+        "Deadline misses (prediction)": f"{pred_miss}%",
+        "Deadline misses (PID)": f"{pid_miss}%",
+        "PID energy penalty vs prediction": f"+{penalty}%",
+        "Boost: misses / energy cost": f"{boost_miss}% / {boost_cost}%",
+        "Gap to oracle (no overheads)": f"{gap}%",
+        "FPGA savings / misses": f"{fpga_saved}% / {fpga_miss}%",
+        "h264 slice: area / energy / time":
+            f"{area}% / {energy}% / {slice_time}",
+        "h264 worst-case prediction error": f"{worst}%",
+    }
+    fig11 = _doc_table("EXPERIMENTS.md", "## Fig 11")
+    assert fig11["pid"] == [f"{pid_energy}% (—)", f"{pid_miss}% (10.5%)"]
+    assert fig11["prediction"] == [f"**{pred_energy}% (63.3%)**",
+                                   f"**{pred_miss}% (0.4%)**"]
+
+
+def main() -> None:
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    figures = render()
+    for name, (_, text) in figures.items():
+        (GOLDEN_DIR / f"{name}.txt").write_text(text + "\n")
+    print(f"wrote {len(figures)} files to {GOLDEN_DIR}")
+
+
+if __name__ == "__main__":
+    main()

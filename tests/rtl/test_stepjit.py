@@ -263,10 +263,24 @@ def test_stepjit_emits_sim_metrics(tmp_path):
     assert counters["sim.stepjit.codegen_s"] > 0.0
 
 
+def _wait_left(sim):
+    """Cycles until the longest wait the FSMs are parked in ends (at
+    least 1): the stretch one fast-forward jump could cover."""
+    left = [1]
+    for fsm in sim.module.fsms.values():
+        state = sim._fsm_state[fsm.name]
+        if state in fsm.wait_states:
+            left.append(sim.state[fsm.wait_states[state]])
+        if state in fsm.dynamic_waits:
+            left.append(sim._dyn_stall[fsm.name])
+    return max(left)
+
+
 def _design_run(cls, target, job, listener=None, window=None, **kwargs):
     """One job's outcome; with a ``window``, fast-forward stays off
-    except for one loop iteration after every ``window`` cycles, so the
-    job still reaches every state."""
+    except, after every ``window`` cycles, until the current wait ends
+    (a jump never passes ``max_cycles``), so the job still reaches
+    every state."""
     sim = cls(target, listener=listener, **kwargs)
     sim.load(*job.as_pair(), ignore_unknown=True)
     while True:
@@ -275,11 +289,45 @@ def _design_run(cls, target, job, listener=None, window=None, **kwargs):
         if finished or window is None:
             break
         sim.fast_forward = True
-        finished = sim.run(sim.cycle + 1).finished
+        finished = sim.run(sim.cycle + _wait_left(sim)).finished
         if finished:
             break
     return (sim.cycle, finished, sim.ff_jumps, dict(sim.state),
             dict(sim.state_cycles), dict(sim._fsm_state))
+
+
+def test_a_jump_never_passes_max_cycles():
+    """cjpeg's first job enters a wait of thousands of cycles before
+    cycle 100: ``run(max_cycles=100)`` returns at cycle 100 on both
+    backends, in the state a run without fast-forward reaches, and
+    resuming ends where an uncapped run does."""
+    design = get_design("cjpeg")
+    module = design.build()
+    job = design.encode_job(workload_for("cjpeg", scale=0.1).test[0])
+
+    def loaded(cls, fast_forward=True):
+        sim = cls(module, fast_forward=fast_forward)
+        sim.load(*job.as_pair())
+        return sim
+
+    def outcome(sim):
+        return (sim.cycle, dict(sim.state), dict(sim.state_cycles),
+                dict(sim._fsm_state))
+
+    whole = loaded(Simulation)
+    assert whole.run().finished
+    stepped = loaded(Simulation, fast_forward=False)
+    assert not stepped.run(max_cycles=100).finished
+    jumps = []
+    for cls in (Simulation, StepSimulation):
+        sim = loaded(cls)
+        result = sim.run(max_cycles=100)
+        assert (result.cycles, result.finished) == (100, False)
+        assert outcome(sim) == outcome(stepped)
+        jumps.append(sim.ff_jumps)
+        assert sim.run().finished
+        assert outcome(sim) == outcome(whole)
+    assert jumps[1] == jumps[0]
 
 
 @pytest.mark.parametrize("name", ALL_DESIGNS)
