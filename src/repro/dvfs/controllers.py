@@ -300,23 +300,20 @@ class PredictiveController(Controller):
 
     def plan(self, job: JobRecord, budget: float) -> Plan:
         """Level from the slice's prediction, margins and overheads deducted."""
-        if job.predicted_cycles is None:
+        predicted = job.predicted_cycles
+        if predicted is None:
             raise ValueError(
                 f"job {job.index} carries no prediction; run the slice "
                 "pipeline first"
             )
-        f_nominal = self.levels.nominal.frequency
-        t_slice = (job.slice_cycles / f_nominal
+        levels = self.levels
+        t_slice = (job.slice_cycles / levels.nominal.frequency
                    if self.charge_overheads else 0.0)
-        decision = select_level(
-            self.levels, job.predicted_cycles, budget,
-            margin_fraction=self.margin,
-            t_slice=t_slice,
-            t_switch=self._switch_allowance(),
-            allow_boost=self.boost,
-        )
-        return Plan(point=decision.point, t_slice=t_slice,
-                    feasible=decision.feasible)
+        # Positional: the fleet dispatcher plans every arrival here.
+        point, feasible, _ = select_level(
+            levels, predicted, budget, self.margin, t_slice,
+            self._switch_allowance(), self.boost)
+        return Plan(point, t_slice, feasible)
 
     def plan_batch(self, jobs: Sequence[JobRecord],
                    budgets: np.ndarray) -> Optional[BatchPlan]:

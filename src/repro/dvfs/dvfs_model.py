@@ -15,15 +15,19 @@ voltage/frequency switching time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .levels import LevelTable, OperatingPoint
 
 
-@dataclass(frozen=True)
-class DvfsDecision:
-    """Outcome of level selection for one job."""
+class DvfsDecision(NamedTuple):
+    """Outcome of level selection for one job.
+
+    A named tuple, as :class:`~repro.dvfs.controllers.Plan` is: the
+    fleet dispatcher selects a level for every arrival it projects.
+    """
 
     point: OperatingPoint
     feasible: bool  # False when even the fastest level cannot make it
@@ -57,19 +61,12 @@ def select_level(levels: LevelTable, predicted_cycles: float,
     Falls back to the fastest allowed point (boost if enabled) when no
     level is fast enough — running flat-out minimizes the damage.
     """
-    f_req = required_frequency(
-        predicted_cycles, levels.nominal.frequency, budget,
-        margin_fraction=margin_fraction, t_slice=t_slice,
-        t_switch=t_switch,
-    )
-    point = levels.lowest_meeting(f_req, allow_boost=allow_boost)
+    f_req = required_frequency(predicted_cycles, levels.nominal.frequency,
+                               budget, margin_fraction, t_slice, t_switch)
+    point = levels.lowest_meeting(f_req, allow_boost)
     if point is None:
-        return DvfsDecision(
-            point=levels.fastest(allow_boost=allow_boost),
-            feasible=False,
-            f_required=f_req,
-        )
-    return DvfsDecision(point=point, feasible=True, f_required=f_req)
+        return DvfsDecision(levels.fastest(allow_boost), False, f_req)
+    return DvfsDecision(point, True, f_req)
 
 
 @dataclass(frozen=True)

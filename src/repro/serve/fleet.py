@@ -38,13 +38,13 @@ import os
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..dvfs.controllers import Controller, Plan
 from ..dvfs.energy import EnergyModel, JobActivity
 from ..obs import get_observer, span
 from ..parallel import pmap, resolve_jobs
-from ..runtime.jobs import strict_checks_enabled
+from ..runtime.jobs import JobRecord, strict_checks_enabled
 from ..units import deadline_missed
 from .server import (
     AcceleratorStream,
@@ -234,8 +234,7 @@ class ShardSpec:
             predictor=self.predictor, config=self.config)
 
 
-@dataclass(frozen=True)
-class FleetShed:
+class FleetShed(NamedTuple):
     """One job shed at the dispatcher (never reached an instance)."""
 
     index: int
@@ -245,13 +244,13 @@ class FleetShed:
     reason: str
 
 
-@dataclass(frozen=True)
-class RoutingDecision:
+class RoutingDecision(NamedTuple):
     """One dispatcher decision, for audits and property tests.
 
     ``candidates``/``backlogs`` snapshot the eligible instances and
     their projected backlogs at decision time; ``chosen`` is the index
     into the *pool* (None when the job shed, with ``reason`` set).
+    A named tuple, as :class:`FleetShed` is: every arrival logs one.
     """
 
     index: int
@@ -462,7 +461,8 @@ class FleetDispatcher:
                 spec.config.t_switch if c.charge_overheads else 0.0,
                 c.levels.fastest())
 
-    def _project(self, pool_index: int, job: FleetJob) -> tuple:
+    def _project(self, pool_index: int, arrival: float,
+                 record: JobRecord) -> tuple:
         """Project one job's service on one instance:
         ``(service_s, feasible, point, cycles)``.
 
@@ -481,37 +481,36 @@ class FleetDispatcher:
         plan reports feasible whatever its budget.
         """
         plan, deadline, t_switch, fastest = self._projection[pool_index]
-        arrival = job.arrival
         start = max(self._ledgers[pool_index].clock, arrival)
         budget = arrival + deadline - start
-        record = job.job.record
         predicted = record.predicted_cycles
         if not valid_prediction(predicted, record.slice_cycles):
             return deadline, budget >= deadline, fastest, 0.0
         cycles = float(predicted)
-        decision = plan(record, budget)
-        point = decision.point
-        service_s = decision.t_slice + t_switch + cycles / point.frequency
+        point, t_slice, feasible = plan(record, budget)
+        service_s = t_slice + t_switch + cycles / point.frequency
         return (service_s,
-                decision.feasible
+                feasible
                 and not deadline_missed(start + service_s, arrival, deadline),
                 point, cycles)
 
     def _pick(self, candidates: Tuple[int, ...], backlogs: Tuple[int, ...],
-              job: FleetJob) -> Tuple[Optional[int], float]:
+              benchmark: str, arrival: float, record: JobRecord
+              ) -> Tuple[Optional[int], float]:
         """Apply the routing policy: ``(pool index, service_s)``, where
         a ``None`` index means the ``deadline`` policy sheds."""
         policy = self.config.policy
         if policy == LEAST_LOADED:
             chosen = min(zip(backlogs, candidates))[1]
         elif policy == ROUND_ROBIN:
-            turn = self._rr[job.benchmark]
-            self._rr[job.benchmark] = turn + 1
+            turn = self._rr[benchmark]
+            self._rr[benchmark] = turn + 1
             chosen = candidates[turn % len(candidates)]
         elif policy == ENERGY_AWARE:
             scored = []
             for backlog, i in zip(backlogs, candidates):
-                service_s, _, point, cycles = self._project(i, job)
+                service_s, _, point, cycles = self._project(i, arrival,
+                                                            record)
                 energy = self.specs[i].energy_model.job_energy(
                     JobActivity(cycles=cycles), point, service_s)
                 scored.append((energy, backlog, i, service_s))
@@ -523,78 +522,79 @@ class FleetDispatcher:
             # instance on a job already lost.
             best, best_finish, best_service = None, None, 0.0
             for i in candidates:
-                service_s, feasible, _, _ = self._project(i, job)
-                finish = max(self._ledgers[i].clock, job.arrival) + service_s
+                service_s, feasible, _, _ = self._project(i, arrival, record)
+                finish = max(self._ledgers[i].clock, arrival) + service_s
                 if feasible and (best_finish is None or finish < best_finish):
                     best, best_finish, best_service = i, finish, service_s
             return best, best_service
-        return chosen, self._project(chosen, job)[0]
+        return chosen, self._project(chosen, arrival, record)[0]
 
-    def _retire(self, arrival: float) -> None:
-        """Pop every projected finish at or before ``arrival``."""
-        finishes = self._finishes
-        ledgers = self._ledgers
-        while finishes and finishes[0][0] <= arrival:
-            ledgers[heappop(finishes)[1]].in_flight -= 1
-            self._in_flight -= 1
-
-    def _shed(self, job: FleetJob, reason: str, candidates: tuple = (),
-              backlogs: tuple = ()) -> None:
-        self.sheds.append(FleetShed(job.index, job.benchmark, job.tenant,
+    def _shed(self, fleet_job: FleetJob, reason: str,
+              candidates: tuple = (), backlogs: tuple = ()) -> None:
+        job = fleet_job.job
+        benchmark, tenant = fleet_job.benchmark, fleet_job.tenant
+        self.sheds.append(FleetShed(job.index, benchmark, tenant,
                                     job.arrival, reason))
         self.routing_log.append(RoutingDecision(
-            job.index, job.benchmark, job.tenant, job.arrival,
-            candidates, backlogs, None, reason))
+            job.index, benchmark, tenant, job.arrival, candidates,
+            backlogs, None, reason))
         observer = get_observer()
         if observer is not None:
             observer.metrics.inc(f"serve.fleet.shed.{reason}")
             observer.timeseries.observe("serve.fleet.shed",
                                         job.arrival, 1.0)
 
-    def route(self, job: FleetJob) -> Optional[int]:
+    def route(self, fleet_job: FleetJob) -> Optional[int]:
         """Route (or shed) one arriving job; returns the pool index."""
         self.n_offered += 1
-        bucket = self._buckets.get(job.tenant)
+        job = fleet_job.job
+        benchmark, tenant = fleet_job.benchmark, fleet_job.tenant
+        bucket = self._buckets.get(tenant)
         if bucket is None:
             raise ValueError(
-                f"job {job.index} names unknown tenant {job.tenant!r}")
-        if job.benchmark not in self._candidates:
+                f"job {job.index} names unknown tenant {tenant!r}")
+        if benchmark not in self._candidates:
             raise ValueError(
-                f"job {job.index} needs benchmark {job.benchmark!r} "
+                f"job {job.index} needs benchmark {benchmark!r} "
                 "but no pool instance serves it")
         observer = get_observer()
         if observer is not None:
             observer.metrics.inc("serve.fleet.offered")
         arrival = job.arrival
         if not bucket.allow(arrival):
-            self._shed(job, SHED_RATE_LIMIT)
+            self._shed(fleet_job, SHED_RATE_LIMIT)
             return None
-        self._retire(arrival)
+        # Retire every projected finish at or before this arrival.
+        finishes = self._finishes
+        ledgers = self._ledgers
+        while finishes and finishes[0][0] <= arrival:
+            ledgers[heappop(finishes)[1]].in_flight -= 1
+            self._in_flight -= 1
         if self.config.elastic:
-            self._rescale(job.benchmark)
+            self._rescale(benchmark)
         if observer is not None:
             observer.timeseries.observe("serve.fleet.backlog",
                                         arrival, self._in_flight)
         if self._in_flight >= self.config.global_depth:
-            self._shed(job, SHED_ADMISSION)
+            self._shed(fleet_job, SHED_ADMISSION)
             return None
-        candidates = self._candidates[job.benchmark]
-        ledgers = self._ledgers
+        candidates = self._candidates[benchmark]
         backlogs = tuple([ledgers[i].in_flight for i in candidates])
-        chosen, service_s = self._pick(candidates, backlogs, job)
+        chosen, service_s = self._pick(candidates, backlogs, benchmark,
+                                       arrival, job.record)
         if chosen is None:
-            self._shed(job, SHED_DEADLINE, candidates, backlogs)
+            self._shed(fleet_job, SHED_DEADLINE, candidates, backlogs)
             return None
         ledger = ledgers[chosen]
         ledger.clock = finish = max(ledger.clock, arrival) + service_s
         ledger.in_flight += 1
         self._in_flight += 1
-        heappush(self._finishes, (finish, chosen))
+        heappush(finishes, (finish, chosen))
         self.assignments[job.index] = chosen
-        self.routed[chosen].append(job)
+        self.routed[chosen].append(fleet_job)
         self.routing_log.append(RoutingDecision(
-            job.index, job.benchmark, job.tenant, arrival, candidates,
-            backlogs, chosen))
+            job.index, benchmark, tenant, arrival, candidates, backlogs,
+            chosen))
         if observer is not None:
             observer.metrics.inc("serve.fleet.routed")
             observer.timeseries.observe("serve.fleet.shed", arrival, 0.0)
@@ -604,7 +604,7 @@ class FleetDispatcher:
         """Route a whole (arrival-sorted) stream job by job with
         :meth:`route`; returns per-instance sub-streams aligned with
         ``specs``."""
-        arrivals = [job.arrival for job in jobs]
+        arrivals = [job.job.arrival for job in jobs]
         if arrivals != sorted(arrivals):
             raise ValueError("fleet jobs must be sorted by arrival")
         for job in jobs:
@@ -690,8 +690,8 @@ def serve_fleet(specs: Sequence[ShardSpec],
         shards=shard_results,
         sheds=dispatcher.sheds,
         assignments=dispatcher.assignments,
-        tenants={job.index: job.tenant for job in jobs},
-        benchmarks={job.index: job.benchmark for job in jobs},
+        tenants={job.job.index: job.tenant for job in jobs},
+        benchmarks={job.job.index: job.benchmark for job in jobs},
         n_offered=dispatcher.n_offered,
         wall_s=time.perf_counter() - t0,
     )

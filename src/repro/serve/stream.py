@@ -16,7 +16,9 @@ mixed-deadline service classes (:func:`split_by_deadline`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from bisect import bisect_right
+from dataclasses import dataclass, fields
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -69,24 +71,36 @@ def poisson_arrivals(rate: float, duration: Optional[float] = None,
 
     Bounded by ``duration`` seconds or by ``n_jobs`` arrivals
     (exactly one must be given).  Deterministic in ``seed``.
+
+    The gaps come from vector draws, which yield the same values as
+    one scalar draw per gap, and ``np.cumsum`` adds them in sequence
+    (never pairwise), so each instant is the running sum to the bit.
     """
     _require_positive("rate", rate)
     if (duration is None) == (n_jobs is None):
         raise ValueError("give exactly one of duration= or n_jobs=")
     if duration is not None:
         _require_positive("duration", duration)
-    elif n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs!r}")
+    elif not (isinstance(n_jobs, numbers.Integral) and n_jobs >= 1):
+        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     rng = np.random.default_rng(seed)
+    scale = 1.0 / rate
+    if n_jobs is not None:
+        return np.cumsum(rng.exponential(scale, size=n_jobs)).tolist()
+    # Draw about the expected count per chunk; each chunk's sums
+    # continue from the last instant of the one before.
+    chunk = int(min(rate * duration, 65535.0)) + 1
     times: List[float] = []
     now = 0.0
     while True:
-        now += float(rng.exponential(1.0 / rate))
-        if duration is not None and now >= duration:
+        gaps = rng.exponential(scale, size=chunk)
+        gaps[0] += now
+        instants = np.cumsum(gaps)
+        end = int(np.searchsorted(instants, duration))
+        times.extend(instants[:end].tolist())
+        if end < chunk:
             return times
-        times.append(now)
-        if n_jobs is not None and len(times) >= n_jobs:
-            return times
+        now = instants[-1]
 
 
 def burst_arrivals(rate: float, duration: float, seed: int = 0,
@@ -267,6 +281,27 @@ def split_by_deadline(records: Sequence[JobRecord],
     return out
 
 
+#: What a re-indexed record copies besides its new ``index``.
+_COPIED_FIELDS = tuple(f.name for f in fields(JobRecord)
+                       if f.name != "index")
+
+
+def _reindexed(record: JobRecord, index: int) -> JobRecord:
+    """``dataclasses.replace(record, index=index)``, field by field.
+
+    The record was validated when it was built, so the copy skips
+    ``__init__``.  It stores through ``object.__setattr__`` rather than
+    the instance ``__dict__``: on CPython 3.11 touching ``__dict__``
+    materializes it and slows every later attribute read of the copy.
+    """
+    copy = object.__new__(JobRecord)
+    setattr_ = object.__setattr__
+    setattr_(copy, "index", index)
+    for name in _COPIED_FIELDS:
+        setattr_(copy, name, getattr(record, name))
+    return copy
+
+
 def stream_from_records(records: Sequence[JobRecord],
                         arrivals: Sequence[float],
                         inputs: Optional[Sequence["JobInput"]] = None
@@ -284,7 +319,7 @@ def stream_from_records(records: Sequence[JobRecord],
     jobs: List[StreamJob] = []
     for i, arrival in enumerate(sorted(arrivals)):
         k = i % len(records)
-        record = replace(records[k], index=i)
+        record = _reindexed(records[k], i)
         jobs.append(StreamJob(
             index=i, record=record, arrival=float(arrival),
             job_input=inputs[k] if inputs is not None else None,
@@ -349,22 +384,30 @@ def mixed_stream_jobs(records_by_benchmark: Mapping[str, Sequence[JobRecord]],
                 f"inputs for {name!r} must pair 1:1 with its records")
     if weights is not None:
         raw = [float(weights.get(name, 0.0)) for name in names]
-        if any(w < 0.0 for w in raw) or sum(raw) <= 0.0:
-            raise ValueError("weights must be non-negative and sum > 0")
+        # NaN fails every comparison, so test for what is allowed.
+        if not (all(w >= 0.0 for w in raw) and 0.0 < sum(raw) < math.inf):
+            raise ValueError("weights must be non-negative and sum to a "
+                             "finite value > 0")
         probs = [w / sum(raw) for w in raw]
     else:
         probs = [1.0 / len(names)] * len(names)
+    # The cdf ``rng.choice(n, p=probs)`` builds and bisects for one
+    # uniform draw: bisecting it here picks the same benchmark from the
+    # same draw, without the per-call validation of ``p``.
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
 
     rng = np.random.default_rng(seed)
     cursor = {name: 0 for name in names}
     jobs: List[FleetJob] = []
     for i, arrival in enumerate(sorted(arrivals)):
-        name = names[int(rng.choice(len(names), p=probs))]
+        name = names[bisect_right(cdf, rng.random())]
         tenant = str(tenants[int(rng.integers(len(tenants)))])
         records = records_by_benchmark[name]
         k = cursor[name] % len(records)
         cursor[name] += 1
-        record = replace(records[k], index=i)
+        record = _reindexed(records[k], i)
         job_input = None
         if inputs_by_benchmark is not None:
             job_input = inputs_by_benchmark[name][k]

@@ -474,9 +474,16 @@ def _doc_table(doc: str, heading: str) -> dict:
     return rows
 
 
+def _doc_bullet(doc: str, lead: str) -> str:
+    """The list item of a doc that starts with ``lead``, on one line."""
+    text = lead + (ROOT / doc).read_text().split("\n" + lead, 1)[1]
+    return " ".join(re.split(r"\n(?:\* |\n)", text, 1)[0].split())
+
+
 def test_docs_quote_the_pinned_headlines():
-    """README's headline table and EXPERIMENTS.md's Fig 11 rows print
-    each number as the pinned result prints it."""
+    """README's headline table, EXPERIMENTS.md's Fig 11 rows and its
+    γ-ablation bullet print each number as the pinned result prints
+    it."""
     saved, pred_miss, pid_miss, penalty = _pinned(
         "fig11", r"^headline: prediction saves (\S+)% energy with (\S+)% "
                  r"misses; PID misses (\S+)% and burns (\S+)% more energy")
@@ -512,6 +519,18 @@ def test_docs_quote_the_pinned_headlines():
     assert fig11["pid"] == [f"{pid_energy}% (—)", f"{pid_miss}% (10.5%)"]
     assert fig11["prediction"] == [f"**{pred_energy}% (63.3%)**",
                                    f"**{pred_miss}% (0.4%)**"]
+    # γ's first and last points, and h264's auto-selected predictor.
+    gamma = re.findall(r"^ *\S+ +(\d+) +(\S+) +\S+$",
+                       (GOLDEN_DIR / "ablation_gamma.txt").read_text(),
+                       re.M)
+    (most, most_err), (fewest, fewest_err) = gamma[0], gamma[-1]
+    (auto_err,) = _pinned("ext_visibility", r"^h264 +\S+ +(\S+)$")
+    bullet = _doc_bullet("EXPERIMENTS.md", "* **γ (Lasso weight)**")
+    assert (f"{most} features → {fewest} features costs "
+            f"{float(fewest_err) - float(most_err):.1f} points of mean "
+            "error") in bullet, bullet
+    assert (f"h264's auto-selected predictor keeps mean error at "
+            f"{auto_err}%") in bullet, bullet
 
 
 def main() -> None:

@@ -9,13 +9,19 @@ decisions from shard outcomes.
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import check_fleet
-from repro.dvfs import ConstantFrequencyController, PredictiveController
+from repro.dvfs import (
+    ConstantFrequencyController,
+    DvfsDecision,
+    OperatingPoint,
+    PredictiveController,
+)
 from repro.serve import (
     DEADLINE as POLICY_DEADLINE,
     ENERGY_AWARE,
@@ -26,6 +32,7 @@ from repro.serve import (
     FleetDispatcher,
     FleetShed,
     RecordPredictor,
+    RoutingDecision,
     ServeConfig,
     ShardSpec,
     TenantSpec,
@@ -499,6 +506,37 @@ def _routing_case(asic_levels, policy, elastic, depth):
                       tenants=("gold", "free"))
     dispatcher.dispatch(_every_fifth(jobs, math.nan))
     return dispatcher
+
+
+#: One value of each per-arrival type, with the repr it printed as a
+#: frozen dataclass; ``ROUTING_PINS`` hash the log's and sheds' reprs.
+PER_ARRIVAL_REPRS = [
+    (FleetShed(4, "beta", "free", 0.5, "rate_limit"),
+     "FleetShed(index=4, benchmark='beta', tenant='free', arrival=0.5, "
+     "reason='rate_limit')"),
+    (RoutingDecision(3, "alpha", "gold", 0.25, (0, 2), (1, 0), 2),
+     "RoutingDecision(index=3, benchmark='alpha', tenant='gold', "
+     "arrival=0.25, candidates=(0, 2), backlogs=(1, 0), chosen=2, "
+     "reason=None)"),
+    (DvfsDecision(OperatingPoint(0.7, 2.5e8), False, math.inf),
+     "DvfsDecision(point=OperatingPoint(voltage=0.7, "
+     "frequency=250000000.0, is_boost=False), feasible=False, "
+     "f_required=inf)"),
+]
+
+
+@pytest.mark.parametrize("value,text", PER_ARRIVAL_REPRS,
+                         ids=["FleetShed", "RoutingDecision", "DvfsDecision"])
+def test_per_arrival_tuples_pickle_and_print_as_dataclasses(value, text):
+    """The fleet path's per-arrival records are named tuples: each
+    prints what a frozen dataclass of the same fields prints, and a
+    pickle round-trip returns an equal value of the same type."""
+    assert repr(value) == text
+    twin = dataclasses.make_dataclass(type(value).__name__,
+                                      value._fields, frozen=True)
+    assert repr(twin(*value)) == text
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value) and back == value
 
 
 def test_routing_is_pinned_for_every_policy(asic_levels):

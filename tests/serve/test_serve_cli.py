@@ -1,6 +1,7 @@
 """The ``repro serve`` subcommand, invoked in-process."""
 
 import json
+import re
 
 import pytest
 
@@ -116,12 +117,19 @@ def test_serve_fleet_smoke(cjpeg, capsys):
     assert "serve: ok" in out
 
 
-def test_serve_fleet_counters_survive_workers(cjpeg, capsys):
+def test_serve_fleet_counters_survive_workers(cjpeg, capsys, monkeypatch):
+    # serve_fleet runs serially below two usable cores per shard; claim
+    # four, so the two shards really run in two forked workers.
+    monkeypatch.setattr("repro.serve.fleet.usable_cores", lambda: 4)
     assert main(["serve", "--fleet", "2", "--benchmark", "cjpeg",
                  "--jobs", "30", "--rate", "400", "--virtual",
                  "--policy", "round_robin", "--workers", "2",
                  "--profile", "--seed", "5"]) == 0
     out = capsys.readouterr().out
+    # The fleet's map is the run's last, so its worker count is the
+    # footer's.
+    assert re.search(r"^  pool: \d+ tasks over \d+ map\(s\), "
+                     r"2 worker\(s\)", out, re.MULTILINE), out
     # Shard-side serve.* counters reached the parent registry through
     # the pool snapshot ship-back — nothing dropped.
     assert "fleet counters: offered=30" in out

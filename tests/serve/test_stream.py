@@ -1,12 +1,15 @@
 """Arrival processes and stream construction."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.serve import (
     StreamJob,
     burst_arrivals,
+    mixed_stream_jobs,
     poisson_arrivals,
     stream_from_records,
 )
@@ -135,6 +138,121 @@ def test_stream_from_records_validation():
         stream_from_records([], [0.1])
     with pytest.raises(ValueError, match="1:1"):
         stream_from_records([job(0, 100)], [0.1], inputs=[None, None])
+
+
+@pytest.mark.parametrize("n_jobs", [2.5, 3.0, "7"])
+def test_poisson_rejects_a_fractional_job_count(n_jobs):
+    with pytest.raises(ValueError, match="^n_jobs must be an integer"):
+        poisson_arrivals(10.0, n_jobs=n_jobs)
+
+
+# -- bit-identical stream builds --------------------------------------
+
+def _scalar_poisson(rate, seed, n_jobs=None, duration=None):
+    """The one-draw-per-gap loop :func:`poisson_arrivals` replaced."""
+    rng = np.random.default_rng(seed)
+    times, now = [], 0.0
+    while True:
+        now += float(rng.exponential(1.0 / rate))
+        if duration is not None and now >= duration:
+            return times
+        times.append(now)
+        if n_jobs is not None and len(times) >= n_jobs:
+            return times
+
+
+@pytest.mark.parametrize("rate", [30.0, 250.0])
+def test_poisson_n_jobs_equals_scalar_draws(rate):
+    for seed in range(5):
+        assert poisson_arrivals(rate, n_jobs=3000, seed=seed) \
+            == _scalar_poisson(rate, seed, n_jobs=3000)
+
+
+@pytest.mark.parametrize("rate,duration,seeds", [
+    (100.0, 1.0, range(10)),     # about half the seeds need a 2nd chunk
+    (30.0, 0.02, range(10)),     # one-gap chunks, often no arrival
+    (40_000.0, 2.0, range(1)),   # chunks capped at 65,536 gaps
+])
+def test_poisson_duration_equals_scalar_draws(rate, duration, seeds):
+    chunk = int(min(rate * duration, 65535.0)) + 1
+    chunked = 0
+    for seed in seeds:
+        times = poisson_arrivals(rate, duration=duration, seed=seed)
+        assert times == _scalar_poisson(rate, seed, duration=duration)
+        chunked += len(times) >= chunk
+    if rate * duration >= 100.0:
+        assert chunked  # the sums carried over a chunk boundary
+
+
+def _choice_reference(records, arrivals, seed, weights, tenants):
+    """``(benchmark, tenant, record position)`` per arrival, drawn with
+    the per-arrival ``rng.choice(n, p=probs)`` the stream used to make."""
+    names = list(records)
+    if weights is None:
+        probs = [1.0 / len(names)] * len(names)
+    else:
+        raw = [float(weights.get(name, 0.0)) for name in names]
+        probs = [w / sum(raw) for w in raw]
+    rng = np.random.default_rng(seed)
+    cursor = dict.fromkeys(names, 0)
+    out = []
+    for _ in sorted(arrivals):
+        name = names[int(rng.choice(len(names), p=probs))]
+        tenant = tenants[int(rng.integers(len(tenants)))]
+        out.append((name, tenant, cursor[name] % len(records[name])))
+        cursor[name] += 1
+    return out
+
+
+@pytest.mark.parametrize("weights", [
+    None,
+    {"alpha": 1.0, "beta": 6.0, "gamma": 0.5},
+    {"alpha": 0.0, "beta": 2.0, "gamma": 1.0},
+], ids=["uniform", "skewed", "zero_weight"])
+def test_mixed_stream_draws_equal_choice_with_p(weights):
+    """One uniform draw bisected into the cdf picks what
+    ``rng.choice(p=...)`` picked, interleaved with the tenant draws; each
+    record is ``dataclasses.replace(source, index=i)``."""
+    features = np.arange(3.0)
+    records = {name: [replace(job(k, 100 * (k + 1)), features=features,
+                              predicted_cycles=50.0 * k, slice_cycles=k)
+                      for k in range(n)]
+               for name, n in (("alpha", 3), ("beta", 5), ("gamma", 2))}
+    arrivals = poisson_arrivals(400.0, n_jobs=2000, seed=9)
+    tenants = ("gold", "free", "spot")
+    for seed in range(4):
+        jobs = mixed_stream_jobs(records, arrivals, seed=seed,
+                                 weights=weights, tenants=tenants)
+        expected = _choice_reference(records, arrivals, seed, weights,
+                                     tenants)
+        assert [(j.benchmark, j.tenant) for j in jobs] \
+            == [(name, tenant) for name, tenant, _ in expected]
+        for i, (fleet_job, (name, _, k)) in enumerate(zip(jobs, expected)):
+            source = records[name][k]
+            assert fleet_job.index == fleet_job.job.record.index == i
+            assert fleet_job.job.record == replace(source, index=i)
+            assert fleet_job.job.record.features is source.features
+
+
+def test_mixed_stream_rejects_weights_it_cannot_draw_from():
+    records = {"alpha": [job(0, 100)], "beta": [job(1, 200)]}
+    for weights in ({"alpha": math.nan, "beta": 1.0},
+                    {"alpha": math.inf, "beta": 1.0},
+                    {"alpha": -1.0, "beta": 2.0},
+                    {"alpha": 0.0}):
+        with pytest.raises(ValueError, match="^weights must be"):
+            mixed_stream_jobs(records, [0.1, 0.2], weights=weights)
+
+
+def test_stream_records_equal_a_dataclass_replace():
+    records = [replace(job(k, 100 + k), features=np.full(2, k),
+                       predicted_cycles=90.0 + k, coarse_param=k)
+               for k in range(3)]
+    jobs = stream_from_records(records, [0.1 * i for i in range(7)])
+    for i, stream_job in enumerate(jobs):
+        source = records[i % 3]
+        assert stream_job.record == replace(source, index=i)
+        assert stream_job.record.features is source.features
 
 
 # -- variable-frame-rate arrivals ------------------------------------
