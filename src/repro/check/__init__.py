@@ -3,12 +3,13 @@
 Three cooperating layers keep the reproduced figures trustworthy while
 the runtime underneath them is refactored for speed:
 
-* :mod:`~repro.check.invariants` — replays a finished
-  :class:`~repro.runtime.episode.EpisodeResult` job-by-job and asserts
-  the closed-form identities the runner must maintain (timeline chain,
-  deadline epsilon, switch/slice capability rules, energy
-  decomposition).  Wired into ``run_episode(strict=True)`` and the
-  ``REPRO_CHECK`` environment variable;
+* :mod:`~repro.check.invariants` — replays a finished episode or
+  stream (a :class:`~repro.serve.server.StreamResult`) job-by-job and
+  asserts the closed-form identities the runner must maintain
+  (timeline chain, deadline epsilon, switch/slice capability rules,
+  energy decomposition, planned runs).  Wired into
+  ``run_episode(strict=True)`` and the ``REPRO_CHECK`` environment
+  variable;
 * :mod:`~repro.check.golden` — canonicalizes episodes into versioned
   JSON golden files under ``tests/golden/`` and diffs fresh runs
   (serial or parallel, warm or cold cache) against them with

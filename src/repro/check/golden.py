@@ -28,7 +28,7 @@ import math
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..runtime.episode import EpisodeResult
+from ..serve.server import StreamResult
 
 #: Bump when the canonical layout changes; a version mismatch is
 #: reported as a single explained diff instead of field-level noise.
@@ -58,14 +58,14 @@ def round_sig(value: float, digits: int = CANONICAL_SIG_DIGITS) -> float:
     return round(value, digits - 1 - magnitude)
 
 
-def canonical_episode(result: EpisodeResult,
+def canonical_episode(result: StreamResult,
                       digits: int = CANONICAL_SIG_DIGITS) -> Dict:
     """Render one episode as a stable, JSON-ready dictionary."""
     return {
-        "controller": result.controller,
-        "task": result.task.name,
-        "deadline": round_sig(result.task.deadline, digits),
-        "n_jobs": result.n_jobs,
+        "controller": result.scheme,
+        "task": result.stream,
+        "deadline": round_sig(result.deadline, digits),
+        "n_jobs": result.n_offered,
         "total_energy": round_sig(result.total_energy, digits),
         "miss_count": result.miss_count,
         "boost_count": result.boost_count,

@@ -40,7 +40,9 @@ Invariant catalog (codes as emitted):
 * ``stream.prediction`` — a completed job under a slice-using scheme
   was planned on a valid prediction
   (:func:`~repro.serve.server.valid_prediction`): an invalid one must
-  have fallen back.
+  have fallen back;
+* ``stream.epoch.*`` — every block-planned run in the result's
+  ``epoch_log`` ran in the uncoupled regime (see :func:`check_epochs`).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from typing import TYPE_CHECKING, List, Optional
 from ..dvfs.energy import EnergyModel, JobActivity
 from ..dvfs.levels import LevelTable, OperatingPoint
 from ..obs import get_observer
-from ..runtime.episode import EpisodeResult
 from ..runtime.jobs import switch_window_energy
 from ..serve.server import FALLBACK, SHED, TERMINAL_STATES, \
     StreamResult, valid_prediction
@@ -107,7 +108,7 @@ class SchemeCaps:
 #: Capability rules per scheme name.  ``uses_slice`` mirrors the
 #: controller attribute *after* construction (the overhead-free
 #: predictive variants drop their slice), so the checker can infer
-#: capabilities from an :class:`EpisodeResult` alone.
+#: capabilities from a result's scheme name alone.
 SCHEME_CAPS = {
     "baseline": SchemeCaps(False, True),
     "table": SchemeCaps(False, True),
@@ -319,7 +320,7 @@ class _JobRules:
         return self.violations
 
 
-def check_episode(result: EpisodeResult,
+def check_episode(result: StreamResult,
                   energy_model: Optional[EnergyModel] = None,
                   slice_energy_model: Optional[EnergyModel] = None,
                   levels: Optional[LevelTable] = None,
@@ -335,13 +336,13 @@ def check_episode(result: EpisodeResult,
     recomputation check; ``levels`` enables the first-job switch check
     and the slice-time formula (both need the nominal point).
     Capability flags default to the :data:`SCHEME_CAPS` entry for the
-    episode's controller name.  An episode is a stream that never
-    sheds, so a job that fell back is held to the stream's fallback
-    rule.  Returns all violations found (empty list = episode is
-    internally consistent).
+    episode's scheme.  An episode is a stream that never sheds, so a
+    job that fell back is held to the stream's fallback rule, and its
+    planned runs to :func:`check_epochs`' rules.  Returns all
+    violations found (empty list = episode is internally consistent).
     """
-    deadline = result.task.deadline
-    rules = _JobRules(result.controller, deadline, "timeline.start",
+    deadline = result.deadline
+    rules = _JobRules(result.scheme, deadline, "timeline.start",
                       "timeline", energy_model, slice_energy_model, levels,
                       t_switch, uses_slice, charge_overheads, rel_eps,
                       energy_rel_eps)
@@ -352,6 +353,7 @@ def check_episode(result: EpisodeResult,
                       "job released off its period boundary",
                       expected=release, actual=o.release)
         rules.check(i, o)
+    _audit_epochs(rules.bad, result, result.epoch_log, rel_eps)
     return rules.tally("check.episodes", len(result.outcomes))
 
 
@@ -380,7 +382,9 @@ def check_stream(result: StreamResult,
       release)`` in arrival order (shed jobs do not occupy the
       server);
     * ``stream.shed`` — a shed job never touched the accelerator:
-      zero time, zero energy, no miss, no operating point.
+      zero time, zero energy, no miss, no operating point;
+    * ``stream.epoch.*`` — the result's block-planned runs
+      (``epoch_log``) obey :func:`check_epochs`' rules.
 
     Fallback jobs participate in the switch-point chain (dispatching
     at nominal *is* a level change when the previous job ran slower)
@@ -445,6 +449,7 @@ def check_stream(result: StreamResult,
                     expected=False, actual=True)
             continue
         rules.check(i, o)
+    _audit_epochs(bad, result, result.epoch_log, rel_eps)
     return rules.tally("check.streams", len(result.outcomes))
 
 
@@ -457,8 +462,8 @@ def check_fleet(result: "FleetResult",
     The fleet analogue of :func:`check_stream`.  Every shard is first
     replayed through :func:`check_stream` with its own spec's energy
     models, level table, and capability flags (the per-stream
-    identities must hold *inside* each shard), then the dispatcher
-    tier's own laws are checked on top:
+    identities, planned runs included, must hold *inside* each shard),
+    then the dispatcher tier's own laws are checked on top:
 
     * ``fleet.conservation`` — offered equals dispatcher sheds plus
       the sum of shard offers, and the fleet-wide index space
@@ -583,11 +588,23 @@ def check_epochs(result: StreamResult,
 
     Together with ``stream.conservation`` (from :func:`check_stream`)
     this closes the loop: epoch jobs + scalar jobs + sheds account for
-    every offered job exactly once.
+    every offered job exactly once.  :func:`check_stream` and
+    :func:`check_episode` apply these rules to ``result.epoch_log``
+    themselves; this entry point audits any log against any result.
     """
     violations: List[InvariantViolation] = []
-    bad = partial(_report, violations)
+    _audit_epochs(partial(_report, violations), result, epoch_log, rel_eps)
+    observer = get_observer()
+    if observer is not None and violations:
+        observer.metrics.inc("check.violations", len(violations))
+    return violations
 
+
+def _audit_epochs(bad, result: StreamResult, epoch_log: List[tuple],
+                  rel_eps: float) -> None:
+    """Report every :func:`check_epochs` violation through ``bad``."""
+    if not epoch_log:
+        return
     deadline = result.deadline
     position = {o.index: k for k, o in enumerate(result.outcomes)}
     prev_end = 0
@@ -644,8 +661,3 @@ def check_epochs(result: StreamResult,
                         expected=f"<= {succ.arrival}", actual=o.finish)
         prev_end = p + n_jobs
         prev_first = first_index
-
-    observer = get_observer()
-    if observer is not None and violations:
-        observer.metrics.inc("check.violations", len(violations))
-    return violations

@@ -2,12 +2,13 @@
 
 A checker that never fires is indistinguishable from a checker that
 cannot fire.  Each mutation here re-introduces, surgically, one real
-class of accounting bug into a *correct* :class:`EpisodeResult` — the
-spurious float-boundary miss, the energy-free DVFS switch, the
-timeline gap — and the mutation smoke test asserts the invariant
-checker flags every one of them.  Run it whenever the checker's
-tolerances or the runner's accounting change: a mutation that stops
-being caught means the checker just went blind to that bug class.
+class of accounting bug into a *correct* episode or stream (a
+:class:`~repro.serve.server.StreamResult`) — the spurious
+float-boundary miss, the energy-free DVFS switch, the timeline gap —
+and the mutation smoke test asserts the invariant checker flags every
+one of them.  Run it whenever the checker's tolerances or the runner's
+accounting change: a mutation that stops being caught means the
+checker just went blind to that bug class.
 """
 
 from __future__ import annotations
@@ -15,27 +16,17 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
-from typing import TYPE_CHECKING
-
 from ..dvfs.energy import EnergyModel
 from ..dvfs.levels import LevelTable, OperatingPoint
-from ..runtime.episode import EpisodeResult
 from ..runtime.jobs import switch_window_energy
+from ..serve.server import FALLBACK, SHED, StreamResult
 from ..units import DVFS_SWITCH_TIME
 from .invariants import InvariantViolation, check_episode, check_stream
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from ..serve.server import StreamResult
 
-
-def _rebuild(result: EpisodeResult, outcomes) -> EpisodeResult:
-    return EpisodeResult(controller=result.controller, task=result.task,
-                         outcomes=list(outcomes))
-
-
-def seed_spurious_miss(result: EpisodeResult,
+def seed_spurious_miss(result: StreamResult,
                        energy_model: Optional[EnergyModel] = None
-                       ) -> EpisodeResult:
+                       ) -> StreamResult:
     """Flip the miss flag of the first on-time job.
 
     Models the float-boundary bug where an exact-fit job rounds a few
@@ -45,14 +36,14 @@ def seed_spurious_miss(result: EpisodeResult,
     outcomes = list(result.outcomes)
     for i, o in enumerate(outcomes):
         if not o.missed:
-            outcomes[i] = replace(o, missed=True)
-            return _rebuild(result, outcomes)
+            outcomes[i] = o._replace(missed=True)
+            return replace(result, outcomes=outcomes)
     raise ValueError("no on-time job to mutate — every job missed")
 
 
-def seed_uncharged_switch_energy(result: EpisodeResult,
+def seed_uncharged_switch_energy(result: StreamResult,
                                  energy_model: Optional[EnergyModel] = None
-                                 ) -> EpisodeResult:
+                                 ) -> StreamResult:
     """Remove the switch-window leakage from the first switched job.
 
     Models the drift where switching costs wall time but no energy —
@@ -68,15 +59,15 @@ def seed_uncharged_switch_energy(result: EpisodeResult,
                                    frequency=o.frequency,
                                    is_boost=o.boosted)
             stolen = switch_window_energy(energy_model, point, o.t_switch)
-            outcomes[i] = replace(o, energy=o.energy - stolen)
-            return _rebuild(result, outcomes)
+            outcomes[i] = o._replace(energy=o.energy - stolen)
+            return replace(result, outcomes=outcomes)
     raise ValueError("no switched job to mutate — run a scheme that "
                      "changes levels")
 
 
-def seed_timeline_gap(result: EpisodeResult,
+def seed_timeline_gap(result: StreamResult,
                       energy_model: Optional[EnergyModel] = None
-                      ) -> EpisodeResult:
+                      ) -> StreamResult:
     """Push one job's start 10% of a period past its legal start.
 
     Models a broken carry-over chain (idle gap the runner never
@@ -87,21 +78,21 @@ def seed_timeline_gap(result: EpisodeResult,
     outcomes = list(result.outcomes)
     i = len(outcomes) // 2
     o = outcomes[i]
-    outcomes[i] = replace(o, start=o.start + 0.1 * result.task.deadline)
-    return _rebuild(result, outcomes)
+    outcomes[i] = o._replace(start=o.start + 0.1 * result.deadline)
+    return replace(result, outcomes=outcomes)
 
 
 #: Registry of every seeded bug, keyed by a stable name.
-MUTATIONS: Dict[str, Callable[..., EpisodeResult]] = {
+MUTATIONS: Dict[str, Callable[..., StreamResult]] = {
     "spurious_miss": seed_spurious_miss,
     "uncharged_switch_energy": seed_uncharged_switch_energy,
     "timeline_gap": seed_timeline_gap,
 }
 
 
-def apply_mutation(name: str, result: EpisodeResult,
+def apply_mutation(name: str, result: StreamResult,
                    energy_model: Optional[EnergyModel] = None
-                   ) -> EpisodeResult:
+                   ) -> StreamResult:
     """Apply one registered mutation by name."""
     try:
         mutate = MUTATIONS[name]
@@ -111,17 +102,7 @@ def apply_mutation(name: str, result: EpisodeResult,
     return mutate(result, energy_model)
 
 
-def _rebuild_stream(result: "StreamResult", outcomes) -> "StreamResult":
-    from ..serve.server import StreamResult
-    return StreamResult(
-        stream=result.stream, scheme=result.scheme,
-        deadline=result.deadline, outcomes=list(outcomes),
-        n_offered=result.n_offered, wall_s=result.wall_s,
-    )
-
-
-def seed_dropped_job_on_overflow(result: "StreamResult"
-                                 ) -> "StreamResult":
+def seed_dropped_job_on_overflow(result: StreamResult) -> StreamResult:
     """Silently drop the first shed job from the outcome stream.
 
     Models the classic admission-control bug where an overflowing
@@ -129,46 +110,44 @@ def seed_dropped_job_on_overflow(result: "StreamResult"
     says it happened, the outcomes say it never did.  The checker
     must report ``stream.conservation``.
     """
-    from ..serve.server import SHED
     outcomes = list(result.outcomes)
     for i, o in enumerate(outcomes):
         if o.status == SHED:
             del outcomes[i]
-            return _rebuild_stream(result, outcomes)
+            return replace(result, outcomes=outcomes)
     raise ValueError("no shed job to drop — overload the stream first")
 
 
-def seed_double_counted_fallback_energy(result: "StreamResult"
-                                        ) -> "StreamResult":
+def seed_double_counted_fallback_energy(result: StreamResult
+                                        ) -> StreamResult:
     """Double the first fallback job's recorded energy.
 
     Models the degraded-path bug where the fallback dispatch charges
     the job *and* the abandoned prediction path bills it again.  The
     checker must report ``energy.recompute``.
     """
-    from ..serve.server import FALLBACK
     outcomes = list(result.outcomes)
     for i, o in enumerate(outcomes):
         if o.status == FALLBACK:
-            outcomes[i] = replace(o, energy=o.energy * 2.0)
-            return _rebuild_stream(result, outcomes)
+            outcomes[i] = o._replace(energy=o.energy * 2.0)
+            return replace(result, outcomes=outcomes)
     raise ValueError("no fallback job to mutate — starve the "
                      "prediction budget first")
 
 
 #: Serve-layer seeded bugs, applied to a clean StreamResult.
-STREAM_MUTATIONS: Dict[str, Callable[..., "StreamResult"]] = {
+STREAM_MUTATIONS: Dict[str, Callable[..., StreamResult]] = {
     "dropped_job_on_overflow": seed_dropped_job_on_overflow,
     "double_counted_fallback_energy": seed_double_counted_fallback_energy,
 }
 
 
-def run_mutation_smoke(result: EpisodeResult,
+def run_mutation_smoke(result: StreamResult,
                        energy_model: EnergyModel,
                        slice_energy_model: Optional[EnergyModel] = None,
                        levels: Optional[LevelTable] = None,
                        t_switch: float = DVFS_SWITCH_TIME,
-                       stream: Optional["StreamResult"] = None
+                       stream: Optional[StreamResult] = None
                        ) -> Dict[str, List[InvariantViolation]]:
     """Seed every registered bug into ``result`` and check each.
 

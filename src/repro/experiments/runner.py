@@ -56,7 +56,8 @@ from ..parallel import (
     resolve_jobs,
     workload_fingerprint,
 )
-from ..runtime import EpisodeResult, JobRecord, Task, run_episode
+from ..runtime import JobRecord, Task, run_episode
+from ..serve.server import StreamResult
 from ..workloads import BenchmarkWorkload, workload_for
 from .setup import ExperimentConfig, default_config
 
@@ -326,7 +327,7 @@ def _dummy_activity(cycles: int):
 
 def run_scheme(ctx: TechContext, scheme: str,
                deadline: Optional[float] = None,
-               strict: Optional[bool] = None) -> EpisodeResult:
+               strict: Optional[bool] = None) -> StreamResult:
     """Run one controller over the bundle's test jobs.
 
     ``strict`` forwards to :func:`~repro.runtime.episode.run_episode`:

@@ -64,7 +64,7 @@ def make_simulation(module: Module, *, backend: Optional[str] = None,
     """Build a one-job-at-a-time simulation of ``module``.
 
     ``kwargs`` are forwarded to the :class:`Simulation` constructor
-    (``listener``, ``fast_forward``, ``elide``, ``track_state_cycles``).
+    (``listener``, ``fast_forward``, ``track_state_cycles``).
     ``interp`` gets the interpreter; ``stepjit`` gets the step
     compiler.
     """

@@ -251,23 +251,18 @@ class Simulation:
         module: the design (must be finalized).
         listener: optional instrumentation hook.
         fast_forward: enable bulk wait skipping (default on; exact).
-        elide: set of ``(fsm, state)`` wait/dynamic-wait states whose
-            stalls are skipped entirely — used to execute hardware
-            slices after wait-state elision.
         track_state_cycles: record per-(fsm, state) cycle counts for
             activity-based energy accounting.
     """
 
     def __init__(self, module: Module, listener: Optional[Listener] = None,
                  fast_forward: bool = True,
-                 elide: Optional[Set[Tuple[str, str]]] = None,
                  track_state_cycles: bool = True):
         if not module.finalized:
             raise ValueError(f"module {module.name} must be finalized first")
         self.module = module
         self.listener = listener
         self.fast_forward = fast_forward
-        self.elide = frozenset(elide or ())
         self.track_state_cycles = track_state_cycles
         self._build_static()
         self.reset()
@@ -382,13 +377,12 @@ class Simulation:
             fired: List[Tuple[Fsm, Transition]] = []
             for fsm in fsms:
                 current = self._fsm_state[fsm.name]
-                if (fsm.name, current) not in self.elide:
-                    counter = fsm.wait_states.get(current)
-                    if counter is not None and env[counter] > 0:
-                        continue  # parked on a wait counter
-                    if (current in fsm.dynamic_waits
-                            and self._dyn_stall[fsm.name] > 0):
-                        continue  # parked on opaque serial logic
+                counter = fsm.wait_states.get(current)
+                if counter is not None and env[counter] > 0:
+                    continue  # parked on a wait counter
+                if (current in fsm.dynamic_waits
+                        and self._dyn_stall[fsm.name] > 0):
+                    continue  # parked on opaque serial logic
                 for t in self._arc_table[fsm.name].get(current, ()):
                     if t.cond is None or t.cond.eval(env):
                         fired.append((fsm, t))
@@ -451,11 +445,8 @@ class Simulation:
             for reg, value in t.actions:
                 pending[reg] = value.eval(env)
             if t.dst in fsm.dynamic_waits:
-                if (fsm.name, t.dst) in self.elide:
-                    dyn_next[fsm.name] = 0
-                else:
-                    duration = fsm.dynamic_waits[t.dst].eval(env)
-                    dyn_next[fsm.name] = max(int(duration), 0)
+                duration = fsm.dynamic_waits[t.dst].eval(env)
+                dyn_next[fsm.name] = max(int(duration), 0)
             if listener is not None:
                 listener.on_transition(fsm.name, t.src, t.dst)
 
@@ -500,14 +491,13 @@ class Simulation:
         # Which FSMs are parked, and on what.
         for fsm in self._fsms:
             current = self._fsm_state[fsm.name]
-            if (fsm.name, current) not in self.elide:
-                counter_name = fsm.wait_states.get(current)
-                if counter_name is not None and self.state[counter_name] > 0:
-                    continue  # ETA comes from the counting-counter scan
-                if (current in fsm.dynamic_waits
-                        and self._dyn_stall[fsm.name] > 0):
-                    remaining.append(self._dyn_stall[fsm.name])
-                    continue
+            counter_name = fsm.wait_states.get(current)
+            if counter_name is not None and self.state[counter_name] > 0:
+                continue  # ETA comes from the counting-counter scan
+            if (current in fsm.dynamic_waits
+                    and self._dyn_stall[fsm.name] > 0):
+                remaining.append(self._dyn_stall[fsm.name])
+                continue
             quiescent.append(fsm)
 
         # Every counter that advances this cycle joins the changing set.
@@ -536,8 +526,6 @@ class Simulation:
         # no ETA; bail rather than guess.
         for fsm in self._fsms:
             current = self._fsm_state[fsm.name]
-            if (fsm.name, current) in self.elide:
-                continue
             counter_name = fsm.wait_states.get(current)
             if (counter_name is not None and self.state[counter_name] > 0
                     and counter_name not in changing):
@@ -587,7 +575,6 @@ class Simulation:
         for fsm in self._fsms:
             current = self._fsm_state[fsm.name]
             if (current in fsm.dynamic_waits
-                    and (fsm.name, current) not in self.elide
                     and self._dyn_stall[fsm.name] > 0):
                 self._dyn_stall[fsm.name] -= k
             if fsm.dynamic_waits:

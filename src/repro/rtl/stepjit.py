@@ -24,8 +24,8 @@ one specialized Python function:
   other listener gets its callbacks called per event.  With no
   listener, no instrumentation code is emitted at all.
 
-Programs are cached per module (weakly) and per variant (elide set,
-state-cycle tracking, callbacks or slot table, fast-forward), and are
+Programs are cached per module (weakly) and per variant (state-cycle
+tracking, callbacks or slot table, fast-forward), and are
 pickle-safe: ``__reduce__`` pickles the source module plus the variant
 options and regenerates the code on load.
 
@@ -40,8 +40,7 @@ import keyword
 import re
 from functools import partial
 from time import perf_counter
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Set
 from weakref import WeakKeyDictionary
 
 from ..obs import get_observer
@@ -95,14 +94,13 @@ class _StepCompiler:
     evaluate every expression it fixes.
     """
 
-    def __init__(self, module: Module, elide: FrozenSet[Tuple[str, str]],
-                 track_state_cycles: bool, has_listener: bool,
-                 fast_forward: bool, slots: Optional[EventSlots]):
+    def __init__(self, module: Module, track_state_cycles: bool,
+                 has_listener: bool, fast_forward: bool,
+                 slots: Optional[EventSlots]):
         if not module.finalized:
             raise ValueError(
                 f"module {module.name} must be finalized first")
         self.m = module
-        self.elide = elide
         self.track = track_state_cycles
         self.has_listener = has_listener
         self.fast_forward = fast_forward
@@ -404,8 +402,8 @@ class _StepCompiler:
     def source(self) -> str:
         self._lines = [
             f"# stepjit kernel for module {self.m.name!r}",
-            f"# variant: elide={sorted(self.elide)!r}, "
-            f"track={self.track}, listener={self.has_listener}, "
+            f"# variant: track={self.track}, "
+            f"listener={self.has_listener}, "
             f"slots={self.slots is not None}, "
             f"fast_forward={self.fast_forward}",
             "def _step(S, MEMS, DYN, SC, cycle, max_cycles, listener):",
@@ -534,12 +532,11 @@ class _StepCompiler:
         """A state's wait gates and its (condition, arc) choices in
         priority order; a None condition always holds."""
         gates = []
-        if (fsm.name, state) not in self.elide:
-            counter = fsm.wait_states.get(state)
-            if counter is not None:
-                gates.append(f"{self.scalar_local[counter]} <= 0")
-            if state in fsm.dynamic_waits:
-                gates.append(f"d_{i} <= 0")
+        counter = fsm.wait_states.get(state)
+        if counter is not None:
+            gates.append(f"{self.scalar_local[counter]} <= 0")
+        if state in fsm.dynamic_waits:
+            gates.append(f"d_{i} <= 0")
         choices = []
         for t in fsm.transitions_from(state):
             holds = self.truth(t.cond)
@@ -656,9 +653,8 @@ class _StepCompiler:
         veto = self.any_flag(
             term for t in fsm.transitions_from(state)
             for term in self.veto_terms(self.deps.analyze(t.cond)))
-        elided = (fsm.name, state) in self.elide
-        counter = None if elided else fsm.wait_states.get(state)
-        if counter is None and (elided or state not in fsm.dynamic_waits):
+        counter = fsm.wait_states.get(state)
+        if counter is None and state not in fsm.dynamic_waits:
             self._break_if(veto)
             return
         if counter is not None:
@@ -733,7 +729,6 @@ class _StepCompiler:
             parked = [self.cond(self.in_state(fsm, state))
                       for state in fsm.states
                       if state in fsm.dynamic_waits
-                      and (fsm.name, state) not in self.elide
                       and self.truth(self.in_state(fsm, state)) is not False]
             if parked:
                 test = "" if "1" in parked else f"({' or '.join(parked)}) and "
@@ -929,11 +924,8 @@ class _StepCompiler:
         for reg, value in t.actions:
             self._write(reg, value)
         if t.dst in fsm.dynamic_waits:
-            if (fsm.name, t.dst) in self.elide:
-                self.w(f"nd_{i} = 0")
-            else:
-                self.w(f"_t = {self.render(fsm.dynamic_waits[t.dst])}")
-                self.w(f"nd_{i} = _t if _t > 0 else 0")
+            self.w(f"_t = {self.render(fsm.dynamic_waits[t.dst])}")
+            self.w(f"nd_{i} = _t if _t > 0 else 0")
         if self.has_listener:
             self.w(f"_lt({fsm.name!r}, {t.src!r}, {t.dst!r})")
         if self.slots is not None:
@@ -1006,20 +998,17 @@ class StepProgram:
     """
 
     def __init__(self, module: Module,
-                 elide: Iterable[Tuple[str, str]] = (),
                  track_state_cycles: bool = True,
                  has_listener: bool = False,
                  fast_forward: bool = True,
                  slots: Optional[EventSlots] = None):
         start = perf_counter()
         self.module = module
-        self.elide = frozenset(elide)
         self.track_state_cycles = bool(track_state_cycles)
         self.has_listener = bool(has_listener)
         self.fast_forward = bool(fast_forward)
         self.slots = slots
-        compiler = _StepCompiler(module, self.elide,
-                                 self.track_state_cycles,
+        compiler = _StepCompiler(module, self.track_state_cycles,
                                  self.has_listener, self.fast_forward,
                                  slots)
         self.source = compiler.source()
@@ -1049,9 +1038,9 @@ class StepProgram:
         # of (module, options), so regenerate on load — this is what
         # lets steppers ride through pool workers and the artifact
         # cache.
-        return (StepProgram, (self.module, tuple(sorted(self.elide)),
-                              self.track_state_cycles, self.has_listener,
-                              self.fast_forward, self.slots))
+        return (StepProgram, (self.module, self.track_state_cycles,
+                              self.has_listener, self.fast_forward,
+                              self.slots))
 
 
 #: module -> {variant key -> StepProgram}; weak so modules can die.
@@ -1059,7 +1048,6 @@ _PROGRAMS: "WeakKeyDictionary[Module, Dict]" = WeakKeyDictionary()
 
 
 def compile_stepper(module: Module, *,
-                    elide: Iterable[Tuple[str, str]] = (),
                     track_state_cycles: bool = True,
                     has_listener: bool = False,
                     fast_forward: bool = True,
@@ -1072,8 +1060,8 @@ def compile_stepper(module: Module, *,
     variants = _PROGRAMS.get(module)
     if variants is None:
         variants = _PROGRAMS.setdefault(module, {})
-    key = (frozenset(elide), bool(track_state_cycles),
-           bool(has_listener), bool(fast_forward), slots)
+    key = (bool(track_state_cycles), bool(has_listener),
+           bool(fast_forward), slots)
     program = variants.get(key)
     if program is None:
         program = variants[key] = StepProgram(module, *key)
@@ -1104,8 +1092,7 @@ class StepSimulation(Simulation):
         listener = self.listener
         slots = None if listener is None else listener.event_slots()
         return compile_stepper(
-            self.module, elide=self.elide,
-            track_state_cycles=self.track_state_cycles,
+            self.module, track_state_cycles=self.track_state_cycles,
             has_listener=listener is not None and slots is None,
             fast_forward=self.fast_forward, slots=slots)
 

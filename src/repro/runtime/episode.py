@@ -12,59 +12,15 @@ machine (:mod:`repro.serve`), which prices every job through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..dvfs.controllers import Controller
 from ..dvfs.energy import EnergyModel
 from ..serve.server import AcceleratorStream, RecordPredictor, \
-    ServeConfig, StreamOutcome, serve_stream
+    ServeConfig, StreamResult, serve_stream
 from ..serve.stream import StreamJob
 from ..units import DVFS_SWITCH_TIME
 from .jobs import JobRecord, Task, strict_checks_enabled
-
-
-@dataclass
-class EpisodeResult:
-    """All job outcomes of one controller run, with aggregates."""
-
-    controller: str
-    task: Task
-    outcomes: List[StreamOutcome]
-
-    @property
-    def n_jobs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def total_energy(self) -> float:
-        return sum(o.energy for o in self.outcomes)
-
-    @property
-    def miss_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.missed)
-
-    @property
-    def miss_rate(self) -> float:
-        return self.miss_count / self.n_jobs if self.outcomes else 0.0
-
-    @property
-    def boost_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.boosted)
-
-    @property
-    def switch_count(self) -> int:
-        """Jobs that paid a DVFS switch (charged schemes only)."""
-        return sum(1 for o in self.outcomes if o.t_switch > 0.0)
-
-    def normalized_energy(self, baseline: "EpisodeResult") -> float:
-        """Energy as a fraction of a baseline run (same jobs)."""
-        if baseline.n_jobs != self.n_jobs:
-            raise ValueError("baseline ran a different job count")
-        base = baseline.total_energy
-        if base <= 0:
-            raise ValueError("baseline energy must be positive")
-        return self.total_energy / base
 
 
 def run_episode(controller: Controller,
@@ -73,7 +29,7 @@ def run_episode(controller: Controller,
                 energy_model: EnergyModel,
                 slice_energy_model: Optional[EnergyModel] = None,
                 t_switch: float = DVFS_SWITCH_TIME,
-                strict: Optional[bool] = None) -> EpisodeResult:
+                strict: Optional[bool] = None) -> StreamResult:
     """Run ``jobs`` under ``controller`` and account time and energy.
 
     Jobs are released periodically (Fig 1 of the paper): job *i* may
@@ -83,7 +39,8 @@ def run_episode(controller: Controller,
     following job to a high (expensive) level.
 
     The episode is served as one stream by
-    :func:`~repro.serve.server.serve_stream`: arrivals at
+    :func:`~repro.serve.server.serve_stream`, whose
+    :class:`~repro.serve.server.StreamResult` it returns: arrivals at
     ``i * deadline``, the records' own predictions replayed, and a
     queue no backlog can fill, so no job is shed.  A job with no valid
     prediction under a slice scheme falls back, as in any stream.
@@ -103,15 +60,13 @@ def run_episode(controller: Controller,
         predictor=RecordPredictor(),
         config=ServeConfig(deadline=deadline, t_switch=t_switch,
                            queue_depth=max(len(jobs), 1), strict=False))
-    served = serve_stream(stream, [StreamJob(i, job, i * deadline)
+    result = serve_stream(stream, [StreamJob(i, job, i * deadline)
                                    for i, job in enumerate(jobs)])
-    result = EpisodeResult(controller=controller.name, task=task,
-                           outcomes=served.outcomes)
     if strict is None:
         strict = strict_checks_enabled()
     if strict:
-        # Imported lazily: repro.check depends on this module.
-        from ..check import InvariantError, check_episode, check_epochs
+        # Imported lazily: repro.check imports the runtime package.
+        from ..check import InvariantError, check_episode
         violations = check_episode(
             result,
             energy_model=energy_model,
@@ -120,7 +75,7 @@ def run_episode(controller: Controller,
             t_switch=t_switch,
             uses_slice=controller.uses_slice,
             charge_overheads=controller.charge_overheads,
-        ) + check_epochs(served, stream.epoch_log)
+        )
         if violations:
             raise InvariantError(violations)
     return result

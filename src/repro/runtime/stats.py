@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from .episode import EpisodeResult
+from ..serve.server import StreamResult
 
 
 @dataclass(frozen=True)
@@ -22,12 +22,12 @@ class SchemeSummary:
         return 100.0 - self.normalized_energy_pct
 
 
-def summarize(benchmark: str, result: EpisodeResult,
-              baseline: EpisodeResult) -> SchemeSummary:
+def summarize(benchmark: str, result: StreamResult,
+              baseline: StreamResult) -> SchemeSummary:
     """One (benchmark, scheme) cell, normalized to a baseline."""
     return SchemeSummary(
         benchmark=benchmark,
-        scheme=result.controller,
+        scheme=result.scheme,
         normalized_energy_pct=result.normalized_energy(baseline) * 100.0,
         miss_rate_pct=result.miss_rate * 100.0,
     )

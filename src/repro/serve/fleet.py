@@ -36,7 +36,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -623,26 +623,29 @@ def virtual_outcomes(result: StreamResult) -> List:
     which poisons dataclass ``==``) is dropped; this is the canonical
     form the equivalence tests and the throughput benchmark compare.
     """
-    from dataclasses import replace as _replace
-    return [_replace(o, decision_s=0.0,
-                     job=_replace(o.job, features=None))
+    return [o._replace(decision_s=0.0,
+                       job=replace(o.job, features=None))
             for o in result.outcomes]
 
 
-def _run_shard(task: Tuple[ShardSpec, List[FleetJob]]) -> StreamResult:
+def _run_shard(task: Tuple[ShardSpec, List[FleetJob], bool]
+               ) -> StreamResult:
     """Worker body: serve one instance's routed sub-stream on the
     virtual clock, exactly as a lone stream is served.
 
     Must stay a module-level function (pmap pickles it).  SLO
     judgement stays off inside shards — windows are only complete
-    fleet-wide, so :func:`serve_fleet` finalizes once at the end.
+    fleet-wide, so :func:`serve_fleet` finalizes once at the end.  A
+    strict fleet leaves the shard to :func:`repro.check.check_fleet`,
+    which checks it once; otherwise the shard's own config decides.
     """
-    spec, jobs = task
+    spec, jobs, fleet_strict = task
     stream = spec.make_stream()
     stream.slo_live = False
     result = _serve_virtual(stream, [job.job for job in jobs])
     _emit_stream_summary(stream, result)
-    _check_result(stream, result)
+    if not fleet_strict:
+        _check_result(stream, result)
     return result
 
 
@@ -660,7 +663,8 @@ def serve_fleet(specs: Sequence[ShardSpec],
     in-process when ``workers`` resolves to 1, with bit-identical
     outcomes either way.  Strict mode (``config.strict`` or
     ``REPRO_CHECK``) replays the result through
-    :func:`repro.check.check_fleet` and raises
+    :func:`repro.check.check_fleet`, which checks every shard once,
+    planned runs included, and raises
     :class:`~repro.check.InvariantError` on any violation.
     """
     dispatcher = FleetDispatcher(specs, config=config, tenants=tenants)
@@ -674,11 +678,15 @@ def serve_fleet(specs: Sequence[ShardSpec],
         workers = 1
         if observer is not None:
             observer.metrics.inc("serve.fleet.serial_degrade")
+    strict = config.strict
+    if strict is None:
+        strict = strict_checks_enabled()
     t0 = time.perf_counter()
     with span("serve.fleet", shards=len(specs), policy=config.policy,
               jobs=len(jobs)):
         routed = dispatcher.dispatch(jobs)
-        tasks = list(zip(dispatcher.specs, routed))
+        tasks = [(spec, shard_jobs, strict)
+                 for spec, shard_jobs in zip(dispatcher.specs, routed)]
         shard_results = pmap(_run_shard, tasks, jobs=workers,
                              label="serve.fleet")
     observer = get_observer()
@@ -695,9 +703,6 @@ def serve_fleet(specs: Sequence[ShardSpec],
         n_offered=dispatcher.n_offered,
         wall_s=time.perf_counter() - t0,
     )
-    strict = config.strict
-    if strict is None:
-        strict = strict_checks_enabled()
     if strict:
         from ..check import InvariantError, check_fleet
         violations = check_fleet(result)

@@ -91,8 +91,7 @@ class LoadReport:
             max_decision_ms=(latencies[-1] * 1e3 if latencies else 0.0),
             fallback_rate=result.fallback_rate,
             shed_rate=result.shed_rate,
-            miss_rate=(result.miss_count / len(executed)
-                       if executed else 0.0),
+            miss_rate=result.miss_rate,
             wall_s=result.wall_s,
         )
 

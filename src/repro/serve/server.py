@@ -39,8 +39,9 @@ import math
 import numbers
 import time
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, \
+    Tuple
 
 from ..dvfs.controllers import Controller
 from ..dvfs.energy import EnergyModel
@@ -185,8 +186,7 @@ def _effective(sjob: StreamJob, predicted: float,
                    slice_cycles=slice_cycles)
 
 
-@dataclass(frozen=True)
-class StreamOutcome:
+class StreamOutcome(NamedTuple):
     """Terminal record of one offered job.
 
     Shed jobs never touch the accelerator: their time and energy
@@ -196,10 +196,10 @@ class StreamOutcome:
     are what the slice produced at serve time — so the invariant
     checker can re-derive every identity from the outcome alone.
 
-    Both serving paths build an executed outcome with ``__new__`` and
-    stores into its ``__dict__`` in field order: the frozen
-    ``__init__`` pays an ``object.__setattr__`` per field, and a bulk
-    ``update()`` would give the instance a key table of its own.
+    A named tuple, built in one positional call by both serving paths:
+    a served stream keeps one per offered job, and tuples hold no
+    instance dict for the cyclic collector to traverse.  Edit a copy
+    with ``_replace``.
     """
 
     index: int
@@ -232,7 +232,9 @@ class StreamOutcome:
 
 @dataclass
 class StreamResult:
-    """Everything one stream did, in arrival order."""
+    """Everything one stream did, in arrival order; a periodic episode
+    is a stream that never sheds.  ``epoch_log`` holds the block-planned
+    runs as ``(first_index, n_jobs)`` pairs, which the checkers audit."""
 
     stream: str
     scheme: str
@@ -240,6 +242,7 @@ class StreamResult:
     outcomes: List[StreamOutcome]
     n_offered: int
     wall_s: float = 0.0
+    epoch_log: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def executed(self) -> List[StreamOutcome]:
@@ -275,8 +278,32 @@ class StreamResult:
         return sum(1 for o in self.outcomes if o.missed)
 
     @property
+    def miss_rate(self) -> float:
+        """Misses per executed job."""
+        admitted = self.n_admitted
+        return self.miss_count / admitted if admitted else 0.0
+
+    @property
+    def boost_count(self) -> int:
+        return sum(1 for o in self.outcomes if o.boosted)
+
+    @property
+    def switch_count(self) -> int:
+        """Jobs that paid a DVFS switch (charged schemes only)."""
+        return sum(1 for o in self.outcomes if o.t_switch > 0.0)
+
+    @property
     def total_energy(self) -> float:
         return sum(o.energy for o in self.outcomes)
+
+    def normalized_energy(self, baseline: "StreamResult") -> float:
+        """Energy as a fraction of a baseline run (same jobs)."""
+        if baseline.n_offered != self.n_offered:
+            raise ValueError("baseline ran a different job count")
+        base = baseline.total_energy
+        if base <= 0:
+            raise ValueError("baseline energy must be positive")
+        return self.total_energy / base
 
     @property
     def makespan(self) -> float:
@@ -324,8 +351,8 @@ class AcceleratorStream:
         self.outcomes: List[StreamOutcome] = []
         self.n_offered = 0
         #: Committed block-planned runs as ``(first_index, n_jobs)``
-        #: pairs — written only by block-planned serving, audited by
-        #: :func:`repro.check.check_epochs` in strict mode.
+        #: pairs — written only by block-planned serving, carried by
+        #: the :class:`StreamResult` the checkers audit.
         self.epoch_log: List[Tuple[int, int]] = []
         #: The memo of :meth:`charge`, emptied by :meth:`result`.
         self._charges: dict = {}
@@ -364,8 +391,7 @@ class AcceleratorStream:
 
     def _shed(self, sjob: StreamJob) -> None:
         self.outcomes.append(StreamOutcome(
-            index=sjob.index, status=SHED, job=sjob.record,
-            arrival=sjob.arrival, release=sjob.arrival))
+            sjob.index, SHED, sjob.record, sjob.arrival, sjob.arrival))
         observer = get_observer()
         if observer is not None:
             observer.metrics.inc("serve.shed")
@@ -489,23 +515,11 @@ class AcceleratorStream:
         self._in_flight += 1
         controller.observe(record)
 
-        outcome = StreamOutcome.__new__(StreamOutcome)
-        fields = outcome.__dict__
-        fields["index"] = sjob.index
-        fields["status"] = FALLBACK if fallback else COMPLETED
-        fields["job"] = record
-        fields["arrival"] = fields["release"] = release
-        fields["start"] = start
-        fields["t_slice"] = t_slice
-        fields["t_switch"] = t_switch
-        fields["t_exec"] = t_exec
-        fields["energy"] = energy
-        fields["missed"] = missed
-        fields["voltage"] = point.voltage
-        fields["frequency"] = point.frequency
-        fields["boosted"] = point.is_boost
-        fields["decision_s"] = decision_s
-        fields["batch_size"] = batch_size
+        outcome = StreamOutcome(
+            sjob.index, FALLBACK if fallback else COMPLETED, record,
+            release, release, start, t_slice, t_switch, t_exec, energy,
+            missed, point.voltage, point.frequency, point.is_boost,
+            decision_s, batch_size)
         self.outcomes.append(outcome)
         observer = get_observer()
         if observer is not None:
@@ -601,6 +615,7 @@ class AcceleratorStream:
             stream=self.name, scheme=self.controller.name,
             deadline=self.config.deadline, outcomes=outcomes,
             n_offered=self.n_offered, wall_s=wall_s,
+            epoch_log=self.epoch_log,
         )
 
 
@@ -612,8 +627,8 @@ def _check_result(stream: AcceleratorStream,
         strict = strict_checks_enabled()
     if not strict:
         return
-    # Imported lazily: repro.check imports this module's dataclasses.
-    from ..check import InvariantError, check_epochs, check_stream
+    # Imported lazily: repro.check imports this module's result types.
+    from ..check import InvariantError, check_stream
     violations = check_stream(
         result,
         energy_model=stream.energy_model,
@@ -623,9 +638,6 @@ def _check_result(stream: AcceleratorStream,
         uses_slice=stream.controller.uses_slice,
         charge_overheads=stream.controller.charge_overheads,
     )
-    if stream.epoch_log:
-        violations = list(violations) + list(
-            check_epochs(result, stream.epoch_log))
     if violations:
         raise InvariantError(violations)
 

@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -237,10 +238,24 @@ class DeadlineClass:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.deadline <= 0.0:
-            raise ValueError("deadline must be positive")
-        if self.weight <= 0.0:
-            raise ValueError("weight must be positive")
+        # isfinite, because NaN passes a bare `<= 0` test.
+        for key in ("deadline", "weight"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{key} must be positive and finite, got {value!r}")
+
+
+def _class_draw(probs, rng: np.random.Generator) -> Callable[[], int]:
+    """A class index per call, drawn as ``rng.choice(len(probs),
+    p=probs)`` draws one: that call bisects the cdf built here with one
+    uniform draw, so the same draws pick the same classes, without its
+    per-call validation of ``p``."""
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    uniform = rng.random
+    return lambda: bisect_right(cdf, uniform())
 
 
 def split_by_deadline(records: Sequence[JobRecord],
@@ -267,13 +282,15 @@ def split_by_deadline(records: Sequence[JobRecord],
         raise ValueError(
             f"{len(records)} record(s) cannot cover "
             f"{len(classes)} deadline classes")
-    rng = np.random.default_rng(seed)
     weights = np.array([c.weight for c in classes], dtype=float)
-    probs = weights / weights.sum()
+    total = weights.sum()
+    if not math.isfinite(total):
+        raise ValueError("deadline class weights must sum to a finite "
+                         f"value, got {total!r}")
+    draw = _class_draw(weights / total, np.random.default_rng(seed))
     out: Dict[str, List[JobRecord]] = {name: [] for name in names}
     for record in records:
-        name = names[int(rng.choice(len(names), p=probs))]
-        out[name].append(record)
+        out[names[draw()]].append(record)
     for name in names:  # non-empty guarantee
         if not out[name]:
             donor = max(names, key=lambda n: len(out[n]))
@@ -391,18 +408,13 @@ def mixed_stream_jobs(records_by_benchmark: Mapping[str, Sequence[JobRecord]],
         probs = [w / sum(raw) for w in raw]
     else:
         probs = [1.0 / len(names)] * len(names)
-    # The cdf ``rng.choice(n, p=probs)`` builds and bisects for one
-    # uniform draw: bisecting it here picks the same benchmark from the
-    # same draw, without the per-call validation of ``p``.
-    cdf = np.asarray(probs, dtype=float).cumsum()
-    cdf /= cdf[-1]
-    cdf = cdf.tolist()
 
     rng = np.random.default_rng(seed)
+    draw = _class_draw(probs, rng)
     cursor = {name: 0 for name in names}
     jobs: List[FleetJob] = []
     for i, arrival in enumerate(sorted(arrivals)):
-        name = names[bisect_right(cdf, rng.random())]
+        name = names[draw()]
         tenant = str(tenants[int(rng.integers(len(tenants)))])
         records = records_by_benchmark[name]
         k = cursor[name] % len(records)

@@ -27,9 +27,9 @@ scalar machine shares: a coupled arrival is priced once, by the path
 that serves it.  A run ends at a broken chain or at the block's end; a
 run whose first job switches differently from the plan (the scalar
 path ran in between) redoes that job's finish.  Every run lands in
-``AcceleratorStream.epoch_log`` as ``(first_index, n_jobs)``, audited
-by :func:`repro.check.check_epochs`.  Committed outcomes are
-**bit-identical** to the scalar machine's
+``AcceleratorStream.epoch_log`` as ``(first_index, n_jobs)``, which
+the stream's result carries to :func:`repro.check.check_stream`.
+Committed outcomes are **bit-identical** to the scalar machine's
 (:func:`repro.serve.virtual_outcomes`): one kernel prices both, and
 numpy takes the scalar operations in the scalar order.  A planned
 job's ``decision_s`` is its block's plan time over its job count (see
@@ -211,32 +211,18 @@ class EpochEngine:
         end = ends_l[k + 1] if k + 1 < n and fin_l[k] <= arr_l[k + 1] \
             else k + 1
         append = stream.outcomes.append
-        new = StreamOutcome.__new__
         for j in range(k, end):
             # Priced only at commit: the plan never prices an arrival
             # that the scalar machine serves.
             charge = charges[j] or stream.charge(
                 records[j], points[idx_l[j]], ts_l[j], tsw_l[j])
             point = charge[3]
-            # Built as ``StreamOutcome`` says, never mutated again.
-            outcome = new(StreamOutcome)
-            fields = outcome.__dict__
-            fields["index"] = block[j].index
-            fields["status"] = status_l[j]
-            fields["job"] = records[j]
-            fields["arrival"] = fields["release"] = fields["start"] = \
-                arr_l[j]
-            fields["t_slice"] = ts_l[j]
-            fields["t_switch"] = tsw_l[j]
-            fields["t_exec"] = charge[0]
-            fields["energy"] = charge[1]
-            fields["missed"] = miss_l[j]
-            fields["voltage"] = point.voltage
-            fields["frequency"] = point.frequency
-            fields["boosted"] = point.is_boost
-            fields["decision_s"] = decision_s
-            fields["batch_size"] = 1
-            append(outcome)
+            arrival = arr_l[j]
+            append(StreamOutcome(
+                block[j].index, status_l[j], records[j], arrival, arrival,
+                arrival, ts_l[j], tsw_l[j], charge[0], charge[1], miss_l[j],
+                point.voltage, point.frequency, point.is_boost, decision_s,
+                1))
         m = end - k
         finish = fin_l[end - 1]
         stream.n_offered += m

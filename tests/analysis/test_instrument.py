@@ -139,23 +139,3 @@ def test_probe_nets_closure_excludes_datapath(toy, toy_features):
     cells = netlist.fanin_closure(nets)
     constructs = {netlist.cells[i].provenance.construct for i in cells}
     assert "datapath" not in constructs
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_features_identical_between_full_and_elided_run(toy, toy_features,
-                                                         backend):
-    """Wait-state elision must not change recorded features."""
-    module, _ = toy
-    items = [pack_item(9, 0), pack_item(4, 1), pack_item(7, 1)]
-
-    def run(elide):
-        recorder = FeatureRecorder(toy_features)
-        sim = make_simulation(module, backend=backend, listener=recorder,
-                              elide=elide)
-        sim.load(inputs={"n_items": 3}, memories={"items": items})
-        sim.run()
-        return recorder.vector()
-
-    full = run(None)
-    elided = run({("ctrl", "COMP_A"), ("ctrl", "COMP_B")})
-    np.testing.assert_array_equal(full, elided)

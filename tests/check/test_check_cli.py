@@ -111,6 +111,20 @@ def test_fresh_check_golden_update_then_match_then_drift(tmp_path,
     assert "DRIFT" in capsys.readouterr().out
 
 
+def test_fresh_check_checks_each_episode_once(tmp_path, monkeypatch,
+                                             capsys):
+    """``repro check`` checks each episode itself, once, even under
+    ``REPRO_CHECK=strict``."""
+    monkeypatch.setenv("REPRO_CHECK", "strict")
+    run_dir = tmp_path / "run"
+    assert main(["check", "--benchmarks", "aes", "--scale", "0.05",
+                 "--schemes", "baseline", "history", "oracle",
+                 "--run-dir", str(run_dir)]) == 0
+    counters = json.loads(
+        (run_dir / "manifest.json").read_text())["metrics"]["counters"]
+    assert counters["check.episodes"] == 3
+
+
 def test_fresh_check_missing_golden_is_a_failure(tmp_path, capsys):
     assert main(["check", "--benchmarks", "aes", "--scale", "0.05",
                  "--schemes", "baseline",

@@ -29,9 +29,9 @@ def test_round_sig_keeps_significant_digits():
 def test_canonical_episode_is_json_stable(clean_episode):
     payload = canonical_episode(clean_episode)
     assert payload["controller"] == "history"
-    assert payload["n_jobs"] == clean_episode.n_jobs
+    assert payload["n_jobs"] == clean_episode.n_offered
     assert payload["switch_count"] >= 1
-    assert len(payload["jobs"]) == clean_episode.n_jobs
+    assert len(payload["jobs"]) == clean_episode.n_offered
     # Canonicalization survives a JSON round-trip unchanged — the whole
     # point of rounding to a fixed number of significant digits.
     assert json.loads(json.dumps(payload)) == payload

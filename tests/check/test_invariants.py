@@ -13,7 +13,8 @@ from repro.check import (
 )
 from repro.dvfs import OracleController
 from repro.obs import session
-from repro.runtime import EpisodeResult, run_episode
+from repro.runtime import run_episode
+from repro.serve import StreamResult
 from repro.units import DVFS_SWITCH_TIME, MS
 
 from .conftest import TASK, job
@@ -26,9 +27,8 @@ def codes(violations):
 def tamper(result, index, **changes):
     """Copy ``result`` with one outcome's fields replaced."""
     outcomes = list(result.outcomes)
-    outcomes[index] = replace(outcomes[index], **changes)
-    return EpisodeResult(controller=result.controller, task=result.task,
-                         outcomes=outcomes)
+    outcomes[index] = outcomes[index]._replace(**changes)
+    return replace(result, outcomes=outcomes)
 
 
 def first_switched(result):
@@ -48,6 +48,39 @@ def test_clean_oracle_episode(levels, model):
     assert check_episode(result, energy_model=model, levels=levels) == []
     # The capability rule the checker enforces: oracle pays no switch.
     assert all(o.t_switch == 0.0 for o in result.outcomes)
+
+
+def oracle_episode(levels, model):
+    """Nine periodic jobs the oracle serves in planned runs."""
+    jobs = [job(i, int(levels.nominal.frequency * (2 + 3 * (i % 3)) * MS))
+            for i in range(9)]
+    return run_episode(OracleController(levels), jobs, TASK, model)
+
+
+def test_run_episode_returns_the_served_stream(levels, model):
+    result = oracle_episode(levels, model)
+    assert isinstance(result, StreamResult)
+    assert (result.stream, result.scheme, result.deadline,
+            result.n_offered) == (TASK.name, "oracle", TASK.deadline, 9)
+    assert result.miss_rate == result.miss_count / 9
+    assert result.boost_count == result.switch_count == 0
+    assert result.normalized_energy(result) == 1.0
+    assert sum(n for _, n in result.epoch_log) == 9
+
+
+def test_check_episode_audits_the_planned_runs(levels, model):
+    result = oracle_episode(levels, model)
+    assert check_episode(result, energy_model=model, levels=levels) == []
+    (first, n), *rest = result.epoch_log
+    assert n >= 2
+    # A job decided in two runs, and two runs logged out of order.
+    twice = [(first, n), (first + 1, 1)] + rest
+    swapped = [(first + 1, n - 1), (first, 1)] + rest
+    for log, message in ((twice, "overlaps"), (swapped, "out of order")):
+        found = check_episode(replace(result, epoch_log=log),
+                              energy_model=model, levels=levels)
+        assert codes(found) == {"stream.epoch.overlap"}
+        assert any(message in v.message for v in found), found
 
 
 def test_scheme_caps_cover_all_registered_schemes():
@@ -155,7 +188,7 @@ def test_checker_feeds_obs_counters(clean_episode, levels, model):
         check_episode(clean_episode, energy_model=model, levels=levels)
         counters = obs.metrics.snapshot()["counters"]
         assert counters["check.episodes"] == 1
-        assert counters["check.jobs"] == clean_episode.n_jobs
+        assert counters["check.jobs"] == clean_episode.n_offered
         assert "check.violations" not in counters
         bad = tamper(clean_episode, 0, missed=not
                      clean_episode.outcomes[0].missed)

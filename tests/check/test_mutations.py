@@ -12,7 +12,8 @@ from repro.check import (
     seed_uncharged_switch_energy,
 )
 from repro.dvfs import ConstantFrequencyController
-from repro.runtime import EpisodeResult, run_episode
+from repro.runtime import run_episode
+from repro.serve import StreamResult
 
 from .conftest import TASK, job
 
@@ -78,6 +79,7 @@ def test_spurious_miss_mutation_needs_an_on_time_job(levels, model):
 
 
 def test_timeline_gap_mutation_rejects_empty_episode():
-    empty = EpisodeResult(controller="baseline", task=TASK, outcomes=[])
+    empty = StreamResult(stream=TASK.name, scheme="baseline",
+                         deadline=TASK.deadline, outcomes=[], n_offered=0)
     with pytest.raises(ValueError, match="empty"):
         seed_timeline_gap(empty)

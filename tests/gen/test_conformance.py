@@ -30,6 +30,24 @@ def test_full_battery_passes_on_small_seed():
     assert "PASS" in report.summary()
 
 
+def test_strict_battery_checks_each_run_once(monkeypatch):
+    """Under ``REPRO_CHECK=strict`` the battery still checks each
+    episode and each stream once, itself."""
+    from repro.gen.conformance import EPISODE_SCHEMES
+    from repro.obs import session
+
+    monkeypatch.setenv("REPRO_CHECK", "strict")
+    with session(command="conform") as obs:
+        (report,) = run_conformance([0], complexity="small",
+                                    n_train=12, n_test=6)
+    assert report.passed, report.failures
+    counters = obs.metrics.counters
+    # One episode per scheme and technology; one stream per scenario
+    # and deadline class.
+    assert counters["check.episodes"] == 2 * len(EPISODE_SCHEMES)
+    assert counters["check.streams"] == 5
+
+
 def test_report_mechanics():
     report = ConformanceReport(design="gen0_s", seed=0,
                                complexity="small")

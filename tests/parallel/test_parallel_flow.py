@@ -1,6 +1,10 @@
 """End-to-end tests: parallel flow bit-exactness and warm-cache reruns."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,5 +170,41 @@ def test_cli_cold_then_warm_run(tmp_path, capsys):
     warm_stages = {s["name"] for s in warm["stages"]}
     assert "record" in cold_stages and "record.pmap" in cold_stages
     assert "record" not in warm_stages  # no simulation on the warm run
+    assert cold["metrics"]["counters"]["cache.put"] >= 1
     assert warm["metrics"]["counters"]["cache.hit"] >= 1
     assert cold["metrics"]["counters"]["pool.tasks"] > 0
+
+
+def test_cli_cache_is_backend_invariant(tmp_path):
+    """A cache filled under ``--backend interp`` serves a separate
+    ``--backend stepjit`` process: cache keys leave the backend out,
+    since every backend records the same matrix."""
+    base = {key: value for key, value in os.environ.items()
+            if not key.startswith("REPRO_")}
+    env = {**base, "PYTHONPATH": str(Path(__file__).resolve().parents[2]
+                                     / "src")}
+    manifests = {}
+    for run, backend in (("cold", "interp"), ("warm", "stepjit")):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "experiment", "fig2",
+             "--scale", "0.05", "--backend", backend,
+             "--cache-dir", str(tmp_path / "cache"),
+             "--run-dir", str(tmp_path / run)],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert result.returncode == 0, result.stderr[-2000:]
+        manifests[run] = json.loads(
+            (tmp_path / run / "manifest.json").read_text())
+    stages = {run: {s["name"] for s in m["stages"]}
+              for run, m in manifests.items()}
+    counters = {run: m["metrics"]["counters"]
+                for run, m in manifests.items()}
+    assert "record" in stages["cold"] and "record" not in stages["warm"]
+    assert counters["cold"]["cache.put"] >= 1
+    assert counters["warm"]["cache.hit"] >= 1
+    assert "cache.hit" not in counters["cold"]
+    assert "cache.miss" not in counters["warm"]
+    # Each run simulated on the backend it was asked for, and only it.
+    assert counters["cold"]["sim.interp.runs"] > 0
+    assert "sim.interp.runs" not in counters["warm"]
+    assert counters["warm"]["sim.stepjit.runs"] > 0
+    assert "sim.stepjit.runs" not in counters["cold"]

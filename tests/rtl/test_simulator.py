@@ -125,31 +125,6 @@ def test_unfinalized_module_rejected():
         Simulation(m)
 
 
-def test_elide_skips_wait_states():
-    items = [pack_item(50, 0), pack_item(50, 1)]
-    full = run_toy(items)
-    sim = Simulation(build_toy(),
-                     elide={("ctrl", "COMP_A"), ("ctrl", "COMP_B")})
-    sim.load(inputs={"n_items": 2}, memories={"items": items})
-    elided = sim.run()
-    assert elided.finished
-    assert elided.cycles < full.cycles
-    # Each item: FETCH(1) + COMP(1, wait skipped) + EMIT(1); +1 for start.
-    assert elided.cycles == 1 + 3 * len(items)
-
-
-def test_elide_preserves_transition_sequence():
-    items = [pack_item(9, 0), pack_item(4, 1)]
-    rec_full, rec_elided = Recorder(), Recorder()
-    run_toy(items, listener=rec_full)
-    sim = Simulation(build_toy(), listener=rec_elided,
-                     elide={("ctrl", "COMP_A"), ("ctrl", "COMP_B")})
-    sim.load(inputs={"n_items": 2}, memories={"items": items})
-    sim.run()
-    assert rec_full.transitions == rec_elided.transitions
-    assert rec_full.loads == rec_elided.loads
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(
     st.tuples(st.integers(0, 200), st.integers(0, 1)),

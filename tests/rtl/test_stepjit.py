@@ -78,16 +78,6 @@ def test_stepjit_wants_cycles_snapshots_match():
     assert rec_s.snaps == rec_i.snaps
 
 
-def test_stepjit_elide_parity():
-    module = build_toy()
-    elide = {("ctrl", "COMP_A"), ("ctrl", "COMP_B")}
-    sim_i, res_i = _run(module, Simulation, elide=elide)
-    sim_s, res_s = _run(module, StepSimulation, elide=elide)
-    assert res_s.cycles == res_i.cycles < toy_expected_cycles(ITEMS)
-    assert sim_s.state == sim_i.state
-    assert sim_s.state_cycles == sim_i.state_cycles
-
-
 def test_stepjit_state_cycles_dict_identity_preserved():
     # flow/evaluate holds sim.state_cycles across jobs and clear()s it;
     # run() must mutate that same mapping, not rebind it.

@@ -173,7 +173,7 @@ def test_strict_mode_accepts_a_clean_episode(levels):
             for i in range(6)]
     result = run_episode(OracleController(levels), jobs, TASK,
                          FlatEnergyModel(), strict=True)
-    assert result.n_jobs == 6
+    assert result.n_offered == 6
 
 
 def test_slice_scheme_falls_back_on_a_missing_prediction(levels):
@@ -194,7 +194,7 @@ def test_slice_scheme_falls_back_on_a_missing_prediction(levels):
     assert fallback.t_slice == 0.0
     assert fallback.frequency == levels.fastest().frequency
     outcomes = list(result.outcomes)
-    outcomes[1] = replace(fallback, t_slice=1e-4)
+    outcomes[1] = fallback._replace(t_slice=1e-4)
     tampered = replace(result, outcomes=outcomes)
     assert "stream.fallback" in {
         v.code for v in check_episode(tampered, levels=levels)}

@@ -412,6 +412,74 @@ def test_serve_fleet_strict_raises_on_violation(asic_levels,
         raise InvariantError(violations)
 
 
+def _replanned(result, log_of):
+    """``result`` with the first shard that planned runs carrying
+    ``log_of(its epoch_log)`` instead."""
+    k = next(k for k, shard in enumerate(result.shards) if shard.epoch_log)
+    shards = list(result.shards)
+    shards[k] = dataclasses.replace(shards[k],
+                                    epoch_log=log_of(shards[k].epoch_log))
+    return dataclasses.replace(result, shards=shards)
+
+
+def test_check_fleet_audits_each_shards_planned_runs(asic_levels):
+    specs = make_pool(asic_levels)
+    jobs = mixed_jobs(asic_levels, rate=100.0, n_jobs=200)
+    result = serve_fleet(specs, jobs, FleetConfig(strict=False),
+                         workers=1)
+    assert check_fleet(result) == []
+
+    # One run committed twice, and two runs logged out of order.
+    twice = _replanned(result, lambda log: log[:1] + log)
+    swapped = _replanned(result, lambda log: [log[1], log[0]] + log[2:])
+    for tampered, message in ((twice, "overlaps"),
+                              (swapped, "out of order")):
+        found = [v for v in check_fleet(tampered)
+                 if v.code == "stream.epoch.overlap"]
+        assert any(message in v.message for v in found), found
+
+
+def test_strict_fleet_audits_planned_runs(asic_levels, monkeypatch):
+    """``FleetConfig(strict=True)`` alone checks each shard's planned
+    runs: a run logged twice fails the serve call."""
+    from repro.check import InvariantError
+    from repro.serve import server as server_mod
+
+    original = server_mod.AcceleratorStream.result
+
+    def logged_twice(self, wall_s=0.0):
+        result = original(self, wall_s)
+        result.epoch_log = result.epoch_log[:1] + result.epoch_log
+        return result
+
+    monkeypatch.setattr(server_mod.AcceleratorStream, "result",
+                        logged_twice)
+    specs = make_pool(asic_levels)
+    jobs = mixed_jobs(asic_levels, rate=100.0, n_jobs=200)
+    with pytest.raises(InvariantError, match="stream.epoch.overlap"):
+        serve_fleet(specs, jobs, FleetConfig(strict=True), workers=1)
+
+
+def test_strict_fleet_checks_each_shard_once(asic_levels, monkeypatch):
+    """Under ``REPRO_CHECK=strict`` a shard is checked by
+    ``check_fleet`` alone: one ``check.streams`` per shard."""
+    from repro.obs import session
+
+    monkeypatch.setenv("REPRO_CHECK", "strict")
+    specs = make_pool(asic_levels, benchmarks=("alpha",), per=2)
+    jobs = mixed_jobs(asic_levels, benchmarks=("alpha",), rate=100.0,
+                      n_jobs=150)
+    with session(command="strict") as obs:
+        result = serve_fleet(specs, jobs, workers=1)
+    counters = obs.metrics.counters
+    assert counters["check.fleets"] == 1
+    assert counters["check.streams"] == len(specs) == 2
+    assert counters["check.jobs"] == sum(
+        len(shard.outcomes) for shard in result.shards) == 150
+    assert "check.violations" not in counters
+    assert any(shard.epoch_log for shard in result.shards)
+
+
 # -- predictions the shards refuse ------------------------------------
 
 

@@ -74,8 +74,8 @@ def test_serve_slo_run_dir_artifacts_and_trace(cjpeg, tmp_path, capsys):
     trace = tmp_path / "trace.json"
     code = main(["serve", "--benchmark", "cjpeg", "--jobs", "20",
                  "--rate", "300", "--virtual", "--predictor", "record",
-                 "--slo", "miss_rate<=100%", "--slo-window-ms", "20",
-                 "--run-dir", str(run_dir)])
+                 "--slo", "miss_rate<=100%", "--slo", "p99_decision_ms<1e4",
+                 "--slo-window-ms", "20", "--run-dir", str(run_dir)])
     assert code == 0
     capsys.readouterr()
     # The windowed registry persisted and is named by the manifest.
@@ -84,11 +84,13 @@ def test_serve_slo_run_dir_artifacts_and_trace(cjpeg, tmp_path, capsys):
     timeseries = json.loads((run_dir / "timeseries.json").read_text())
     assert timeseries["window_s"] == pytest.approx(0.02)
     assert "serve.miss" in timeseries["series"]
-    # Burn-rate accounting landed in the manifest.
-    (row,) = manifest["slo"]
+    # Burn-rate accounting landed in the manifest, one row per SLO.
+    row, latency = manifest["slo"]
     assert row["spec"] == "miss_rate<=1@99%"
     assert row["windows"] > 0 and row["burn_rate"] == 0.0
     assert row["exhausted"] is False
+    assert latency["windows"] > 0 and latency["burn_rate"] is not None
+    assert latency["exhausted"] == (latency["burn_rate"] > 1.0)
     # The run dir renders with the windowed dashboard...
     assert main(["report", str(run_dir),
                  "--export-trace", str(trace)]) == 0
@@ -99,7 +101,7 @@ def test_serve_slo_run_dir_artifacts_and_trace(cjpeg, tmp_path, capsys):
     from repro.obs.export import validate_chrome_trace
     payload = json.loads(trace.read_text())
     assert validate_chrome_trace(payload) == []
-    assert any(e.get("ph") == "C" for e in payload["traceEvents"])
+    assert {"X", "C", "M"} <= {e["ph"] for e in payload["traceEvents"]}
     # ...and passes the artifact audit (sjob conservation included).
     assert main(["check", str(run_dir)]) == 0
     assert "clean" in capsys.readouterr().out

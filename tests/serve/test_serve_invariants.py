@@ -88,15 +88,15 @@ def test_mutations_require_applicable_stream(mixed):
 def test_unknown_terminal_state_caught(mixed):
     stream, result = mixed
     bad = tampered(result)
-    bad.outcomes[0] = replace(bad.outcomes[0], status="limbo")
+    bad.outcomes[0] = bad.outcomes[0]._replace(status="limbo")
     assert "stream.terminal" in codes(violations_of(stream, bad))
 
 
 def test_duplicated_outcome_caught(mixed):
     stream, result = mixed
     bad = tampered(result)
-    bad.outcomes[1] = replace(bad.outcomes[1],
-                              index=bad.outcomes[0].index)
+    bad.outcomes[1] = bad.outcomes[1]._replace(
+        index=bad.outcomes[0].index)
     assert "stream.conservation" in codes(violations_of(stream, bad))
 
 
@@ -105,7 +105,7 @@ def test_shed_with_energy_caught(mixed):
     bad = tampered(result)
     i = next(i for i, o in enumerate(bad.outcomes)
              if o.status == SHED)
-    bad.outcomes[i] = replace(bad.outcomes[i], energy=1e-6)
+    bad.outcomes[i] = bad.outcomes[i]._replace(energy=1e-6)
     assert "stream.shed" in codes(violations_of(stream, bad))
 
 
@@ -114,7 +114,7 @@ def test_fallback_with_slice_time_caught(mixed):
     bad = tampered(result)
     i = next(i for i, o in enumerate(bad.outcomes)
              if o.status == FALLBACK)
-    bad.outcomes[i] = replace(bad.outcomes[i], t_slice=1e-5)
+    bad.outcomes[i] = bad.outcomes[i]._replace(t_slice=1e-5)
     assert "stream.fallback" in codes(violations_of(stream, bad))
 
 
@@ -130,7 +130,7 @@ def test_completed_on_invalid_prediction_caught(mixed, predicted,
     job = replace(bad.outcomes[i].job, predicted_cycles=predicted)
     # A record refuses negative slice cycles; a tampered one need not.
     object.__setattr__(job, "slice_cycles", slice_cycles)
-    bad.outcomes[i] = replace(bad.outcomes[i], job=job)
+    bad.outcomes[i] = bad.outcomes[i]._replace(job=job)
     assert "stream.prediction" in codes(violations_of(stream, bad))
 
 
@@ -138,8 +138,8 @@ def test_timeline_gap_caught(mixed):
     stream, result = mixed
     bad = tampered(result)
     i = next(i for i, o in enumerate(bad.outcomes) if o.executed)
-    bad.outcomes[i] = replace(bad.outcomes[i],
-                              start=bad.outcomes[i].start + 1 * MS)
+    bad.outcomes[i] = bad.outcomes[i]._replace(
+        start=bad.outcomes[i].start + 1 * MS)
     assert "stream.timeline" in codes(violations_of(stream, bad))
 
 
@@ -156,7 +156,7 @@ def test_strict_serve_raises_on_violation(make_stream, asic_levels,
 
     def corrupting_result(self, wall_s=0.0):
         result = original(self, wall_s)
-        result.outcomes[0] = replace(result.outcomes[0], energy=99.0)
+        result.outcomes[0] = result.outcomes[0]._replace(energy=99.0)
         return result
 
     monkeypatch.setattr(server_mod.AcceleratorStream, "result",

@@ -400,6 +400,51 @@ def test_split_by_deadline_is_deterministic():
         == {k: [r.index for r in v] for k, v in b.items()}
 
 
+def _split_reference(records, classes, seed):
+    """``split_by_deadline`` as it drew before: one
+    ``rng.choice(len(names), p=probs)`` per record."""
+    rng = np.random.default_rng(seed)
+    names = [c.name for c in classes]
+    weights = np.array([c.weight for c in classes], dtype=float)
+    probs = weights / weights.sum()
+    out = {name: [] for name in names}
+    for record in records:
+        out[names[int(rng.choice(len(names), p=probs))]].append(record)
+    for name in names:
+        if not out[name]:
+            donor = max(names, key=lambda n: len(out[n]))
+            out[name].append(out[donor].pop())
+    return out
+
+
+@pytest.mark.parametrize("weights", [
+    (1.0, 1.0, 1.0), (1.0, 6.0, 0.5), (1000.0, 1.0, 0.001)],
+    ids=["uniform", "skewed", "starved"])
+def test_split_by_deadline_draws_equal_choice_with_p(weights):
+    """One uniform draw bisected into the class cdf picks what
+    ``rng.choice(p=...)`` picked, record for record."""
+    from repro.serve import DeadlineClass, split_by_deadline
+
+    records = _sized_records(range(1, 301))
+    classes = [DeadlineClass(name, 0.01, weight=w)
+               for name, w in zip(("a", "b", "c"), weights)]
+    for seed in range(8):
+        parts = split_by_deadline(records, classes, seed=seed)
+        expected = _split_reference(records, classes, seed)
+        assert {k: [r.index for r in v] for k, v in parts.items()} \
+            == {k: [r.index for r in v] for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("key", ["deadline", "weight"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_deadline_class_rejects_non_finite_values_by_name(key, value):
+    from repro.serve import DeadlineClass
+
+    fields = {"deadline": 0.01, "weight": 1.0, key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be positive"):
+        DeadlineClass("x", **fields)
+
+
 def test_split_by_deadline_argument_validation():
     from repro.serve import DeadlineClass, split_by_deadline
 

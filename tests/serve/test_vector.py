@@ -347,6 +347,28 @@ def test_epoch_log_conserves_and_checks_clean(asic_levels):
             assert outcome.start == outcome.arrival
 
 
+def test_outcomes_of_every_path_hold_no_instance_dict(asic_levels):
+    """Planned, scalar and shed outcomes are all named tuples, with no
+    instance ``__dict__``, and the result carries the stream's planned
+    runs."""
+    records = spiky_records(asic_levels, n=300, seed=12)
+    jobs = stream_from_records(
+        records, poisson_arrivals(400.0, n_jobs=300, seed=14))
+    stream, result = run_stream(asic_levels, "predictive", jobs,
+                                queue_depth=2)
+    assert result.epoch_log is stream.epoch_log
+    planned = {index for first, count in result.epoch_log
+               for index in range(first, first + count)}
+    paths = {"planned": [], "scalar": [], "shed": []}
+    for o in result.outcomes:
+        path = ("shed" if o.status == SHED
+                else "planned" if o.index in planned else "scalar")
+        paths[path].append(o)
+    for path, outcomes in paths.items():
+        assert outcomes, path
+        assert not any(hasattr(o, "__dict__") for o in outcomes), path
+
+
 class SlowPlanController(PredictiveController):
     """A predictive controller whose level selection takes at least
     ``PLAN_S`` of wall time per call, scalar or batched."""

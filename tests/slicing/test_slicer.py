@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import FeatureRecorder, discover_features, record_jobs
-from repro.rtl import Simulation, synthesize
+from repro.rtl import BACKENDS, Simulation, make_simulation, synthesize
 from repro.slicing import (
     build_slice,
     compute_slice_cost,
@@ -59,6 +59,8 @@ def test_slice_runs_much_faster(sliced):
 
 
 def test_slice_computes_identical_features(sliced):
+    """Wait-state elision keeps every feature, on both backends: the
+    slice's transition counts and counter loads equal the design's."""
     module, _, features, hw_slice = sliced
     jobs = []
     rng = np.random.default_rng(1)
@@ -67,9 +69,11 @@ def test_slice_computes_identical_features(sliced):
         items = [pack_item(int(rng.integers(0, 200)),
                            int(rng.integers(0, 2))) for _ in range(n)]
         jobs.append(({"n_items": n}, {"items": items}))
-    full = record_jobs(module, features, jobs)
-    sliced_mat = record_jobs(hw_slice.module, features, jobs)
-    np.testing.assert_array_equal(full.x, sliced_mat.x)
+    for backend in BACKENDS:
+        full = record_jobs(module, features, jobs, backend=backend)
+        sliced_mat = record_jobs(hw_slice.module, features, jobs,
+                                 backend=backend)
+        np.testing.assert_array_equal(full.x, sliced_mat.x)
 
 
 def test_slice_with_subset_of_features_drops_unused_counters(sliced):
@@ -97,8 +101,9 @@ def test_subset_slice_is_smaller(sliced):
 def test_slice_cycle_count_matches_step_structure(sliced):
     module, _, _, hw_slice = sliced
     items = [pack_item(250, 1)] * 3
-    sim = Simulation(hw_slice.module)
-    sim.load(inputs={"n_items": 3}, memories={"items": items})
-    result = sim.run()
-    # Elided: IDLE(1) + per item FETCH(1)+COMP(1)+EMIT(1).
-    assert result.cycles == 1 + 3 * 3
+    for backend in BACKENDS:
+        sim = make_simulation(hw_slice.module, backend=backend)
+        sim.load(inputs={"n_items": 3}, memories={"items": items})
+        result = sim.run()
+        # Elided: IDLE(1) + per item FETCH(1)+COMP(1)+EMIT(1).
+        assert result.finished and result.cycles == 1 + 3 * 3, backend

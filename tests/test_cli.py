@@ -44,6 +44,10 @@ def test_experiment_unknown(capsys):
 def test_experiment_run_dir_writes_artifacts(tmp_path, capsys):
     """--run-dir produces a parseable manifest and events file."""
     import json
+    import subprocess
+    from pathlib import Path
+
+    from repro.obs import read_events
 
     run_dir = tmp_path / "run"
     assert main(["experiment", "table3", "--scale", "0.05",
@@ -53,8 +57,18 @@ def test_experiment_run_dir_writes_artifacts(tmp_path, capsys):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["command"] == "experiment table3"
     assert manifest["config"]["scale"] == 0.05
-    assert manifest["git_rev"]
-    (run_dir / "events.jsonl").read_text()  # exists (may be empty)
+    assert manifest["duration_s"] > 0
+    # The checkout's own HEAD; "unknown" only outside a git checkout.
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"],
+                              cwd=Path(__file__).resolve().parent,
+                              capture_output=True, text=True)
+        rev = head.stdout.strip() if head.returncode == 0 else "unknown"
+    except OSError:
+        rev = "unknown"
+    assert manifest["git_rev"] == rev
+    assert len(read_events(run_dir / "events.jsonl")) \
+        == manifest["n_events"]
 
 
 def test_report_renders_run_dir(tmp_path, capsys):
