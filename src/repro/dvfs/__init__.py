@@ -1,20 +1,18 @@
 """DVFS machinery: V-f models, levels, energy, controllers."""
 
 from .controllers import (
-    BatchPlan,
     ConstantFrequencyController,
     Controller,
     HistoryController,
     IntervalGovernorController,
     OracleController,
     PidController,
-    Plan,
     PredictiveController,
     TableBasedController,
 )
 from .dvfs_model import (
-    BatchDecision,
-    DvfsDecision,
+    BatchPlan,
+    Plan,
     required_frequency,
     required_frequency_batch,
     select_level,
@@ -31,7 +29,6 @@ from .levels import (
     ASIC_VOLTAGES,
     BOOST_VOLTAGE,
     FPGA_VOLTAGES,
-    LevelArrays,
     LevelTable,
     OperatingPoint,
     build_level_table,
@@ -47,12 +44,11 @@ from .vf_model import (
 
 __all__ = [
     "ASIC_VOLTAGES", "AlphaPowerDevice", "AsicEnergyModel", "AsicVfModel",
-    "BOOST_VOLTAGE", "BatchDecision", "BatchPlan",
-    "ConstantFrequencyController", "Controller",
-    "DvfsDecision", "EnergyModel", "FPGA_VOLTAGES", "Fo4Chain",
+    "BOOST_VOLTAGE", "BatchPlan", "ConstantFrequencyController",
+    "Controller", "EnergyModel", "FPGA_VOLTAGES", "Fo4Chain",
     "IntervalGovernorController",
     "FpgaEnergyModel", "FpgaVfModel", "HistoryController", "JobActivity",
-    "LevelArrays", "LevelTable", "OperatingPoint", "OracleController",
+    "LevelTable", "OperatingPoint", "OracleController",
     "PidController",
     "PidGains", "PidPredictor", "Plan", "PredictiveController",
     "TableBasedController", "VoltageFrequencyModel", "activity_from_run",

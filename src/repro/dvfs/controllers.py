@@ -19,46 +19,16 @@ Sec. 4.2:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterable, NamedTuple, Optional,
-                    Sequence)
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dvfs_model import select_level, select_level_batch
-from .levels import LevelTable, OperatingPoint
+from .dvfs_model import BatchPlan, Plan, select_level, select_level_batch
+from .levels import LevelTable
 from .pid import PidGains, PidPredictor, tune_pid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only: runtime imports dvfs
     from ..runtime.jobs import JobRecord
-
-
-class Plan(NamedTuple):
-    """A controller's decision for one job.
-
-    A named tuple rather than a frozen dataclass: the fleet dispatcher
-    builds one per projected job, and a tuple builds in about two
-    thirds of the time.
-    """
-
-    point: OperatingPoint
-    t_slice: float = 0.0
-    feasible: bool = True
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """A controller's decisions for a whole job array.
-
-    One entry per job: ``level_index`` addresses the controller's
-    level table (boost = ``levels.arrays().boost_index``), and every
-    element is bit-identical to what :meth:`Controller.plan` would
-    have returned for that job alone.
-    """
-
-    level_index: np.ndarray   # int64
-    t_slice: np.ndarray       # float64
-    feasible: np.ndarray      # bool
 
 
 class Controller:
@@ -129,9 +99,8 @@ class ConstantFrequencyController(Controller):
         """Every job at nominal — a constant-filled plan."""
         n = len(jobs)
         nominal = self.levels.index_of(self.levels.nominal)
-        return BatchPlan(
-            level_index=np.full(n, nominal, dtype=np.int64),
-            t_slice=np.zeros(n), feasible=np.ones(n, dtype=bool))
+        return BatchPlan(np.full(n, nominal, dtype=np.int64), np.zeros(n),
+                         np.ones(n, dtype=bool), np.zeros(n))
 
 
 class TableBasedController(Controller):
@@ -169,28 +138,24 @@ class TableBasedController(Controller):
         worst = self.table.get(job.coarse_param)
         if worst is None:
             return Plan(point=self.levels.nominal)
-        decision = select_level(
-            self.levels, worst, budget,
-            t_switch=self._switch_allowance(),
-        )
-        return Plan(point=decision.point, feasible=decision.feasible)
+        return select_level(self.levels, worst, budget,
+                            t_switch=self._switch_allowance())
 
     def plan_batch(self, jobs: Sequence[JobRecord],
                    budgets: np.ndarray) -> Optional[BatchPlan]:
         """Batched lookup: known classes through the decision kernel,
         unknown classes pinned to nominal (the scalar fallback)."""
         worst = [self.table.get(job.coarse_param) for job in jobs]
-        known = np.array([w is not None for w in worst], dtype=bool)
-        cycles = np.array([w if w is not None else 0.0 for w in worst],
+        unknown = np.array([w is None for w in worst], dtype=bool)
+        cycles = np.array([0.0 if w is None else w for w in worst],
                           dtype=float)
-        decision = select_level_batch(
-            self.levels, cycles, budgets,
-            t_switch=self._switch_allowance())
-        nominal = self.levels.index_of(self.levels.nominal)
-        return BatchPlan(
-            level_index=np.where(known, decision.level_index, nominal),
-            t_slice=np.zeros(len(jobs)),
-            feasible=np.where(known, decision.feasible, True))
+        plan = select_level_batch(self.levels, cycles, budgets,
+                                  t_switch=self._switch_allowance())
+        plan.level_index[unknown] = self.levels.index_of(
+            self.levels.nominal)
+        plan.feasible[unknown] = True
+        plan.f_required[unknown] = 0.0
+        return plan
 
 
 class PidController(Controller):
@@ -221,12 +186,9 @@ class PidController(Controller):
         predicted = self._pid.predict()
         if predicted is None:
             return Plan(point=self.levels.nominal)  # conservative first job
-        decision = select_level(
-            self.levels, predicted, budget,
-            margin_fraction=self.margin,
-            t_switch=self._switch_allowance(),
-        )
-        return Plan(point=decision.point, feasible=decision.feasible)
+        return select_level(self.levels, predicted, budget,
+                            margin_fraction=self.margin,
+                            t_switch=self._switch_allowance())
 
     def observe(self, job: JobRecord) -> None:
         """Feed the retired job's cycle count to the PID."""
@@ -254,12 +216,9 @@ class HistoryController(Controller):
         if not self._past:
             return Plan(point=self.levels.nominal)
         predicted = sum(self._past) / len(self._past)
-        decision = select_level(
-            self.levels, predicted, budget,
-            margin_fraction=self.margin,
-            t_switch=self._switch_allowance(),
-        )
-        return Plan(point=decision.point, feasible=decision.feasible)
+        return select_level(self.levels, predicted, budget,
+                            margin_fraction=self.margin,
+                            t_switch=self._switch_allowance())
 
     def observe(self, job: JobRecord) -> None:
         """Append the retired job's cycle count to the window."""
@@ -310,10 +269,8 @@ class PredictiveController(Controller):
         t_slice = (job.slice_cycles / levels.nominal.frequency
                    if self.charge_overheads else 0.0)
         # Positional: the fleet dispatcher plans every arrival here.
-        point, feasible, _ = select_level(
-            levels, predicted, budget, self.margin, t_slice,
-            self._switch_allowance(), self.boost)
-        return Plan(point, t_slice, feasible)
+        return select_level(levels, predicted, budget, self.margin,
+                            t_slice, self._switch_allowance(), self.boost)
 
     def plan_batch(self, jobs: Sequence[JobRecord],
                    budgets: np.ndarray) -> Optional[BatchPlan]:
@@ -334,14 +291,12 @@ class PredictiveController(Controller):
                 dtype=float) / f_nominal
         else:
             t_slice = np.zeros(len(jobs))
-        decision = select_level_batch(
+        return select_level_batch(
             self.levels, cycles, budgets,
             margin_fraction=self.margin,
             t_slice=t_slice,
             t_switch=self._switch_allowance(),
             allow_boost=self.boost)
-        return BatchPlan(level_index=decision.level_index,
-                         t_slice=t_slice, feasible=decision.feasible)
 
 
 class IntervalGovernorController(Controller):
@@ -415,16 +370,11 @@ class OracleController(Controller):
 
     def plan(self, job: JobRecord, budget: float) -> Plan:
         """Level from the job's true cycle count (perfect prediction)."""
-        decision = select_level(self.levels, float(job.actual_cycles),
-                                budget)
-        return Plan(point=decision.point, feasible=decision.feasible)
+        return select_level(self.levels, float(job.actual_cycles), budget)
 
     def plan_batch(self, jobs: Sequence[JobRecord],
                    budgets: np.ndarray) -> Optional[BatchPlan]:
         """Batched oracle: true cycle counts through the kernel."""
         cycles = np.array([job.actual_cycles for job in jobs],
                           dtype=float)
-        decision = select_level_batch(self.levels, cycles, budgets)
-        return BatchPlan(level_index=decision.level_index,
-                         t_slice=np.zeros(len(jobs)),
-                         feasible=decision.feasible)
+        return select_level_batch(self.levels, cycles, budgets)

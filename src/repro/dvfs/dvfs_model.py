@@ -22,16 +22,40 @@ import numpy as np
 from .levels import LevelTable, OperatingPoint
 
 
-class DvfsDecision(NamedTuple):
-    """Outcome of level selection for one job.
+class Plan(NamedTuple):
+    """A level decision for one job: what :func:`select_level` returns
+    and every controller's :meth:`~repro.dvfs.Controller.plan` hands
+    on.
 
-    A named tuple, as :class:`~repro.dvfs.controllers.Plan` is: the
-    fleet dispatcher selects a level for every arrival it projects.
+    ``t_slice`` is the slice time deducted from the budget,
+    ``feasible`` is False when even the fastest allowed point cannot
+    make the deadline, and ``f_required`` is the frequency the rule
+    asked for (0.0 for a fixed-level or warm-up plan, which asks for
+    none).  A named tuple: the fleet dispatcher plans every arrival it
+    projects.
     """
 
     point: OperatingPoint
-    feasible: bool  # False when even the fastest level cannot make it
-    f_required: float
+    t_slice: float = 0.0
+    feasible: bool = True
+    f_required: float = 0.0
+
+
+@dataclass(frozen=True)
+class BatchPlan:
+    """:class:`Plan`'s four fields over a job array, one entry per job:
+    what :func:`select_level_batch` returns and every
+    :meth:`~repro.dvfs.Controller.plan_batch` hands on.
+
+    ``level_index`` addresses :attr:`LevelTable.indexed
+    <repro.dvfs.LevelTable.indexed>`, and every entry equals the
+    scalar plan of that job alone.
+    """
+
+    level_index: np.ndarray   # int64
+    t_slice: np.ndarray       # float64
+    feasible: np.ndarray      # bool
+    f_required: np.ndarray    # float64 (inf where no time is left)
 
 
 def required_frequency(predicted_cycles: float, f_nominal: float,
@@ -55,7 +79,7 @@ def required_frequency(predicted_cycles: float, f_nominal: float,
 def select_level(levels: LevelTable, predicted_cycles: float,
                  budget: float, margin_fraction: float = 0.0,
                  t_slice: float = 0.0, t_switch: float = 0.0,
-                 allow_boost: bool = False) -> DvfsDecision:
+                 allow_boost: bool = False) -> Plan:
     """Pick the lowest operating point meeting the deadline.
 
     Falls back to the fastest allowed point (boost if enabled) when no
@@ -65,35 +89,8 @@ def select_level(levels: LevelTable, predicted_cycles: float,
                                budget, margin_fraction, t_slice, t_switch)
     point = levels.lowest_meeting(f_req, allow_boost)
     if point is None:
-        return DvfsDecision(levels.fastest(allow_boost), False, f_req)
-    return DvfsDecision(point, True, f_req)
-
-
-@dataclass(frozen=True)
-class BatchDecision:
-    """Level selection for a whole job array (one entry per job).
-
-    ``level_index`` addresses the table's ascending-frequency points;
-    the value ``levels.arrays().boost_index`` means the boost point.
-    Infeasible jobs carry the flat-out fallback index (boost when
-    allowed, nominal otherwise) with ``feasible=False`` — exactly the
-    scalar :func:`select_level` contract, element by element.
-    """
-
-    level_index: np.ndarray   # int64, boost = arrays().boost_index
-    feasible: np.ndarray      # bool
-    f_required: np.ndarray    # float64 (inf where no time is left)
-
-    def __len__(self) -> int:
-        return len(self.level_index)
-
-    def decision_at(self, levels: LevelTable, i: int) -> DvfsDecision:
-        """Rehydrate one entry as the scalar ``DvfsDecision`` form."""
-        return DvfsDecision(
-            point=levels.point_at(int(self.level_index[i])),
-            feasible=bool(self.feasible[i]),
-            f_required=float(self.f_required[i]),
-        )
+        return Plan(levels.fastest(allow_boost), t_slice, False, f_req)
+    return Plan(point, t_slice, True, f_req)
 
 
 def required_frequency_batch(predicted_cycles: np.ndarray,
@@ -125,29 +122,29 @@ def select_level_batch(levels: LevelTable,
                        margin_fraction: float = 0.0,
                        t_slice=0.0,
                        t_switch=0.0,
-                       allow_boost: bool = False) -> BatchDecision:
+                       allow_boost: bool = False) -> BatchPlan:
     """Vectorized :func:`select_level` over whole job arrays.
 
-    The frequency breakpoints come from the table's cached
-    :class:`~repro.dvfs.levels.LevelArrays`; ``np.searchsorted(...,
-    side='left')`` finds the first point with ``frequency >=
-    f_required`` — the same point the scalar linear scan returns,
-    including ties (first equal wins in both).  NaN requirements sort
-    past every breakpoint and land on the infeasible fallback, again
-    matching the scalar comparison chain.
+    ``np.searchsorted(..., side='left')`` over the table's non-boost
+    :attr:`~repro.dvfs.LevelTable.frequencies` finds the first point
+    with ``frequency >= f_required``: the same point the scalar linear
+    scan returns, including ties (first equal wins in both).  NaN
+    requirements sort past every breakpoint and land on the infeasible
+    fallback, again matching the scalar comparison chain.
     """
-    arrays = levels.arrays()
     f_req = required_frequency_batch(
         predicted_cycles, budget, margin_fraction=margin_fraction,
         t_slice=t_slice, t_switch=t_switch)
-    idx = np.searchsorted(arrays.frequencies, f_req, side="left")
-    feasible = idx < arrays.n_levels
-    if allow_boost and arrays.boost_frequency is not None:
-        boosted = ~feasible & (arrays.boost_frequency >= f_req)
-        feasible = feasible | boosted
+    n_points = len(levels.points)
+    idx = np.searchsorted(levels.frequencies[:n_points], f_req,
+                          side="left")
+    feasible = idx < n_points
+    if allow_boost and levels.boost is not None:
+        # A job past the last point sits at index n_points, the boost
+        # point's, and boost rescues it when fast enough.
+        feasible |= levels.boost.frequency >= f_req
     # Infeasible jobs run flat out: boost when enabled, else nominal.
-    fallback = levels.index_of(levels.fastest(allow_boost=allow_boost))
-    idx = np.where(feasible, np.minimum(idx, arrays.boost_index),
-                   fallback)
-    return BatchDecision(level_index=idx.astype(np.int64),
-                         feasible=feasible, f_required=f_req)
+    fallback = levels.index_of(levels.fastest(allow_boost))
+    return BatchPlan(np.where(feasible, idx, fallback).astype(np.int64),
+                     np.full(f_req.shape, t_slice, dtype=float),
+                     feasible, f_req)

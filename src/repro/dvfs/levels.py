@@ -9,7 +9,7 @@ predictive controller (Fig 14).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,37 +33,6 @@ class OperatingPoint:
             raise ValueError("voltage and frequency must be positive")
 
 
-@dataclass(frozen=True)
-class LevelArrays:
-    """A :class:`LevelTable` flattened into numpy breakpoint arrays.
-
-    Built once per table (cached by :meth:`LevelTable.arrays`) so the
-    batched decision kernel (:func:`repro.dvfs.select_level_batch`) can
-    run ``np.searchsorted`` over the frequency breakpoints instead of
-    the scalar linear scan.  ``frequencies``/``voltages`` cover the
-    non-boost points in ascending-frequency order; index ``n_levels``
-    is the sentinel for the boost point (when present).
-    """
-
-    frequencies: np.ndarray          # ascending, one per non-boost point
-    voltages: np.ndarray             # aligned with ``frequencies``
-    boost_frequency: Optional[float]
-    boost_voltage: Optional[float]
-    #: Points are addressable by index only when no two share a
-    #: (voltage, frequency, is_boost) value — true for every real
-    #: characterized table; a degenerate table keeps the scalar path.
-    unique: bool
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.frequencies)
-
-    @property
-    def boost_index(self) -> int:
-        """The sentinel index the kernel uses for the boost point."""
-        return self.n_levels
-
-
 class LevelTable:
     """The discrete operating points of one accelerator.
 
@@ -80,43 +49,23 @@ class LevelTable:
             raise ValueError("need at least one non-boost level")
         self.points: List[OperatingPoint] = normal
         self.boost: Optional[OperatingPoint] = boosts[-1] if boosts else None
-        self._arrays: Optional[LevelArrays] = None
-        self._index: Optional[Dict[OperatingPoint, int]] = None
-
-    def arrays(self) -> LevelArrays:
-        """The table's cached numpy breakpoint form (built lazily)."""
-        if self._arrays is None:
-            all_points = list(self.points)
-            if self.boost is not None:
-                all_points.append(self.boost)
-            self._arrays = LevelArrays(
-                frequencies=np.array(
-                    [p.frequency for p in self.points], dtype=float),
-                voltages=np.array(
-                    [p.voltage for p in self.points], dtype=float),
-                boost_frequency=(self.boost.frequency
-                                 if self.boost is not None else None),
-                boost_voltage=(self.boost.voltage
-                               if self.boost is not None else None),
-                unique=len(set(all_points)) == len(all_points),
-            )
-        return self._arrays
-
-    def point_at(self, index: int) -> OperatingPoint:
-        """The operating point behind a kernel index (boost sentinel
-        included) — the *same object* the scalar path returns."""
-        if index == len(self.points):
-            if self.boost is None:
-                raise IndexError("table has no boost point")
-            return self.boost
-        return self.points[index]
+        #: The index space every batched level decision addresses: the
+        #: points in ascending frequency, then the boost point (index
+        #: ``len(points)``) when the table has one.
+        self.indexed: Tuple[OperatingPoint, ...] = tuple(normal) + (
+            (self.boost,) if self.boost is not None else ())
+        #: ``indexed``'s frequencies, which ``select_level_batch``
+        #: searches.
+        self.frequencies = np.array([p.frequency for p in self.indexed])
+        #: Points are addressable by index only when no two share a
+        #: (voltage, frequency, is_boost) value: true for every
+        #: characterized table; a degenerate one keeps the scalar path.
+        self.unique = len(set(self.indexed)) == len(self.indexed)
+        self._index: Dict[OperatingPoint, int] = {
+            p: i for i, p in enumerate(self.indexed)}
 
     def index_of(self, point: OperatingPoint) -> int:
-        """Kernel index of ``point`` (boost maps to the sentinel)."""
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.points)}
-            if self.boost is not None:
-                self._index[self.boost] = len(self.points)
+        """The index of ``point`` in :attr:`indexed`."""
         return self._index[point]
 
     @property

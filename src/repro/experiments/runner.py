@@ -157,6 +157,13 @@ def bundle_for(name: str, scale: Optional[float] = None,
     bundle = _bundle_from_disk(name, scale, config_fp)
     if bundle is not None:
         return bundle
+    return _build_and_store(name, scale, flow_config, config_fp, workers)
+
+
+def _build_and_store(name: str, scale: float, flow_config: FlowConfig,
+                     config_fp: str,
+                     workers: Optional[int] = None) -> BenchmarkBundle:
+    # A fresh build, kept in memory and written to the persistent cache.
     bundle = _build_bundle(name, scale, flow_config, workers)
     _BUNDLES[(name, scale, config_fp)] = bundle
     cache = get_cache()
@@ -166,12 +173,12 @@ def bundle_for(name: str, scale: Optional[float] = None,
     return bundle
 
 
-def _bundle_worker(scale: float, flow_config: FlowConfig,
+def _bundle_worker(scale: float, flow_config: FlowConfig, config_fp: str,
                    name: str) -> BenchmarkBundle:
-    # pmap worker for the bundle fan-out: inside the pool, bundle_for
-    # runs serially (daemonic workers never nest pools) and still
-    # consults/fills the shared on-disk cache.
-    return bundle_for(name, scale, flow_config)
+    # pmap worker for the bundle fan-out: the parent has already missed
+    # this bundle in both caches, so build it (serially: daemonic
+    # workers never nest pools) without looking it up a second time.
+    return _build_and_store(name, scale, flow_config, config_fp)
 
 
 def prewarm_bundles(names: Iterable[str],
@@ -200,15 +207,11 @@ def prewarm_bundles(names: Iterable[str],
     ]
     n_workers = min(resolve_jobs(workers), max(len(missing), 1))
     if len(missing) > 1 and n_workers > 1:
-        fn = functools.partial(_bundle_worker, scale, flow_config)
+        fn = functools.partial(_bundle_worker, scale, flow_config,
+                               config_fp)
         built = pmap(fn, missing, jobs=n_workers, label="bundle.pmap")
-        cache = get_cache()
         for name, bundle in zip(missing, built):
             _BUNDLES[(name, scale, config_fp)] = bundle
-            if cache is not None:
-                disk_key = _bundle_disk_key(name, scale, config_fp)
-                if not cache.has("bundle", disk_key):
-                    cache.put("bundle", disk_key, bundle)
     return {name: bundle_for(name, scale, flow_config)
             for name in names}
 

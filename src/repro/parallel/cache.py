@@ -20,7 +20,9 @@ or the ``REPRO_CACHE_DIR`` environment variable and read through
 :func:`get_cache` (``None`` = caching disabled, the default).  Every
 hit/miss/put/eviction increments both the cache's own
 :class:`CacheStats` and — when an observability session is active —
-the ``cache.*`` counters that ``repro report`` summarizes.
+the ``cache.*`` counters that ``repro report`` summarizes.  Pool
+workers ship both home with every chunk (:func:`take_stats`), so the
+parent's footer and counters agree on a ``--jobs N`` run.
 """
 
 from __future__ import annotations
@@ -59,6 +61,17 @@ class CacheStats:
         """One-line digest for CLI footers."""
         return (f"{self.hits} hit(s), {self.misses} miss(es), "
                 f"{self.puts} put(s), {self.evictions} evicted")
+
+    def absorb(self, other: "CacheStats") -> None:
+        """Add the counts another process made on its copy of the
+        cache (a pool worker's, shipped home by :func:`take_stats`)."""
+        self.hits += other.hits
+        self.misses += other.misses
+        self.puts += other.puts
+        self.evictions += other.evictions
+        self.errors += other.errors
+        for key, count in other.by_kind.items():
+            self.by_kind[key] = self.by_kind.get(key, 0) + count
 
 
 class ArtifactCache:
@@ -206,6 +219,17 @@ def get_cache() -> Optional[ArtifactCache]:
         if cache_dir:
             _CACHE = ArtifactCache(cache_dir)
     return _CACHE
+
+
+def take_stats() -> Optional[CacheStats]:
+    """Detach the process-wide cache's counts, leaving it new ones
+    (``None`` = caching disabled).  Each pool worker ships its chunk's
+    counts home this way, so the parent counts every operation once."""
+    cache = get_cache()
+    if cache is None:
+        return None
+    stats, cache.stats = cache.stats, CacheStats()
+    return stats
 
 
 def set_cache(cache: Optional[ArtifactCache]) -> Optional[ArtifactCache]:

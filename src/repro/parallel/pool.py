@@ -37,6 +37,7 @@ import time
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from ..obs import get_observer, span
+from .cache import get_cache, take_stats
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -97,17 +98,18 @@ def _init_worker(fn: Callable) -> None:
     _WORKER_FN = fn
     from ..obs.merge import activate_worker
     activate_worker()
+    take_stats()  # the parent's counts, forked: already counted there
 
 
 def _run_chunk(chunk: Sequence) -> tuple:
     # Worker body: apply the installed function to one chunk of items,
     # reporting the chunk's busy time for utilization accounting and
-    # its metrics deltas for parent-side aggregation.
+    # its metrics and cache-count deltas for parent-side aggregation.
     from ..obs.merge import worker_snapshot
     t0 = time.perf_counter()
     results = [_WORKER_FN(item) for item in chunk]
     busy = time.perf_counter() - t0
-    return results, busy, worker_snapshot()
+    return results, busy, worker_snapshot(), take_stats()
 
 
 def _note_metrics(label: str, n_tasks: int, workers: int,
@@ -155,15 +157,14 @@ def balanced_chunks(items: Sequence[T], n_chunks: int) -> List[List[T]]:
 
 def pmap(fn: Callable[[T], R], items: Sequence[T],
          jobs: Optional[int] = None,
-         chunk_size: Optional[int] = None,
          label: str = "pmap") -> List[R]:
     """Map ``fn`` over ``items`` across worker processes, in order.
 
     * ``jobs=None`` resolves via :func:`resolve_jobs`; ``jobs=1`` (or a
       single item, or a daemonic caller) runs serially in-process.
-    * ``chunk_size=None`` splits the work into roughly ``4 * jobs``
-      chunks — large enough to amortize IPC, small enough to balance
-      uneven item costs.
+    * the work is split into ``4 * jobs`` balanced chunks (fewer when
+      there are fewer items): large enough to amortize IPC, small
+      enough to balance uneven item costs.
     * ``fn`` and the items must be picklable (a module-level function
       or :func:`functools.partial` of one); exceptions raised by ``fn``
       propagate to the caller.
@@ -181,11 +182,7 @@ def pmap(fn: Callable[[T], R], items: Sequence[T],
             busy = time.perf_counter() - t0
         _note_metrics(label, n, 1, busy, busy)
         return results
-    if chunk_size is None:
-        chunks = balanced_chunks(items, workers * 4)
-    else:
-        chunks = [items[i:i + chunk_size]
-                  for i in range(0, n, chunk_size)]
+    chunks = balanced_chunks(items, workers * 4)
     context = _pool_context()
     if context is None:  # no usable start method: degrade gracefully
         return pmap(fn, items, jobs=1, label=label)
@@ -199,10 +196,13 @@ def pmap(fn: Callable[[T], R], items: Sequence[T],
     results: List[R] = []
     busy = 0.0
     snapshots = []
-    for chunk_out, chunk_busy, snapshot in chunk_results:
+    cache = get_cache()
+    for chunk_out, chunk_busy, snapshot, cache_stats in chunk_results:
         results.extend(chunk_out)
         busy += chunk_busy
         snapshots.append(snapshot)
+        if cache is not None and cache_stats is not None:
+            cache.stats.absorb(cache_stats)
     from ..obs.merge import absorb_snapshots
     absorb_snapshots(snapshots)
     _note_metrics(label, n, workers, busy, wall)

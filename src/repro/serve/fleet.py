@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..dvfs.controllers import Controller, Plan
+from ..dvfs import Controller, Plan
 from ..dvfs.energy import EnergyModel, JobActivity
 from ..obs import get_observer, span
 from ..parallel import pmap, resolve_jobs
@@ -487,7 +487,7 @@ class FleetDispatcher:
         if not valid_prediction(predicted, record.slice_cycles):
             return deadline, budget >= deadline, fastest, 0.0
         cycles = float(predicted)
-        point, t_slice, feasible = plan(record, budget)
+        point, t_slice, feasible, _ = plan(record, budget)
         service_s = t_slice + t_switch + cycles / point.frequency
         return (service_s,
                 feasible

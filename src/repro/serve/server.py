@@ -584,18 +584,22 @@ class AcceleratorStream:
             observer.slo.evaluate(observer.timeseries, upto_t=self.now)
         return executed
 
-    def offer(self, sjob: StreamJob) -> None:
-        """Virtual-time entry point: drain due work, then admit.
-
-        Before an arrival at ``a`` is admitted, every queued job that
-        would have *started* by ``a`` on the virtual clock has
-        already been executed — so the queue holds exactly the jobs a
-        wall-clock server would still have waiting, and micro-batches
-        form naturally under overload (``now`` ahead of arrivals).
-        """
-        while self._queue and max(self.now, self._queue[0].arrival) \
-                <= sjob.arrival:
+    def run_due(self, t: float) -> None:
+        """Execute every queued job that would have *started* by ``t``
+        on the virtual clock."""
+        while self._queue and max(self.now, self._queue[0].arrival) <= t:
             self.run_batch()
+
+    def offer(self, sjob: StreamJob) -> None:
+        """Virtual-time entry point: run due work, then admit.
+
+        Before an arrival at ``a`` is admitted, :meth:`run_due` runs
+        every queued job that would have started by ``a``, so the
+        queue holds exactly the jobs a wall-clock server would still
+        have waiting, and micro-batches form naturally under overload
+        (``now`` ahead of arrivals).
+        """
+        self.run_due(sjob.arrival)
         self.admit(sjob)
 
     def drain(self) -> None:

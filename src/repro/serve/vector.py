@@ -71,15 +71,11 @@ class EpochEngine:
         self.levels = stream.levels
         self.config = stream.config
         self.controller = stream.controller
-        self._points = list(self.levels.points)
-        if self.levels.boost is not None:
-            self._points.append(self.levels.boost)
-        self._ids = [id(p) for p in self._points]
-        self._freq = np.array([p.frequency for p in self._points])
+        self._ids = [id(p) for p in self.levels.indexed]
         predictor = stream.predictor
         self.eligible = (
             self.controller.vectorizable
-            and self.levels.arrays().unique
+            and self.levels.unique
             and self.config.prediction_budget is None
             and (not self.controller.uses_slice or predictor is None
                  or type(predictor) is RecordPredictor))
@@ -144,14 +140,14 @@ class EpochEngine:
         # the block's first run commits right after this plan.
         switched = np.zeros(n, dtype=bool)
         if self.controller.charge_overheads:
-            switched[0] = (self._points[int(idx[0])]
+            switched[0] = (self.levels.indexed[int(idx[0])]
                            != self.stream._previous)
             switched[1:] = idx[1:] != idx[:-1]
         t_sw = np.where(switched, t_switch, 0.0)
         # ``charge_job``'s own expression for the execution time: the
         # plan prices nothing (see ``run_epoch``).
         t_exec = np.array([r.actual_cycles for r in records],
-                          dtype=float) / self._freq[idx]
+                          dtype=float) / self.levels.frequencies[idx]
         finish = ((arr + t_slice) + t_sw) + t_exec
         missed = (finish - (arr + deadline)) > TIME_EPS_REL * deadline
         # A run continuing at job j ends after the first job at or past
@@ -192,7 +188,7 @@ class EpochEngine:
         (block, records, decision_s, t_switch, status_l, arr_l, idx_l,
          ts_l, tsw_l, fin_l, miss_l, charges, ends_l) = self._plan
         stream = self.stream
-        points = self._points
+        points = self.levels.indexed
         k = start - self._first
         n = len(block)
         # The first job's switch case follows the stream's current
@@ -278,16 +274,13 @@ def drive_stream_vectorized(stream: AcceleratorStream,
     i = 0
     while i < n:
         sjob = jobs[i]
-        while stream._queue and max(stream.now,
-                                    stream._queue[0].arrival) \
-                <= sjob.arrival:
-            stream.run_batch()
-        if (engine.eligible and not stream._queue
-                and stream.now <= sjob.arrival):
-            committed = engine.run_epoch(jobs, i)
-            if committed:
-                i += committed
-                continue
-        stream.admit(sjob)
+        if engine.eligible:
+            stream.run_due(sjob.arrival)
+            if not stream._queue and stream.now <= sjob.arrival:
+                committed = engine.run_epoch(jobs, i)
+                if committed:
+                    i += committed
+                    continue
+        stream.offer(sjob)
         i += 1
     stream.drain()

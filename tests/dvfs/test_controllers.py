@@ -1,11 +1,13 @@
 """Controller and episode-runner tests."""
 
+import numpy as np
 import pytest
 
 from repro.dvfs import (
     ASIC_VOLTAGES,
     AsicVfModel,
     ConstantFrequencyController,
+    Controller,
     HistoryController,
     JobActivity,
     OperatingPoint,
@@ -190,6 +192,84 @@ def test_table_controller_worst_case_per_class(levels):
     # Unknown class: conservative nominal.
     assert ctrl.plan(job(5, 1, coarse=99), TASK.deadline).point \
         == levels.nominal
+
+
+def _vectorizable_controllers(levels):
+    training = [job(0, 1_000_000, coarse=1), job(1, 3_000_000, coarse=1),
+                job(2, 200_000, coarse=2)]
+    return [ConstantFrequencyController(levels, DVFS_SWITCH_TIME),
+            TableBasedController.from_training(levels, DVFS_SWITCH_TIME,
+                                               training),
+            *(PredictiveController(levels, DVFS_SWITCH_TIME, boost=boost,
+                                   charge_overheads=charge)
+              for boost in (False, True) for charge in (True, False)),
+            OracleController(levels)]
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+def test_every_vectorizable_controller_is_covered(levels):
+    covered = {type(c) for c in _vectorizable_controllers(levels)}
+    assert covered == {c for c in _all_subclasses(Controller)
+                       if c.vectorizable
+                       and c.__module__.startswith("repro.")}
+
+
+@pytest.mark.parametrize("name", [
+    "baseline", "table", "prediction", "prediction_no_overhead",
+    "prediction_boost", "prediction_boost_no_overhead", "oracle"])
+def test_plan_batch_equals_plan_field_by_field(levels, name):
+    """Each job's entry of ``plan_batch`` is the ``Plan`` that ``plan``
+    returns for it alone: the point, ``t_slice``, ``feasible`` and the
+    exact ``f_required``, over feasible, boost-only and infeasible
+    jobs, budgets the overheads consume, and (for the table) a coarse
+    class missing from the table."""
+    (ctrl,) = [c for c in _vectorizable_controllers(levels)
+               if c.name == name]
+    cycles = (100_000, 1_000_000, 2_500_000, 4_100_000, 4_400_000,
+              9_000_000)
+    budgets = (TASK.deadline, 4 * MS, 0.2 * MS, 1e-6)
+    jobs, job_budgets = [], []
+    for cycle in cycles:
+        for budget in budgets:
+            for coarse in (1, 2, 99):
+                n = len(jobs)
+                jobs.append(job(n, cycle, predicted=cycle * 1.02 - 7.0,
+                                slice_cycles=40_000 + n, coarse=coarse))
+                job_budgets.append(budget)
+    batch = ctrl.plan_batch(jobs, np.array(job_budgets))
+    assert ctrl.vectorizable and batch is not None
+    assert len(batch.level_index) == len(jobs)
+    kinds = set()
+    for i, (record, budget) in enumerate(zip(jobs, job_budgets)):
+        plan = ctrl.plan(record, budget)
+        assert levels.indexed[batch.level_index[i]] is plan.point, i
+        assert batch.t_slice[i] == plan.t_slice, i
+        assert batch.feasible[i] == plan.feasible, i
+        assert batch.f_required[i] == plan.f_required, i
+        kinds.add((plan.point.is_boost, plan.feasible))
+    if "boost" in name:
+        assert {(False, True), (True, True), (True, False)} <= kinds
+    elif name not in ("baseline", "table"):
+        assert {(False, True), (False, False)} <= kinds
+
+
+def test_plan_batch_declines_a_record_without_a_prediction(levels):
+    """Prediction without overheads declines the block when a record
+    carries no prediction, so the scalar path raises ``plan``'s
+    diagnostic."""
+    ctrl = PredictiveController(levels, DVFS_SWITCH_TIME,
+                                charge_overheads=False)
+    jobs = [job(0, 1000, predicted=1000.0), job(1, 1000)]
+    budgets = np.full(2, TASK.deadline)
+    assert ctrl.plan_batch(jobs, budgets) is None
+    assert ctrl.plan_batch(jobs[:1], budgets[:1]) is not None
+    with pytest.raises(ValueError, match="carries no prediction"):
+        ctrl.plan(jobs[1], TASK.deadline)
 
 
 def test_episode_switch_charged_only_on_changes(levels):

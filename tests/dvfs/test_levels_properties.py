@@ -186,6 +186,7 @@ import numpy as np  # noqa: E402
 from repro.dvfs import (  # noqa: E402
     FPGA_VOLTAGES,
     FpgaVfModel,
+    Plan,
     select_level_batch,
 )
 
@@ -203,26 +204,34 @@ switch_st = st.floats(min_value=0.0, max_value=0.01,
 table_st = st.integers(min_value=0, max_value=len(TABLES) - 1)
 
 
+def _plan_at(levels, batch, i):
+    """Entry ``i`` of a ``BatchPlan`` as the scalar ``Plan``."""
+    return Plan(levels.indexed[batch.level_index[i]],
+                float(batch.t_slice[i]), bool(batch.feasible[i]),
+                float(batch.f_required[i]))
+
+
 def _assert_batch_matches_scalar(levels, cycles, budgets, margin,
                                  t_slice, t_switch, boost):
     batch = select_level_batch(
         levels, np.array(cycles, dtype=float),
         np.array(budgets, dtype=float), margin_fraction=margin,
         t_slice=t_slice, t_switch=t_switch, allow_boost=boost)
-    assert len(batch) == len(cycles)
+    assert len(batch.level_index) == len(cycles)
     for i, (c, b) in enumerate(zip(cycles, budgets)):
         scalar = select_level(levels, c, b, margin_fraction=margin,
                               t_slice=t_slice, t_switch=t_switch,
                               allow_boost=boost)
-        rehydrated = batch.decision_at(levels, i)
-        assert rehydrated.point == scalar.point, (
-            f"job {i}: batch chose {rehydrated.point}, "
+        entry = _plan_at(levels, batch, i)
+        assert entry.point is scalar.point, (
+            f"job {i}: batch chose {entry.point}, "
             f"scalar {scalar.point}")
-        assert rehydrated.feasible == scalar.feasible
+        assert entry.t_slice == scalar.t_slice
+        assert entry.feasible == scalar.feasible
         # Bit-identical f_required, not merely close: the engines must
         # agree on the exact float.
-        assert (rehydrated.f_required == scalar.f_required
-                or (math.isnan(rehydrated.f_required)
+        assert (entry.f_required == scalar.f_required
+                or (math.isnan(entry.f_required)
                     and math.isnan(scalar.f_required)))
 
 
@@ -260,7 +269,7 @@ def test_batch_infeasible_fallback_matches(table, budget, margin,
         margin_fraction=margin, t_slice=t_slice, allow_boost=boost)
     fastest = levels.fastest(allow_boost=boost)
     for i, c in enumerate(cycles):
-        decision = batch.decision_at(levels, i)
+        decision = _plan_at(levels, batch, i)
         if c > 0.0:
             assert not decision.feasible
             assert decision.f_required == math.inf
@@ -297,9 +306,8 @@ def test_batch_boost_only_beyond_table(jobs, margin):
     batch = select_level_batch(LEVELS, cycles, budgets,
                                margin_fraction=margin,
                                allow_boost=True)
-    arrays = LEVELS.arrays()
     for i in range(len(jobs)):
-        decision = batch.decision_at(LEVELS, i)
+        decision = _plan_at(LEVELS, batch, i)
         if decision.point.is_boost and decision.feasible:
-            assert arrays.frequencies[-1] < decision.f_required
-            assert arrays.boost_frequency >= decision.f_required
+            assert LEVELS.nominal.frequency < decision.f_required
+            assert LEVELS.boost.frequency >= decision.f_required

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.obs import session
-from repro.parallel import ArtifactCache, get_cache, set_cache
+from repro.parallel import ArtifactCache, get_cache, pmap, set_cache
 
 
 def test_roundtrip_returns_equal_artifact(tmp_path):
@@ -124,3 +124,24 @@ def test_unpicklable_put_raises_and_leaves_no_entry(tmp_path):
         cache.put("bundle", "aa" * 32, lambda: None)
     assert not cache.has("bundle", "aa" * 32)
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _put_entry(key):
+    get_cache().put("blob", key * 32, key)
+    return key
+
+
+def test_pool_workers_count_their_operations_in_the_parent(tmp_path):
+    """Operations that pool workers make on the process-wide cache land
+    in the parent's stats, each counted once, as they land in the
+    ``cache.*`` counters."""
+    cache = set_cache(ArtifactCache(tmp_path))
+    assert cache.get("blob", "00" * 32) is None  # the parent's own miss
+    with session(command="cache-pool") as obs:
+        assert pmap(_put_entry, ["01", "02", "03", "04"], jobs=2) \
+            == ["01", "02", "03", "04"]
+        counters = dict(obs.metrics.counters)
+    assert (cache.stats.misses, cache.stats.puts) == (1, 4)
+    assert cache.stats.by_kind == {"blob.miss": 1, "blob.put": 4}
+    assert counters["cache.put"] == 4
+    assert len(cache.entries()) == 4

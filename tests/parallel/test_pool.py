@@ -39,9 +39,14 @@ def test_parallel_matches_serial():
 
 
 def test_chunk_size_one_still_ordered():
-    items = list(range(23))
-    assert pmap(_square, items, jobs=3, chunk_size=1) == \
-        [x * x for x in items]
+    # The default split cuts 4 chunks per worker: 12 items over 3
+    # workers give 12 one-item chunks, still returned in input order.
+    items = list(range(12))
+    with session(command="pmap-test") as obs:
+        assert pmap(_square, items, jobs=3) == [x * x for x in items]
+    (record,) = [s for s in obs.tracer.spans if s.name == "pmap"]
+    assert record.labels == {"mode": "parallel", "tasks": 12,
+                             "workers": 3, "chunks": 12}
 
 
 def test_serial_path_accepts_lambdas():

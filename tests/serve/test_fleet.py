@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from repro.check import check_fleet
 from repro.dvfs import (
     ConstantFrequencyController,
-    DvfsDecision,
     OperatingPoint,
+    Plan,
     PredictiveController,
 )
 from repro.serve import (
@@ -586,15 +586,15 @@ PER_ARRIVAL_REPRS = [
      "RoutingDecision(index=3, benchmark='alpha', tenant='gold', "
      "arrival=0.25, candidates=(0, 2), backlogs=(1, 0), chosen=2, "
      "reason=None)"),
-    (DvfsDecision(OperatingPoint(0.7, 2.5e8), False, math.inf),
-     "DvfsDecision(point=OperatingPoint(voltage=0.7, "
-     "frequency=250000000.0, is_boost=False), feasible=False, "
+    (Plan(OperatingPoint(0.7, 2.5e8), 1e-4, False, math.inf),
+     "Plan(point=OperatingPoint(voltage=0.7, frequency=250000000.0, "
+     "is_boost=False), t_slice=0.0001, feasible=False, "
      "f_required=inf)"),
 ]
 
 
 @pytest.mark.parametrize("value,text", PER_ARRIVAL_REPRS,
-                         ids=["FleetShed", "RoutingDecision", "DvfsDecision"])
+                         ids=["FleetShed", "RoutingDecision", "Plan"])
 def test_per_arrival_tuples_pickle_and_print_as_dataclasses(value, text):
     """The fleet path's per-arrival records are named tuples: each
     prints what a frozen dataclass of the same fields prints, and a

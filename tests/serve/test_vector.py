@@ -347,6 +347,37 @@ def test_epoch_log_conserves_and_checks_clean(asic_levels):
             assert outcome.start == outcome.arrival
 
 
+@pytest.mark.parametrize("kind", ["predictive", "pid"])
+def test_every_unplanned_arrival_is_offered(asic_levels, monkeypatch,
+                                            kind):
+    """The block-planned driver sends each arrival that no planned run
+    commits through ``AcceleratorStream.offer``: one call per such
+    arrival, on the planned and the reactive (never planned) path."""
+    offered = []
+    original = AcceleratorStream.offer
+
+    def offer(stream, sjob):
+        offered.append(sjob.index)
+        original(stream, sjob)
+
+    monkeypatch.setattr(AcceleratorStream, "offer", offer)
+    records = spiky_records(asic_levels, n=400, seed=3)
+    jobs = stream_from_records(
+        records, poisson_arrivals(200.0, n_jobs=400, seed=11))
+    controller = (controller_for(kind, asic_levels) if kind != "pid"
+                  else PidController(asic_levels, DVFS_SWITCH_TIME))
+    stream = AcceleratorStream(
+        "offer", controller, FlatEnergyModel(),
+        slice_energy_model=FlatEnergyModel(), predictor=RecordPredictor(),
+        config=ServeConfig(deadline=DEADLINE))
+    serve_stream(stream, jobs)
+    planned = {first + k for first, n in stream.epoch_log
+               for k in range(n)}
+    assert bool(planned) == (kind == "predictive")
+    assert offered == [sj.index for sj in jobs
+                       if sj.index not in planned]
+
+
 def test_outcomes_of_every_path_hold_no_instance_dict(asic_levels):
     """Planned, scalar and shed outcomes are all named tuples, with no
     instance ``__dict__``, and the result carries the stream's planned
