@@ -39,9 +39,7 @@ def main() -> None:
     for i, item in enumerate(workload.test[:10]):
         job = design.encode_job(item)
         predicted_cycles, slice_cycles = package.run_slice(job)
-        sim.reset()
-        sim.load(*job.as_pair())
-        actual_cycles = sim.run().cycles
+        actual_cycles = sim.run_job(*job.as_pair()).cycles
         err = (predicted_cycles - actual_cycles) / actual_cycles * 100
         print(f"{i:4d} {predicted_cycles / f0 / MS:8.2f}ms "
               f"{actual_cycles / f0 / MS:8.2f}ms {err:6.2f}% "

@@ -63,12 +63,7 @@ def visibility_report(module: Module,
     sim = make_simulation(module, track_state_cycles=True)
     total = counter_wait = dynamic_wait = 0
     for inputs, memories in jobs:
-        sim.reset()
-        sim.state_cycles.clear()
-        sim.load(inputs=inputs, memories=memories)
-        result = sim.run(max_cycles=max_cycles)
-        if not result.finished:
-            raise RuntimeError("job did not finish")
+        result = sim.run_job(inputs, memories, max_cycles)
         total += result.cycles
         for key, cycles in result.state_cycles.items():
             if key in wait_states:

@@ -149,43 +149,24 @@ def _stock_callbacks(recorder: FeatureRecorder) -> bool:
             and not recorder.wants_cycles)
 
 
-def _summarize_job_inputs(inputs: Dict[str, int],
-                          memories: Dict[str, Sequence[int]]) -> str:
-    """Compact input digest for error messages on failed jobs."""
-    parts = [f"{name}={value}" for name, value in sorted(inputs.items())]
-    parts += [f"{name}[{len(words)} words]"
-              for name, words in sorted(memories.items())]
-    return ", ".join(parts) if parts else "(no inputs)"
-
-
-def _simulate_job(sim: Simulation, recorder: FeatureRecorder,
-                  index: int, inputs: Dict[str, int],
+def _simulate_job(sim: Simulation, index: int, inputs: Dict[str, int],
                   memories: Dict[str, Sequence[int]],
                   max_cycles: int, ignore_unknown: bool
                   ) -> Tuple[np.ndarray, int]:
-    # One training job on a prepared simulation: the shared body of
-    # the serial loop and the pool workers, so both raise identical,
-    # debuggable errors and return identical (row, cycles) pairs.
-    sim.reset()
-    recorder.start_job()
-    sim.load(inputs=inputs, memories=memories,
-             ignore_unknown=ignore_unknown)
-    result = sim.run(max_cycles=max_cycles)
-    if not result.finished:
-        raise RuntimeError(
-            f"job {index} did not finish within {max_cycles} cycles on "
-            f"{sim.module.name} "
-            f"(inputs: {_summarize_job_inputs(inputs, memories)})"
-        )
-    return recorder.vector(), result.cycles
+    # One training job on a simulation whose listener is a recorder:
+    # the shared body of the serial loop and the pool workers, so both
+    # raise identical errors and return identical (row, cycles) pairs.
+    try:
+        result = sim.run_job(inputs, memories, max_cycles, ignore_unknown)
+    except RuntimeError as exc:
+        raise RuntimeError(f"job {index} {exc}") from exc
+    return sim.listener.vector(), result.cycles
 
 
-#: Per-process (module, feature_set, backend) -> (Simulation,
-#: FeatureRecorder), so a pool worker builds its instrumented
-#: simulation once, not once per job.  Keyed by object identity:
-#: stable within one process.
-_WORKER_SIMS: Dict[Tuple[int, int, str],
-                   Tuple[Simulation, FeatureRecorder]] = {}
+#: Per-process (module, feature_set, backend) -> instrumented
+#: Simulation, so a pool worker builds it once, not once per job.
+#: Keyed by object identity: stable within one process.
+_WORKER_SIMS: Dict[Tuple[int, int, str], Simulation] = {}
 
 
 def _record_worker(module: Module, feature_set: FeatureSet,
@@ -193,17 +174,16 @@ def _record_worker(module: Module, feature_set: FeatureSet,
                    indexed_job) -> Tuple[np.ndarray, int]:
     # pmap worker: simulate one (index, (inputs, memories)) item.
     key = (id(module), id(feature_set), backend)
-    state = _WORKER_SIMS.get(key)
-    if state is None:
-        recorder = FeatureRecorder(feature_set)
-        sim = make_simulation(module, backend=backend, listener=recorder,
+    sim = _WORKER_SIMS.get(key)
+    if sim is None:
+        sim = make_simulation(module, backend=backend,
+                              listener=FeatureRecorder(feature_set),
                               track_state_cycles=False)
         _WORKER_SIMS.clear()  # only ever one live design per worker
-        _WORKER_SIMS[key] = state = (sim, recorder)
-    sim, recorder = state
+        _WORKER_SIMS[key] = sim
     index, (inputs, memories) = indexed_job
-    return _simulate_job(sim, recorder, index, inputs, memories,
-                         max_cycles, ignore_unknown)
+    return _simulate_job(sim, index, inputs, memories, max_cycles,
+                         ignore_unknown)
 
 
 def record_jobs(
@@ -244,13 +224,12 @@ def record_jobs(
                                resolved_backend)
         pairs = pmap(fn, indexed, jobs=n_workers, label="record.pmap")
     else:
-        recorder = FeatureRecorder(feature_set)
         sim = make_simulation(module, backend=resolved_backend,
-                              listener=recorder,
+                              listener=FeatureRecorder(feature_set),
                               track_state_cycles=False)
         pairs = [
-            _simulate_job(sim, recorder, index, inputs, memories,
-                          max_cycles, ignore_unknown_inputs)
+            _simulate_job(sim, index, inputs, memories, max_cycles,
+                          ignore_unknown_inputs)
             for index, (inputs, memories) in indexed
         ]
     rows = [row for row, _ in pairs]

@@ -202,10 +202,8 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         sim = make_simulation(module, track_state_cycles=False)
         times = []
         for item in workload.test[:args.jobs]:
-            job = design.encode_job(item)
-            sim.reset()
-            sim.load(*job.as_pair())
-            times.append(sim.run().cycles / design.nominal_frequency / MS)
+            cycles = sim.run_job(*design.encode_job(item).as_pair()).cycles
+            times.append(cycles / design.nominal_frequency / MS)
         print(f"  sampled {len(times)} jobs: "
               f"{min(times):.2f} / {sum(times) / len(times):.2f} / "
               f"{max(times):.2f} ms (min/avg/max)")
@@ -280,8 +278,7 @@ def _cmd_wave(args: argparse.Namespace) -> int:
     with open(args.output, "w") as handle:
         writer = VcdWriter(module, handle)
         sim = make_simulation(module, listener=writer)
-        sim.load(*job.as_pair())
-        result = sim.run()
+        result = sim.run_job(*job.as_pair())
         writer.finish(sim.cycle)
     print(f"wrote {args.output} ({result.cycles} cycles)")
     return 0
@@ -808,13 +805,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     f0 = design.nominal_frequency
     from .rtl import make_simulation
     sim = make_simulation(package.module, track_state_cycles=False)
+    run_slice = package.slice_runner()
     print(f"{'job':>4s} {'predicted':>10s} {'actual':>10s} {'err%':>7s}")
     for i, item in enumerate(workload.test[:args.show]):
         job = design.encode_job(item)
-        predicted, _ = package.run_slice(job)
-        sim.reset()
-        sim.load(*job.as_pair())
-        actual = sim.run().cycles
+        predicted, _ = run_slice(job)
+        actual = sim.run_job(*job.as_pair()).cycles
         print(f"{i:4d} {predicted / f0 / MS:8.2f}ms "
               f"{actual / f0 / MS:8.2f}ms "
               f"{(predicted - actual) / actual * 100:7.2f}")

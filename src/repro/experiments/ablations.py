@@ -222,15 +222,13 @@ def elision_benefit(benchmark: str = "h264",
         drop_dynamic=hw_slice.elided_dynamic,  # opaque stalls still go
         drop_datapath=True,
     )
+    elided = make_simulation(hw_slice.module, track_state_cycles=False)
+    kept = make_simulation(unelided, track_state_cycles=False)
     with_e = without_e = 0
     for item in bundle.workload.test[:n_jobs]:
-        job = bundle.design.encode_job(item)
-        sim = make_simulation(hw_slice.module, track_state_cycles=False)
-        sim.load(*job.as_pair())
-        with_e += sim.run().cycles
-        sim = make_simulation(unelided, track_state_cycles=False)
-        sim.load(*job.as_pair())
-        without_e += sim.run().cycles
+        job = bundle.design.encode_job(item).as_pair()
+        with_e += elided.run_job(*job).cycles
+        without_e += kept.run_job(*job).cycles
     return ElisionResult(
         benchmark=benchmark,
         slice_cycles_with_elision=with_e,

@@ -45,10 +45,7 @@ def run(scale: Optional[float] = None,
         times = []
         for frame in generate_clip(spec):
             job = bundle.design.encode_job(frame)
-            sim.reset()
-            sim.load(*job.as_pair())
-            result = sim.run()
-            times.append(result.cycles / f0 / MS)
+            times.append(sim.run_job(*job.as_pair()).cycles / f0 / MS)
         series[spec.name] = times
     return Fig2Result(series_ms=series)
 

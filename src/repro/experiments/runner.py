@@ -77,6 +77,28 @@ class BenchmarkBundle:
     def name(self) -> str:
         return self.design.name
 
+    @classmethod
+    def build(cls, design: AcceleratorDesign, workload: BenchmarkWorkload,
+              flow_config: FlowConfig = FlowConfig(),
+              workers: Optional[int] = None) -> "BenchmarkBundle":
+        """Run the offline flow on ``workload.train`` and build the
+        ground-truth records of ``workload.test``."""
+        package = generate_predictor(design, workload.train,
+                                     flow_config, workers=workers)
+        with span("test_records", benchmark=design.name,
+                  jobs=len(workload.test)):
+            test_records = build_job_records(design, package,
+                                             workload.test)
+        return cls(
+            design=design,
+            workload=workload,
+            package=package,
+            test_records=test_records,
+            train_cycles=[float(c) for c in package.train_matrix.cycles],
+            train_coarse=[design.encode_job(item).coarse_param
+                          for item in workload.train],
+        )
+
 
 #: In-memory bundle cache, keyed by (benchmark, scale, FlowConfig
 #: fingerprint) — two calls that differ only in ``flow_config`` build
@@ -99,26 +121,9 @@ def _bundle_disk_key(name: str, scale: float, config_fp: str) -> str:
 def _build_bundle(name: str, scale: float, flow_config: FlowConfig,
                   workers: Optional[int]) -> BenchmarkBundle:
     with span("bundle", benchmark=name, scale=scale):
-        design = get_design(name)
-        workload = workload_for(name, scale=scale)
-        package = generate_predictor(design, workload.train,
-                                     flow_config, workers=workers)
-        with span("test_records", benchmark=name,
-                  jobs=len(workload.test)):
-            test_records = build_job_records(design, package,
-                                             workload.test)
-        train_coarse = [
-            design.encode_job(item).coarse_param
-            for item in workload.train
-        ]
-    return BenchmarkBundle(
-        design=design,
-        workload=workload,
-        package=package,
-        test_records=test_records,
-        train_cycles=[float(c) for c in package.train_matrix.cycles],
-        train_coarse=train_coarse,
-    )
+        return BenchmarkBundle.build(get_design(name),
+                                     workload_for(name, scale=scale),
+                                     flow_config, workers)
 
 
 def _bundle_from_disk(name: str, scale: float,

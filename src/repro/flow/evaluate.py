@@ -28,21 +28,14 @@ def build_job_records(design: AcceleratorDesign,
     """Ground-truth + prediction records for a workload's jobs."""
     module = package.module
     recorder = FeatureRecorder(package.feature_set)
-    sim = make_simulation(package.module, listener=recorder,
+    sim = make_simulation(module, listener=recorder,
                           track_state_cycles=True)
+    run_slice = package.slice_runner()
     records: List[JobRecord] = []
     for index, item in enumerate(items):
         job = design.encode_job(item)
-        sim.reset()
-        sim.state_cycles.clear()
-        recorder.start_job()
-        sim.load(*job.as_pair())
-        result = sim.run(max_cycles=max_cycles)
-        if not result.finished:
-            raise RuntimeError(
-                f"{design.name} job {index} did not finish"
-            )
-        predicted, slice_cycles = package.run_slice(job)
+        result = sim.run_job(*job.as_pair(), max_cycles)
+        predicted, slice_cycles = run_slice(job)
         records.append(JobRecord(
             index=index,
             actual_cycles=result.cycles,

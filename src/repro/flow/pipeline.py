@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,24 +103,26 @@ class GeneratedPredictor:
     def n_selected_features(self) -> int:
         return self.predictor.n_terms
 
-    def run_slice(self, job: JobInput,
-                  max_cycles: int = 50_000_000) -> Tuple[float, int]:
-        """Execute the hardware slice on a job's input.
-
-        Returns (predicted execution cycles, slice execution cycles) —
-        the online half of Fig 6.
-        """
+    def slice_runner(self) -> Callable[[JobInput], Tuple[float, int]]:
+        """A reusable runner of the hardware slice, the online half of
+        Fig 6: job -> (predicted cycles, slice cycles), on one
+        simulation and recorder that ``run_job`` resets per job (and
+        stops at 50M cycles)."""
         recorder = FeatureRecorder(self.feature_set)
         sim = make_simulation(self.hw_slice.module, listener=recorder,
                               track_state_cycles=False)
-        sim.load(*job.as_pair(), ignore_unknown=True)
-        result = sim.run(max_cycles=max_cycles)
-        if not result.finished:
-            raise RuntimeError(
-                f"slice of {self.design_name} did not finish"
-            )
-        predicted = self.predictor.predict_one(recorder.vector())
-        return max(predicted, 0.0), result.cycles
+        predict_one = self.predictor.predict_one
+
+        def run(job: JobInput) -> Tuple[float, int]:
+            result = sim.run_job(job.inputs, job.memories, 50_000_000,
+                                 True)
+            return max(predict_one(recorder.vector()), 0.0), result.cycles
+
+        return run
+
+    def run_slice(self, job: JobInput) -> Tuple[float, int]:
+        """One-shot :meth:`slice_runner` call on a job's input."""
+        return self.slice_runner()(job)
 
 
 def _recorded_matrix(module: Module,

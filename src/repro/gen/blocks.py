@@ -198,9 +198,9 @@ class DesignBuilder:
     The builder owns the module, the descriptor scratchpad and the
     main FSM; blocks attach compositionally — each consumes the
     current chain tail (a list of ``(state, cond)`` exit arcs) and
-    returns the new tail.  :meth:`finish` closes the item loop exactly
-    like :class:`~repro.rtl.idioms.ItemLoop` does, so the detectors
-    and the slicer see the canonical shape.
+    returns the new tail.  :meth:`finish` closes the item loop (EMIT,
+    DONE, one down counter per wait, the ``items_done`` up counter) in
+    the canonical shape the detectors and the slicer see.
     """
 
     def __init__(self, spec: DesignSpec):

@@ -41,7 +41,7 @@ from ..experiments.runner import (
     run_scheme,
     tech_context,
 )
-from ..flow import FlowConfig, build_job_records, generate_predictor
+from ..flow import FlowConfig
 from ..rtl import (
     Listener,
     Simulation,
@@ -153,15 +153,6 @@ COMPARED_FIELDS = {
 }
 
 
-def _run_job(sim, job: Job, max_cycles: int) -> None:
-    inputs, memories = job
-    sim.load(inputs=inputs, memories=memories)
-    if not sim.run(max_cycles=max_cycles).finished:
-        raise RuntimeError(
-            f"{sim.module.name}: {type(sim).__name__} did not terminate "
-            f"in {max_cycles} cycles")
-
-
 def _run_scalar(module, cls, job: Job, fast_forward: bool,
                 max_cycles: int, feature_set: FeatureSet
                 ) -> Dict[str, object]:
@@ -169,10 +160,10 @@ def _run_scalar(module, cls, job: Job, fast_forward: bool,
     # stepjit compiles into the kernel instead of calling back).
     rec = _EventRecorder()
     sim = cls(module, listener=rec, fast_forward=fast_forward)
-    _run_job(sim, job, max_cycles)
+    sim.run_job(*job, max_cycles)
     recorder = FeatureRecorder(feature_set)
-    _run_job(cls(module, listener=recorder, fast_forward=fast_forward),
-             job, max_cycles)
+    cls(module, listener=recorder, fast_forward=fast_forward).run_job(
+        *job, max_cycles)
     return {
         "cycles": sim.cycle, "ff_jumps": sim.ff_jumps,
         "state": dict(sim.state),
@@ -247,24 +238,14 @@ def build_generated_bundle(design: GeneratedDesign,
     :class:`~repro.experiments.runner.BenchmarkBundle` shape every
     downstream experiment and serving helper consumes.
     """
-    train = sample_workload(design, n_train, seed=1)
-    test = sample_workload(design, n_test, seed=2)
-    package = generate_predictor(design, train, flow_config)
-    records = build_job_records(design, package, test)
     workload = BenchmarkWorkload(
-        name=design.name, train=train, test=test,
+        name=design.name,
+        train=sample_workload(design, n_train, seed=1),
+        test=sample_workload(design, n_test, seed=2),
         train_description=f"{n_train} sampled descriptor lists",
         test_description=f"{n_test} sampled descriptor lists",
     )
-    return BenchmarkBundle(
-        design=design,
-        workload=workload,
-        package=package,
-        test_records=records,
-        train_cycles=[float(c) for c in package.train_matrix.cycles],
-        train_coarse=[design.encode_job(item).coarse_param
-                      for item in train],
-    )
+    return BenchmarkBundle.build(design, workload, flow_config)
 
 
 def _mean_service_time(ctx: TechContext) -> float:

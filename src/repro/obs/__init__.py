@@ -38,11 +38,11 @@ from .runctx import (
 )
 from .slo import SloSpec, SloTracker, parse_slo
 from .timeseries import TIMESERIES_NAME, TimeSeriesRegistry, WindowCell
-from .tracer import NULL_SPAN, NullTracer, SpanRecord, Tracer
+from .tracer import NULL_SPAN, SpanRecord, Tracer
 
 __all__ = [
     "EVENTS_NAME", "EventSink", "MANIFEST_NAME", "MetricsRegistry",
-    "NULL_SPAN", "NullTracer", "Observer", "SloSpec", "SloTracker",
+    "NULL_SPAN", "Observer", "SloSpec", "SloTracker",
     "SpanRecord", "StreamingHistogram", "TIMESERIES_NAME",
     "TimeSeriesRegistry", "Tracer", "WindowCell", "get_observer",
     "git_revision", "parse_slo", "read_events", "session", "span",

@@ -7,9 +7,9 @@ position in the nesting tree.  ``Tracer.span`` is a context manager::
     with tracer.span("fit", design="aes"):
         model = fit_predictor(...)
 
-When observability is off, callers get :data:`NULL_SPAN` (a shared,
-stateless context manager) from :class:`NullTracer`, so instrumented
-hot paths pay one attribute lookup and nothing else.
+When observability is off, :func:`repro.obs.span` hands out
+:data:`NULL_SPAN` (a shared, stateless context manager), so
+instrumented hot paths pay one attribute lookup and nothing else.
 """
 
 from __future__ import annotations
@@ -106,22 +106,3 @@ class _NullSpan:
 #: Shared no-op span: every disabled ``span()`` call returns this very
 #: object, so the disabled path allocates nothing.
 NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """Tracer stand-in whose spans cost (almost) nothing.
-
-    ``span`` ignores its arguments and returns :data:`NULL_SPAN`;
-    ``spans`` is always an empty tuple, so reporting code can treat
-    the two tracer types uniformly.
-    """
-
-    spans: tuple = ()
-
-    def span(self, name: str, **labels: object) -> _NullSpan:
-        """Return the shared no-op context manager."""
-        return NULL_SPAN
-
-    def aggregate(self) -> list:
-        """No spans, no rows."""
-        return []

@@ -17,7 +17,6 @@ from .backend import (
     set_default_backend,
 )
 from .counter import Counter, down_counter, up_counter
-from .idioms import ItemLoop
 from .lint import LintFinding, errors_only, lint_module
 from .expr import (
     BinOp,
@@ -47,7 +46,7 @@ from .wave import VcdWriter
 __all__ = [
     "BACKENDS", "BinOp", "Cell", "Const", "Counter",
     "DatapathBlock", "EventSlots",
-    "ItemLoop", "LintFinding", "VcdWriter", "errors_only", "lint_module",
+    "LintFinding", "VcdWriter", "errors_only", "lint_module",
     "Expr", "Fsm", "Listener", "MemRead", "Memory", "Module", "Mux",
     "Netlist", "Port", "Provenance", "Reg", "RunResult", "Sig",
     "Simulation", "StepProgram", "StepSimulation", "Transition", "UnOp",

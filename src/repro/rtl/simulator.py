@@ -112,6 +112,9 @@ class Listener:
         back, or ``None`` (the default) to be called back."""
         return None
 
+    def start_job(self) -> None:
+        """Clear per-job state; :meth:`Simulation.reset` calls it."""
+
     def on_transition(self, fsm: str, src: str, dst: str) -> None:
         """An FSM arc fired."""
         pass
@@ -308,7 +311,7 @@ class Simulation:
 
     # -- lifecycle -----------------------------------------------------------
     def reset(self) -> None:
-        """Return all architectural state to power-on values."""
+        """Return all state to power-on values; start the listener's job."""
         m = self.module
         self.state: Dict[str, object] = {}
         for port in m.ports.values():
@@ -333,6 +336,8 @@ class Simulation:
         self.cycle = 0
         self.ff_jumps = 0
         self.state_cycles: Dict[Tuple[str, str], int] = {}
+        if self.listener is not None:
+            self.listener.start_job()
 
     def load(self, inputs: Optional[Dict[str, int]] = None,
              memories: Optional[Dict[str, Sequence[int]]] = None,
@@ -355,6 +360,27 @@ class Simulation:
                     continue
                 raise KeyError(f"unknown memory {name!r}")
             self.state[f"__mem__{name}"] = list(data)
+
+    def run_job(self, inputs: Optional[Dict[str, int]] = None,
+                memories: Optional[Dict[str, Sequence[int]]] = None,
+                max_cycles: int = 200_000_000,
+                ignore_unknown: bool = False) -> RunResult:
+        """Run one job from power-on (:meth:`reset`, :meth:`load`,
+        :meth:`run`); raise :class:`RuntimeError` naming the module,
+        ``max_cycles`` and the inputs if it does not finish."""
+        self.reset()
+        self.load(inputs, memories, ignore_unknown)
+        result = self.run(max_cycles)
+        if not result.finished:
+            digest = [f"{name}={value}"
+                      for name, value in sorted((inputs or {}).items())]
+            digest += [f"{name}[{len(words)} words]"
+                       for name, words in sorted((memories or {}).items())]
+            raise RuntimeError(
+                f"did not finish within {max_cycles} cycles on "
+                f"{self.module.name} "
+                f"(inputs: {', '.join(digest) or '(no inputs)'})")
+        return result
 
     # -- execution -------------------------------------------------------------
     def run(self, max_cycles: int = 200_000_000) -> RunResult:

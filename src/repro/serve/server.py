@@ -132,25 +132,15 @@ class RecordPredictor:
 class SlicePredictor:
     """Run the hardware prediction slice online, per job.
 
-    Unlike :meth:`GeneratedPredictor.run_slice` (which builds a fresh
-    simulation per call for one-shot use), the serving predictor keeps
-    one simulation and one feature recorder alive for the stream's
-    lifetime and resets them per job — the steady-state hot path.
+    Holds one :meth:`GeneratedPredictor.slice_runner` for the
+    stream's lifetime: one simulation and one feature recorder, reset
+    per job — the steady-state hot path.
     """
 
     name = "slice"
 
-    def __init__(self, package: "GeneratedPredictor",
-                 max_cycles: int = 50_000_000):
-        from ..analysis.instrument import FeatureRecorder
-        from ..rtl.backend import make_simulation
-
-        self._package = package
-        self._recorder = FeatureRecorder(package.feature_set)
-        self._sim = make_simulation(package.hw_slice.module,
-                                    listener=self._recorder,
-                                    track_state_cycles=False)
-        self._max_cycles = max_cycles
+    def __init__(self, package: "GeneratedPredictor"):
+        self._run = package.slice_runner()
 
     def predict(self, sjob: StreamJob) -> Tuple[float, int]:
         """Run the hardware slice on the job's input, live."""
@@ -158,17 +148,7 @@ class SlicePredictor:
             raise ValueError(
                 f"job {sjob.index} has no encoded input; build the "
                 "stream with with_inputs=True to predict online")
-        self._sim.reset()
-        self._recorder.start_job()
-        self._sim.load(*sjob.job_input.as_pair(), ignore_unknown=True)
-        result = self._sim.run(max_cycles=self._max_cycles)
-        if not result.finished:
-            raise RuntimeError(
-                f"slice of {self._package.design_name} did not finish "
-                f"within {self._max_cycles} cycles")
-        predicted = self._package.predictor.predict_one(
-            self._recorder.vector())
-        return max(predicted, 0.0), result.cycles
+        return self._run(sjob.job_input)
 
 
 def _effective(sjob: StreamJob, predicted: float,

@@ -373,9 +373,7 @@ def mixed_stream_jobs(records_by_benchmark: Mapping[str, Sequence[JobRecord]],
                       arrivals: Sequence[float],
                       seed: int = 0,
                       weights: Optional[Mapping[str, float]] = None,
-                      tenants: Sequence[str] = ("default",),
-                      inputs_by_benchmark: Optional[
-                          Mapping[str, Sequence["JobInput"]]] = None
+                      tenants: Sequence[str] = ("default",)
                       ) -> List[FleetJob]:
     """One interleaved job stream over several benchmarks and tenants.
 
@@ -394,11 +392,6 @@ def mixed_stream_jobs(records_by_benchmark: Mapping[str, Sequence[JobRecord]],
     for name in names:
         if not records_by_benchmark[name]:
             raise ValueError(f"benchmark {name!r} has zero records")
-        if (inputs_by_benchmark is not None
-                and len(inputs_by_benchmark.get(name, ()))
-                != len(records_by_benchmark[name])):
-            raise ValueError(
-                f"inputs for {name!r} must pair 1:1 with its records")
     if weights is not None:
         raw = [float(weights.get(name, 0.0)) for name in names]
         # NaN fails every comparison, so test for what is allowed.
@@ -419,14 +412,10 @@ def mixed_stream_jobs(records_by_benchmark: Mapping[str, Sequence[JobRecord]],
         records = records_by_benchmark[name]
         k = cursor[name] % len(records)
         cursor[name] += 1
-        record = _reindexed(records[k], i)
-        job_input = None
-        if inputs_by_benchmark is not None:
-            job_input = inputs_by_benchmark[name][k]
         jobs.append(FleetJob(
             benchmark=name, tenant=tenant,
-            job=StreamJob(index=i, record=record,
-                          arrival=float(arrival), job_input=job_input),
+            job=StreamJob(index=i, record=_reindexed(records[k], i),
+                          arrival=float(arrival)),
         ))
     return jobs
 
@@ -435,27 +424,19 @@ def build_mixed_stream(bundles: Mapping[str, "BenchmarkBundle"],
                        arrivals: Sequence[float],
                        seed: int = 0,
                        weights: Optional[Mapping[str, float]] = None,
-                       tenants: Sequence[str] = ("default",),
-                       with_inputs: bool = False) -> List[FleetJob]:
+                       tenants: Sequence[str] = ("default",)
+                       ) -> List[FleetJob]:
     """A mixed fleet stream over several benchmark bundles.
 
     The bundle analogue of :func:`build_stream_jobs`: cycles each
     bundle's precomputed test records under a seeded benchmark/tenant
-    interleaving; ``with_inputs=True`` attaches encoded job inputs so
-    shards can run :class:`~repro.serve.server.SlicePredictor` live.
+    interleaving.  Jobs carry no encoded inputs: fleet shards replay
+    the records.
     """
     records = {name: bundle.test_records
                for name, bundle in bundles.items()}
-    inputs = None
-    if with_inputs:
-        inputs = {}
-        for name, bundle in bundles.items():
-            encoded = [bundle.design.encode_job(item)
-                       for item in bundle.workload.test]
-            inputs[name] = encoded[:len(bundle.test_records)]
     return mixed_stream_jobs(records, arrivals, seed=seed,
-                             weights=weights, tenants=tenants,
-                             inputs_by_benchmark=inputs)
+                             weights=weights, tenants=tenants)
 
 
 def build_stream_jobs(bundle: "BenchmarkBundle",

@@ -80,6 +80,28 @@ def test_recorder_start_job_clears(toy_features):
     assert recorder.vector().sum() == 0
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reset_alone_starts_the_recorders_next_job(toy, toy_features,
+                                                   backend):
+    """One recorder reused over two ``run_job`` calls records each
+    job's vector exactly as a fresh recorder does."""
+    module, _ = toy
+    jobs = [({"n_items": 2}, {"items": [pack_item(5, 0), pack_item(3, 1)]}),
+            ({"n_items": 1}, {"items": [pack_item(2, 0)]})]
+    reused = make_simulation(module, backend=backend,
+                             listener=FeatureRecorder(toy_features))
+    for inputs, memories in jobs:
+        fresh = make_simulation(module, backend=backend,
+                                listener=FeatureRecorder(toy_features))
+        fresh.load(inputs, memories)
+        fresh.run()
+        reused.run_job(inputs, memories)
+        assert (reused.listener.vector().tobytes()
+                == fresh.listener.vector().tobytes())
+    reused.reset()
+    assert not reused.listener.vector().any()
+
+
 def test_record_jobs_builds_matrix(toy, toy_features):
     module, _ = toy
     jobs = []

@@ -96,3 +96,18 @@ def test_feature_matrix_cache_key_is_backend_invariant(tmp_path):
         assert cache.stats.puts == cold_puts  # nothing re-recorded
     finally:
         set_cache(None)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_job_records_equal_a_fresh_slice_run_per_job(shared_bundle,
+                                                     backend):
+    """``build_job_records`` reuses one slice simulation across jobs;
+    each job's prediction equals a fresh one-shot ``run_slice``."""
+    bundle = shared_bundle("cjpeg", 0.05)
+    design, package = bundle.design, bundle.package
+    set_default_backend(backend)
+    records = build_job_records(design, package, bundle.workload.test)
+    assert len(records) > 1
+    for item, record in zip(bundle.workload.test, records):
+        assert ((record.predicted_cycles, record.slice_cycles)
+                == package.run_slice(design.encode_job(item)))

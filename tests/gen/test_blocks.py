@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import discover_features
 from repro.gen import (
     BranchSpec,
+    DesignBuilder,
     DesignSpec,
     FieldSpec,
     ForkJoinSpec,
@@ -20,7 +22,7 @@ from repro.gen import (
     StageSpec,
     build_module,
 )
-from repro.rtl import Simulation, errors_only, lint_module
+from repro.rtl import Simulation, errors_only, lint_module, synthesize
 
 FIELDS = (FieldSpec("f0", offset=0, bits=6),
           FieldSpec("mode", offset=11, bits=1))
@@ -65,6 +67,56 @@ def test_step_stage_is_single_cycle():
     b, sim = _run(stepped, [4, 7])
     assert b.cycles - a.cycles == 2  # one extra cycle per item
     assert sim.state_cycles[("ctrl", "P")] == 2
+
+
+def _rle_module():
+    """FETCH, then two counter waits per item."""
+    return build_module(DesignSpec(
+        name="rle",
+        fields=(FieldSpec("length", offset=0, bits=8),
+                FieldSpec("cost", offset=8, bits=4)),
+        pipeline=(StageSpec("step", "FETCH"),
+                  StageSpec("wait", "EXPAND", base=20, coeff=9,
+                            field="length"),
+                  StageSpec("wait", "WRITE", base=1, coeff=3,
+                            field="cost")),
+        mem_depth=32, mem_width=12))
+
+
+def test_item_loop_cycles():
+    result, _ = _run(_rle_module(), [2 << 8 | 10, 3])
+    # IDLE->FETCH, then per item FETCH + EXPAND + WRITE + EMIT, a
+    # wait holding for its duration plus its entry cycle.
+    assert result.cycles == 1 + sum(
+        1 + (20 + 9 * length + 1) + (1 + 3 * cost + 1) + 1
+        for length, cost in ((10, 2), (3, 0)))
+
+
+def test_item_loop_features():
+    # Every wait gets an aivs feature, the loop an apvs feature on
+    # items_done.
+    module = _rle_module()
+    names = set(discover_features(module, synthesize(module)).names())
+    assert {"aivs:c_expand", "aivs:c_write", "apvs:items_done",
+            "stc:ctrl:FETCH->EXPAND"} <= names
+
+
+def test_dynamic_stage_is_invisible_to_counter_features():
+    spec = DesignSpec(
+        name="dynny", fields=(FieldSpec("f", offset=0, bits=8),),
+        pipeline=(StageSpec("step", "FETCH"),
+                  StageSpec("dyn", "SERIAL", base=1, coeff=5, field="f")),
+        mem_depth=8, mem_width=8)
+    module = build_module(spec)
+    names = discover_features(module, synthesize(module)).names()
+    # STC features see the stage's arcs, but no counter feature
+    # measures its duration (the stall is opaque).
+    assert any(n.startswith("stc:") and "SERIAL" in n for n in names)
+    assert not any(n.startswith(("ic:", "aivs:", "apvs:"))
+                   and "serial" in n.lower() for n in names)
+    result, _ = _run(module, [4])
+    # IDLE->FETCH + FETCH + SERIAL(1 + 5*4, plus entry) + EMIT.
+    assert result.cycles == 1 + 1 + 22 + 1
 
 
 def test_branch_routes_on_mode_bit():
@@ -153,6 +205,16 @@ def test_invalid_specs_rejected():
         build_module(_spec([]))
     with pytest.raises(TypeError, match="unknown block"):
         build_module(_spec(["not-a-block"]))
+
+
+def test_builder_rejects_empty_and_finished():
+    with pytest.raises(ValueError, match="no stages"):
+        DesignBuilder(_spec([])).finish()
+    builder = DesignBuilder(_spec([]))
+    builder.add_stage(StageSpec("step", "A"))
+    builder.finish()
+    with pytest.raises(RuntimeError, match="already finished"):
+        builder.add_stage(StageSpec("step", "B"))
 
 
 def test_zero_items_parks_in_idle():

@@ -70,7 +70,8 @@ def test_backend_agreement_runs_clean():
 def test_backend_agreement_catches_divergence():
     """A design that never terminates must be reported, not hung."""
     design = sample_design(1, "small")
-    with pytest.raises(RuntimeError, match="did not terminate"):
+    with pytest.raises(RuntimeError,
+                       match="did not finish within 3 cycles on gen1_s"):
         check_backend_agreement(design,
                                 sample_workload(design, 1, seed=3),
                                 max_cycles=3)

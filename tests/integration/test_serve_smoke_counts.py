@@ -1,7 +1,8 @@
-"""The serve smokes: exact work counts of two virtual CLI runs.
+"""The serve smokes: exact work counts of virtual CLI runs, and one
+realtime run.
 
-Every run serves on the virtual clock, so every count pinned here is
-host-independent work:
+The virtual runs serve on the virtual clock, so every count pinned
+here is host-independent work:
 
 * **record replay** — h264 at Poisson 30 jobs/s, 2,000 jobs, seed 1:
   the block planner commits 417 runs over 1,259 jobs, and the scalar
@@ -14,6 +15,10 @@ host-independent work:
   under each routing policy: ``least_loaded`` routes 310 and sheds 86
   on the rate limit and 4 at admission; ``deadline`` routes 300 and
   sheds 86 on the rate limit and 14 it cannot finish in time.
+
+The **realtime** run paces cjpeg arrivals at 100 jobs/s for 2 s
+against the wall clock, so its job count depends on the host; it
+pins only that jobs were offered and each ended in one terminal state.
 
 Each run happens in a subprocess, as a user's CLI call does.  A change
 that moves the split between planned runs and the scalar machine has
@@ -28,10 +33,9 @@ from tests.integration.test_fig11_strict_gate import _repro
 
 
 def _serve_counters(tmp_path, *args):
-    """Counters of one ``repro serve --virtual`` run."""
+    """Counters of one ``repro serve`` run."""
     run_dir = tmp_path / "run"
-    result = _repro("serve", *args, "--virtual", "--run-dir",
-                    str(run_dir))
+    result = _repro("serve", *args, "--run-dir", str(run_dir))
     assert result.returncode == 0, result.stderr[-2000:]
     manifest = json.loads((run_dir / "manifest.json").read_text())
     return manifest["metrics"]["counters"]
@@ -55,10 +59,18 @@ def _conserved(counters):
       "serve.predict_runs": 300}),
 ], ids=["record_replay", "live_slice"])
 def test_serve_smoke_counts_are_exact(tmp_path, args, counts):
-    counters = _serve_counters(tmp_path, *args)
+    counters = _serve_counters(tmp_path, *args, "--virtual")
     assert {name: int(counters.get(name, 0)) for name in counts} \
         == counts
     assert _conserved(counters) == counts["serve.offered"]
+
+
+def test_realtime_serve_smoke_conserves_every_job(tmp_path):
+    counters = _serve_counters(
+        tmp_path, "--benchmark", "cjpeg", "--rate", "100", "--duration",
+        "2", "--scale", "0.05", "--seed", "1")
+    assert counters["serve.offered"] > 0
+    assert _conserved(counters) == counters["serve.offered"]
 
 
 #: Routing runs on the virtual clock, so these counts hold on any
@@ -81,7 +93,8 @@ SHEDS = ("admission", "rate_limit", "deadline")
                   "serve.fleet.shed.deadline": 14}),
 ], ids=["least_loaded", "deadline"])
 def test_fleet_gate_counts_are_exact(tmp_path, policy, counts):
-    counters = _serve_counters(tmp_path, *FLEET_ARGS, "--policy", policy)
+    counters = _serve_counters(tmp_path, *FLEET_ARGS, "--policy", policy,
+                               "--virtual")
     expected = {"serve.fleet.offered": 400, **counts}
     assert {name: int(counters.get(name, 0)) for name in expected} \
         == expected

@@ -6,7 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from repro.rtl import Fsm, Listener, Module, Sig, Simulation, down_counter
+from repro.rtl import (
+    BACKENDS,
+    Fsm,
+    Listener,
+    Module,
+    Sig,
+    Simulation,
+    down_counter,
+    make_simulation,
+)
 from tests.conftest import build_toy, pack_item, toy_expected_cycles
 
 
@@ -55,6 +64,19 @@ def test_empty_job_times_out_in_idle():
     result = sim.run(max_cycles=50)
     assert not result.finished
     assert result.cycles == 50
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_job_names_an_unfinished_job(backend):
+    sim = make_simulation(build_toy(), backend=backend)
+    with pytest.raises(RuntimeError, match=(
+            r"did not finish within 50 cycles on toy "
+            r"\(inputs: n_items=0, items\[0 words\]\)")):
+        sim.run_job({"n_items": 0}, {"items": []}, max_cycles=50)
+    # The next job starts from power-on, not from the stalled one.
+    items = [pack_item(5, 0), pack_item(3, 1)]
+    result = sim.run_job({"n_items": 2}, {"items": items})
+    assert result.cycles == toy_expected_cycles(items)
 
 
 def test_listener_sees_transitions_and_loads():

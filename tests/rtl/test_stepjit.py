@@ -196,11 +196,9 @@ def test_stepjit_chunked_run_records_the_same_vector(chunk):
     assert runs > 1
     assert result.cycles == whole.cycles
     assert recorder.vector().tobytes() == once.vector().tobytes()
-    # start_job() clears between jobs: a second job records afresh.
-    sim.reset()
-    recorder.start_job()
-    sim.load(inputs={"n_items": len(ITEMS)}, memories={"items": ITEMS})
-    sim.run()
+    # reset() starts the recorder's next job: a second job records
+    # afresh.
+    sim.run_job({"n_items": len(ITEMS)}, {"items": ITEMS})
     assert recorder.vector().tobytes() == once.vector().tobytes()
 
 
