@@ -44,8 +44,7 @@ class VisibilityReport:
 
 
 def visibility_report(module: Module,
-                      jobs: Iterable[Tuple[dict, dict]],
-                      max_cycles: int = 200_000_000) -> VisibilityReport:
+                      jobs: Iterable[Tuple[dict, dict]]) -> VisibilityReport:
     """Attribute every simulated cycle of ``jobs`` to a bucket.
 
     Attribution uses the *primary* FSM (the one with the most states —
@@ -63,7 +62,7 @@ def visibility_report(module: Module,
     sim = make_simulation(module, track_state_cycles=True)
     total = counter_wait = dynamic_wait = 0
     for inputs, memories in jobs:
-        result = sim.run_job(inputs, memories, max_cycles)
+        result = sim.run_job(inputs, memories)
         total += result.cycles
         for key, cycles in result.state_cycles.items():
             if key in wait_states:

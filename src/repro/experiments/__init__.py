@@ -5,31 +5,14 @@ Quick use::
     from repro.experiments import fig11_schemes
     print(fig11_schemes.to_text(fig11_schemes.run(scale=0.3)))
 
-Heavy per-benchmark artefacts (trained predictors, simulated test
-records) are cached per (benchmark, scale) in :mod:`runner`, so running
-every experiment costs one simulation pass per benchmark.
+Each experiment module loads when imported by name, as above (the CLI
+imports the one ``repro experiment <id>`` names), so importing this
+package loads only the shared runner and setup.  Heavy per-benchmark
+artefacts (trained predictors, simulated test records) are cached per
+(benchmark, scale) in :mod:`runner`, so running every experiment costs
+one simulation pass per benchmark.
 """
 
-from . import (
-    ablations,
-    case_study,
-    charts,
-    ext_all_schemes,
-    ext_resolutions,
-    ext_taxonomy,
-    fig02_variation,
-    fig03_pid,
-    fig10_errors,
-    fig11_schemes,
-    fig12_overheads,
-    fig13_oracle,
-    fig14_boost,
-    fig15_deadlines,
-    fig16_fpga,
-    schemes,
-    table3,
-    table4,
-)
 from .runner import (
     ALL_SCHEMES,
     BenchmarkBundle,
@@ -44,13 +27,7 @@ from .runner import (
 from .setup import ExperimentConfig, default_config, default_scale
 
 __all__ = [
-    "ALL_SCHEMES", "BenchmarkBundle", "ExperimentConfig", "TechContext", "ablations",
-    "bundle_for",
-    "case_study", "charts", "clear_bundle_cache", "default_config",
-    "default_scale",
-    "ext_all_schemes", "ext_resolutions", "ext_taxonomy",
-    "fig02_variation", "fig03_pid", "fig10_errors", "fig11_schemes",
-    "fig12_overheads", "fig13_oracle", "fig14_boost", "fig15_deadlines",
-    "fig16_fpga", "make_controller", "prewarm_bundles", "run_scheme",
-    "schemes", "table3", "table4", "tech_context",
+    "ALL_SCHEMES", "BenchmarkBundle", "ExperimentConfig", "TechContext",
+    "bundle_for", "clear_bundle_cache", "default_config", "default_scale",
+    "make_controller", "prewarm_bundles", "run_scheme", "tech_context",
 ]

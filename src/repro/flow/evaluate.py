@@ -23,8 +23,7 @@ from .pipeline import GeneratedPredictor
 
 def build_job_records(design: AcceleratorDesign,
                       package: GeneratedPredictor,
-                      items: Sequence,
-                      max_cycles: int = 200_000_000) -> List[JobRecord]:
+                      items: Sequence) -> List[JobRecord]:
     """Ground-truth + prediction records for a workload's jobs."""
     module = package.module
     recorder = FeatureRecorder(package.feature_set)
@@ -34,7 +33,7 @@ def build_job_records(design: AcceleratorDesign,
     records: List[JobRecord] = []
     for index, item in enumerate(items):
         job = design.encode_job(item)
-        result = sim.run_job(*job.as_pair(), max_cycles)
+        result = sim.run_job(*job.as_pair())
         predicted, slice_cycles = run_slice(job)
         records.append(JobRecord(
             index=index,

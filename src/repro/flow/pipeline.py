@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..accelerators.base import AcceleratorDesign, JobInput
 from ..analysis import (
     FeatureMatrix,

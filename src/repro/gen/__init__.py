@@ -15,7 +15,8 @@ three layers:
   lint-clean accelerator with a matching workload generator;
 * :mod:`repro.gen.conformance` — the differential conformance
   harness (``repro conform``): every sampled design must agree
-  bit-for-bit across all three simulation backends, train a predictor
+  bit-for-bit across both simulation backends (``interp`` and
+  ``stepjit``, :data:`repro.rtl.BACKENDS`), train a predictor
   whose episodes pass :func:`repro.check.check_episode` on both ASIC
   and FPGA technologies, and serve adversarial streams that pass
   :func:`repro.check.check_stream` strictly.

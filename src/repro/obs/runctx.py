@@ -18,8 +18,6 @@ A session given a ``run_dir`` writes two artifacts on exit:
 from __future__ import annotations
 
 import json
-import platform
-import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -70,6 +68,7 @@ class Observer:
 
     def manifest(self) -> Dict[str, object]:
         """The JSON-ready run manifest (computable at any point)."""
+        import platform
         manifest = {
             "command": self.command,
             "config": self.config,
@@ -156,6 +155,7 @@ def session(run_dir: Optional[Union[str, Path]] = None,
 
 def git_revision() -> str:
     """The repository's HEAD commit, or ``"unknown"`` outside git."""
+    import subprocess
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

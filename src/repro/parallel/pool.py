@@ -31,8 +31,8 @@ undercounted runs.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import sys
 import time
 from typing import Callable, List, Optional, Sequence, TypeVar
 
@@ -79,12 +79,15 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     Inside a daemonic pool worker this always returns 1: nested
     parallelism would need grandchild processes, which multiprocessing
     forbids, so nested maps run serially (and still bit-identically).
+    Only a process that imported multiprocessing can be such a worker,
+    so a serial run never loads it.
     """
     if jobs is None:
         jobs = get_default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if multiprocessing.current_process().daemon:
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
         return 1
     return jobs
 
@@ -213,6 +216,7 @@ def _pool_context():
     # Prefer fork (cheap, shares the built design modules copy-on-write);
     # fall back to the platform default, or to None when multiprocessing
     # has no usable start method at all.
+    import multiprocessing
     try:
         return multiprocessing.get_context("fork")
     except ValueError:

@@ -28,13 +28,13 @@ the *virtual clock* (simulated accelerator time, used for all
 time/energy accounting and backpressure) and the *wall clock*
 (decision latency, realtime pacing).  ``realtime=False`` drives the
 virtual clock as fast as the host allows; ``realtime=True`` paces
-arrivals against the wall clock through asyncio, which is what
-``repro serve`` and the throughput benchmark measure.
+arrivals against the wall clock through asyncio (imported on that path
+alone), which is what ``repro serve`` and the throughput benchmark
+measure.
 """
 
 from __future__ import annotations
 
-import asyncio
 import math
 import numbers
 import time
@@ -675,6 +675,7 @@ async def _serve_realtime(stream: AcceleratorStream,
     mode adds is genuine wall-clock decision latency under load —
     the quantity the throughput benchmark gates on.
     """
+    import asyncio
     t0 = time.perf_counter()
     wake = asyncio.Event()
     done = False
@@ -709,6 +710,7 @@ async def _serve_realtime(stream: AcceleratorStream,
 async def _serve_all(streams: Sequence[Tuple[AcceleratorStream,
                                              Sequence[StreamJob]]]
                      ) -> List[StreamResult]:
+    import asyncio
     tasks = [_serve_realtime(stream, jobs) for stream, jobs in streams]
     return list(await asyncio.gather(*tasks))
 
@@ -739,6 +741,7 @@ def serve_streams(streams: Sequence[Tuple[AcceleratorStream,
     with span("serve", streams=len(streams),
               mode="realtime" if realtime else "virtual"):
         if realtime:
+            import asyncio
             results = asyncio.run(_serve_all(streams))
         else:
             results = [_serve_virtual(stream, jobs)
