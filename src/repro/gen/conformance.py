@@ -11,8 +11,9 @@ checks spanning every layer of the repository:
    the ``interp`` oracle bit-for-bit on cycle count, fast-forward
    jumps, final state, per-state residency, final FSM states,
    ordered listener events and the feature vector a
-   :class:`~repro.analysis.FeatureRecorder` records, with
-   fast-forward both on and off;
+   :class:`~repro.analysis.FeatureRecorder` records, with the
+   outcome of the run that recorded it, fast-forward both on and
+   off;
 4. ``flow`` — the offline flow trains a predictor on a sampled
    workload and produces a prediction for every test job;
 5. ``episode:asic`` / ``episode:fpga`` — predictive DVFS episodes on
@@ -43,7 +44,6 @@ from ..experiments.runner import (
 )
 from ..flow import FlowConfig
 from ..rtl import (
-    Listener,
     Simulation,
     StepSimulation,
     errors_only,
@@ -122,10 +122,15 @@ class ConformanceReport:
                 f"checks={len(self.checks)} failing={bad}")
 
 
-class _EventRecorder(Listener):
-    """Ordered event capture for the scalar-backend comparison."""
+class _EventRecorder(FeatureRecorder):
+    """Ordered event capture plus the feature vector, from one run.
 
-    def __init__(self) -> None:
+    It overrides the recorder's callbacks, so ``stepjit`` calls it
+    back (the callbacks variant) as ``interp`` does.
+    """
+
+    def __init__(self, feature_set: FeatureSet) -> None:
+        super().__init__(feature_set)
         self.transitions: List[Tuple[str, str, str]] = []
         self.loads: List[Tuple[str, int]] = []
         self.resets: List[Tuple[str, int]] = []
@@ -133,45 +138,60 @@ class _EventRecorder(Listener):
     def on_transition(self, fsm: str, src: str, dst: str) -> None:
         """Record one FSM arc firing."""
         self.transitions.append((fsm, src, dst))
+        super().on_transition(fsm, src, dst)
 
     def on_counter_load(self, counter: str, value: int) -> None:
         """Record one down-counter load."""
         self.loads.append((counter, value))
+        super().on_counter_load(counter, value)
 
     def on_counter_reset(self, counter: str, value: int) -> None:
         """Record one up-counter reset."""
         self.resets.append((counter, value))
+        super().on_counter_reset(counter, value)
 
 
 #: Job = (port inputs, memory contents), the pair ``record_jobs`` takes.
 Job = Tuple[Dict[str, int], Dict[str, Sequence[int]]]
 
-#: Fields each backend must match ``interp`` on, per job.
+#: A run's outcome: what each backend's runs must match ``interp`` on.
+OUTCOME_FIELDS = ("cycles", "ff_jumps", "state", "state_cycles",
+                  "fsm_state")
+
+#: Fields each backend must match ``interp`` on, per job: the outcome
+#: and events of one run, the feature vector a recorder records, and
+#: the outcome of the run that recorded it (``recorded.*``).
 COMPARED_FIELDS = {
-    "stepjit": ("cycles", "ff_jumps", "state", "state_cycles",
-                "fsm_state", "events", "features"),
+    "stepjit": OUTCOME_FIELDS + ("events", "features") + tuple(
+        f"recorded.{name}" for name in OUTCOME_FIELDS),
 }
+
+
+def _outcome(sim: Simulation, prefix: str = "") -> Dict[str, object]:
+    values = (sim.cycle, sim.ff_jumps, dict(sim.state),
+              dict(sim.state_cycles), dict(sim._fsm_state))
+    return {prefix + name: value
+            for name, value in zip(OUTCOME_FIELDS, values)}
 
 
 def _run_scalar(module, cls, job: Job, fast_forward: bool,
                 max_cycles: int, feature_set: FeatureSet
                 ) -> Dict[str, object]:
-    # Two runs: ordered callbacks, then the feature recorder (which
-    # stepjit compiles into the kernel instead of calling back).
-    rec = _EventRecorder()
+    # interp calls every listener back, so one run records the events
+    # and the features.  stepjit compiles a stock recorder's slots into
+    # the kernel instead, another variant, so it runs the job again.
+    rec = _EventRecorder(feature_set)
     sim = cls(module, listener=rec, fast_forward=fast_forward)
     sim.run_job(*job, max_cycles)
-    recorder = FeatureRecorder(feature_set)
-    cls(module, listener=recorder, fast_forward=fast_forward).run_job(
-        *job, max_cycles)
-    return {
-        "cycles": sim.cycle, "ff_jumps": sim.ff_jumps,
-        "state": dict(sim.state),
-        "state_cycles": dict(sim.state_cycles),
-        "fsm_state": dict(sim._fsm_state),
-        "events": (rec.transitions, rec.loads, rec.resets),
-        "features": recorder.vector().tobytes(),
-    }
+    recorder, twin = rec, sim
+    if cls is not Simulation:
+        recorder = FeatureRecorder(feature_set)
+        twin = cls(module, listener=recorder, fast_forward=fast_forward)
+        twin.run_job(*job, max_cycles)
+    return {**_outcome(sim),
+            "events": (rec.transitions, rec.loads, rec.resets),
+            "features": recorder.vector().tobytes(),
+            **_outcome(twin, "recorded.")}
 
 
 def backend_runs(module, jobs: Sequence[Job], fast_forward: bool,

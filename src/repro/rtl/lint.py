@@ -140,28 +140,7 @@ def _check_unused_wires(module: Module) -> List[LintFinding]:
         for fsm in module.fsms.values()
         for t in fsm.transitions
     }
-    used: Set[str] = set(module.done_expr.signals())
-    for wire in module.wires.values():
-        used |= wire.expr.signals()
-    for counter in module.counters.values():
-        for expr in (counter.load_cond, counter.load_value,
-                     counter.enable):
-            if expr is not None:
-                used |= expr.signals()
-    for upd in module.updates:
-        used |= upd.value.signals()
-        if upd.cond is not None:
-            used |= upd.cond.signals()
-    for fsm in module.fsms.values():
-        for t in fsm.transitions:
-            if t.cond is not None:
-                used |= t.cond.signals()
-            for _, value in t.actions:
-                used |= value.signals()
-        for duration in fsm.dynamic_waits.values():
-            used |= duration.signals()
-    for block in module.datapath_blocks:
-        used |= set(block.inputs)
+    used = module.read_signals()
     out: List[LintFinding] = []
     for name in module.wires:
         if name in generated or name in used:

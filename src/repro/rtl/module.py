@@ -196,6 +196,28 @@ class Module:
             raise RuntimeError("module not finalized")
         return list(self._wire_order)
 
+    def read_signals(self) -> set:
+        """Every name the module's logic reads: its expressions (wires,
+        counters, updates, arcs and their actions, dynamic waits, the
+        done expression), its wait states' counters and its datapath
+        blocks' inputs."""
+        exprs = [self.done_expr] + [w.expr for w in self.wires.values()]
+        exprs += [e for c in self.counters.values()
+                  for e in (c.load_cond, c.load_value, c.enable)]
+        exprs += [e for upd in self.updates for e in (upd.cond, upd.value)]
+        read: set = set()
+        for fsm in self.fsms.values():
+            read.update(fsm.wait_states.values())
+            exprs += fsm.dynamic_waits.values()
+            for t in fsm.transitions:
+                exprs += [t.cond] + [value for _reg, value in t.actions]
+        for block in self.datapath_blocks:
+            read.update(block.inputs)
+        for expr in exprs:
+            if expr is not None:
+                read |= expr.signals()
+        return read
+
     def _known_signals(self) -> set:
         known = self.all_signal_names()
         known |= {f"__mem__{m}" for m in self.memories}

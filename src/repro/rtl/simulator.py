@@ -268,6 +268,7 @@ class Simulation:
         self.fast_forward = fast_forward
         self.track_state_cycles = track_state_cycles
         self._build_static()
+        self._build_power_on()
         self.reset()
 
     # -- static precomputation ---------------------------------------------
@@ -309,30 +310,39 @@ class Simulation:
             self._counter_deps[c.name] = (lu | eu, lz | ez)
         self._done_deps = deps.analyze(m.done_expr)
 
+    def _build_power_on(self) -> None:
+        # The power-on values reset() copies: the module is walked once
+        # per simulation, not once per job.
+        m = self.module
+        state: Dict[str, object] = {}
+        for port in m.ports.values():
+            state[port.name] = 0
+        for reg in m.regs.values():
+            state[reg.name] = reg.init
+        for counter in m.counters.values():
+            state[counter.name] = 0
+        for fsm in m.fsms.values():
+            state[fsm.state_signal] = fsm.code_of(fsm.initial)
+        self._mem_keys = [f"__mem__{name}" for name in m.memories]
+        for key in self._mem_keys:
+            state[key] = []  # each reset() gets its own lists
+        for block in m.datapath_blocks:
+            state[block.output] = 0
+        for fsm in m.fsms.values():
+            if fsm.dynamic_waits:
+                state[fsm.dynbusy_signal] = 0
+        self._power_on = state
+        self._fsm_initial = {fsm.name: fsm.initial for fsm in m.fsms.values()}
+        self._dyn_initial = {name: 0 for name in m.fsms}
+
     # -- lifecycle -----------------------------------------------------------
     def reset(self) -> None:
         """Return all state to power-on values; start the listener's job."""
-        m = self.module
-        self.state: Dict[str, object] = {}
-        for port in m.ports.values():
-            self.state[port.name] = 0
-        for reg in m.regs.values():
-            self.state[reg.name] = reg.init
-        for counter in m.counters.values():
-            self.state[counter.name] = 0
-        for fsm in m.fsms.values():
-            self.state[fsm.state_signal] = fsm.code_of(fsm.initial)
-        for mem in m.memories.values():
-            self.state[f"__mem__{mem.name}"] = []
-        for block in m.datapath_blocks:
-            self.state[block.output] = 0
-        self._fsm_state: Dict[str, str] = {
-            fsm.name: fsm.initial for fsm in m.fsms.values()
-        }
-        self._dyn_stall: Dict[str, int] = {f: 0 for f in m.fsms}
-        for fsm in m.fsms.values():
-            if fsm.dynamic_waits:
-                self.state[fsm.dynbusy_signal] = 0
+        self.state: Dict[str, object] = self._power_on.copy()
+        for key in self._mem_keys:
+            self.state[key] = []
+        self._fsm_state: Dict[str, str] = self._fsm_initial.copy()
+        self._dyn_stall: Dict[str, int] = self._dyn_initial.copy()
         self.cycle = 0
         self.ff_jumps = 0
         self.state_cycles: Dict[Tuple[str, str], int] = {}

@@ -4,8 +4,8 @@ Where the interpreter walks each expression tree every cycle, this
 module compiles the entire two-phase cycle of a :class:`Module` into
 one specialized Python function:
 
-* architectural state lives in slot-indexed locals (no dict lookups on
-  the hot path; the flat list is only touched on entry/exit);
+* architectural state lives in locals (no dict lookups on the hot
+  path; the simulation's state dicts are only touched on entry/exit);
 * the loop head dispatches on the state of one FSM (the one with the
   most states) and each branch is the cycle with that state known:
   its state compares fold to constants, the other states' arc choices,
@@ -14,6 +14,12 @@ one specialized Python function:
 * counters and registers nothing later in the cycle reads are written
   in place; the rest are staged and committed with the interpreter's
   exact ordering;
+* a *load-only* down counter (step 1, no enable, read by no logic: the
+  slicer leaves one wherever a counter's loads are features but its
+  wait is elided) keeps its expiry cycle instead of its value, so no
+  stepped cycle or jump touches it; only the variants without listener
+  callbacks do this, because the callbacks variant hands every
+  counter's value to ``on_cycle``;
 * the fast-forward jump is preserved: ``_DepAnalysis``'s veto tables
   are emitted as boolean checks over per-counter "changing"/"zero-up"
   flags, so the kernel jumps exactly where the interpreter does;
@@ -65,7 +71,7 @@ class _Names:
     """Collision-free Python identifiers for generated locals."""
 
     _RESERVED = frozenset(keyword.kwlist) | {
-        "S", "MEMS", "DYN", "SC", "cycle", "max_cycles", "listener",
+        "S", "DYN", "FS", "SC", "cycle", "max_cycles", "listener",
         "finished", "len", "min", "max", "None", "True", "False",
         "_j", "_r", "_t", "_d", "_i", "_ffj", "_wc", "_oc",
         "_lt", "_lcl", "_lcr", "_acc", "_step",
@@ -108,7 +114,7 @@ class _StepCompiler:
         self.deps = _DepAnalysis(module)
 
         names = _Names()
-        # Scalar slot order mirrors Simulation.reset() (minus memories).
+        # The scalar signals, in Simulation.reset()'s order.
         self.scalar_names: List[str] = (
             [p.name for p in module.ports.values()]
             + [r.name for r in module.regs.values()]
@@ -142,6 +148,10 @@ class _StepCompiler:
         self.ch = {c.name: names.make("ch_", c.name)
                    for c in self.down + self.up}
         self.zu = {c.name: names.make("zu_", c.name) for c in self.up}
+        # A callback listener sees every counter's value each cycle, so
+        # only the other variants count load-only counters lazily.
+        self.lazy = set() if has_listener else self._load_only()
+        self.ex = {name: names.make("e_", name) for name in sorted(self.lazy)}
         written = {u.reg for u in module.updates}
         for fsm in self.fsms:
             for t in fsm.transitions:
@@ -165,6 +175,20 @@ class _StepCompiler:
 
         self._lines: List[str] = []
         self._indent = 1
+
+    def _load_only(self) -> Set[str]:
+        """The down counters whose value no logic reads: step 1, no
+        enable, and named by no arc, wait, wire, update, datapath
+        input, dynamic wait, counter or done expression.  The slicer
+        leaves one wherever a counter's loads are features but its
+        wait is elided (Sec. 3.5).  Such a counter keeps its expiry
+        cycle ``e_`` (its value is ``max(e_ - cycle, 0)``) instead of
+        its value: no stepped cycle or jump touches it, the jump scan
+        reads ``e_ - cycle``, and the value goes back to ``S`` at
+        exit."""
+        read = self.m.read_signals()
+        return {c.name for c in self.down
+                if c.step == 1 and c.enable is None and c.name not in read}
 
     # -- emission helpers ----------------------------------------------
     def w(self, line: str = "") -> None:
@@ -406,7 +430,7 @@ class _StepCompiler:
             f"listener={self.has_listener}, "
             f"slots={self.slots is not None}, "
             f"fast_forward={self.fast_forward}",
-            "def _step(S, MEMS, DYN, SC, cycle, max_cycles, listener):",
+            "def _step(S, DYN, FS, SC, cycle, max_cycles, listener):",
         ]
         self._emit_unpack()
         self.w("finished = 0")
@@ -431,14 +455,20 @@ class _StepCompiler:
         return "\n".join(self._lines) + "\n"
 
     def _emit_unpack(self) -> None:
-        for slot, name in enumerate(self.scalar_names):
-            self.w(f"{self.scalar_local[name]} = S[{slot}]")
-        for slot, name in enumerate(self.mem_names):
-            self.w(f"{self.mem_local[name]} = MEMS[{slot}]")
+        # S, DYN and FS are the simulation's own state, dynamic-stall
+        # and FSM-state dicts: the kernel reads and writes them by name.
+        for name in self.scalar_names:
+            if name in self.lazy:
+                self.w(f"{self.ex[name]} = cycle + S[{name!r}]")
+            else:
+                self.w(f"{self.scalar_local[name]} = S[{name!r}]")
+        for name in self.mem_names:
+            mem = self.mem_local[name]
+            self.w(f"{mem} = S['{_MEM_PREFIX}{name}']")
             if not self.has_listener:
-                self.w(f"{self.mem_len[name]} = len(MEMS[{slot}])")
-        for slot, fsm in enumerate(self.dyn_fsms):
-            self.w(f"d_{self.fsms.index(fsm)} = DYN[{slot}]")
+                self.w(f"{self.mem_len[name]} = len({mem})")
+        for fsm in self.dyn_fsms:
+            self.w(f"d_{self.fsms.index(fsm)} = DYN[{fsm.name!r}]")
         if self.track:
             for i in range(len(self.fsms)):
                 self.w(f"SC_{i} = SC[{i}]")
@@ -452,10 +482,18 @@ class _StepCompiler:
             self.w("_acc = listener.accumulator")
 
     def _emit_writeback(self) -> None:
-        for slot, name in enumerate(self.scalar_names):
-            self.w(f"S[{slot}] = {self.scalar_local[name]}")
-        for slot, fsm in enumerate(self.dyn_fsms):
-            self.w(f"DYN[{slot}] = d_{self.fsms.index(fsm)}")
+        for name in self.scalar_names:
+            if name in self.lazy:
+                self.w(f"_t = {self.ex[name]} - cycle")
+                self.w(f"S[{name!r}] = _t if _t > 0 else 0")
+            else:
+                self.w(f"S[{name!r}] = {self.scalar_local[name]}")
+        for fsm in self.dyn_fsms:
+            self.w(f"DYN[{fsm.name!r}] = d_{self.fsms.index(fsm)}")
+        for fsm in self.fsms:
+            # State codes number the states in order: index by code.
+            self.w(f"FS[{fsm.name!r}] = {tuple(fsm.states)!r}"
+                   f"[{self.scalar_local[fsm.state_signal]}]")
 
     def _emit_branch(self, state: Optional[str]) -> None:
         """One cycle with the dispatch FSM in ``state`` (None without
@@ -501,6 +539,9 @@ class _StepCompiler:
         return True
 
     def _emit_tail(self) -> bool:
+        # Nothing in this half reads the cycle count but a lazy
+        # counter's load, which wants the next cycle: advance it first.
+        self.w("cycle += 1")
         self._emit_counters()
         self._emit_updates()
         self._emit_arc_commit_prep()
@@ -621,6 +662,11 @@ class _StepCompiler:
     def _emit_skip_counters(self) -> None:
         for c in self.down:
             v, ch = self.scalar_local[c.name], self.ch[c.name]
+            if c.name in self.lazy:
+                self.flags[ch] = None
+                self.w(f"{ch} = {self.ex[c.name]} > cycle")
+                self._emit_eta(ch, f"{self.ex[c.name]} - cycle")
+                continue
             enabled = self.truth(c.enable)
             self.flags[ch] = 0 if enabled is False else None
             if enabled is not False:
@@ -712,8 +758,8 @@ class _StepCompiler:
         for c in self.down + self.up:
             v, ch = self.scalar_local[c.name], self.ch[c.name]
             known = self.flags[ch]
-            if known == 0:
-                continue
+            if known == 0 or c.name in self.lazy:
+                continue  # a lazy counter's expiry does not move
             if known is None:
                 self.w(f"if {ch}:")
                 self.push()
@@ -806,6 +852,10 @@ class _StepCompiler:
                 if down:
                     self.w(f"{target} = "
                            f"{self.masked(c.load_value, c.mask)}")
+                    if c.name in self.lazy:
+                        # cycle has advanced, so this is the load's
+                        # cycle + 1 + value: the first cycle at 0.
+                        self.w(f"{self.ex[c.name]} = cycle + {target}")
                     if self.has_listener:
                         self.w(f"_lcl({c.name!r}, {target})")
                     if self.slots is not None:
@@ -820,8 +870,8 @@ class _StepCompiler:
                 if load:
                     continue  # loaded in every cycle of the branch
                 self.pop()
-            if enabled is False:
-                continue
+            if enabled is False or c.name in self.lazy:
+                continue  # a lazy counter counts down by the clock
             guard = [f"{v} > 0"] if down else []
             if not enabled:
                 guard.append(f"({self.cond(c.enable)})")
@@ -970,7 +1020,6 @@ class _StepCompiler:
             if fsm.dynamic_waits:
                 busy = self.scalar_local[fsm.dynbusy_signal]
                 self.w(f"{busy} = 1 if d_{i} > 0 else 0")
-        self.w("cycle += 1")
         self._emit_on_cycle()
 
     def _emit_on_cycle(self) -> None:
@@ -990,8 +1039,8 @@ class StepProgram:
     """A compiled whole-cycle stepper for one (module, variant) pair.
 
     Holds the generated source (for inspection/tests) and the compiled
-    function, plus the slot layout the :class:`StepSimulation` uses to
-    pack and unpack architectural state.  ``has_listener`` compiles in
+    function, plus the FSM state names the :class:`StepSimulation`
+    packs per-state residency by.  ``has_listener`` compiles in
     listener callbacks; ``slots`` instead compiles a listener's
     :class:`EventSlots` table into inline additions.  Pickles as
     (module, options) and regenerates its code on load.
@@ -1017,16 +1066,8 @@ class StepProgram:
              namespace)
         self.fn = namespace["_step"]
         self.scalar_names = list(compiler.scalar_names)
-        self.mem_keys = [f"{_MEM_PREFIX}{name}"
-                         for name in compiler.mem_names]
         self.fsm_names = [f.name for f in compiler.fsms]
-        self.fsm_state_signals = [f.state_signal for f in compiler.fsms]
-        self.fsm_states = [
-            [state for state, _code in sorted(f.states.items(),
-                                              key=lambda kv: kv[1])]
-            for f in compiler.fsms
-        ]
-        self.dyn_names = [f.name for f in compiler.dyn_fsms]
+        self.fsm_states = [list(f.states) for f in compiler.fsms]
         self.codegen_s = perf_counter() - start
         obs = get_observer()
         if obs is not None:
@@ -1073,36 +1114,42 @@ class StepSimulation(Simulation):
 
     Construction, ``reset``, ``load`` and all inspection surfaces
     (``state``, ``cycle``, ``state_cycles``, ``_fsm_state``) behave
-    exactly like the interpreter's; only ``run`` differs — it packs the
-    state dict into flat slots, executes the compiled kernel, and
-    unpacks the (cycle-exact) result back.
+    exactly like the interpreter's; only ``run`` differs — the
+    compiled kernel reads the state dicts into locals on entry and
+    writes the (cycle-exact) result back on exit.
     """
 
     def _build_static(self) -> None:
         # The stepper bakes the arc tables and dependence analyses into
         # generated code; skip the interpreter's per-instance tables.
         self._fsms = list(self.module.fsms.values())
+        self._held: Optional[tuple] = None  # see program()
 
     def program(self) -> StepProgram:
         """The compiled stepper for this simulation's configuration.
 
         The attached listener picks the instrumentation: its slot
-        table compiled inline when it offers one, else callbacks.
+        table compiled inline when it offers one, else callbacks.  The
+        program is kept until the listener or a flag changes, so the
+        listener's table is read when the listener first runs.
         """
         listener = self.listener
+        track, fast = self.track_state_cycles, self.fast_forward
+        held = self._held
+        if (held is not None and held[0] is listener
+                and held[1] == track and held[2] == fast):
+            return held[3]
         slots = None if listener is None else listener.event_slots()
-        return compile_stepper(
-            self.module, track_state_cycles=self.track_state_cycles,
+        program = compile_stepper(
+            self.module, track_state_cycles=track,
             has_listener=listener is not None and slots is None,
-            fast_forward=self.fast_forward, slots=slots)
+            fast_forward=fast, slots=slots)
+        self._held = (listener, track, fast, program)
+        return program
 
     def run(self, max_cycles: int = 200_000_000) -> RunResult:
         """Run until done (or ``max_cycles``) on the compiled kernel."""
         program = self.program()
-        state = self.state
-        scalars = [state[name] for name in program.scalar_names]
-        mems = [state[key] for key in program.mem_keys]
-        dyn = [self._dyn_stall[name] for name in program.dyn_names]
         if self.track_state_cycles:
             sc = [
                 [self.state_cycles.get((name, s), 0) for s in states]
@@ -1114,15 +1161,9 @@ class StepSimulation(Simulation):
         start_cycle = self.cycle
         start = perf_counter()
         cycle, finished, ff_jumps = program.fn(
-            scalars, mems, dyn, sc, self.cycle, max_cycles, self.listener)
+            self.state, self._dyn_stall, self._fsm_state, sc, start_cycle,
+            max_cycles, self.listener)
         wall = perf_counter() - start
-        state.update(zip(program.scalar_names, scalars))
-        for name, value in zip(program.dyn_names, dyn):
-            self._dyn_stall[name] = value
-        for name, signal, states in zip(program.fsm_names,
-                                        program.fsm_state_signals,
-                                        program.fsm_states):
-            self._fsm_state[name] = states[state[signal]]
         self.cycle = cycle
         self.ff_jumps += ff_jumps
         if self.track_state_cycles:

@@ -287,7 +287,10 @@ class StreamResult:
 
     @property
     def makespan(self) -> float:
-        """Virtual time from first arrival to last finish."""
+        """The last executed job's finish, in virtual seconds from
+        t = 0 (not from the first arrival); 0.0 when nothing ran.
+        ``LoadReport.achieved_rate`` divides the executed jobs by it,
+        and the ``stream`` event reports it."""
         executed = self.executed
         if not executed:
             return 0.0

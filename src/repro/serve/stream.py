@@ -65,6 +65,12 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _require_job_count(n_jobs: int) -> None:
+    """Reject a fractional, non-integer or non-positive job count."""
+    if not (isinstance(n_jobs, numbers.Integral) and n_jobs >= 1):
+        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
+
+
 def poisson_arrivals(rate: float, duration: Optional[float] = None,
                      n_jobs: Optional[int] = None,
                      seed: int = 0) -> List[float]:
@@ -82,8 +88,8 @@ def poisson_arrivals(rate: float, duration: Optional[float] = None,
         raise ValueError("give exactly one of duration= or n_jobs=")
     if duration is not None:
         _require_positive("duration", duration)
-    elif not (isinstance(n_jobs, numbers.Integral) and n_jobs >= 1):
-        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
+    else:
+        _require_job_count(n_jobs)
     rng = np.random.default_rng(seed)
     scale = 1.0 / rate
     if n_jobs is not None:
@@ -116,10 +122,9 @@ def burst_arrivals(rate: float, duration: float, seed: int = 0,
     """
     _require_positive("rate", rate)
     _require_positive("duration", duration)
+    _require_positive("period", period)
     if not 0.0 < duty <= 1.0:
         raise ValueError("duty must be in (0, 1]")
-    if period <= 0.0:
-        raise ValueError("period must be positive")
     # Generate a plain Poisson process on the compressed "busy clock"
     # (total on-time), then expand each instant back onto the wall
     # clock: busy time u falls in period u // on_per_period, at offset
@@ -153,10 +158,9 @@ def vfr_arrivals(rate: float, n_jobs: int, seed: int = 0,
     Deterministic in ``seed``.
     """
     _require_positive("rate", rate)
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
-    if jitter < 0.0:
-        raise ValueError("jitter cannot be negative")
+    _require_job_count(n_jobs)
+    if not (math.isfinite(jitter) and jitter >= 0.0):
+        raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
     if not 0.0 < floor <= 1.0 <= ceil:
         raise ValueError("need 0 < floor <= 1 <= ceil")
     rng = np.random.default_rng(seed)

@@ -1,8 +1,8 @@
 """Tests for the differential conformance harness.
 
-One fast end-to-end battery on a small seed (the 10-seed sweep runs
-in CI's ``gen`` job), plus unit coverage of the report mechanics and
-the backend-agreement checker's failure mode.
+One fast end-to-end battery on a small seed, the strict 10-seed CLI
+sweep, plus unit coverage of the report mechanics and the
+backend-agreement checker's failure mode.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.gen import (
     sample_workload,
 )
 from repro.gen.conformance import CHECKS, check_backend_agreement
+from tests.integration.test_fig11_strict_gate import _repro
 
 
 def test_full_battery_passes_on_small_seed():
@@ -46,6 +47,19 @@ def test_strict_battery_checks_each_run_once(monkeypatch):
     # and deadline class.
     assert counters["check.episodes"] == 2 * len(EPISODE_SCHEMES)
     assert counters["check.streams"] == 5
+
+
+def test_strict_sweep_passes_every_sampled_design():
+    """``REPRO_CHECK=strict repro conform --seeds 10 --complexity
+    medium`` in a subprocess, as a user runs it: ten sampled designs,
+    every check on each, including both backends against each other
+    with fast-forward on and off."""
+    result = _repro("conform", "--seeds", "10", "--complexity", "medium",
+                    REPRO_CHECK="strict")
+    assert result.returncode == 0, result.stdout[-2000:]
+    lines = result.stdout.splitlines()
+    assert sum(" PASS " in line for line in lines) == 10
+    assert lines[-1] == "conform: 10/10 designs pass (medium, 10 seed(s))"
 
 
 def test_report_mechanics():

@@ -1,15 +1,18 @@
 """Differential fuzzing: both simulation backends must agree exactly.
 
 Generates small random-but-terminating modules exercising the whole
-semantic surface — multi-FSM designs with wait counters, dynamic
-waits, up counters, arc actions, conditional update rules and
-memory-driven guards — and runs them through the shared differential
+semantic surface — multi-FSM designs with wait counters, load-only
+counters (loaded on an arc, read by nothing, as a slice leaves a
+counter whose wait it elided), dynamic waits, up counters, arc
+actions, conditional update rules and memory-driven guards — and runs
+them through the shared differential
 harness :func:`repro.gen.conformance.compare_backends`: ``stepjit``
 must match the ``interp`` oracle on cycle count, fast-forward jump
 count, final architectural state, ``state_cycles``, FSM states,
 ordered listener events and the bytes of the feature vector a
-recorder records over the module's discovered features, with
-fast-forward both on and off.
+recorder records over the module's discovered features (with the
+outcome of the run that recorded it), with fast-forward both on and
+off.
 
 Termination by construction: every FSM is a forward chain of states
 (arcs only advance), wait counters are loaded from bounded memory
@@ -27,12 +30,15 @@ from repro.gen.conformance import (
     backend_runs,
     compare_backends,
 )
+from repro.analysis import FeatureRecorder, discover_features
 from repro.rtl import (
     Fsm,
     MemRead,
     Module,
     Sig,
+    StepSimulation,
     down_counter,
+    synthesize,
     up_counter,
 )
 
@@ -43,6 +49,7 @@ JOB = ({"n": 3}, {"data": [((7 * i) ^ 5) & 0xFF for i in range(16)]})
 def build_fuzz_module(seed: int) -> Module:
     """One random small module; same seed -> same design."""
     rng = random.Random(seed)
+    loads = random.Random(seed + 1_000_003)  # keeps rng's designs
     m = Module(f"fuzz{seed}")
     m.port("n", 8)
     m.memory("data", depth=16, width=8)
@@ -83,6 +90,17 @@ def build_fuzz_module(seed: int) -> Module:
                 load_value=(cur & 0xF) * rng.randint(1, 3),
                 width=8,
             ))
+        for k in range(loads.randint(1, 2)):
+            # A short count can end inside a wait (and end the jump
+            # over it), a long one can outlive the run.
+            short = loads.random() < 0.5
+            m.counter(down_counter(
+                f"lo{f_idx}_{k}",
+                load_cond=fsm.entry_signal(loads.choice(names[1:])),
+                load_value=(cur & 0x3) + loads.randint(1, 2) if short
+                else (cur & 0xF) * loads.randint(1, 4) + loads.randint(0, 20),
+                width=8,
+            ))
         final_guards.append(
             Sig(fsm.state_signal) == fsm.code_of(names[-1]))
 
@@ -121,6 +139,20 @@ def test_most_fuzz_modules_record_features():
     assert recorded >= 20
 
 
+def test_fuzz_modules_count_load_only_counters_lazily():
+    """Every fuzz module's load-only counters are counted lazily by the
+    kernel the feature recorder runs, and each is a feature."""
+    for seed in range(25):
+        module = build_fuzz_module(seed)
+        features = discover_features(module, synthesize(module))
+        sim = StepSimulation(module, listener=FeatureRecorder(features))
+        source = sim.program().source
+        for name in module.counters:
+            lazy = f"e_{name} = cycle + S[{name!r}]" in source
+            assert lazy == name.startswith("lo"), (seed, name)
+            assert f"ic:{name}" in features.names(), (seed, name)
+
+
 @pytest.mark.parametrize("seed", range(0, 25, 5))
 def test_fast_forward_is_exact_per_backend(seed):
     """ff on/off must agree within each backend, not just across."""
@@ -128,7 +160,8 @@ def test_fast_forward_is_exact_per_backend(seed):
     on = backend_runs(module, [JOB], True, max_cycles=100_000)
     off = backend_runs(module, [JOB], False, max_cycles=100_000)
     # Jump counts differ between on and off by design.
-    names = [f for f in COMPARED_FIELDS["stepjit"] if f != "ff_jumps"]
+    names = [f for f in COMPARED_FIELDS["stepjit"]
+             if not f.endswith("ff_jumps")]
     for backend in ("interp", "stepjit"):
         for field in names:
             assert on[backend][0][field] == off[backend][0][field], (

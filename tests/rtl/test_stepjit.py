@@ -11,6 +11,7 @@ from repro.accelerators import ALL_DESIGNS, get_design
 from repro.analysis import FeatureRecorder, FeatureSet, discover_features
 from repro.obs import session
 from repro.rtl import (
+    Listener,
     Module,
     Simulation,
     StepSimulation,
@@ -353,6 +354,44 @@ def test_stepjit_benchmark_designs_cycle_exact(name):
                     runs.append(outcome)
                 assert runs[1] == runs[0], (target.name, kwargs)
                 assert runs[0][1] and runs[0][2], (target.name, kwargs)
+
+
+def test_cycle_listener_sees_every_counter_on_cjpegs_slice():
+    """Only the variants without callbacks count load-only counters
+    lazily: an ``on_cycle`` listener on cjpeg's slice sees the same
+    counter values after every cycle and jump on both backends, the
+    three load-only counters included."""
+    design = get_design("cjpeg")
+    module = design.build()
+    features = discover_features(module, synthesize(module))
+    target = build_slice(module, features).module
+    counters = list(target.counters)
+    lazy = {"c_dct", "c_quant", "c_huf"}
+    source = StepSimulation(target, listener=FeatureRecorder(features)
+                            ).program().source
+    assert {name for name in counters
+            if f"e_{name} = cycle + S[{name!r}]" in source} == lazy
+
+    class Counters(Listener):
+        wants_cycles = True
+
+        def __init__(self):
+            self.seen = []
+
+        def on_cycle(self, cycle, state):
+            self.seen.append((cycle, [state[name] for name in counters]))
+
+    job = design.encode_job(workload_for("cjpeg", scale=0.1).test[0])
+    seen = []
+    for cls in (Simulation, StepSimulation):
+        listener = Counters()
+        sim = cls(target, listener=listener)
+        assert sim.run_job(*job.as_pair(), ignore_unknown=True).finished
+        seen.append(listener.seen)
+    assert seen[1] == seen[0]
+    counting = {name for _cycle, values in seen[0]
+                for name, value in zip(counters, values) if value > 1}
+    assert lazy <= counting
 
 
 def test_backend_resolution_precedence():

@@ -12,6 +12,7 @@ from repro.serve import (
     mixed_stream_jobs,
     poisson_arrivals,
     stream_from_records,
+    vfr_arrivals,
 )
 from tests.conftest import job
 
@@ -85,6 +86,28 @@ def test_poisson_rejects_bad_arguments_by_name(kwargs, name):
 def test_burst_rejects_bad_rate_or_duration_by_name(rate, duration, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         burst_arrivals(rate, duration=duration)
+
+
+@pytest.mark.parametrize("period", [math.inf, math.nan])
+def test_burst_rejects_a_non_finite_period_by_name(period):
+    """An infinite period served every arrival as NaN, and a NaN one
+    died converting NaN to an integer."""
+    with pytest.raises(ValueError, match="^period must be"):
+        burst_arrivals(50.0, duration=2.0, period=period)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"jitter": math.nan}, "jitter"),
+    ({"jitter": math.inf}, "jitter"),
+    ({"n_jobs": 2.5}, "n_jobs"),
+    ({"n_jobs": 3.0}, "n_jobs"),
+    ({"n_jobs": "7"}, "n_jobs"),
+])
+def test_vfr_rejects_bad_arguments_by_name(kwargs, name):
+    """A NaN jitter served NaN arrivals, and a fractional job count
+    died with an unnamed ``TypeError``."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        vfr_arrivals(**{"rate": 10.0, "n_jobs": 5, **kwargs})
 
 
 def test_burst_preserves_average_rate():
