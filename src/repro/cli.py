@@ -51,44 +51,6 @@ from typing import Iterator, List, Optional
 from .accelerators import ALL_DESIGNS, get_design
 from .workloads import check_scale, workload_for
 
-#: Experiment id -> (module name, runner kwargs).  Resolved lazily so
-#: `repro list` stays fast.
-EXPERIMENTS = {
-    "table3": "table3",
-    "table4": "table4",
-    "fig2": "fig02_variation",
-    "fig3": "fig03_pid",
-    "fig10": "fig10_errors",
-    "fig11": "fig11_schemes",
-    "fig12": "fig12_overheads",
-    "fig13": "fig13_oracle",
-    "fig14": "fig14_boost",
-    "fig15": "fig15_deadlines",
-    "fig16": "fig16_fpga",
-    "fig17": "fig12_overheads",   # tech="fpga"
-    "fig18": "fig18_hls",
-    "fig19": "fig18_hls",
-    "case-study": "case_study",
-    "all-schemes": "ext_all_schemes",
-    "multires": "ext_resolutions",
-    "taxonomy": "ext_taxonomy",
-}
-
-#: Benchmarks each experiment builds bundles for — the prewarm fan-out
-#: set when ``--jobs N`` asks for parallel bundle builds.  Experiments
-#: absent here (table3, multires) build no shared bundles.
-_EXPERIMENT_BENCHMARKS = {
-    **{exp_id: "all" for exp_id in (
-        "table4", "fig10", "fig11", "fig12", "fig13", "fig14",
-        "fig15", "fig16", "fig17", "all-schemes", "taxonomy")},
-    "fig2": ("h264",),
-    "fig3": ("h264",),
-    "case-study": ("h264",),
-    "fig18": ("md", "stencil"),
-    "fig19": ("md", "stencil"),
-}
-
-
 @contextlib.contextmanager
 def _maybe_observe(args: argparse.Namespace, command: str,
                    force: bool = False) -> Iterator:
@@ -142,7 +104,7 @@ def _maybe_prewarm(benchmarks, scale: Optional[float]) -> None:
     """Fan bundle builds out across workers when ``--jobs`` asks."""
     from .parallel import resolve_jobs
 
-    if benchmarks is None or resolve_jobs(None) <= 1:
+    if not benchmarks or resolve_jobs(None) <= 1:
         return
     from .experiments import prewarm_bundles
     from .workloads import ALL_BENCHMARKS
@@ -177,6 +139,8 @@ def _print_stage_timings(obs, run_dir: Optional[str]) -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .experiments import EXPERIMENTS
+
     print("benchmarks:")
     for name in ALL_DESIGNS:
         design = get_design(name)
@@ -210,18 +174,9 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_experiment(exp_id: str, scale: Optional[float]):
-    """Run one registered experiment; return its result and text."""
-    import importlib
-
-    module = importlib.import_module(
-        f"repro.experiments.{EXPERIMENTS[exp_id]}")
-    kwargs = {"tech": "fpga"} if exp_id == "fig17" else {}
-    result = module.run(scale=scale, **kwargs)
-    return result, module.to_text(result, **kwargs)
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .experiments import EXPERIMENTS, run_experiment
+
     exp_id = args.id
     if exp_id not in EXPERIMENTS:
         print(f"unknown experiment {exp_id!r}; valid ids: "
@@ -229,8 +184,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 2
     _apply_perf_opts(args)
     with _maybe_observe(args, f"experiment {exp_id}") as obs:
-        _maybe_prewarm(_EXPERIMENT_BENCHMARKS.get(exp_id), args.scale)
-        print(_run_experiment(exp_id, args.scale)[1])
+        _maybe_prewarm(EXPERIMENTS[exp_id].benchmarks, args.scale)
+        print(run_experiment(exp_id, args.scale)[1])
         if obs is not None:
             _print_stage_timings(obs, args.run_dir)
     _print_cache_stats()
@@ -308,7 +263,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    ids = args.only or [i for i in EXPERIMENTS if i != "fig19"]
+    from .experiments import EXPERIMENTS, run_experiment
+
+    printed = set()  # golden stems: fig19 repeats fig18's
     sections: List[str] = [
         "# Reproduction report",
         f"workload scale: {args.scale if args.scale is not None else 'default'}",
@@ -318,12 +275,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     _apply_perf_opts(args)
     with _maybe_observe(args, "report") as obs:
         _maybe_prewarm("all", args.scale)
-        for exp_id in ids:
-            if exp_id not in EXPERIMENTS:
+        for exp_id in args.only or EXPERIMENTS:
+            row = EXPERIMENTS.get(exp_id)
+            if row is None:
                 print(f"skipping unknown experiment {exp_id!r}",
                       file=sys.stderr)
                 continue
-            result, text = _run_experiment(exp_id, args.scale)
+            if row.stem in printed:
+                continue
+            printed.add(row.stem)
+            result, text = run_experiment(exp_id, args.scale)
             if exp_id == "fig11":
                 from .experiments.charts import fig11_chart
                 text += "\n\n" + fig11_chart(result)
@@ -871,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="regenerate a table/figure",
                        parents=[obs_opts, perf_opts])
-    p.add_argument("id", help=f"one of: {', '.join(EXPERIMENTS)}")
+    p.add_argument("id", help="an experiment id, as `repro list` prints")
     p.add_argument("--scale", type=_scale, default=None,
                    help="workload scale (default: REPRO_SCALE or 1.0)")
 

@@ -1,23 +1,26 @@
 """Ablation studies on the framework's design choices.
 
 These go beyond the paper's figures and quantify the knobs DESIGN.md
-calls out:
+calls out; each is the experiment ``ablation-<study>``, which
+:func:`run` and :func:`to_text` compute and print:
 
 * ``alpha_sweep`` — the under-prediction penalty weight of the convex
   objective vs. miss rate and energy;
 * ``gamma_sweep`` — the Lasso weight vs. feature count, accuracy and
   slice area;
 * ``margin_sweep`` — the prediction margin vs. misses and energy;
-* ``switching_time_sweep`` — DVFS switching overhead (the paper's
+* ``switching_sweep`` — DVFS switching overhead (the paper's
   Sec. 4.2 notes ns-scale switching exists in the literature);
-* ``elision_benefit`` — slice execution time with vs. without the
-  wait-state elision optimization of Sec. 3.5.
+* ``elision_sweep`` — slice execution time with vs. without the
+  wait-state elision optimization of Sec. 3.5;
+* ``quantization_sweep`` — fixed-point predictor coefficients (the
+  hardware MAC) vs. the float model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from ..model import (
     PredictionReport,
     TrainingConfig,
     fit_predictor,
+    quantize,
 )
 from ..rtl import make_simulation, tech
 from ..rtl.transform import derive_module
@@ -63,6 +67,10 @@ class AlphaPoint:
     miss_rate_pct: float
     normalized_energy_pct: float
 
+    HEADER = "alpha  under%  miss%  energy%"
+    ROW = ("{0.alpha:5.0f} {0.under_rate_pct:7.1f} {0.miss_rate_pct:6.2f} "
+           "{0.normalized_energy_pct:8.1f}")
+
 
 def alpha_sweep(benchmark: str = "djpeg",
                 alphas: Sequence[float] = (1.0, 2.0, 8.0, 30.0, 100.0),
@@ -94,7 +102,11 @@ class GammaPoint:
     gamma: float
     n_features: int
     mean_abs_error_pct: float
-    slice_area_fraction: float
+    slice_area_pct: float      # slice area, % of the full design's
+
+    HEADER = "gamma  n_feat  err%  slice_area%"
+    ROW = ("{0.gamma:7.0e} {0.n_features:6d} {0.mean_abs_error_pct:6.2f} "
+           "{0.slice_area_pct:8.2f}")
 
 
 def gamma_sweep(benchmark: str = "h264",
@@ -119,8 +131,8 @@ def gamma_sweep(benchmark: str = "h264",
             gamma=gamma,
             n_features=model.predictor.n_terms,
             mean_abs_error_pct=report.mean_abs_pct,
-            slice_area_fraction=tech.asic_area(hw_slice.netlist)
-            / full_area,
+            slice_area_pct=tech.asic_area(hw_slice.netlist) / full_area
+            * 100,
         ))
     return points
 
@@ -130,6 +142,10 @@ class MarginPoint:
     margin_pct: float
     miss_rate_pct: float
     normalized_energy_pct: float
+
+    HEADER = "margin%  miss%  energy%"
+    ROW = ("{0.margin_pct:7.1f} {0.miss_rate_pct:6.2f} "
+           "{0.normalized_energy_pct:8.1f}")
 
 
 def margin_sweep(benchmark: str = "md",
@@ -163,12 +179,15 @@ class SwitchPoint:
     miss_rate_pct: float
     normalized_energy_pct: float
 
+    HEADER = "t_switch_us  miss%  energy%"
+    ROW = ("{0.t_switch_us:11.2f} {0.miss_rate_pct:6.2f} "
+           "{0.normalized_energy_pct:8.1f}")
 
-def switching_time_sweep(benchmark: str = "md",
-                         times_us: Sequence[float] = (0.05, 1.0, 10.0,
-                                                      100.0, 500.0),
-                         scale: Optional[float] = None
-                         ) -> List[SwitchPoint]:
+
+def switching_sweep(benchmark: str = "md",
+                    times_us: Sequence[float] = (0.05, 1.0, 10.0, 100.0,
+                                                 500.0),
+                    scale: Optional[float] = None) -> List[SwitchPoint]:
     """Faster regulators (Sec. 4.2's ns-scale switching) vs 100 us."""
     bundle = bundle_for(benchmark, scale)
     ctx = tech_context(bundle, tech="asic")
@@ -203,10 +222,13 @@ class ElisionResult:
         return (self.slice_cycles_without_elision
                 / max(self.slice_cycles_with_elision, 1))
 
+    ROW = ("{0.benchmark}: slice cycles with elision "
+           "{0.slice_cycles_with_elision}, without "
+           "{0.slice_cycles_without_elision} (speedup {0.speedup:.1f}x)")
 
-def elision_benefit(benchmark: str = "h264",
-                    scale: Optional[float] = None,
-                    n_jobs: int = 3) -> ElisionResult:
+
+def elision_sweep(benchmark: str = "h264", scale: Optional[float] = None,
+                  n_jobs: int = 3) -> ElisionResult:
     """Slice runtime with and without wait-state elision (Sec. 3.5).
 
     The un-elided variant keeps every wait state (the FSM "still waits
@@ -234,3 +256,37 @@ def elision_benefit(benchmark: str = "h264",
         slice_cycles_with_elision=with_e,
         slice_cycles_without_elision=without_e,
     )
+
+
+class QuantizationPoint(NamedTuple):
+    fraction_bits: int
+    max_pct_delta: float       # worst |fixed - float| over the test set, %
+
+    HEADER = "fraction_bits  max_pct_delta_vs_float"
+    ROW = "{0.fraction_bits:13d}  {0.max_pct_delta:12.4f}"
+
+
+def quantization_sweep(benchmark: str = "h264",
+                       fraction_bits: Sequence[int] = (0, 2, 4, 8, 12),
+                       scale: Optional[float] = None
+                       ) -> List[QuantizationPoint]:
+    """The trained predictor with fixed-point coefficients (what the
+    hardware MAC holds) against the float model, on the test set."""
+    bundle = bundle_for(benchmark, scale)
+    x = np.array([r.features for r in bundle.test_records])
+    points = quantize.quantization_sweep(bundle.package.predictor, x,
+                                         fraction_bits)
+    return [QuantizationPoint(*point) for point in points]
+
+
+def run(scale: Optional[float] = None, study: str = "alpha"):
+    """The ``ablation-<study>`` result: ``<study>_sweep`` at ``scale``."""
+    return globals()[f"{study}_sweep"](scale=scale)
+
+
+def to_text(result, study: str = "alpha") -> str:
+    """A sweep's header over one ``ROW`` per point (elision's result is
+    one row)."""
+    if isinstance(result, ElisionResult):
+        return result.ROW.format(result)
+    return "\n".join([result[0].HEADER, *(p.ROW.format(p) for p in result)])

@@ -26,12 +26,13 @@ one specialized Python function:
 * instrumentation comes in two variants, and the attached listener
   picks one.  A listener with an :class:`~repro.rtl.simulator.EventSlots`
   table (the feature recorder) gets its slots resolved at code
-  generation (``_acc[k] += 1.0``, ``_acc[k] += float(value)``); any
+  generation (``_acc[k] += 1.0``, ``_acc[k] += value``); any
   other listener gets its callbacks called per event.  With no
   listener, no instrumentation code is emitted at all.
 
-Programs are cached per module (weakly) and per variant (state-cycle
-tracking, callbacks or slot table, fast-forward), and are
+Programs are cached per module and per variant (state-cycle
+tracking, callbacks or slot table, fast-forward); a program holds its
+module weakly, so its cache entry dies with the module.  Programs are
 pickle-safe: ``__reduce__`` pickles the source module plus the variant
 options and regenerates the code on load.
 
@@ -47,7 +48,7 @@ import re
 from functools import partial
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Set
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 from ..obs import get_observer
 from .counter import Counter
@@ -896,7 +897,9 @@ class _StepCompiler:
         if count is not None:
             self.w(f"_acc[{count}] += 1.0")
         if total is not None:
-            self.w(f"_acc[{total}] += float({value})")
+            # float += int adds the correctly rounded double, as
+            # float() would, without a call per event.
+            self.w(f"_acc[{total}] += {value}")
 
     # Phase 2b: update rules (globals first, then state-bound ones).
     def _branch_updates(self) -> List:
@@ -1042,7 +1045,8 @@ class StepProgram:
     function, plus the FSM state names the :class:`StepSimulation`
     packs per-state residency by.  ``has_listener`` compiles in
     listener callbacks; ``slots`` instead compiles a listener's
-    :class:`EventSlots` table into inline additions.  Pickles as
+    :class:`EventSlots` table into inline additions.  Holds its
+    module weakly (the program cache is keyed on it), pickles as
     (module, options) and regenerates its code on load.
     """
 
@@ -1052,7 +1056,7 @@ class StepProgram:
                  fast_forward: bool = True,
                  slots: Optional[EventSlots] = None):
         start = perf_counter()
-        self.module = module
+        self._module = ref(module)
         self.track_state_cycles = bool(track_state_cycles)
         self.has_listener = bool(has_listener)
         self.fast_forward = bool(fast_forward)
@@ -1073,6 +1077,11 @@ class StepProgram:
         if obs is not None:
             obs.metrics.inc("sim.stepjit.compiles")
             obs.metrics.inc("sim.stepjit.codegen_s", self.codegen_s)
+
+    @property
+    def module(self) -> Optional[Module]:
+        """The compiled module, or ``None`` once nothing else holds it."""
+        return self._module()
 
     def __reduce__(self):
         # The generated function is unpicklable; it is a pure function

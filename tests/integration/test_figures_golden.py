@@ -1,13 +1,13 @@
 """The figure golden: every committed result of the paper, at full scale.
 
 One module-scoped fixture renders all 24 results in one process at
-scale 1.0, so the seven bundles are built once: the 17 registered
-``repro experiment`` ids through the CLI's own runner (fig19 prints
-fig18's text), the six ablations and the feature-visibility study.
-Each case compares one result's text byte for byte with its committed
-file under ``tests/golden/figures/`` and checks the paper's claims on
-the result itself.  Every call passes the scale, so ``REPRO_SCALE``
-does not move what this module renders.
+scale 1.0, so the seven bundles are built once: each golden stem of
+the experiment table (``repro.experiments.EXPERIMENTS``) through
+``run_experiment``, the entry point ``repro experiment`` runs (fig19
+is fig18's row).  Each case compares one result's text byte for byte
+with its committed file under ``tests/golden/figures/`` and checks the
+paper's claims on the result itself.  Every call passes the scale, so
+``REPRO_SCALE`` does not move what this module renders.
 
 A change that moves a figure rewrites the files with::
 
@@ -19,140 +19,27 @@ and says why.
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.analysis.coverage import visibility_by_benchmark
-from repro.cli import _run_experiment
 from repro.experiments import (
-    ablations,
-    bundle_for,
+    EXPERIMENTS,
     fig11_schemes,
     fig13_oracle,
     fig14_boost,
     fig15_deadlines,
     fig16_fpga,
+    run_experiment,
     table4,
 )
-from repro.model import PredictionReport
-from repro.model.quantize import quantization_sweep
 from repro.workloads import ALL_BENCHMARKS
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_DIR = ROOT / "tests" / "golden" / "figures"
 SCALE = 1.0
 
-#: Golden file -> the ``repro experiment`` id that prints it.
-REGISTERED = {
-    "table3": "table3", "table4": "table4", "fig02": "fig2",
-    "fig03": "fig3", "fig10": "fig10", "fig11": "fig11",
-    "fig12": "fig12", "fig13": "fig13", "fig14": "fig14",
-    "fig15": "fig15", "fig16": "fig16", "fig17": "fig17",
-    "fig18_19": "fig18", "case_study": "case-study",
-    "ext_all_schemes": "all-schemes", "ext_resolutions": "multires",
-    "ext_taxonomy": "taxonomy",
-}
 
-
-# -- the studies no experiment id prints: (result, text) -----------------
-
-def _ablation_alpha():
-    points = ablations.alpha_sweep(scale=SCALE)
-    lines = ["alpha  under%  miss%  energy%"]
-    for p in points:
-        lines.append(f"{p.alpha:5.0f} {p.under_rate_pct:7.1f} "
-                     f"{p.miss_rate_pct:6.2f} "
-                     f"{p.normalized_energy_pct:8.1f}")
-    return points, "\n".join(lines)
-
-
-def _ablation_gamma():
-    points = ablations.gamma_sweep(scale=SCALE)
-    lines = ["gamma  n_feat  err%  slice_area%"]
-    for p in points:
-        lines.append(f"{p.gamma:7.0e} {p.n_features:6d} "
-                     f"{p.mean_abs_error_pct:6.2f} "
-                     f"{p.slice_area_fraction * 100:8.2f}")
-    return points, "\n".join(lines)
-
-
-def _ablation_margin():
-    points = ablations.margin_sweep(scale=SCALE)
-    lines = ["margin%  miss%  energy%"]
-    for p in points:
-        lines.append(f"{p.margin_pct:7.1f} {p.miss_rate_pct:6.2f} "
-                     f"{p.normalized_energy_pct:8.1f}")
-    return points, "\n".join(lines)
-
-
-def _ablation_switching():
-    points = ablations.switching_time_sweep(scale=SCALE)
-    lines = ["t_switch_us  miss%  energy%"]
-    for p in points:
-        lines.append(f"{p.t_switch_us:11.2f} {p.miss_rate_pct:6.2f} "
-                     f"{p.normalized_energy_pct:8.1f}")
-    return points, "\n".join(lines)
-
-
-def _ablation_elision():
-    result = ablations.elision_benefit(scale=SCALE)
-    return result, (
-        f"{result.benchmark}: slice cycles with elision "
-        f"{result.slice_cycles_with_elision}, without "
-        f"{result.slice_cycles_without_elision} "
-        f"(speedup {result.speedup:.1f}x)"
-    )
-
-
-def _ablation_quantization():
-    """Fixed-point predictor coefficients (the hardware MAC reality)."""
-    bundle = bundle_for("h264", SCALE)
-    x = np.array([r.features for r in bundle.test_records])
-    points = quantization_sweep(bundle.package.predictor, x,
-                                fraction_bits=(0, 2, 4, 8, 12))
-    lines = ["fraction_bits  max_pct_delta_vs_float"]
-    for bits, err in points:
-        lines.append(f"{bits:13d}  {err:12.4f}")
-    return points, "\n".join(lines)
-
-
-def _ext_visibility():
-    """The invisible-time share of each design (cycles in opaque serial
-    stalls) next to its mean prediction error."""
-    reports = visibility_by_benchmark(ALL_BENCHMARKS, scale=0.1, n_jobs=4)
-    lines = ["bench     invisible%  mean|err|%"]
-    errors = {}
-    for name in ALL_BENCHMARKS:
-        bundle = bundle_for(name, SCALE)
-        predicted = np.array(
-            [r.predicted_cycles for r in bundle.test_records])
-        actual = np.array(
-            [float(r.actual_cycles) for r in bundle.test_records])
-        err = PredictionReport.from_predictions(predicted,
-                                                actual).mean_abs_pct
-        errors[name] = err
-        lines.append(f"{name:8s} {reports[name].invisible_fraction * 100:10.2f} "
-                     f"{err:11.3f}")
-    return (reports, errors), "\n".join(lines)
-
-
-STUDIES = {
-    "ablation_alpha": _ablation_alpha,
-    "ablation_gamma": _ablation_gamma,
-    "ablation_margin": _ablation_margin,
-    "ablation_switching": _ablation_switching,
-    "ablation_elision": _ablation_elision,
-    "ablation_quantization": _ablation_quantization,
-    "ext_visibility": _ext_visibility,
-}
-
-
-def render() -> dict:
-    """Every golden result as ``{file stem: (result, text)}``."""
-    figures = {name: _run_experiment(exp_id, SCALE)
-               for name, exp_id in REGISTERED.items()}
-    figures.update((name, study()) for name, study in STUDIES.items())
-    return figures
+#: Golden stem -> an id that prints it (fig18 and fig19 share a row).
+IDS = {row.stem: exp_id for exp_id, row in EXPERIMENTS.items()}
 
 
 # -- the paper's claims, one check per result ----------------------------
@@ -437,10 +324,11 @@ def _ext_visibility_claims(result):
 
 @pytest.fixture(scope="module")
 def figures():
-    return render()
+    return {name: run_experiment(exp_id, SCALE)
+            for name, exp_id in IDS.items()}
 
 
-@pytest.mark.parametrize("name", [*REGISTERED, *STUDIES])
+@pytest.mark.parametrize("name", IDS)
 def test_figure_matches_the_golden(figures, name):
     result, text = figures[name]
     assert text + "\n" == (GOLDEN_DIR / f"{name}.txt").read_text()
@@ -535,10 +423,10 @@ def test_docs_quote_the_pinned_headlines():
 
 def main() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    figures = render()
-    for name, (_, text) in figures.items():
+    for name, exp_id in IDS.items():
+        text = run_experiment(exp_id, SCALE)[1]
         (GOLDEN_DIR / f"{name}.txt").write_text(text + "\n")
-    print(f"wrote {len(figures)} files to {GOLDEN_DIR}")
+    print(f"wrote {len(IDS)} files to {GOLDEN_DIR}")
 
 
 if __name__ == "__main__":

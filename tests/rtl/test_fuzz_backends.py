@@ -4,8 +4,9 @@ Generates small random-but-terminating modules exercising the whole
 semantic surface — multi-FSM designs with wait counters, load-only
 counters (loaded on an arc, read by nothing, as a slice leaves a
 counter whose wait it elided), dynamic waits, up counters, arc
-actions, conditional update rules and memory-driven guards — and runs
-them through the shared differential
+actions, conditional update rules and memory-driven guards, half of
+them holding still while they wait so the fast-forward jump fires —
+and runs them through the shared differential
 harness :func:`repro.gen.conformance.compare_backends`: ``stepjit``
 must match the ``interp`` oracle on cycle count, fast-forward jump
 count, final architectural state, ``state_cycles``, FSM states,
@@ -50,12 +51,18 @@ def build_fuzz_module(seed: int) -> Module:
     """One random small module; same seed -> same design."""
     rng = random.Random(seed)
     loads = random.Random(seed + 1_000_003)  # keeps rng's designs
+    # Half the modules hold still while they wait, so the jump has
+    # stretches to take: ``cur`` reads memory at ``last`` (written by
+    # arcs and f0's S1 rule) instead of at the free-running
+    # ``step_count``, and the register rules fire only when n == 0.
+    holds = random.Random(seed + 2_000_003).random() < 0.5
     m = Module(f"fuzz{seed}")
     m.port("n", 8)
     m.memory("data", depth=16, width=8)
     m.reg("acc", 16)
     m.reg("last", 8)
-    cur = m.wire("cur", MemRead("data", Sig("step_count") & 0xF), 8)
+    index = Sig("last") if holds else Sig("step_count")
+    cur = m.wire("cur", MemRead("data", index & 0xF), 8)
 
     n_fsms = rng.randint(1, 2)
     final_guards = []
@@ -110,10 +117,12 @@ def build_fuzz_module(seed: int) -> Module:
             "busy_count", reset_cond=Sig("n") == 0, width=8,
             enable=Sig("f0__state") != 0,
         ))
+    still = Sig("n") == 0 if holds else None
     if rng.random() < 0.5:
-        m.update("acc", Sig("acc") + 1, cond=Sig("step_count") & 1)
+        m.update("acc", Sig("acc") + 1,
+                 cond=still if holds else Sig("step_count") & 1)
     if rng.random() < 0.5:
-        m.update("last", Sig("n"), fsm="f0", state="S1")
+        m.update("last", Sig("n"), fsm="f0", state="S1", cond=still)
 
     done = final_guards[0]
     for guard in final_guards[1:]:
@@ -137,6 +146,16 @@ def test_most_fuzz_modules_record_features():
         vector = np.frombuffer(runs["interp"][0]["features"])
         recorded += bool(vector.size and vector.any())
     assert recorded >= 20
+
+
+def test_fuzz_modules_take_the_jump():
+    """The jump comparison has teeth: the modules that hold still while
+    they wait make interp fast-forward (26 jumps over the 25 seeds)."""
+    jumps = sum(
+        backend_runs(build_fuzz_module(seed), [JOB], True,
+                     max_cycles=100_000)["interp"][0]["ff_jumps"]
+        for seed in range(25))
+    assert jumps >= 20
 
 
 def test_fuzz_modules_count_load_only_counters_lazily():

@@ -1,8 +1,10 @@
 """Stepjit backend tests: cycle-exactness, listeners, pickling, cache."""
 
 import ast
+import gc
 import pathlib
 import pickle
+import weakref
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.rtl import (
     set_default_backend,
     synthesize,
 )
+from repro.rtl.stepjit import _PROGRAMS
 from repro.slicing import build_slice
 from repro.workloads import workload_for
 from tests.conftest import build_toy, pack_item, toy_expected_cycles
@@ -146,11 +149,12 @@ def test_stepjit_program_cache_and_variants():
     assert counter.vector().tobytes() == recorder.vector().tobytes()
 
     # The slot variant survives a pickle round trip.
-    clone = pickle.loads(pickle.dumps(program))
+    twin_module, clone = pickle.loads(pickle.dumps((module, program)))
+    assert clone.module is twin_module
     assert clone.slots == program.slots
     assert clone.source == program.source
     copy = FeatureRecorder(features)
-    sim = StepSimulation(clone.module, listener=copy)
+    sim = StepSimulation(twin_module, listener=copy)
     sim.load(inputs={"n_items": len(ITEMS)}, memories={"items": ITEMS})
     assert sim.run().cycles == toy_expected_cycles(ITEMS)
     assert copy.vector().tobytes() == recorder.vector().tobytes()
@@ -220,13 +224,27 @@ def test_rtl_layer_imports_nothing_from_analysis():
 def test_stepjit_program_pickle_roundtrip():
     module = build_toy()
     program = compile_stepper(module)
-    clone = pickle.loads(pickle.dumps(program))
+    twin_module, clone = pickle.loads(pickle.dumps((module, program)))
+    assert clone.module is twin_module
     assert clone.source == program.source
     assert clone.scalar_names == program.scalar_names
     # The regenerated function must actually run.
-    sim = StepSimulation(clone.module)
+    sim = StepSimulation(twin_module)
     sim.load(inputs={"n_items": len(ITEMS)}, memories={"items": ITEMS})
     assert sim.run().cycles == toy_expected_cycles(ITEMS)
+
+
+def test_programs_die_with_their_modules():
+    """The program cache is keyed weakly on the module, so a cached
+    program must not hold its module alive."""
+    modules = [build_toy() for _ in range(3)]
+    for module in modules:
+        _run(module, StepSimulation)
+    assert all(module in _PROGRAMS for module in modules)
+    alive = [weakref.ref(module) for module in modules]
+    del modules, module
+    gc.collect()
+    assert [ref() for ref in alive] == [None] * 3
 
 
 def test_stepjit_simulation_pickles_like_interpreter():

@@ -1,8 +1,12 @@
 """CLI tests (invoking main() in-process)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.experiments import EXPERIMENTS
 
 
 def test_list(capsys):
@@ -43,9 +47,7 @@ def test_experiment_unknown(capsys):
 
 def test_experiment_run_dir_writes_artifacts(tmp_path, capsys):
     """--run-dir produces a parseable manifest and events file."""
-    import json
     import subprocess
-    from pathlib import Path
 
     from repro.obs import read_events
 
@@ -103,12 +105,32 @@ def test_predict(capsys):
     assert "predicted" in out
 
 
+def test_ablation_runs_as_an_experiment_with_a_run_dir(tmp_path, capsys):
+    """A pinned ablation is a command: it prints its sweep and writes
+    the run's manifest."""
+    run_dir = tmp_path / "run"
+    assert main(["experiment", "ablation-alpha", "--scale", "0.05",
+                 "--run-dir", str(run_dir)]) == 0
+    assert "alpha  under%  miss%  energy%" in capsys.readouterr().out
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["command"] == "experiment ablation-alpha"
+    assert manifest["config"]["scale"] == 0.05
+
+
 def test_every_registered_experiment_resolves():
+    """Each row's module runs and prints, and the rows print exactly
+    the pinned files, one row per file: fig19 is fig18's row."""
     import importlib
-    for exp_id, module_name in EXPERIMENTS.items():
-        module = importlib.import_module(
-            f"repro.experiments.{module_name}")
+    ids_by_stem = {}
+    for exp_id, row in EXPERIMENTS.items():
+        module = importlib.import_module(f"repro.experiments.{row.module}")
         assert hasattr(module, "run") and hasattr(module, "to_text")
+        ids_by_stem.setdefault(row.stem, []).append(exp_id)
+    golden = Path(__file__).parent / "golden" / "figures"
+    assert set(ids_by_stem) == {path.stem for path in golden.glob("*.txt")}
+    assert {stem: ids for stem, ids in ids_by_stem.items()
+            if len(ids) > 1} == {"fig18_19": ["fig18", "fig19"]}
+    assert EXPERIMENTS["fig19"] is EXPERIMENTS["fig18"]
 
 
 def test_rejects_unknown_benchmark():
